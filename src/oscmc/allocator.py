@@ -91,32 +91,46 @@ def kmeans(
     )
 
 
+def first_fit(placement: Placement, demand: ResourceVector, scan) -> int | None:
+    """The first server in ``scan`` order that can host ``demand``, if any."""
+    for sid in scan:
+        if placement.fits(sid, demand):
+            return sid
+    return None
+
+
+def first_fit_place(
+    items: list[tuple[int, ResourceVector]],
+    servers: dict[int, Server],
+    placement: Placement,
+    eligible=None,
+) -> Placement:
+    """Plain first-fit onto a placement copy, in the given item order, servers
+    scanned in ascending id order.  Raises PlacementInfeasibleError naming
+    the first VM that fits nowhere; the input placement is left untouched."""
+    result = placement.copy()
+    scan = sorted(eligible) if eligible is not None else sorted(servers)
+    for vm_id, demand in items:
+        sid = first_fit(result, demand, scan)
+        if sid is None:
+            raise PlacementInfeasibleError(
+                "placement infeasible: no server fits VM %d" % vm_id
+            )
+        result.assign(vm_id, demand, sid)
+    return result
+
+
 def ffd_place(
     items: list[tuple[int, ResourceVector, float]],
     servers: dict[int, Server],
     placement: Placement,
     eligible=None,
 ) -> Placement:
-    """First-fit decreasing by predicted bandwidth onto a placement copy.
-
-    ``items`` holds (vm_id, demand, predicted_bw); ties in predicted
-    bandwidth break by ascending VM id, servers are scanned in ascending id
-    order.  Raises PlacementInfeasibleError naming the first VM that fits
-    nowhere; the input placement is left untouched in that case.
-    """
-    result = placement.copy()
+    """First-fit decreasing: ``first_fit_place`` of ``items``, which hold
+    (vm_id, demand, predicted_bw), by descending predicted bandwidth, ties
+    by ascending VM id."""
     order = sorted(items, key=lambda it: (-it[2], it[0]))
-    scan = sorted(eligible) if eligible is not None else sorted(servers)
-    for vm_id, demand, _bw in order:
-        for sid in scan:
-            if result.fits(sid, demand):
-                result.assign(vm_id, demand, sid)
-                break
-        else:
-            raise PlacementInfeasibleError(
-                "placement infeasible: no server fits VM %d" % vm_id
-            )
-    return result
+    return first_fit_place([it[:2] for it in order], servers, placement, eligible)
 
 
 @dataclass
@@ -128,12 +142,9 @@ class RebalanceResult:
 
 
 def _mean_utilisation(placement: Placement, sid: int) -> float:
-    used = placement.used(sid)
-    cap = placement.capacity(sid)
-    parts = []
-    for u, c in zip(used.as_tuple(), cap.as_tuple()):
-        parts.append(u / c if c > 0 else 0.0)
-    return sum(parts) / 3.0
+    used = placement.used(sid).as_tuple()
+    cap = placement.capacity(sid).as_tuple()
+    return sum(u / c if c > 0 else 0.0 for u, c in zip(used, cap)) / 3.0
 
 
 def rebalance(
@@ -150,9 +161,11 @@ def rebalance(
     residual, never dropped.  Underload (-1): try to empty the least
     utilised ordinary servers by first-fit-decreasing their VMs onto the
     remaining active ordinary servers, deactivating servers that drain
-    completely.  Steady (0): no change.
+    completely; a server that cannot drain completely is left untouched.
+    Steady (0): no change.  The input placement is never mutated.
     """
     result = RebalanceResult(placement.copy())
+    p = result.placement
 
     if state == 0:
         return result
@@ -160,58 +173,40 @@ def rebalance(
     if state == 1:
         reserved = sorted(sid for sid, s in servers.items() if s.reserved_for_hogs)
         for vm_id, _bw in sorted(hog_vms or [], key=lambda it: (-it[1], it[0])):
-            origin = result.placement.server_of(vm_id)
-            if origin is None:
+            origin = p.server_of(vm_id)
+            if origin is None or servers[origin].reserved_for_hogs:
                 continue
-            if servers[origin].reserved_for_hogs:
-                continue
-            demand = result.placement.demand_of(vm_id)
-            for sid in reserved:
-                if result.placement.fits(sid, demand):
-                    result.placement.move(vm_id, sid)
-                    result.moved.append((vm_id, origin, sid))
-                    break
-            else:
+            target = first_fit(p, p.demand_of(vm_id), reserved)
+            if target is None:
                 result.residual_hogs.append(vm_id)
+            else:
+                p.move(vm_id, target)
+                result.moved.append((vm_id, origin, target))
         return result
 
-    # Underload: consolidate.
-    ordinary = [
-        sid
-        for sid, s in servers.items()
-        if not s.reserved_for_hogs and result.placement.vms_on(sid)
-    ]
-    by_load = sorted(ordinary, key=lambda sid: (_mean_utilisation(result.placement, sid), sid))
-    drained = 0
+    # Underload: consolidate.  Moves only go to non-empty ordinary servers,
+    # so the target list shrinks only by the servers drained.
+    ordinary = sorted(
+        sid for sid, s in servers.items() if not s.reserved_for_hogs and p.vms_on(sid)
+    )
+    by_load = sorted(ordinary, key=lambda sid: (_mean_utilisation(p, sid), sid))
     for sid in by_load:
-        if drained >= max_consolidations:
+        if len(result.emptied_servers) >= max_consolidations:
             break
-        vms = sorted(result.placement.vms_on(sid))
-        if not vms:
-            continue
-        targets = [
-            t
-            for t in sorted(servers)
-            if t != sid
-            and not servers[t].reserved_for_hogs
-            and result.placement.vms_on(t)
-        ]
-        trial = result.placement.copy()
+        targets = [t for t in ordinary if t != sid]
         moves = []
-        ok = True
-        order = sorted(vms, key=lambda v: (-trial.demand_of(v).bw, v))
-        for vm_id in order:
-            for t in targets:
-                if trial.fits(t, trial.demand_of(vm_id)):
-                    trial.move(vm_id, t)
-                    moves.append((vm_id, sid, t))
-                    break
-            else:
-                ok = False
+        for vm_id in sorted(p.vms_on(sid), key=lambda v: (-p.demand_of(v).bw, v)):
+            target = first_fit(p, p.demand_of(vm_id), targets)
+            if target is None:
+                # Undo in reverse: integer sums restore every load exactly,
+                # so each VM fits back where it came from.
+                for moved_vm, origin, _t in reversed(moves):
+                    p.move(moved_vm, origin)
                 break
-        if ok and moves:
-            result.placement = trial
+            p.move(vm_id, target)
+            moves.append((vm_id, sid, target))
+        else:
             result.moved.extend(moves)
             result.emptied_servers.append(sid)
-            drained += 1
+            ordinary.remove(sid)
     return result

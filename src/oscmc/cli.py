@@ -10,7 +10,7 @@ import sys
 from .allocator import PlacementInfeasibleError
 from .engine import SimulationError, run
 from .scenario import POLICIES, PRESETS, ScenarioError, load_scenario, with_policy
-from .workload import TraceFormatError, ingest_trace
+from .workload import TraceFormatError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -27,7 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import ffd_place, kmeans, rebalance, PlacementInfeasibleError
+from .allocator import (
+    PlacementInfeasibleError,
+    ffd_place,
+    first_fit,
+    first_fit_place,
+    kmeans,
+    rebalance,
+)
 from .metrics import METRICS_CSV_HEADER, IntervalMetrics, snapshot
 from .model import (
     GuaranteedThreshold,
@@ -65,27 +72,6 @@ class SimulationError(Exception):
     """The scenario cannot be simulated (for example, nothing can host a VM)."""
 
 
-def first_fit_place(
-    items: list[tuple[int, ResourceVector]],
-    servers: dict[int, Server],
-    placement: Placement,
-    eligible=None,
-) -> Placement:
-    """Plain first-fit in the given item order, servers scanned by id."""
-    result = placement.copy()
-    scan = sorted(eligible) if eligible is not None else sorted(servers)
-    for vm_id, demand in items:
-        for sid in scan:
-            if result.fits(sid, demand):
-                result.assign(vm_id, demand, sid)
-                break
-        else:
-            raise PlacementInfeasibleError(
-                "placement infeasible: no server fits VM %d" % vm_id
-            )
-    return result
-
-
 def pssf_place(
     items: list[tuple[int, int, ResourceVector]],
     servers: dict[int, Server],
@@ -101,15 +87,11 @@ def pssf_place(
     prior: dict[int, int] = dict(history or {})
     scan = sorted(servers)
     for vm_id, owner, demand in items:
-        target = None
         last = prior.get(owner)
         if last is not None and result.fits(last, demand):
             target = last
         else:
-            for sid in scan:
-                if result.fits(sid, demand):
-                    target = sid
-                    break
+            target = first_fit(result, demand, scan)
         if target is None:
             raise PlacementInfeasibleError(
                 "placement infeasible: no server fits VM %d" % vm_id
@@ -799,10 +781,3 @@ def run(sc: Scenario, workers: int | None = None) -> RunLog:
         result.realized_breaches,
     )
     return result
-
-
-def wosc_run(sc: Scenario, workers: int | None = None) -> RunLog:
-    """Convenience wrapper: the same scenario with surveillance disabled."""
-    from .scenario import with_policy
-
-    return run(with_policy(sc, "wosc"), workers=workers)

@@ -4,6 +4,7 @@ and the VM-to-server placement map."""
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 
@@ -122,20 +123,34 @@ def admit_vm(vm: Vm, servers: dict[int, Server]) -> AdmissionDecision:
     return AdmissionDecision(False, "demand exceeds every server capacity")
 
 
+# Placement sums are kept in integer micro-units, so they are exact and do
+# not depend on the order of mutations; resource values are rounded to 1e-6.
+_UNITS = 1_000_000
+
+
+def _to_units(rv: ResourceVector) -> tuple[int, int, int]:
+    return (round(rv.cpu * _UNITS), round(rv.mem * _UNITS), round(rv.bw * _UNITS))
+
+
+@functools.lru_cache(maxsize=4096)
+def _from_units(units: tuple[int, int, int]) -> ResourceVector:
+    # Few distinct totals occur and the vectors are immutable, so metrics
+    # that read every server's load each interval share them.
+    return ResourceVector(units[0] / _UNITS, units[1] / _UNITS, units[2] / _UNITS)
+
+
 class Placement:
     """Mutable VM-to-server map that enforces the capacity constraint
     (sum of hosted demands componentwise <= server capacity) on every
     mutation."""
 
     def __init__(self, servers: dict[int, Server]):
-        self._capacity: dict[int, ResourceVector] = {
-            sid: s.capacity for sid, s in servers.items()
+        self._capacity: dict[int, tuple[int, int, int]] = {
+            sid: _to_units(s.capacity) for sid, s in servers.items()
         }
         self._vm_to_server: dict[int, int] = {}
         self._server_to_vms: dict[int, set[int]] = {sid: set() for sid in servers}
-        self._used: dict[int, ResourceVector] = {
-            sid: ResourceVector.zero() for sid in servers
-        }
+        self._used: dict[int, tuple[int, int, int]] = {sid: (0, 0, 0) for sid in servers}
         self._demand: dict[int, ResourceVector] = {}
 
     # -- queries ---------------------------------------------------------
@@ -147,13 +162,18 @@ class Placement:
         return frozenset(self._server_to_vms[server_id])
 
     def used(self, server_id: int) -> ResourceVector:
-        return self._used[server_id]
+        return _from_units(self._used[server_id])
 
     def capacity(self, server_id: int) -> ResourceVector:
-        return self._capacity[server_id]
+        return _from_units(self._capacity[server_id])
 
     def fits(self, server_id: int, demand: ResourceVector) -> bool:
-        return (self._used[server_id] + demand).fits_within(self._capacity[server_id])
+        cpu, mem, bw = _to_units(demand)
+        used_cpu, used_mem, used_bw = self._used[server_id]
+        cap_cpu, cap_mem, cap_bw = self._capacity[server_id]
+        return (
+            used_cpu + cpu <= cap_cpu and used_mem + mem <= cap_mem and used_bw + bw <= cap_bw
+        )
 
     def demand_of(self, vm_id: int) -> ResourceVector:
         return self._demand[vm_id]
@@ -183,7 +203,8 @@ class Placement:
             )
         self._vm_to_server[vm_id] = server_id
         self._server_to_vms[server_id].add(vm_id)
-        self._used[server_id] = self._used[server_id] + demand
+        used = zip(self._used[server_id], _to_units(demand))
+        self._used[server_id] = tuple(u + d for u, d in used)
         self._demand[vm_id] = demand
 
     def remove(self, vm_id: int) -> int:
@@ -192,7 +213,8 @@ class Placement:
             raise KeyError("VM %d is not placed" % vm_id)
         server_id = self._vm_to_server.pop(vm_id)
         self._server_to_vms[server_id].discard(vm_id)
-        self._used[server_id] = self._used[server_id] - self._demand.pop(vm_id)
+        used = zip(self._used[server_id], _to_units(self._demand.pop(vm_id)))
+        self._used[server_id] = tuple(u - d for u, d in used)
         return server_id
 
     def move(self, vm_id: int, server_id: int) -> None:
@@ -209,7 +231,7 @@ class Placement:
 
     def copy(self) -> "Placement":
         clone = Placement.__new__(Placement)
-        clone._capacity = dict(self._capacity)
+        clone._capacity = self._capacity  # never mutated, safe to share
         clone._vm_to_server = dict(self._vm_to_server)
         clone._server_to_vms = {sid: set(vms) for sid, vms in self._server_to_vms.items()}
         clone._used = dict(self._used)
@@ -219,10 +241,8 @@ class Placement:
     def capacity_ok(self) -> bool:
         """Recompute hosted demand sums and verify the capacity constraint."""
         for sid, vms in self._server_to_vms.items():
-            total = ResourceVector.zero()
-            for vm_id in vms:
-                total = total + self._demand[vm_id]
-            if not total.fits_within(self._capacity[sid]):
+            sums = [sum(col) for col in zip(*(_to_units(self._demand[v]) for v in vms))]
+            if any(s > c for s, c in zip(sums, self._capacity[sid])):
                 return False
         return True
 

@@ -3,6 +3,7 @@ presets and the key/value scenario file format."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -86,43 +87,48 @@ class Scenario:
     workers: int = 1
 
     def validate(self) -> None:
-        if self.servers < 1:
-            raise ScenarioError("servers must be >= 1")
-        if self.vms < 1:
-            raise ScenarioError("vms must be >= 1")
-        if self.intervals < 1:
-            raise ScenarioError("intervals must be >= 1")
+        for name in (
+            "servers", "vms", "intervals", "clusters", "window", "hidden",
+            "retrain_every", "train_sample", "kmeans_restarts",
+            "malicious_vm_threshold", "workers",
+        ):
+            if getattr(self, name) < 1:
+                raise ScenarioError("%s must be >= 1" % name)
+        for name in ("hog_threshold", "workload_sigma"):
+            if getattr(self, name) < 0:
+                raise ScenarioError("%s must be >= 0" % name)
+        for name in (
+            "benign_link_rate",
+            "attack_colocated_rate",
+            "attack_remote_rate",
+            "cross_user_auth_rate",
+        ):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ScenarioError("%s must lie in [0, 1]" % name)
         if self.policy not in POLICIES:
             raise ScenarioError("unknown policy %r" % self.policy)
         if not 0.0 <= self.malicious_user_pct <= 100.0:
             raise ScenarioError("malicious_user_pct must lie in [0, 100]")
         if self.users is not None and not 1 <= self.users <= self.vms:
             raise ScenarioError("users must lie in [1, vms]")
-        for rate_name in (
-            "benign_link_rate",
-            "attack_colocated_rate",
-            "attack_remote_rate",
-            "cross_user_auth_rate",
-        ):
-            rate = getattr(self, rate_name)
-            if not 0.0 <= rate <= 1.0:
-                raise ScenarioError("%s must lie in [0, 1]" % rate_name)
         if self.attack_mode not in ("steady", "burst"):
             raise ScenarioError("attack_mode must be steady or burst")
         if self.attack_mode == "burst" and self.burst_period < 1:
             raise ScenarioError("burst_period must be >= 1")
         if not self.vm_flavors:
             raise ScenarioError("at least one VM flavor is required")
-        if self.clusters < 1:
-            raise ScenarioError("clusters must be >= 1")
-        if self.window < 1 or self.hidden < 1:
-            raise ScenarioError("window and hidden sizes must be >= 1")
-        if self.malicious_vm_threshold < 1:
-            raise ScenarioError("malicious_vm_threshold must be >= 1")
+        resources = [self.server_cpu, self.server_mem, self.server_bw]
+        resources += [x for flavor in self.vm_flavors for x in flavor]
+        if not all(0 <= x < math.inf for x in resources):
+            raise ScenarioError("vm_flavors and server_cpu/mem/bw must be finite and >= 0")
+        if not self.pw_idle <= self.pw_min <= self.pw_max:
+            raise ScenarioError("power figures must satisfy pw_idle <= pw_min <= pw_max")
+        if self.vuln_score_fixed is not None and not 0.0 <= self.vuln_score_fixed <= 10.0:
+            raise ScenarioError("vuln_score_fixed must lie in [0, 10]")
+        if not self.learning_rate > 0:
+            raise ScenarioError("learning_rate must be > 0")
         if self.power_mode not in ("mean", "cpu"):
             raise ScenarioError("power_mode must be mean or cpu")
-        if self.workers < 1:
-            raise ScenarioError("workers must be >= 1")
 
     def user_count(self) -> int:
         if self.fixed_users:

@@ -44,6 +44,37 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "retrain_every = 0",
+        "train_sample = 0",
+        "kmeans_restarts = 0",
+        "hog_threshold = -0.1",
+        "pw_idle = 200",
+        "pw_max = 10",
+        "learning_rate = 0",
+        "learning_rate = -0.05",
+        "vm_flavors = 500:-1:1000",
+        "server_cpu = -1",
+        "server_mem = -1",
+        "server_bw = -1",
+        "server_bw = inf",
+        "vm_flavors = 500:nan:1000",
+        "workload_sigma = -0.1",
+        "vuln_score_fixed = 11",
+    ],
+)
+def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):
+    f = tmp_path / "bad.scn"
+    f.write_text("servers = 3\nvms = 6\nintervals = 8\nwindow = 2\n%s\n" % bad)
+    code = main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
 def test_run_infeasible_scenario_exits_runtime(tmp_path, capsys):
     f = tmp_path / "tight.scn"
     f.write_text("servers = 2\nvms = 40\nintervals = 3\n")

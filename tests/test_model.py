@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscmc.model import (
     AdmissionDecision,
@@ -183,6 +185,48 @@ def test_placement_random_mutations_never_violate_capacity():
         for vm, sid in placed.items():
             assert p.server_of(vm) == sid
             assert vm in p.vms_on(sid)
+
+
+_DECIMALS = st.sampled_from([0.1, 0.2, 0.3, 0.7])
+_OPS = st.tuples(
+    st.sampled_from(["assign", "move", "remove"]),
+    st.integers(0, 11),  # VM id
+    st.integers(0, 3),  # flavor index
+    st.integers(1, 2),  # server id
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    flavors=st.lists(st.tuples(_DECIMALS, _DECIMALS, _DECIMALS), min_size=4, max_size=4),
+    cap=st.tuples(*[st.sampled_from([0.9, 1.0, 1.1, 1.3])] * 3),
+    ops=st.lists(_OPS, max_size=60),
+)
+def test_placement_is_exact_for_decimal_flavors(flavors, cap, ops):
+    """Decimal flavors (not exact in binary) under any assign/move/remove
+    history: no drift below zero, the capacity constraint holds, and fits
+    answers as a fresh placement holding the same VMs would."""
+    servers = make_servers(2, *cap)
+    demands = [ResourceVector(*f) for f in flavors]
+    p = Placement(servers)
+    hosted = {}
+    for kind, vm, flavor, sid in ops:
+        if kind == "assign" and vm not in hosted and p.fits(sid, demands[flavor]):
+            p.assign(vm, demands[flavor], sid)
+            hosted[vm] = (demands[flavor], sid)
+        elif kind == "move" and vm in hosted and p.fits(sid, hosted[vm][0]):
+            p.move(vm, sid)
+            hosted[vm] = (hosted[vm][0], sid)
+        elif kind == "remove" and vm in hosted:
+            p.remove(vm)
+            del hosted[vm]
+        assert p.capacity_ok()
+        fresh = Placement(servers)
+        for v, (d, s) in sorted(hosted.items()):
+            fresh.assign(v, d, s)
+        for d in demands:
+            for s in servers:
+                assert p.fits(s, d) == fresh.fits(s, d)
 
 
 def test_guaranteed_threshold_defaults():
