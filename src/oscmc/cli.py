@@ -49,7 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--seed", type=int, help="override the scenario seed")
     runp.add_argument("--intervals", type=int, help="override the horizon")
     runp.add_argument("--trace", help="usage trace file or directory")
-    runp.add_argument("--workers", type=int, help="worker threads (default 1)")
+    runp.add_argument(
+        "--workers", type=int, help="accepted and ignored: runs are serial"
+    )
     runp.add_argument("--out", default="results", help="output directory")
 
     cmpp = sub.add_parser("compare", help="tabulate metrics of finished runs")

@@ -14,15 +14,15 @@ substreams (fleet setup, workload, link injection, model init, model
 training, clustering), in a fixed order.  Link-injection draws happen for
 every VM every interval even when the intent is discarded, so runs that
 share a seed see the same workload and attack stream regardless of policy.
-Worker fan-out only partitions independent tasks (per-model forecasting,
-per-server link scans) and merges results in a fixed order, so the worker
-count never changes any output byte.
+One simulation runs serially: each step does its layers in a fixed order
+and builds observed-link matrices only for the policy that reads them, so
+the worker count accepted by ``Simulation`` and ``run`` never changes any
+output byte.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +38,6 @@ from .allocator import (
 from .metrics import METRICS_CSV_HEADER, IntervalMetrics, snapshot
 from .model import (
     GuaranteedThreshold,
-    Link,
     Placement,
     ResourceVector,
     Server,
@@ -246,30 +245,16 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
 
-def _pmap(fn, items, workers: int):
-    """Order-preserving map, optionally fanned out over a thread pool."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _chunks(seq, n):
-    seq = list(seq)
-    if n <= 1 or len(seq) <= 1:
-        return [seq]
-    size = (len(seq) + n - 1) // n
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
 class Simulation:
-    """One deterministic run of a scenario under one policy."""
+    """One deterministic run of a scenario under one policy.
+
+    ``workers`` is accepted for callers that pass it and ignored: a single
+    simulation always runs serially.
+    """
 
     def __init__(self, sc: Scenario, workers: int | None = None):
         sc.validate()
         self.sc = sc
-        self.workers = sc.workers if workers is None else workers
         root = np.random.SeedSequence(sc.seed)
         s_setup, s_workload, s_inject, s_models, s_train, s_kmeans = root.spawn(6)
         self.setup_rng = np.random.default_rng(s_setup)
@@ -283,7 +268,8 @@ class Simulation:
         self._build_models(s_models, s_train)
         self._initial_placement()
 
-        self.live: dict[tuple[int, int], Link] = {}
+        # Live links in birth order: (src, dst) -> interval established.
+        self.live: dict[tuple[int, int], int] = {}
         self.suspended: set[int] = set()
         self.detected_cum: set[int] = set()
         self.predicted: dict[int, np.ndarray] = {
@@ -391,17 +377,19 @@ class Simulation:
                     if a != b:
                         ivcl.grant(a, b)
         if sc.cross_user_auth_rate > 0:
-            ids = sorted(self.vms)
-            pairs = [
-                (a, b)
-                for a in ids
-                for b in ids
-                if a != b and self.owners[a] != self.owners[b]
-            ]
-            mask = self.setup_rng.random(len(pairs)) < sc.cross_user_auth_rate
-            for (a, b), keep in zip(pairs, mask):
-                if keep:
-                    ivcl.grant(a, b)
+            ids = np.array(sorted(self.vms))
+            owner = np.array([self.owners[vm] for vm in ids])
+            # Boolean-mask assignment runs in row-major, that is (a, b),
+            # order, so each pair gets the same draw as in a pairwise
+            # enumeration; only granted pairs become index arrays.
+            cross = owner[:, None] != owner[None, :]
+            grant = np.zeros_like(cross)
+            grant[cross] = (
+                self.setup_rng.random(int(cross.sum())) < sc.cross_user_auth_rate
+            )
+            rows, cols = np.nonzero(grant)
+            for a, b in zip(ids[rows].tolist(), ids[cols].tolist()):
+                ivcl.grant(a, b)
         self.ivcl = ivcl
 
     def _build_usage(self, rng: np.random.Generator) -> None:
@@ -498,8 +486,7 @@ class Simulation:
         """Fit each model on sampled history windows, then forecast t+1.
 
         Returns {vm: np.array([cpu, mem, bw])} for active VMs.  Each model
-        task is independent (own weights, own RNG), so fan-out across
-        workers cannot reorder results.
+        has its own weights and its own training RNG.
         """
         sc = self.sc
         active = set(self._active_vms())
@@ -510,22 +497,20 @@ class Simulation:
             return out
 
         do_train = (t - sc.window) % sc.retrain_every == 0
-
-        def task(key):
+        for key, model in self.models.items():
             group_key, resource = key
-            model = self.models[key]
-            live_members = [vm for vm in self.model_groups[group_key] if vm in active]
+            group = self.model_groups[group_key]
             if do_train:
                 rng = self.train_rngs[key]
                 # Window ending at index start+window-1 predicts start+window,
                 # which must already be observed: start <= t - window.
                 starts = t - sc.window + 1
-                total = len(self.model_groups[group_key]) * starts
+                total = len(group) * starts
                 n = min(sc.train_sample, total)
                 picks = np.sort(rng.choice(total, size=n, replace=False))
                 xs, ys = [], []
                 for pick in picks:
-                    member = self.model_groups[group_key][int(pick) // starts]
+                    member = group[int(pick) // starts]
                     start = int(pick) % starts
                     series = self.usage[:, self.vm_index[member], resource]
                     xs.append(series[start : start + sc.window])
@@ -534,15 +519,11 @@ class Simulation:
                 y = np.asarray(ys)
                 model.set_bounds(np.concatenate([x.ravel(), y]))
                 train_on_windows(model, x, y, epochs=sc.epochs)
+            live_members = [vm for vm in group if vm in active]
             if not live_members:
-                return key, [], np.empty(0)
+                continue
             windows = self._window_matrix(live_members, t, resource)
-            return key, live_members, model.predict_batch(windows)
-
-        keys = [(g, r) for g in self.model_groups for r in range(3)]
-        for key, members, preds in _pmap(task, keys, self.workers):
-            _, resource = key
-            for vm, value in zip(members, preds):
+            for vm, value in zip(live_members, model.predict_batch(windows)):
                 out[vm][resource] = float(value)
         return out
 
@@ -605,40 +586,35 @@ class Simulation:
         return attacks + benign
 
     def _drop_link(self, ends: tuple[int, int], t: int) -> None:
-        link = self.live.pop(ends, None)
-        if link is None:
+        born = self.live.pop(ends, None)
+        if born is None:
             return
-        if classify_link(ends, self.ivcl).value == 1 and t - link.established_at >= 1:
+        if classify_link(ends, self.ivcl).value == 1 and t - born >= 1:
             self.log.realized_breaches += 1
 
     def _apply_quarantine(self, directive: QuarantineDirective, t: int) -> None:
         for ends in sorted(directive.terminate_links):
             self._drop_link(ends, t)
+        newly = set()
         for vm_id in sorted(directive.suspend_vms):
             if vm_id in self.suspended:
                 continue
             self.vms[vm_id].status = VmStatus.SUSPENDED
             self.suspended.add(vm_id)
             self.log.suspended.append(vm_id)
+            newly.add(vm_id)
             if self.placement.server_of(vm_id) is not None:
                 self.placement.remove(vm_id)
-            for ends in sorted(self.live):
-                if vm_id in ends:
-                    self._drop_link(ends, t)
+        # Dropping only counts breaches, so one pass in any order suffices.
+        for src, dst in list(self.live):
+            if src in newly or dst in newly:
+                self._drop_link((src, dst), t)
         sync_active(self.servers, self.placement)
 
     def _detect(self, t: int, vlams, active: list[int]) -> ThreatReport:
         perf, thresholds = self._perf_samples(t, active)
         vuln_scores = {sid: s.vulnerability_score for sid, s in self.servers.items()}
-        chunks = _chunks(sorted(vlams), self.workers)
-
-        def scan(server_ids):
-            sub = {sid: vlams[sid] for sid in server_ids}
-            return detect_colocation(self.placement, sub, self.ivcl)
-
-        colocation = []
-        for part in _pmap(scan, chunks, self.workers):
-            colocation.extend(part)
+        colocation = detect_colocation(self.placement, vlams, self.ivcl)
         return build_threat_report(
             t,
             self.placement,
@@ -705,13 +681,12 @@ class Simulation:
         for src, dst in self._new_links(t):
             if (src, dst) in self.live:
                 continue
-            self.live[(src, dst)] = Link(src, dst, established_at=t)
+            self.live[(src, dst)] = t
             if classify_link((src, dst), self.ivcl).value == 1:
                 self.log.malicious_links_created += 1
 
-        vlams = build_vlams(self.placement, self.live.keys(), self.servers.keys())
-
         if sc.policy == "oscmc":
+            vlams = build_vlams(self.placement, self.live.keys(), self.servers.keys())
             report = self._detect(t, vlams, self._active_vms())
         else:
             report = ThreatReport(interval=t)
@@ -751,11 +726,8 @@ class Simulation:
 
     def finish(self) -> RunLog:
         last = self.sc.intervals - 1
-        for ends, link in self.live.items():
-            if (
-                classify_link(ends, self.ivcl).value == 1
-                and last - link.established_at >= 1
-            ):
+        for ends, born in self.live.items():
+            if classify_link(ends, self.ivcl).value == 1 and last - born >= 1:
                 self.log.realized_breaches += 1
         return self.log
 

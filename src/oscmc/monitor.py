@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Link, Placement
+from .model import Placement
 
 
 class UnregisteredVmError(Exception):
@@ -39,12 +39,6 @@ class UndefinedCoverageError(Exception):
 
 
 LinkEnds = tuple[int, int]
-
-
-def _ends(link: Link | LinkEnds) -> LinkEnds:
-    if isinstance(link, Link):
-        return link.ends
-    return (link[0], link[1])
 
 
 class Ivcl:
@@ -101,9 +95,9 @@ class LinkRelation:
     value: int
 
 
-def classify_link(link: Link | LinkEnds, ivcl: Ivcl) -> LinkRelation:
+def classify_link(link: LinkEnds, ivcl: Ivcl) -> LinkRelation:
     """Compare an observed flow against the authorised-link log."""
-    src, dst = _ends(link)
+    src, dst = link
     value = 0 if ivcl.is_authorized(src, dst) else 1
     return LinkRelation((src, dst), value)
 
@@ -126,8 +120,7 @@ def build_vlams(placement: Placement, links, server_ids=None) -> dict[int, Vlam]
     if server_ids is None:
         server_ids = placement.server_ids
     vlams = {sid: Vlam(sid) for sid in sorted(server_ids)}
-    for link in links:
-        src, dst = _ends(link)
+    for src, dst in links:
         for sid in {placement.server_of(src), placement.server_of(dst)}:
             if sid is not None:
                 vlams[sid].links.add((src, dst))
@@ -341,7 +334,7 @@ def build_threat_report(
 ) -> ThreatReport:
     """Run the full detection pass for one interval.
 
-    ``colocation`` may carry a precomputed (possibly fanned-out) event list;
+    ``colocation`` may carry a precomputed ``detect_colocation`` result;
     cascades are always joined on the merged observed links.
     """
     if colocation is None:

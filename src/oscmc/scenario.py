@@ -94,7 +94,10 @@ class Scenario:
         ):
             if getattr(self, name) < 1:
                 raise ScenarioError("%s must be >= 1" % name)
-        for name in ("hog_threshold", "workload_sigma"):
+        for name in (
+            "hog_threshold", "workload_sigma", "congestion_threshold_frac",
+            "burst_mult",
+        ):
             if getattr(self, name) < 0:
                 raise ScenarioError("%s must be >= 0" % name)
         for name in (
@@ -102,6 +105,9 @@ class Scenario:
             "attack_colocated_rate",
             "attack_remote_rate",
             "cross_user_auth_rate",
+            "burst_enter",
+            "burst_exit",
+            "guaranteed_frac",
         ):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ScenarioError("%s must lie in [0, 1]" % name)

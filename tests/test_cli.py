@@ -30,6 +30,22 @@ def test_run_writes_result_files(tmp_path):
     assert len(metrics) == 4  # header + three intervals
 
 
+def test_run_workers_flag_leaves_output_unchanged(tmp_path):
+    scn = tmp_path / "small.scn"
+    scn.write_text("servers = 6\nvms = 12\nintervals = 8\nwindow = 2\nseed = 5\n")
+    outs = {}
+    for workers in (1, 2):
+        out = tmp_path / ("w%d" % workers)
+        argv = ["run", "--scenario", str(scn), "--policy", "oscmc", "--policy", "wosc"]
+        code = main(argv + ["--workers", str(workers), "--out", str(out)])
+        assert code == EXIT_OK
+        outs[workers] = out
+    for policy in ("oscmc", "wosc"):
+        for name in ("metrics.csv", "events.csv", "summary.txt"):
+            serial = (outs[1] / policy / name).read_bytes()
+            assert serial == (outs[2] / policy / name).read_bytes()
+
+
 def test_run_unknown_scenario_exits_config(tmp_path, capsys):
     code = main(["run", "--scenario", "missing", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -63,6 +79,14 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
         "vm_flavors = 500:nan:1000",
         "workload_sigma = -0.1",
         "vuln_score_fixed = 11",
+        "burst_enter = 2",
+        "burst_enter = -0.1",
+        "burst_exit = 1.5",
+        "burst_exit = -0.1",
+        "guaranteed_frac = -1",
+        "guaranteed_frac = 1.5",
+        "congestion_threshold_frac = -1",
+        "burst_mult = -1",
     ],
 )
 def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):

@@ -104,6 +104,33 @@ def test_ivcl_grants_cover_intra_user_pairs():
                 assert not sim.ivcl.is_authorized(a, b)
 
 
+def test_ivcl_cross_user_grants_follow_pairwise_draw_order():
+    """Cross-user grants match one setup draw per (a, b) pair in id order."""
+    users = {1: [1, 2, 3, 4, 5], 2: [6], 3: [7, 8, 9]}
+    sc = small_scenario(
+        vms=9,
+        users=None,
+        fixed_users=users,
+        fixed_malicious_users=[2],
+        vuln_score_fixed=5.0,
+        cross_user_auth_rate=0.4,
+    )
+    sim = Simulation(sc)
+    ids = sorted(sim.vms)
+    pairs = [
+        (a, b) for a in ids for b in ids if a != b and sim.owners[a] != sim.owners[b]
+    ]
+    rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(6)[0])
+    draws = rng.random(len(pairs)) < sc.cross_user_auth_rate
+    expected = {pair for pair, keep in zip(pairs, draws) if keep}
+    expected |= {
+        (a, b) for vms in users.values() for a in vms for b in vms if a != b
+    }
+    granted = {(a, b) for a in ids for b in sim.ivcl.authorized_dsts(a)}
+    assert 0 < sum(draws) < len(pairs)
+    assert granted == expected
+
+
 def test_reserved_servers_only_under_surveillance_policy():
     assert any(
         s.reserved_for_hogs for s in Simulation(small_scenario()).servers.values()
