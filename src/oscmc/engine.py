@@ -118,6 +118,7 @@ def inject_malicious_behavior(
     suspended VMs are discarded after drawing.
     """
     benign_alive = [v for v in benign_vms if v not in suspended]
+    benign_set = set(benign_alive)
     links: list[tuple[int, int]] = []
     for vm in malicious_vms:
         u1, u2, u3, u4 = rng.random(4)
@@ -130,7 +131,7 @@ def inject_malicious_behavior(
             local = [
                 v
                 for v in sorted(placement.vms_on(host))
-                if v != vm and v in benign_alive
+                if v != vm and v in benign_set
             ]
             if local:
                 links.append((vm, local[int(u2 * len(local)) % len(local)]))
@@ -272,9 +273,9 @@ class Simulation:
         self.live: dict[tuple[int, int], int] = {}
         self.suspended: set[int] = set()
         self.detected_cum: set[int] = set()
-        self.predicted: dict[int, np.ndarray] = {
-            vm: self.nominals[self.vm_index[vm]].copy() for vm in self.vms
-        }
+        # Bandwidth forecast per VM, indexed like ``usage``; nominal until
+        # the forecaster has trained.
+        self.predicted = self.nominals[:, 2].copy()
         self.log = RunLog(
             scenario_name=sc.name,
             policy=sc.policy,
@@ -427,12 +428,14 @@ class Simulation:
             for vm_id in sorted(self.vms):
                 groups.setdefault(("flavor", self.flavor_of[vm_id]), []).append(vm_id)
         self.model_groups = dict(sorted(groups.items()))
-        keys = [(g, r) for g in self.model_groups for r in range(3)]
-        seeds = s_models.spawn(len(keys))
-        train_seeds = s_train.spawn(len(keys))
+        # Three children per group, the third for bandwidth: the seeds the
+        # pinned output digests were recorded with.
+        n = 3 * len(self.model_groups)
+        seeds = s_models.spawn(n)[2::3]
+        train_seeds = s_train.spawn(n)[2::3]
         self.models = {}
         self.train_rngs = {}
-        for key, seed, tseed in zip(keys, seeds, train_seeds):
+        for key, seed, tseed in zip(self.model_groups, seeds, train_seeds):
             self.models[key] = PredictorModel(
                 sc.window, sc.hidden, sc.learning_rate, seed=seed
             )
@@ -474,32 +477,27 @@ class Simulation:
     def _active_vms(self) -> list[int]:
         return sorted(self.placement.vm_ids)
 
-    def _window_matrix(self, members: list[int], t: int, resource: int) -> np.ndarray:
+    def _window_matrix(self, members: list[int], t: int) -> np.ndarray:
         w = self.sc.window
-        rows = [
-            self.usage[t - w + 1 : t + 1, self.vm_index[vm], resource]
-            for vm in members
-        ]
+        rows = [self.usage[t - w + 1 : t + 1, self.vm_index[vm], 2] for vm in members]
         return np.stack(rows)
 
-    def _train_and_predict(self, t: int):
-        """Fit each model on sampled history windows, then forecast t+1.
-
-        Returns {vm: np.array([cpu, mem, bw])} for active VMs.  Each model
-        has its own weights and its own training RNG.
+    def _train_and_predict(self, t: int) -> None:
+        """Fit each group's model on sampled bandwidth history windows, then
+        write every active VM's bandwidth forecast for t+1 into
+        ``self.predicted``.  Each model has its own weights and its own
+        training RNG.  Placement reads bandwidth alone, so cpu and memory
+        are not forecast.
         """
         sc = self.sc
-        active = set(self._active_vms())
-        out = {vm: self.nominals[self.vm_index[vm]].copy() for vm in active}
-        # Until the first training pass the model is random noise; forecast
-        # nominal demand instead.
+        # Until the first training pass the model is random noise; the
+        # nominal forecast stands instead.
         if t < sc.window:
-            return out
-
+            return
+        active = self.placement.vm_ids
         do_train = (t - sc.window) % sc.retrain_every == 0
         for key, model in self.models.items():
-            group_key, resource = key
-            group = self.model_groups[group_key]
+            group = self.model_groups[key]
             if do_train:
                 rng = self.train_rngs[key]
                 # Window ending at index start+window-1 predicts start+window,
@@ -512,7 +510,7 @@ class Simulation:
                 for pick in picks:
                     member = group[int(pick) // starts]
                     start = int(pick) % starts
-                    series = self.usage[:, self.vm_index[member], resource]
+                    series = self.usage[:, self.vm_index[member], 2]
                     xs.append(series[start : start + sc.window])
                     ys.append(series[start + sc.window])
                 x = np.stack(xs)
@@ -522,10 +520,9 @@ class Simulation:
             live_members = [vm for vm in group if vm in active]
             if not live_members:
                 continue
-            windows = self._window_matrix(live_members, t, resource)
+            windows = self._window_matrix(live_members, t)
             for vm, value in zip(live_members, model.predict_batch(windows)):
-                out[vm][resource] = float(value)
-        return out
+                self.predicted[self.vm_index[vm]] = float(value)
 
     def _perf_samples(self, t: int, active: list[int]):
         """Delivered bandwidth share per VM after server-level contention.
@@ -636,7 +633,9 @@ class Simulation:
         observed_bw = {
             vm: float(self.usage[t, self.vm_index[vm], 2]) for vm in active
         }
-        predicted_bw = {vm: float(self.predicted[vm][2]) for vm in active}
+        predicted_bw = {
+            vm: float(self.predicted[self.vm_index[vm]]) for vm in active
+        }
 
         if sc.policy == "oscmc":
             dev_threshold = sc.congestion_threshold_frac * sum(
@@ -649,10 +648,10 @@ class Simulation:
                 dev_threshold=dev_threshold,
                 time_threshold=1.0,
             )
-            next_pred = self._train_and_predict(t)
+            self._train_and_predict(t)
             hog_vms: list[tuple[int, float]] = []
             if active:
-                values = [float(next_pred[vm][2]) for vm in active]
+                values = [float(self.predicted[self.vm_index[vm]]) for vm in active]
                 n_clusters = min(sc.clusters, len(values))
                 assignment = kmeans(
                     values,
@@ -662,8 +661,8 @@ class Simulation:
                 )
                 top = assignment.top_cluster()
                 hog_vms = [
-                    (vm, float(next_pred[vm][2]))
-                    for vm, label in zip(active, assignment.labels)
+                    (vm, value)
+                    for vm, value, label in zip(active, values, assignment.labels)
                     if label == top
                 ]
             if not sc.pin_placement:
@@ -672,11 +671,6 @@ class Simulation:
                 )
                 self.placement = result.placement
                 sync_active(self.servers, self.placement)
-        else:
-            congestion = None
-            next_pred = {
-                vm: self.nominals[self.vm_index[vm]].copy() for vm in active
-            }
 
         for src, dst in self._new_links(t):
             if (src, dst) in self.live:
@@ -708,8 +702,6 @@ class Simulation:
         m.theta_cas = len(report.cascading)
         m.theta_vul = len(report.vulnerability)
         m.malicious_vms_cum = len(self.detected_cum)
-        if congestion is not None:
-            m.extra["congestion"] = congestion.value
         self.log.metrics.append(m)
 
         if sc.policy == "oscmc" and (
@@ -718,11 +710,6 @@ class Simulation:
             directive = quarantine(report, self.placement, vlams)
             self.log.directives.append(directive)
             self._apply_quarantine(directive, t)
-
-        self.predicted = next_pred
-        for vm in self._active_vms():
-            if vm not in self.predicted:
-                self.predicted[vm] = self.nominals[self.vm_index[vm]].copy()
 
     def finish(self) -> RunLog:
         last = self.sc.intervals - 1

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Placement, Server
 from .monitor import Ivcl, classify_link
@@ -111,7 +111,6 @@ class IntervalMetrics:
     theta_cas: int = 0
     theta_vul: int = 0
     malicious_vms_cum: int = 0
-    extra: dict = field(default_factory=dict)
 
     def csv_row(self) -> str:
         return "%d,%.6f,%.6f,%d,%.6f,%d,%d,%d,%d,%d" % (

@@ -90,13 +90,13 @@ class Scenario:
         for name in (
             "servers", "vms", "intervals", "clusters", "window", "hidden",
             "retrain_every", "train_sample", "kmeans_restarts",
-            "malicious_vm_threshold", "workers",
+            "malicious_vm_threshold", "workers", "epochs",
         ):
             if getattr(self, name) < 1:
                 raise ScenarioError("%s must be >= 1" % name)
         for name in (
             "hog_threshold", "workload_sigma", "congestion_threshold_frac",
-            "burst_mult",
+            "burst_mult", "seed", "reserved_per", "pw_idle",
         ):
             if getattr(self, name) < 0:
                 raise ScenarioError("%s must be >= 0" % name)

@@ -87,6 +87,11 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
         "guaranteed_frac = 1.5",
         "congestion_threshold_frac = -1",
         "burst_mult = -1",
+        "seed = -1",
+        "epochs = 0",
+        "epochs = -1",
+        "reserved_per = -1",
+        "pw_idle = -500",
     ],
 )
 def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):
@@ -96,6 +101,16 @@ def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+def test_run_negative_seed_flag_exits_config_without_traceback(tmp_path, capsys):
+    code = main(
+        ["run", "--scenario", "illustration", "--seed", "-1", "--out", str(tmp_path / "o")]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "seed must be >= 0" in err
     assert "Traceback" not in err
 
 

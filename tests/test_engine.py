@@ -1,6 +1,7 @@
 """Simulation-engine tests: construction, invariants and policy contracts."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -326,3 +327,31 @@ def test_wosc_run_log_has_static_placement_power():
     result = run(with_policy(sc, "wosc"))
     powers = {m.pw_dc for m in result.metrics}
     assert len(powers) == 1  # no quarantine, no rebalancing: constant draw
+
+
+def _output_digest(result: RunLog) -> str:
+    text = result.metrics_csv_text() + result.events_csv_text()
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "sc, digest",
+    [
+        (dataclasses.replace(load_scenario("xi200"), intervals=10), "a643efef574c8d41"),
+        (
+            Scenario(servers=6, vms=12, intervals=6, window=2, seed=5, per_vm_models=True),
+            "8cd4e6cfff0a8c0a",
+        ),
+    ],
+    ids=["xi200x10", "per_vm_models"],
+)
+def test_output_bytes_are_pinned(sc, digest):
+    # Recorded before forecasting became bandwidth-only; any change to the
+    # random streams or to what the scheduler reads shows up here.
+    assert _output_digest(run(sc)) == digest
+
+
+def test_one_bandwidth_model_per_forecast_group():
+    assert len(Simulation(small_scenario()).models) == 2
+    assert len(Simulation(small_scenario(per_vm_models=True)).models) == 12
+    assert Simulation(with_policy(small_scenario(), "wosc")).models == {}
