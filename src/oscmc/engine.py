@@ -149,12 +149,13 @@ def benign_links(
     placement: Placement,
     benign_vms: list[int],
     suspended: set[int],
-    ivcl: Ivcl,
+    authorized_dsts: dict[int, list[int]],
     rate: float,
     rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
     """Authorised traffic: each benign VM may open one link to a destination
-    drawn from its authorised-link log entry.  Two draws per VM always."""
+    drawn from ``authorized_dsts[vm]``, its authorised-link log entry in
+    ascending order.  Two draws per VM always."""
     links: list[tuple[int, int]] = []
     for vm in benign_vms:
         u1, u2 = rng.random(2)
@@ -162,7 +163,7 @@ def benign_links(
             continue
         if u1 >= rate:
             continue
-        dsts = sorted(ivcl.authorized_dsts(vm))
+        dsts = authorized_dsts[vm]
         if not dsts:
             continue
         start = int(u2 * len(dsts)) % len(dsts)
@@ -271,6 +272,9 @@ class Simulation:
 
         # Live links in birth order: (src, dst) -> interval established.
         self.live: dict[tuple[int, int], int] = {}
+        # The live links the log does not authorise.  The log never changes
+        # after set-up, so a link is classified once, when it goes live.
+        self.unauthorised: set[tuple[int, int]] = set()
         self.suspended: set[int] = set()
         self.detected_cum: set[int] = set()
         # Bandwidth forecast per VM, indexed like ``usage``; nominal until
@@ -380,18 +384,20 @@ class Simulation:
         if sc.cross_user_auth_rate > 0:
             ids = np.array(sorted(self.vms))
             owner = np.array([self.owners[vm] for vm in ids])
-            # Boolean-mask assignment runs in row-major, that is (a, b),
-            # order, so each pair gets the same draw as in a pairwise
-            # enumeration; only granted pairs become index arrays.
-            cross = owner[:, None] != owner[None, :]
-            grant = np.zeros_like(cross)
-            grant[cross] = (
-                self.setup_rng.random(int(cross.sum())) < sc.cross_user_auth_rate
-            )
-            rows, cols = np.nonzero(grant)
-            for a, b in zip(ids[rows].tolist(), ids[cols].tolist()):
-                ivcl.grant(a, b)
+            # One source row at a time, in ascending order: consecutive draws
+            # equal one long draw, so each cross-user pair (a, b) gets the
+            # same number as in a pairwise enumeration.
+            for a, owner_a in zip(ids.tolist(), owner.tolist()):
+                others = ids[owner != owner_a]
+                granted = others[
+                    self.setup_rng.random(others.size) < sc.cross_user_auth_rate
+                ]
+                for b in granted.tolist():
+                    ivcl.grant(a, b)
         self.ivcl = ivcl
+        self.benign_dsts = {
+            vm: sorted(ivcl.authorized_dsts(vm)) for vm in self.benign_vm_ids
+        }
 
     def _build_usage(self, rng: np.random.Generator) -> None:
         sc = self.sc
@@ -576,7 +582,7 @@ class Simulation:
             self.placement,
             self.benign_vm_ids,
             self.suspended,
-            self.ivcl,
+            self.benign_dsts,
             sc.benign_link_rate,
             self.inject_rng,
         )
@@ -584,10 +590,10 @@ class Simulation:
 
     def _drop_link(self, ends: tuple[int, int], t: int) -> None:
         born = self.live.pop(ends, None)
-        if born is None:
-            return
-        if classify_link(ends, self.ivcl).value == 1 and t - born >= 1:
-            self.log.realized_breaches += 1
+        if ends in self.unauthorised:
+            self.unauthorised.remove(ends)
+            if t - born >= 1:
+                self.log.realized_breaches += 1
 
     def _apply_quarantine(self, directive: QuarantineDirective, t: int) -> None:
         for ends in sorted(directive.terminate_links):
@@ -672,11 +678,12 @@ class Simulation:
                 self.placement = result.placement
                 sync_active(self.servers, self.placement)
 
-        for src, dst in self._new_links(t):
-            if (src, dst) in self.live:
+        for ends in self._new_links(t):
+            if ends in self.live:
                 continue
-            self.live[(src, dst)] = t
-            if classify_link((src, dst), self.ivcl).value == 1:
+            self.live[ends] = t
+            if classify_link(ends, self.ivcl):
+                self.unauthorised.add(ends)
                 self.log.malicious_links_created += 1
 
         if sc.policy == "oscmc":
@@ -693,8 +700,8 @@ class Simulation:
             self.placement,
             observed_bw,
             predicted_bw,
-            self.live.keys(),
-            self.ivcl,
+            len(self.live),
+            len(self.unauthorised),
             hog_threshold=sc.hog_threshold,
             power_mode=sc.power_mode,
         )
@@ -712,10 +719,10 @@ class Simulation:
             self._apply_quarantine(directive, t)
 
     def finish(self) -> RunLog:
-        last = self.sc.intervals - 1
-        for ends, born in self.live.items():
-            if classify_link(ends, self.ivcl).value == 1 and last - born >= 1:
-                self.log.realized_breaches += 1
+        """Drop the unauthorised links still live after the last interval,
+        counting breaches by the same rule as a quarantine drop."""
+        for ends in list(self.unauthorised):
+            self._drop_link(ends, self.sc.intervals - 1)
         return self.log
 
 

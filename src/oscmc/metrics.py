@@ -85,7 +85,7 @@ def authorized_link_pct(links, ivcl: Ivcl) -> float:
     good = 0
     for link in links:
         total += 1
-        if classify_link(link, ivcl).value == 0:
+        if classify_link(link, ivcl) == 0:
             good += 1
     if total == 0:
         return 100.0
@@ -133,12 +133,17 @@ def snapshot(
     placement: Placement,
     observed_bw: dict[int, float],
     predicted_bw: dict[int, float],
-    links,
-    ivcl: Ivcl,
+    live_links: int,
+    unauthorised_links: int,
     hog_threshold: float = 0.5,
     power_mode: str = "mean",
 ) -> IntervalMetrics:
-    """Collect the per-interval metric bundle."""
+    """Collect the per-interval metric bundle.
+
+    The authorised-link share comes from the counts of live links and of
+    unauthorised live links, with the formula of ``authorized_link_pct``.
+    """
+    good = live_links - unauthorised_links
     per_server = {
         sid: ru_server(s, placement) for sid, s in servers.items() if s.active
     }
@@ -148,6 +153,6 @@ def snapshot(
         ru_per_server=per_server,
         pw_dc=power_dc(servers, placement, power_mode),
         hog_count=count_hogs(observed_bw, predicted_bw, hog_threshold),
-        authorized_link_pct=authorized_link_pct(links, ivcl),
+        authorized_link_pct=100.0 * good / live_links if live_links else 100.0,
         active_server_count=sum(1 for s in servers.values() if s.active),
     )

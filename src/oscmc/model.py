@@ -1,5 +1,5 @@
-"""Core data-centre entities: resource bundles, servers, users, VMs, links
-and the VM-to-server placement map."""
+"""Core data-centre entities: resource bundles, servers, users, VMs and the
+VM-to-server placement map."""
 
 from __future__ import annotations
 
@@ -90,23 +90,6 @@ class Server:
             raise ValueError("vulnerability score must lie in [0, 10]")
         if not self.pw_idle <= self.pw_min <= self.pw_max:
             raise ValueError("power figures must satisfy idle <= min <= max")
-
-
-@dataclass(frozen=True)
-class Link:
-    """A directed inter-VM traffic flow."""
-
-    src: int
-    dst: int
-    established_at: int = 0
-
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError("link endpoints must differ")
-
-    @property
-    def ends(self) -> tuple[int, int]:
-        return (self.src, self.dst)
 
 
 @dataclass(frozen=True)

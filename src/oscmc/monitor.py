@@ -45,8 +45,8 @@ class Ivcl:
     """Authorised-link log: per source VM, the set of permitted destinations.
 
     Every VM admitted to the data centre is registered here, possibly with an
-    empty destination set.  The log is treated as immutable within a
-    monitoring interval.
+    empty destination set.  The log is treated as immutable after set-up;
+    the engine relies on it.
     """
 
     def __init__(self):
@@ -87,19 +87,11 @@ class Ivcl:
         return clone
 
 
-@dataclass
-class LinkRelation:
-    """Classification of one observed link: 1 = unauthorised, 0 = authorised."""
-
-    link: LinkEnds
-    value: int
-
-
-def classify_link(link: LinkEnds, ivcl: Ivcl) -> LinkRelation:
-    """Compare an observed flow against the authorised-link log."""
+def classify_link(link: LinkEnds, ivcl: Ivcl) -> int:
+    """Link relation of an observed flow against the authorised-link log:
+    1 = unauthorised, 0 = authorised."""
     src, dst = link
-    value = 0 if ivcl.is_authorized(src, dst) else 1
-    return LinkRelation((src, dst), value)
+    return 0 if ivcl.is_authorized(src, dst) else 1
 
 
 @dataclass
@@ -169,7 +161,7 @@ def detect_colocation(
         for src, dst in sorted(vlams[sid].links):
             if placement.server_of(src) != sid or placement.server_of(dst) != sid:
                 continue
-            if classify_link((src, dst), ivcl).value == 1:
+            if classify_link((src, dst), ivcl) == 1:
                 events.append(ColocationEvent(sid, src, dst))
     return events
 
@@ -282,7 +274,7 @@ def all_malicious_links(vlams: dict[int, Vlam], ivcl: Ivcl) -> dict[int, set[Lin
     """Unauthorised flows grouped by source VM (sources with none omitted)."""
     grouped: dict[int, set[LinkEnds]] = {}
     for src, dst in observed_links(vlams):
-        if classify_link((src, dst), ivcl).value == 1:
+        if classify_link((src, dst), ivcl) == 1:
             grouped.setdefault(src, set()).add((src, dst))
     return grouped
 

@@ -5,7 +5,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oscmc.allocator import PlacementInfeasibleError
 from oscmc.engine import (
     RunLog,
     Simulation,
@@ -14,9 +17,10 @@ from oscmc.engine import (
     pssf_place,
     run,
 )
-from oscmc.metrics import METRICS_CSV_HEADER
+from oscmc.metrics import METRICS_CSV_HEADER, authorized_link_pct
 from oscmc.model import Placement, ResourceVector, Server
-from oscmc.scenario import Scenario, load_scenario, with_policy
+from oscmc.monitor import classify_link
+from oscmc.scenario import Scenario, ScenarioError, load_scenario, with_policy
 
 
 def small_scenario(**overrides):
@@ -334,6 +338,10 @@ def _output_digest(result: RunLog) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _xi200x10(policy: str) -> Scenario:
+    return with_policy(dataclasses.replace(load_scenario("xi200"), intervals=10), policy)
+
+
 @pytest.mark.parametrize(
     "sc, digest",
     [
@@ -342,13 +350,95 @@ def _output_digest(result: RunLog) -> str:
             Scenario(servers=6, vms=12, intervals=6, window=2, seed=5, per_vm_models=True),
             "8cd4e6cfff0a8c0a",
         ),
+        (_xi200x10("wosc"), "8f04d7514c73e966"),
+        (_xi200x10("pssf"), "d83f671544a67037"),
     ],
-    ids=["xi200x10", "per_vm_models"],
+    ids=["xi200x10", "per_vm_models", "xi200x10-wosc", "xi200x10-pssf"],
 )
 def test_output_bytes_are_pinned(sc, digest):
     # Recorded before forecasting became bandwidth-only; any change to the
     # random streams or to what the scheduler reads shows up here.
     assert _output_digest(run(sc)) == digest
+
+
+@pytest.mark.parametrize(
+    "policy, digest, breaches, malicious_links",
+    [("wosc", "aeafbcf3c11e6380", 121, 131), ("pssf", "21179eaca03f29da", 128, 138)],
+)
+def test_summary_bytes_are_pinned(policy, digest, breaches, malicious_links):
+    # summary.txt is the only output of the breach and malicious-link counts;
+    # the pinned oscmc runs realise no breach, so policies without
+    # surveillance pin them.
+    result = run(_xi200x10(policy))
+    assert result.realized_breaches == breaches
+    assert result.malicious_links_created == malicious_links
+    assert hashlib.sha256(result.summary_text().encode()).hexdigest()[:16] == digest
+
+
+@st.composite
+def small_scenarios(draw):
+    vms = draw(st.integers(1, 14))
+    # Servers of 0.4 times the default size cannot host the larger default
+    # flavor, so some scenarios stop at admission.
+    size = draw(st.sampled_from([0.4, 1.0, 2.0, 4.0, 4.0]))
+    return Scenario(
+        servers=draw(st.integers(1, 6)),
+        vms=vms,
+        users=draw(st.none() | st.integers(1, vms + 1)),
+        malicious_user_pct=draw(st.sampled_from([0.0, 20.0, 50.0, 100.0])),
+        intervals=draw(st.integers(1, 9)),
+        seed=draw(st.integers(0, 2**16)),
+        policy=draw(st.sampled_from(["oscmc", "pssf", "wosc"])),
+        server_cpu=2000.0 * size,
+        server_mem=2048.0 * size,
+        server_bw=10000.0 * size,
+        reserved_per=draw(st.integers(0, 4)),
+        benign_link_rate=draw(st.floats(0.0, 1.0)),
+        attack_colocated_rate=draw(st.floats(0.0, 1.0)),
+        attack_remote_rate=draw(st.floats(0.0, 1.0)),
+        attack_mode=draw(st.sampled_from(["steady", "burst"])),
+        burst_period=draw(st.integers(0, 3)),
+        cross_user_auth_rate=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+        window=draw(st.integers(1, 4)),
+        hidden=draw(st.integers(1, 4)),
+        epochs=draw(st.integers(1, 3)),
+        retrain_every=draw(st.integers(1, 3)),
+        train_sample=draw(st.integers(1, 16)),
+        per_vm_models=draw(st.booleans()),
+        clusters=draw(st.integers(1, 4)),
+        kmeans_restarts=draw(st.integers(1, 2)),
+        malicious_vm_threshold=draw(st.integers(1, 3)),
+        pin_placement=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_scenarios())
+def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
+    """Each small scenario fails validation, stops with the exit-3 errors or
+    runs to completion; while it runs, the unauthorised set classified at
+    birth matches a fresh classification of the live links."""
+    try:
+        sc.validate()
+    except ScenarioError:
+        return
+    try:
+        sim = Simulation(sc)
+        for t in range(sc.intervals):
+            sim.step(t)
+            assert sim.unauthorised == {
+                link for link in sim.live if classify_link(link, sim.ivcl)
+            }
+            if sc.policy != "oscmc":
+                # oscmc's quarantine drops links after the snapshot.
+                assert sim.log.metrics[-1].authorized_link_pct == authorized_link_pct(
+                    sim.live, sim.ivcl
+                )
+    except (SimulationError, PlacementInfeasibleError):
+        return
+    result = sim.finish()
+    assert not sim.unauthorised
+    assert len(result.metrics) == sc.intervals
 
 
 def test_one_bandwidth_model_per_forecast_group():

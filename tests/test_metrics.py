@@ -127,8 +127,8 @@ def test_snapshot_bundles_interval_metrics():
         placement=p,
         observed_bw={1: 200.0},
         predicted_bw={1: 100.0},
-        links=[(1, 2)],
-        ivcl=ivcl,
+        live_links=1,
+        unauthorised_links=0,
     )
     assert m.interval == 3
     assert m.ru_dc == pytest.approx(0.5)

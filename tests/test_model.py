@@ -9,7 +9,6 @@ from oscmc.model import (
     AdmissionDecision,
     CapacityError,
     GuaranteedThreshold,
-    Link,
     Placement,
     ResourceVector,
     Server,
@@ -51,12 +50,6 @@ def test_fits_within_is_componentwise():
     assert not ResourceVector(10.1, 1.0, 1.0).fits_within(cap)
     assert not ResourceVector(1.0, 10.1, 1.0).fits_within(cap)
     assert not ResourceVector(1.0, 1.0, 10.1).fits_within(cap)
-
-
-def test_link_rejects_self_loop():
-    with pytest.raises(ValueError):
-        Link(3, 3)
-    assert Link(1, 2).ends == (1, 2)
 
 
 def test_server_validation():

@@ -91,8 +91,8 @@ def test_ivcl_copy_is_independent():
 def test_classify_link_values():
     ivcl = Ivcl()
     ivcl.grant(1, 2)
-    assert classify_link((1, 2), ivcl).value == 0
-    assert classify_link((2, 1), ivcl).value == 1
+    assert classify_link((1, 2), ivcl) == 0
+    assert classify_link((2, 1), ivcl) == 1
 
 
 def test_build_vlams_records_link_on_both_end_hosts():
