@@ -91,12 +91,13 @@ def kmeans(
     )
 
 
-def first_fit(placement: Placement, demand: ResourceVector, scan) -> int | None:
-    """The first server in ``scan`` order that can host ``demand``, if any."""
-    for sid in scan:
-        if placement.fits(sid, demand):
-            return sid
-    return None
+def first_fit(placement: Placement, demand: ResourceVector, scan, rows=None, skip=None):
+    """The first server in ``scan`` order that can host ``demand``, if any,
+    passing over position ``skip``; ``rows`` is ``placement.rows(scan)``."""
+    ok = placement.fit_mask(demand, placement.rows(scan) if rows is None else rows)
+    if skip is not None:
+        ok[skip] = False
+    return scan[int(ok.argmax())] if ok.any() else None
 
 
 def first_fit_place(
@@ -110,8 +111,9 @@ def first_fit_place(
     the first VM that fits nowhere; the input placement is left untouched."""
     result = placement.copy()
     scan = sorted(eligible) if eligible is not None else sorted(servers)
+    rows = result.rows(scan)
     for vm_id, demand in items:
-        sid = first_fit(result, demand, scan)
+        sid = first_fit(result, demand, scan, rows)
         if sid is None:
             raise PlacementInfeasibleError(
                 "placement infeasible: no server fits VM %d" % vm_id
@@ -172,11 +174,12 @@ def rebalance(
 
     if state == 1:
         reserved = sorted(sid for sid, s in servers.items() if s.reserved_for_hogs)
+        rows = p.rows(reserved)
         for vm_id, _bw in sorted(hog_vms or [], key=lambda it: (-it[1], it[0])):
             origin = p.server_of(vm_id)
             if origin is None or servers[origin].reserved_for_hogs:
                 continue
-            target = first_fit(p, p.demand_of(vm_id), reserved)
+            target = first_fit(p, p.demand_of(vm_id), reserved, rows)
             if target is None:
                 result.residual_hogs.append(vm_id)
             else:
@@ -189,14 +192,15 @@ def rebalance(
     ordinary = sorted(
         sid for sid, s in servers.items() if not s.reserved_for_hogs and p.vms_on(sid)
     )
+    rows = p.rows(ordinary)
     by_load = sorted(ordinary, key=lambda sid: (_mean_utilisation(p, sid), sid))
     for sid in by_load:
         if len(result.emptied_servers) >= max_consolidations:
             break
-        targets = [t for t in ordinary if t != sid]
+        skip = ordinary.index(sid)
         moves = []
         for vm_id in sorted(p.vms_on(sid), key=lambda v: (-p.demand_of(v).bw, v)):
-            target = first_fit(p, p.demand_of(vm_id), targets)
+            target = first_fit(p, p.demand_of(vm_id), ordinary, rows, skip)
             if target is None:
                 # Undo in reverse: integer sums restore every load exactly,
                 # so each VM fits back where it came from.
@@ -209,4 +213,5 @@ def rebalance(
             result.moved.extend(moves)
             result.emptied_servers.append(sid)
             ordinary.remove(sid)
+            rows = p.rows(ordinary)
     return result

@@ -85,12 +85,13 @@ def pssf_place(
     result = placement.copy()
     prior: dict[int, int] = dict(history or {})
     scan = sorted(servers)
+    rows = result.rows(scan)
     for vm_id, owner, demand in items:
         last = prior.get(owner)
         if last is not None and result.fits(last, demand):
             target = last
         else:
-            target = first_fit(result, demand, scan)
+            target = first_fit(result, demand, scan, rows)
         if target is None:
             raise PlacementInfeasibleError(
                 "placement infeasible: no server fits VM %d" % vm_id

@@ -31,20 +31,19 @@ def ru_server(server: Server, placement: Placement) -> tuple[float, float, float
 
 def ru_dc(servers: dict[int, Server], placement: Placement) -> float:
     """Mean utilisation across resources and active servers."""
-    active = [s for s in servers.values() if s.active]
-    if not active:
+    return _mean_ru({sid: ru_server(s, placement) for sid, s in servers.items() if s.active})
+
+
+def _mean_ru(per_server: dict[int, tuple[float, float, float]]) -> float:
+    if not per_server:
         raise EmptyDataCenterError("empty data center")
     total = 0.0
-    for server in active:
-        total += sum(ru_server(server, placement))
-    return total / (3.0 * len(active))
+    for fractions in per_server.values():
+        total += sum(fractions)
+    return total / (3.0 * len(per_server))
 
 
-def power_server(server: Server, placement: Placement, mode: str = "mean") -> float:
-    """Power draw of one server; inactive servers draw nothing."""
-    if not server.active:
-        return 0.0
-    fractions = ru_server(server, placement)
+def _power(server: Server, fractions: tuple[float, float, float], mode: str) -> float:
     if mode == "cpu":
         ru = fractions[0]
     elif mode == "mean":
@@ -52,6 +51,11 @@ def power_server(server: Server, placement: Placement, mode: str = "mean") -> fl
     else:
         raise ValueError("unknown power mode %r" % mode)
     return (server.pw_max - server.pw_min) * ru + server.pw_idle
+
+
+def power_server(server: Server, placement: Placement, mode: str = "mean") -> float:
+    """Power draw of one server; inactive servers draw nothing."""
+    return _power(server, ru_server(server, placement), mode) if server.active else 0.0
 
 
 def power_dc(servers: dict[int, Server], placement: Placement, mode: str = "mean") -> float:
@@ -144,15 +148,14 @@ def snapshot(
     unauthorised live links, with the formula of ``authorized_link_pct``.
     """
     good = live_links - unauthorised_links
-    per_server = {
-        sid: ru_server(s, placement) for sid, s in servers.items() if s.active
-    }
+    # One read per active server; power_dc's 0.0 inactive terms add nothing.
+    per_server = {sid: ru_server(s, placement) for sid, s in servers.items() if s.active}
     return IntervalMetrics(
         interval=interval,
-        ru_dc=ru_dc(servers, placement),
+        ru_dc=_mean_ru(per_server),
         ru_per_server=per_server,
-        pw_dc=power_dc(servers, placement, power_mode),
+        pw_dc=sum(_power(servers[sid], fr, power_mode) for sid, fr in per_server.items()),
         hog_count=count_hogs(observed_bw, predicted_bw, hog_threshold),
         authorized_link_pct=100.0 * good / live_links if live_links else 100.0,
-        active_server_count=sum(1 for s in servers.values() if s.active),
+        active_server_count=len(per_server),
     )

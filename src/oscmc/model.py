@@ -7,6 +7,8 @@ import enum
 import functools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class CapacityError(Exception):
     """A placement mutation would overrun a server's capacity."""
@@ -109,6 +111,8 @@ def admit_vm(vm: Vm, servers: dict[int, Server]) -> AdmissionDecision:
 # Placement sums are kept in integer micro-units, so they are exact and do
 # not depend on the order of mutations; resource values are rounded to 1e-6.
 _UNITS = 1_000_000
+MAX_RESOURCE = 1e12  # a capacity ceiling of 10**18 units keeps int64 sums exact
+_MAX_UNITS = 10**18
 
 
 def _to_units(rv: ResourceVector) -> tuple[int, int, int]:
@@ -125,16 +129,17 @@ def _from_units(units: tuple[int, int, int]) -> ResourceVector:
 class Placement:
     """Mutable VM-to-server map that enforces the capacity constraint
     (sum of hosted demands componentwise <= server capacity) on every
-    mutation."""
+    mutation.  Free capacity is an ``int64 (S, 3)`` array, a row per server."""
 
     def __init__(self, servers: dict[int, Server]):
-        self._capacity: dict[int, tuple[int, int, int]] = {
-            sid: _to_units(s.capacity) for sid, s in servers.items()
-        }
+        self._cap = [_to_units(s.capacity) for s in servers.values()]
+        if any(u > _MAX_UNITS for units in self._cap for u in units):
+            raise ValueError("server capacities must not exceed %g" % MAX_RESOURCE)
+        self._row = {sid: row for row, sid in enumerate(servers)}
+        self._free = np.array(self._cap, dtype=np.int64).reshape(-1, 3)
         self._vm_to_server: dict[int, int] = {}
         self._server_to_vms: dict[int, set[int]] = {sid: set() for sid in servers}
-        self._used: dict[int, tuple[int, int, int]] = {sid: (0, 0, 0) for sid in servers}
-        self._demand: dict[int, ResourceVector] = {}
+        self._demand: dict[int, tuple[ResourceVector, np.ndarray]] = {}  # and its units
 
     # -- queries ---------------------------------------------------------
 
@@ -145,21 +150,28 @@ class Placement:
         return frozenset(self._server_to_vms[server_id])
 
     def used(self, server_id: int) -> ResourceVector:
-        return _from_units(self._used[server_id])
+        row = self._row[server_id]
+        (c0, c1, c2), (f0, f1, f2) = self._cap[row], self._free[row].tolist()
+        return _from_units((c0 - f0, c1 - f1, c2 - f2))
 
     def capacity(self, server_id: int) -> ResourceVector:
-        return _from_units(self._capacity[server_id])
+        return _from_units(self._cap[self._row[server_id]])
 
     def fits(self, server_id: int, demand: ResourceVector) -> bool:
-        cpu, mem, bw = _to_units(demand)
-        used_cpu, used_mem, used_bw = self._used[server_id]
-        cap_cpu, cap_mem, cap_bw = self._capacity[server_id]
-        return (
-            used_cpu + cpu <= cap_cpu and used_mem + mem <= cap_mem and used_bw + bw <= cap_bw
-        )
+        free = self._free[self._row[server_id]].tolist()
+        return all(d <= f for d, f in zip(_to_units(demand), free))
+
+    def rows(self, server_ids: list[int]) -> np.ndarray:
+        """The rows of ``server_ids``, in their order."""
+        return np.array([self._row[sid] for sid in server_ids], dtype=np.intp)
+
+    def fit_mask(self, demand: ResourceVector, rows: np.ndarray) -> np.ndarray:
+        """Whether each server of ``rows`` can host ``demand`` (clamped to int64)."""
+        units = [[min(u, _MAX_UNITS + 1)] for u in _to_units(demand)]
+        return (self._free.T.take(rows, 1) >= np.array(units, dtype=np.int64)).all(axis=0)
 
     def demand_of(self, vm_id: int) -> ResourceVector:
-        return self._demand[vm_id]
+        return self._demand[vm_id][0]
 
     @property
     def vm_ids(self) -> frozenset[int]:
@@ -167,7 +179,7 @@ class Placement:
 
     @property
     def server_ids(self) -> frozenset[int]:
-        return frozenset(self._capacity)
+        return frozenset(self._row)
 
     def co_located(self, a: int, b: int) -> bool:
         sa = self._vm_to_server.get(a)
@@ -178,17 +190,19 @@ class Placement:
     def assign(self, vm_id: int, demand: ResourceVector, server_id: int) -> None:
         if vm_id in self._vm_to_server:
             raise CapacityError("VM %d is already placed" % vm_id)
-        if server_id not in self._capacity:
+        if server_id not in self._row:
             raise KeyError("unknown server %d" % server_id)
         if not self.fits(server_id, demand):
             raise CapacityError(
                 "placing VM %d on server %d would exceed capacity" % (vm_id, server_id)
             )
+        self._place(vm_id, demand, np.array(_to_units(demand), dtype=np.int64), server_id)
+
+    def _place(self, vm_id: int, demand: ResourceVector, units, server_id: int) -> None:
         self._vm_to_server[vm_id] = server_id
         self._server_to_vms[server_id].add(vm_id)
-        used = zip(self._used[server_id], _to_units(demand))
-        self._used[server_id] = tuple(u + d for u, d in used)
-        self._demand[vm_id] = demand
+        self._free[self._row[server_id]] -= units
+        self._demand[vm_id] = (demand, units)
 
     def remove(self, vm_id: int) -> int:
         """Unhost a VM; returns the server it was on."""
@@ -196,36 +210,35 @@ class Placement:
             raise KeyError("VM %d is not placed" % vm_id)
         server_id = self._vm_to_server.pop(vm_id)
         self._server_to_vms[server_id].discard(vm_id)
-        used = zip(self._used[server_id], _to_units(self._demand.pop(vm_id)))
-        self._used[server_id] = tuple(u - d for u, d in used)
+        self._free[self._row[server_id]] += self._demand.pop(vm_id)[1]
         return server_id
 
     def move(self, vm_id: int, server_id: int) -> None:
-        demand = self._demand[vm_id]
         origin = self._vm_to_server[vm_id]
         if origin == server_id:
             return
-        if not self.fits(server_id, demand):
+        demand, units = self._demand[vm_id]
+        if not (units <= self._free[self._row[server_id]]).all():
             raise CapacityError(
                 "moving VM %d to server %d would exceed capacity" % (vm_id, server_id)
             )
         self.remove(vm_id)
-        self.assign(vm_id, demand, server_id)
+        self._place(vm_id, demand, units, server_id)
 
     def copy(self) -> "Placement":
         clone = Placement.__new__(Placement)
-        clone._capacity = self._capacity  # never mutated, safe to share
+        clone._cap, clone._row = self._cap, self._row  # never mutated, safe to share
+        clone._free = self._free.copy()
         clone._vm_to_server = dict(self._vm_to_server)
         clone._server_to_vms = {sid: set(vms) for sid, vms in self._server_to_vms.items()}
-        clone._used = dict(self._used)
         clone._demand = dict(self._demand)
         return clone
 
     def capacity_ok(self) -> bool:
         """Recompute hosted demand sums and verify the capacity constraint."""
         for sid, vms in self._server_to_vms.items():
-            sums = [sum(col) for col in zip(*(_to_units(self._demand[v]) for v in vms))]
-            if any(s > c for s, c in zip(sums, self._capacity[sid])):
+            sums = [sum(col) for col in zip(*(_to_units(self._demand[v][0]) for v in vms))]
+            if any(s > c for s, c in zip(sums, self._cap[self._row[sid]])):
                 return False
         return True
 

@@ -3,9 +3,10 @@ presets and the key/value scenario file format."""
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, replace
+
+from .model import MAX_RESOURCE
 
 
 class ScenarioError(Exception):
@@ -125,8 +126,10 @@ class Scenario:
             raise ScenarioError("at least one VM flavor is required")
         resources = [self.server_cpu, self.server_mem, self.server_bw]
         resources += [x for flavor in self.vm_flavors for x in flavor]
-        if not all(0 <= x < math.inf for x in resources):
-            raise ScenarioError("vm_flavors and server_cpu/mem/bw must be finite and >= 0")
+        if not all(0 <= x <= MAX_RESOURCE for x in resources):
+            raise ScenarioError(
+                "vm_flavors and server_cpu/mem/bw must lie in [0, %g]" % MAX_RESOURCE
+            )
         if not self.pw_idle <= self.pw_min <= self.pw_max:
             raise ScenarioError("power figures must satisfy pw_idle <= pw_min <= pw_max")
         if self.vuln_score_fixed is not None and not 0.0 <= self.vuln_score_fixed <= 10.0:

@@ -4,11 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscmc.allocator import (
     ClusterCountError,
     PlacementInfeasibleError,
     ffd_place,
+    first_fit,
     kmeans,
     rebalance,
 )
@@ -230,3 +233,96 @@ def test_rebalance_never_violates_capacity_random_churn():
         result = rebalance(state, p, servers, hog_vms=hogs)
         assert result.placement.capacity_ok()
         assert result.placement.vm_ids == p.vm_ids  # no VM dropped or invented
+
+
+def test_first_fit_finds_no_host_for_demand_above_ceiling():
+    """A demand above the int64-safe ceiling fits nowhere and does not overflow."""
+    p = Placement(make_servers(2, cpu=1e12))
+    assert first_fit(p, ResourceVector(1e12, 1.0, 1.0), [1, 2]) == 1
+    assert first_fit(p, ResourceVector(1e20, 1.0, 1.0), [1, 2]) is None
+    assert not p.fits(1, ResourceVector(1e20, 1.0, 1.0))
+
+
+# Sparse server ids in unsorted insertion order, so a server's row in the
+# placement differs from its rank in id order.
+_SPARSE_IDS = (9, 2, 14, 5)
+_DECIMAL = st.sampled_from([0.1, 0.2, 0.3, 0.7])
+_CAP = st.sampled_from([0.9, 1.0, 1.1, 1.3])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    caps=st.lists(st.tuples(_CAP, _CAP, _CAP), min_size=4, max_size=4),
+    reserved=st.sets(st.sampled_from(_SPARSE_IDS), max_size=2),
+    flavors=st.lists(st.tuples(_DECIMAL, _DECIMAL, _DECIMAL), min_size=3, max_size=3),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["assign", "move", "remove"]),
+            st.integers(0, 9),  # VM id
+            st.integers(0, 2),  # flavor index
+            st.sampled_from(_SPARSE_IDS),
+        ),
+        max_size=40,
+    ),
+    scans=st.lists(st.lists(st.sampled_from(_SPARSE_IDS), unique=True), max_size=4),
+)
+def test_sparse_unsorted_server_ids_behave_as_relabelled_fleet(
+    caps, reserved, flavors, ops, scans
+):
+    """On servers {9, 2, 14, 5} (in that dict order) with decimal flavors and
+    any assign/move/remove history: first_fit is the first server of any
+    scan that fits; rebalance in every state decides as on the same fleet
+    relabelled 1..4 in id order; and mutating a copy leaves the original."""
+    relabel = {sid: i for i, sid in enumerate(sorted(_SPARSE_IDS), start=1)}
+    back = {i: sid for sid, i in relabel.items()}
+
+    def fleet(label):
+        return {
+            label(sid): Server(
+                id=label(sid), capacity=ResourceVector(*cap),
+                reserved_for_hogs=sid in reserved,
+            )
+            for sid, cap in zip(_SPARSE_IDS, caps)
+        }
+
+    servers = fleet(lambda sid: sid)
+    twin_servers = dict(sorted(fleet(relabel.get).items()))
+    demands = [ResourceVector(*f) for f in flavors]
+    p, twin = Placement(servers), Placement(twin_servers)
+    for kind, vm, flavor, sid in ops:
+        if kind == "assign" and p.server_of(vm) is None and p.fits(sid, demands[flavor]):
+            p.assign(vm, demands[flavor], sid)
+            twin.assign(vm, demands[flavor], relabel[sid])
+        elif kind == "move" and p.server_of(vm) is not None and p.fits(sid, p.demand_of(vm)):
+            p.move(vm, sid)
+            twin.move(vm, relabel[sid])
+        elif kind == "remove" and p.server_of(vm) is not None:
+            p.remove(vm)
+            twin.remove(vm)
+    assert p.capacity_ok()
+
+    for scan in scans + [list(_SPARSE_IDS), sorted(_SPARSE_IDS)]:
+        for d in demands:
+            assert first_fit(p, d, scan) == next((s for s in scan if p.fits(s, d)), None)
+
+    hogs = [(vm, float(vm % 3)) for vm in sorted(p.vm_ids)]
+    for state in (-1, 0, 1):
+        got = rebalance(state, p, servers, hog_vms=hogs)
+        want = rebalance(state, twin, twin_servers, hog_vms=hogs)
+        assert got.moved == [(vm, back[o], back[t]) for vm, o, t in want.moved]
+        assert got.emptied_servers == [back[s] for s in want.emptied_servers]
+        assert got.residual_hogs == want.residual_hogs
+        for vm in p.vm_ids:
+            assert got.placement.server_of(vm) == back[want.placement.server_of(vm)]
+
+    before = {s: (p.used(s), [p.fits(s, d) for d in demands]) for s in servers}
+    clone = p.copy()
+    for vm in sorted(clone.vm_ids):
+        clone.remove(vm)
+    for vm, sid in enumerate(_SPARSE_IDS, start=100):
+        if clone.fits(sid, demands[0]):
+            clone.assign(vm, demands[0], sid)
+            for target in _SPARSE_IDS:
+                if clone.fits(target, demands[0]):
+                    clone.move(vm, target)
+    assert {s: (p.used(s), [p.fits(s, d) for d in demands]) for s in servers} == before

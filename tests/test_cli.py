@@ -92,6 +92,8 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
         "epochs = -1",
         "reserved_per = -1",
         "pw_idle = -500",
+        "server_cpu = 1e13",
+        "vm_flavors = 1e13:1:1",
     ],
 )
 def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):

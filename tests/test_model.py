@@ -222,6 +222,13 @@ def test_placement_is_exact_for_decimal_flavors(flavors, cap, ops):
                 assert p.fits(s, d) == fresh.fits(s, d)
 
 
+def test_placement_rejects_capacity_above_ceiling():
+    """Loads are int64 micro-units; a capacity above 1e12 could overflow them."""
+    Placement(make_servers(1, cpu=1e12))
+    with pytest.raises(ValueError, match="must not exceed"):
+        Placement(make_servers(1, cpu=1e13))
+
+
 def test_guaranteed_threshold_defaults():
     vm = Vm(1, 1, ResourceVector(1.0, 1.0, 1.0))
     assert vm.guaranteed == GuaranteedThreshold(0.0, 0.0)
