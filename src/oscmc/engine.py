@@ -18,11 +18,17 @@ One simulation runs serially: each step does its layers in a fixed order
 and builds observed-link matrices only for the policy that reads them, so
 the worker count accepted by ``Simulation`` and ``run`` never changes any
 output byte.
+
+Those matrices hold only the links that can change the threat report:
+each unauthorised live link and the live outgoing links of its receiver,
+a potential cascade relay.  Under ``oscmc`` a live-link adjacency in both
+directions finds these, and a suspended VM's links, without a full scan.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,6 +282,10 @@ class Simulation:
         # The live links the log does not authorise.  The log never changes
         # after set-up, so a link is classified once, when it goes live.
         self.unauthorised: set[tuple[int, int]] = set()
+        # Live-link adjacency, vm -> {peer}, outgoing and incoming.  Kept
+        # only under oscmc, whose detection and quarantine alone read it.
+        self.outs: defaultdict[int, set[int]] = defaultdict(set)
+        self.ins: defaultdict[int, set[int]] = defaultdict(set)
         self.suspended: set[int] = set()
         self.detected_cum: set[int] = set()
         # Bandwidth forecast per VM, indexed like ``usage``; nominal until
@@ -319,6 +329,8 @@ class Simulation:
             for sid in range(1, sc.servers + 1)
         }
         self.ordinary_ids = sorted(set(self.servers) - reserved)
+        self.vuln_scores = {sid: s.vulnerability_score for sid, s in self.servers.items()}
+        self.total_bw = sum(s.capacity.bw for s in self.servers.values())
 
     def _build_population(self) -> None:
         sc = self.sc
@@ -591,6 +603,9 @@ class Simulation:
 
     def _drop_link(self, ends: tuple[int, int], t: int) -> None:
         born = self.live.pop(ends, None)
+        if born is not None and self.sc.policy == "oscmc":
+            self.outs[ends[0]].discard(ends[1])
+            self.ins[ends[1]].discard(ends[0])
         if ends in self.unauthorised:
             self.unauthorised.remove(ends)
             if t - born >= 1:
@@ -610,14 +625,15 @@ class Simulation:
             if self.placement.server_of(vm_id) is not None:
                 self.placement.remove(vm_id)
         # Dropping only counts breaches, so one pass in any order suffices.
-        for src, dst in list(self.live):
-            if src in newly or dst in newly:
-                self._drop_link((src, dst), t)
+        for vm in newly:
+            for dst in list(self.outs[vm]):
+                self._drop_link((vm, dst), t)
+            for src in list(self.ins[vm]):
+                self._drop_link((src, vm), t)
         sync_active(self.servers, self.placement)
 
     def _detect(self, t: int, vlams, active: list[int]) -> ThreatReport:
         perf, thresholds = self._perf_samples(t, active)
-        vuln_scores = {sid: s.vulnerability_score for sid, s in self.servers.items()}
         colocation = detect_colocation(self.placement, vlams, self.ivcl)
         return build_threat_report(
             t,
@@ -627,7 +643,7 @@ class Simulation:
             self.owners,
             perf=perf,
             thresholds=thresholds,
-            vuln_scores=vuln_scores,
+            vuln_scores=self.vuln_scores,
             min_links=self.sc.malicious_vm_threshold,
             colocation=colocation,
         )
@@ -645,14 +661,11 @@ class Simulation:
         }
 
         if sc.policy == "oscmc":
-            dev_threshold = sc.congestion_threshold_frac * sum(
-                s.capacity.bw for s in self.servers.values()
-            )
             congestion = detect_congestion(
                 sum(observed_bw.values()),
                 sum(predicted_bw.values()),
                 delta_t=1.0,
-                dev_threshold=dev_threshold,
+                dev_threshold=sc.congestion_threshold_frac * self.total_bw,
                 time_threshold=1.0,
             )
             self._train_and_predict(t)
@@ -683,12 +696,21 @@ class Simulation:
             if ends in self.live:
                 continue
             self.live[ends] = t
+            if sc.policy == "oscmc":
+                self.outs[ends[0]].add(ends[1])
+                self.ins[ends[1]].add(ends[0])
             if classify_link(ends, self.ivcl):
                 self.unauthorised.add(ends)
                 self.log.malicious_links_created += 1
 
         if sc.policy == "oscmc":
-            vlams = build_vlams(self.placement, self.live.keys(), self.servers.keys())
+            # Only unauthorised links and their receivers' (the potential
+            # relays') outgoing links can raise an event; every other live
+            # link is authorised, so this report equals one over all of them.
+            watched = set(self.unauthorised)
+            for _, relay in self.unauthorised:
+                watched.update((relay, dst) for dst in self.outs[relay])
+            vlams = build_vlams(self.placement, watched, self.servers.keys())
             report = self._detect(t, vlams, self._active_vms())
         else:
             report = ThreatReport(interval=t)

@@ -3,6 +3,7 @@ presets and the key/value scenario file format."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -88,6 +89,10 @@ class Scenario:
     workers: int = 1
 
     def validate(self) -> None:
+        for name in sorted(_FLOAT_KEYS):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ScenarioError("%s must be finite" % name)
         for name in (
             "servers", "vms", "intervals", "clusters", "window", "hidden",
             "retrain_every", "train_sample", "kmeans_restarts",

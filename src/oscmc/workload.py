@@ -157,6 +157,8 @@ def ingest_trace(path: str) -> TraceData:
     throughput becomes the bandwidth column.  Malformed rows are dropped
     and counted, never fatal.
     """
+    if not os.path.exists(path):
+        raise TraceFormatError("trace %s does not exist" % path)
     if os.path.isdir(path):
         merged: dict[str, np.ndarray] = {}
         dropped = 0

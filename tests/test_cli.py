@@ -94,6 +94,13 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
         "pw_idle = -500",
         "server_cpu = 1e13",
         "vm_flavors = 1e13:1:1",
+        "hog_threshold = nan",
+        "congestion_threshold_frac = inf",
+        "congestion_threshold_frac = nan",
+        "workload_sigma = nan",
+        "burst_mult = inf",
+        "burst_mult = nan",
+        "pw_max = inf",
     ],
 )
 def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):
@@ -214,6 +221,24 @@ def test_trace_flag_feeds_the_run(tmp_path):
     )
     assert code == EXIT_OK
     assert (out / "oscmc" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("route", ["scenario", "flag"])
+def test_missing_trace_exits_config_without_traceback(tmp_path, capsys, route):
+    missing = tmp_path / "absent" / "x.csv"
+    scn = tmp_path / "tiny.scn"
+    text = "servers = 3\nvms = 6\nintervals = 4\n"
+    argv = ["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]
+    if route == "scenario":
+        text += "trace_path = %s\n" % missing
+    else:
+        argv += ["--trace", str(missing.parent)]
+    scn.write_text(text)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "does not exist" in err
+    assert "Traceback" not in err
 
 
 def test_missing_subcommand_exits_config(capsys):

@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscmc.allocator import PlacementInfeasibleError
@@ -19,7 +19,7 @@ from oscmc.engine import (
 )
 from oscmc.metrics import METRICS_CSV_HEADER, authorized_link_pct
 from oscmc.model import Placement, ResourceVector, Server
-from oscmc.monitor import classify_link
+from oscmc.monitor import build_threat_report, build_vlams, classify_link
 from oscmc.scenario import Scenario, ScenarioError, load_scenario, with_policy
 
 
@@ -381,12 +381,26 @@ def small_scenarios(draw):
     # Servers of 0.4 times the default size cannot host the larger default
     # flavor, so some scenarios stop at admission.
     size = draw(st.sampled_from([0.4, 1.0, 2.0, 4.0, 4.0]))
+    intervals = draw(st.integers(1, 9))
+    # Scripted links replace the generated ones with an arbitrary link
+    # graph, whose relays may have outgoing links to other servers.
+    scripted = None
+    if draw(st.booleans()):
+        pairs = st.tuples(st.integers(1, vms), st.integers(1, vms))
+        scripted = {
+            t: [(a, b) for a, b in links if a != b]
+            for t, links in draw(
+                st.dictionaries(
+                    st.integers(0, intervals - 1), st.lists(pairs, max_size=12)
+                )
+            ).items()
+        }
     return Scenario(
         servers=draw(st.integers(1, 6)),
         vms=vms,
         users=draw(st.none() | st.integers(1, vms + 1)),
         malicious_user_pct=draw(st.sampled_from([0.0, 20.0, 50.0, 100.0])),
-        intervals=draw(st.integers(1, 9)),
+        intervals=intervals,
         seed=draw(st.integers(0, 2**16)),
         policy=draw(st.sampled_from(["oscmc", "pssf", "wosc"])),
         server_cpu=2000.0 * size,
@@ -409,26 +423,81 @@ def small_scenarios(draw):
         kmeans_restarts=draw(st.integers(1, 2)),
         malicious_vm_threshold=draw(st.integers(1, 3)),
         pin_placement=draw(st.booleans()),
+        scripted_links=scripted,
     )
+
+
+REPORT_FIELDS = (
+    "colocation",
+    "cascading",
+    "vulnerability",
+    "theta_dc",
+    "malicious_vms",
+    "malicious_link_set",
+    "coverage",
+)
+
+
+def _check_detection_against_all_live_links(sim):
+    """Wrap ``sim._detect`` so every report it returns is compared, field by
+    field, with the monitor run over matrices of every live link."""
+    detect = sim._detect
+    checked = []
+
+    def checked_detect(t, vlams, active):
+        report = detect(t, vlams, active)
+        perf, thresholds = sim._perf_samples(t, active)
+        oracle = build_threat_report(
+            t,
+            sim.placement,
+            build_vlams(sim.placement, list(sim.live), sim.servers.keys()),
+            sim.ivcl,
+            sim.owners,
+            perf=perf,
+            thresholds=thresholds,
+            vuln_scores={sid: s.vulnerability_score for sid, s in sim.servers.items()},
+            min_links=sim.sc.malicious_vm_threshold,
+        )
+        for name in REPORT_FIELDS:
+            assert getattr(report, name) == getattr(oracle, name), (t, name)
+        checked.append(t)
+        return report
+
+    sim._detect = checked_detect
+    return checked
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_scenarios())
+# The walkthrough always raises cascades, so the detection oracle above
+# always sees a relay's outgoing links.
+@example(load_scenario("illustration"))
 def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
     """Each small scenario fails validation, stops with the exit-3 errors or
     runs to completion; while it runs, the unauthorised set classified at
-    birth matches a fresh classification of the live links."""
+    birth matches a fresh classification of the live links, the live-link
+    adjacency matches the live links, and every ``oscmc`` threat report
+    equals the one computed over every live link."""
     try:
         sc.validate()
     except ScenarioError:
         return
     try:
         sim = Simulation(sc)
+        checked = _check_detection_against_all_live_links(sim)
         for t in range(sc.intervals):
             sim.step(t)
             assert sim.unauthorised == {
                 link for link in sim.live if classify_link(link, sim.ivcl)
             }
+            assert not any(v in sim.suspended for link in sim.live for v in link)
+            outs, ins = {}, {}
+            if sc.policy == "oscmc":
+                for src, dst in sim.live:
+                    outs.setdefault(src, set()).add(dst)
+                    ins.setdefault(dst, set()).add(src)
+            assert {vm: peers for vm, peers in sim.outs.items() if peers} == outs
+            assert {vm: peers for vm, peers in sim.ins.items() if peers} == ins
             if sc.policy != "oscmc":
                 # oscmc's quarantine drops links after the snapshot.
                 assert sim.log.metrics[-1].authorized_link_pct == authorized_link_pct(
@@ -439,6 +508,7 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
     result = sim.finish()
     assert not sim.unauthorised
     assert len(result.metrics) == sc.intervals
+    assert len(checked) == (sc.intervals if sc.policy == "oscmc" else 0)
 
 
 def test_one_bandwidth_model_per_forecast_group():
