@@ -496,47 +496,54 @@ class Simulation:
     def _active_vms(self) -> list[int]:
         return sorted(self.placement.vm_ids)
 
+    def _windows(self, cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Bandwidth windows ``usage[s : s + window, col]``, one row per
+        (col, s) pair, gathered with one fancy index."""
+        rows = starts[:, None] + np.arange(self.sc.window)
+        return self.usage[rows, cols[:, None], 2]
+
     def _window_matrix(self, members: list[int], t: int) -> np.ndarray:
-        w = self.sc.window
-        rows = [self.usage[t - w + 1 : t + 1, self.vm_index[vm], 2] for vm in members]
-        return np.stack(rows)
+        cols = np.array([self.vm_index[vm] for vm in members])
+        return self._windows(cols, np.full(len(cols), t - self.sc.window + 1))
 
     def _train_and_predict(self, t: int) -> None:
         """Fit each group's model on sampled bandwidth history windows, then
         write every active VM's bandwidth forecast for t+1 into
         ``self.predicted``.  Each model has its own weights and its own
-        training RNG.  Placement reads bandwidth alone, so cpu and memory
-        are not forecast.
+        training RNG; groups with the same sample count train as one stack.
+        Placement reads bandwidth alone, so cpu and memory are not forecast.
         """
         sc = self.sc
         # Until the first training pass the model is random noise; the
         # nominal forecast stands instead.
         if t < sc.window:
             return
-        active = self.placement.vm_ids
-        do_train = (t - sc.window) % sc.retrain_every == 0
-        for key, model in self.models.items():
-            group = self.model_groups[key]
-            if do_train:
-                rng = self.train_rngs[key]
-                # Window ending at index start+window-1 predicts start+window,
-                # which must already be observed: start <= t - window.
-                starts = t - sc.window + 1
+        if (t - sc.window) % sc.retrain_every == 0:
+            # Window ending at index start+window-1 predicts start+window,
+            # which must already be observed: start <= t - window.
+            starts = t - sc.window + 1
+            # Padding a group to a common sample count would change its
+            # means, so only groups of equal count share a stack.
+            buckets: dict[int, tuple[list, list, list]] = {}
+            for key, model in self.models.items():
+                group = self.model_groups[key]
                 total = len(group) * starts
                 n = min(sc.train_sample, total)
-                picks = np.sort(rng.choice(total, size=n, replace=False))
-                xs, ys = [], []
-                for pick in picks:
-                    member = group[int(pick) // starts]
-                    start = int(pick) % starts
-                    series = self.usage[:, self.vm_index[member], 2]
-                    xs.append(series[start : start + sc.window])
-                    ys.append(series[start + sc.window])
-                x = np.stack(xs)
-                y = np.asarray(ys)
+                picks = np.sort(self.train_rngs[key].choice(total, size=n, replace=False))
+                cols = np.array([self.vm_index[vm] for vm in group])[picks // starts]
+                offsets = picks % starts
+                x = self._windows(cols, offsets)
+                y = self.usage[offsets + sc.window, cols, 2]
                 model.set_bounds(np.concatenate([x.ravel(), y]))
-                train_on_windows(model, x, y, epochs=sc.epochs)
-            live_members = [vm for vm in group if vm in active]
+                models, xs, ys = buckets.setdefault(n, ([], [], []))
+                models.append(model)
+                xs.append(x)
+                ys.append(y)
+            for models, xs, ys in buckets.values():
+                train_on_windows(models, np.concatenate(xs), np.concatenate(ys), epochs=sc.epochs)
+        active = self.placement.vm_ids
+        for key, model in self.models.items():
+            live_members = [vm for vm in self.model_groups[key] if vm in active]
             if not live_members:
                 continue
             windows = self._window_matrix(live_members, t)

@@ -5,6 +5,13 @@ The forecaster is a deliberately small three-layer feed-forward network
 with plain full-batch gradient descent on squared loss.  Inputs and targets
 are min-max normalised with bounds taken from the training data; a
 degenerate window (max == min) falls back to identity scaling.
+
+The arithmetic works on stacks of G networks of one shape: weights
+``(G, W, H)``, inputs ``(G, n, W)`` and activations ``(G, n, H)``, so one
+batched ``matmul`` per product serves every network of an epoch.  Each
+group keeps the row-major ``(n, ·)`` layout of a lone network, so numpy
+makes the same BLAS call per group and a network trained in a stack ends
+bit for bit where it would alone.  A single network is a stack of one.
 """
 
 from __future__ import annotations
@@ -19,7 +26,37 @@ class InsufficientHistoryError(Exception):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+    """1 / (1 + exp(-z)), computed in place in ``z``."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+def _forward(xn, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations (G, n, H) and outputs (G, n) of G stacked networks
+    on normalised inputs ``xn`` (G, n, W)."""
+    z = xn @ w1
+    z += b1[:, None, :]
+    h = _sigmoid(z)
+    return h, (h @ w2[:, :, None])[:, :, 0] + b2[:, None]
+
+
+def _gradients(xn, yn, w1, b1, w2, b2):
+    """Analytic gradients of mean squared loss 0.5*(out - y)^2 and the
+    loss itself, per network of the stack; ``yn`` is (G, n)."""
+    h, out = _forward(xn, w1, b1, w2, b2)
+    err = out - yn
+    dout = err / xn.shape[1]
+    dw2 = (h.transpose(0, 2, 1) @ dout[:, :, None])[:, :, 0]
+    db2 = dout.sum(axis=1)
+    dz = dout[:, :, None] * w2[:, None, :]
+    dz *= h
+    dz *= 1.0 - h
+    dw1 = xn.transpose(0, 2, 1) @ dz
+    db1 = dz.sum(axis=1)
+    loss = 0.5 * np.mean(err**2, axis=1)
+    return dw1, db1, dw2, db2, loss
 
 
 class PredictorModel:
@@ -70,26 +107,15 @@ class PredictorModel:
             return y * (self.hi - self.lo) + self.lo
         return y
 
-    # -- forward/backward ------------------------------------------------
+    # -- forward ---------------------------------------------------------
 
-    def _forward(self, xn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = _sigmoid(xn @ self.w1 + self.b1)
-        out = h @ self.w2 + self.b2
-        return h, out
+    def _params(self):
+        """The weights as a stack of one network (views, but for ``b2``)."""
+        return self.w1[None], self.b1[None], self.w2[None], np.array([self.b2])
 
-    def _gradients(self, xn: np.ndarray, yn: np.ndarray):
-        """Analytic gradients of mean squared loss 0.5*(out - y)^2."""
-        h, out = self._forward(xn)
-        n = xn.shape[0]
-        dout = (out - yn) / n
-        dw2 = h.T @ dout
-        db2 = float(dout.sum())
-        dh = np.outer(dout, self.w2)
-        dz = dh * h * (1.0 - h)
-        dw1 = xn.T @ dz
-        db1 = dz.sum(axis=0)
-        loss = float(0.5 * np.mean((out - yn) ** 2))
-        return dw1, db1, dw2, db2, loss
+    def _outputs(self, xn: np.ndarray) -> np.ndarray:
+        """Outputs (n,) for normalised inputs (n, W)."""
+        return _forward(xn[None], *self._params())[1][0]
 
     def predict(self, window_values) -> float:
         """Forecast the next sample from the last ``window`` raw samples."""
@@ -98,14 +124,12 @@ class PredictorModel:
             raise InsufficientHistoryError(
                 "insufficient history: need exactly %d samples" % self.window
             )
-        xn = self._norm(x)[None, :]
-        _, out = self._forward(xn)
+        out = self._outputs(self._norm(x)[None, :])
         return max(0.0, self._denorm(float(out[0])))
 
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
         """Vectorised forecast; ``windows`` has shape (n, window)."""
-        xn = self._norm(np.asarray(windows, dtype=float))
-        _, out = self._forward(xn)
+        out = self._outputs(self._norm(np.asarray(windows, dtype=float)))
         raw = out * (self.hi - self.lo) + self.lo if self.hi > self.lo else out
         return np.maximum(raw, 0.0)
 
@@ -124,21 +148,49 @@ def make_windows(series, window: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train_on_windows(
-    model: PredictorModel, x: np.ndarray, y: np.ndarray, epochs: int = 200
-) -> list[float]:
-    """Full-batch gradient descent on raw (window, target) pairs."""
-    xn = model._norm(np.asarray(x, dtype=float))
-    yn = model._norm(np.asarray(y, dtype=float))
-    trace = []
-    for _ in range(epochs):
-        dw1, db1, dw2, db2, loss = model._gradients(xn, yn)
-        trace.append(loss)
-        lr = model.learning_rate
-        model.w1 -= lr * dw1
-        model.b1 -= lr * db1
-        model.w2 -= lr * dw2
-        model.b2 -= lr * db2
-    return trace
+    models: PredictorModel | list[PredictorModel],
+    x: np.ndarray,
+    y: np.ndarray,
+    epochs: int = 200,
+) -> list[float] | list[list[float]]:
+    """Full-batch gradient descent on raw (window, target) pairs.
+
+    ``models`` is one model or a list of G models that share window, hidden
+    size and learning rate; they train as one stack.  ``x`` (G*n, W) and
+    ``y`` (G*n,) hold each model's n rows in turn, and each model normalises
+    its own rows with its own bounds.  Returns the loss trace, or one trace
+    per model for a list.
+    """
+    group = [models] if isinstance(models, PredictorModel) else list(models)
+    first = group[0]
+    spec = (first.window, first.hidden, first.learning_rate)
+    if any((m.window, m.hidden, m.learning_rate) != spec for m in group):
+        raise ValueError("stacked models must share window, hidden size and learning rate")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    g = len(group)
+    if x.ndim != 2 or x.shape[1] != first.window or len(x) % g or y.shape != (len(x),):
+        raise ValueError(
+            "need x of shape (%d*n, %d) and y of shape (%d*n,)" % (g, first.window, g)
+        )
+    xn = np.stack([m._norm(rows) for m, rows in zip(group, x.reshape(g, -1, first.window))])
+    yn = np.stack([m._norm(rows) for m, rows in zip(group, y.reshape(g, -1))])
+    w1 = np.stack([m.w1 for m in group])
+    b1 = np.stack([m.b1 for m in group])
+    w2 = np.stack([m.w2 for m in group])
+    b2 = np.array([m.b2 for m in group])
+    lr = first.learning_rate
+    losses = np.empty((epochs, g))
+    for epoch in range(epochs):
+        dw1, db1, dw2, db2, losses[epoch] = _gradients(xn, yn, w1, b1, w2, b2)
+        w1 -= lr * dw1
+        b1 -= lr * db1
+        w2 -= lr * dw2
+        b2 -= lr * db2
+    for i, m in enumerate(group):
+        m.w1, m.b1, m.w2, m.b2 = w1[i], b1[i], w2[i], float(b2[i])
+    traces = losses.T.tolist()
+    return traces[0] if isinstance(models, PredictorModel) else traces
 
 
 def train(model: PredictorModel, series, epochs: int = 200) -> list[float]:
@@ -152,21 +204,16 @@ def gradient_check(
     model: PredictorModel, window_values, target: float, step: float = 1e-4
 ) -> float:
     """Max relative error between analytic and central-difference gradients."""
-    x = np.asarray(window_values, dtype=float)[None, :]
-    xn = model._norm(x)
-    yn = np.asarray([target], dtype=float)
-    yn = model._norm(yn)
+    xn = model._norm(np.asarray(window_values, dtype=float)[None, None, :])
+    yn = model._norm(np.asarray([[target]], dtype=float))
 
-    dw1, db1, dw2, db2, _ = model._gradients(xn, yn)
-    analytic = np.concatenate(
-        [dw1.ravel(), db1.ravel(), dw2.ravel(), np.array([db2])]
-    )
+    dw1, db1, dw2, db2, _ = _gradients(xn, yn, *model._params())
+    analytic = np.concatenate([dw1.ravel(), db1.ravel(), dw2.ravel(), db2])
 
     params = [model.w1, model.b1, model.w2]
 
     def loss_now() -> float:
-        _, out = model._forward(xn)
-        return float(0.5 * np.mean((out - yn) ** 2))
+        return float(_gradients(xn, yn, *model._params())[4][0])
 
     numeric = []
     for arr in params:

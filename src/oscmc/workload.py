@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
 from dataclasses import dataclass
 
@@ -77,6 +78,12 @@ _RAW_REQUIRED = (
 )
 
 
+def _usable(*values: float) -> bool:
+    """Every value finite and none negative.  ``nan < 0`` is False, so a
+    sign test alone would let ``nan`` through."""
+    return all(math.isfinite(v) and v >= 0 for v in values)
+
+
 def _ingest_canonical(path: str) -> TraceData:
     series: dict[str, list[tuple[float, float, float, float]]] = {}
     dropped = 0
@@ -95,7 +102,7 @@ def _ingest_canonical(path: str) -> TraceData:
             except (TypeError, ValueError, AttributeError):
                 dropped += 1
                 continue
-            if not vm or cpu < 0 or mem < 0 or bw < 0:
+            if not vm or not math.isfinite(ts) or not _usable(cpu, mem, bw):
                 dropped += 1
                 continue
             series.setdefault(vm, []).append((ts, cpu, mem, bw))
@@ -131,7 +138,7 @@ def _ingest_raw(path: str) -> TraceData:
             except (TypeError, ValueError, KeyError):
                 dropped += 1
                 continue
-            if cpu < 0 or mem < 0 or bw < 0:
+            if not math.isfinite(ts) or not _usable(cpu, mem, bw):
                 dropped += 1
                 continue
             rows.append((ts, cpu, mem, bw))
@@ -154,8 +161,8 @@ def ingest_trace(path: str) -> TraceData:
     Two layouts are accepted: the canonical comma-separated schema
     (timestamp, vm_id, cpu_usage_mips, mem_usage_mb, net_bw_used) and the
     raw per-VM semicolon layout whose received plus transmitted network
-    throughput becomes the bandwidth column.  Malformed rows are dropped
-    and counted, never fatal.
+    throughput becomes the bandwidth column.  Malformed rows (unparsable,
+    non-finite or negative values) are dropped and counted, never fatal.
     """
     if not os.path.exists(path):
         raise TraceFormatError("trace %s does not exist" % path)

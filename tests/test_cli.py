@@ -101,6 +101,7 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
         "burst_mult = inf",
         "burst_mult = nan",
         "pw_max = inf",
+        "attack_mode = burst\nburst_period = 0",
     ],
 )
 def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):

@@ -352,8 +352,19 @@ def _xi200x10(policy: str) -> Scenario:
         ),
         (_xi200x10("wosc"), "8f04d7514c73e966"),
         (_xi200x10("pssf"), "d83f671544a67037"),
+        # Forecast groups of 8, 8 and 7 VMs draw 8, 8 and 7 samples at the
+        # first training pass, so groups of unequal sample count train apart.
+        (
+            Scenario(
+                intervals=20,
+                seed=4,
+                vms=23,
+                vm_flavors=[(500.0, 512.0, 1000.0), (1000.0, 1024.0, 1000.0), (250.0, 256.0, 400.0)],
+            ),
+            "895ee9e777d22c6d",
+        ),
     ],
-    ids=["xi200x10", "per_vm_models", "xi200x10-wosc", "xi200x10-pssf"],
+    ids=["xi200x10", "per_vm_models", "xi200x10-wosc", "xi200x10-pssf", "unequal_groups"],
 )
 def test_output_bytes_are_pinned(sc, digest):
     # Recorded before forecasting became bandwidth-only; any change to the
@@ -411,7 +422,7 @@ def small_scenarios(draw):
         attack_colocated_rate=draw(st.floats(0.0, 1.0)),
         attack_remote_rate=draw(st.floats(0.0, 1.0)),
         attack_mode=draw(st.sampled_from(["steady", "burst"])),
-        burst_period=draw(st.integers(0, 3)),
+        burst_period=draw(st.integers(1, 3)),
         cross_user_auth_rate=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
         window=draw(st.integers(1, 4)),
         hidden=draw(st.integers(1, 4)),

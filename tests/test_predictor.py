@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscmc.predictor import (
     CongestionState,
@@ -102,6 +104,85 @@ def test_train_on_windows_matches_train_pipeline():
     trace_b = train_on_windows(b, x, y, epochs=50)
     assert trace_a == trace_b
     assert np.array_equal(a.w1, b.w1)
+
+
+@st.composite
+def stacked_problems(draw):
+    """G models of one shape with each its own rows and bounds."""
+    g = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    window = draw(st.integers(1, 5))
+    hidden = draw(st.integers(1, 5))
+    lr = draw(st.sampled_from([0.01, 0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, 1000.0, (g * n, window))
+    y = rng.uniform(0.0, 1000.0, g * n)
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=g, max_size=g))
+    # "own": the model's rows; "flat": lo == hi, identity scaling;
+    # "wide": a fixed range shared by chance with other models.
+    bounds = draw(st.lists(st.sampled_from(["own", "flat", "wide"]), min_size=g, max_size=g))
+    models = []
+    for i, (seed, kind) in enumerate(zip(seeds, bounds)):
+        model = PredictorModel(window, hidden, lr, seed=seed)
+        rows = slice(i * n, (i + 1) * n)
+        if kind == "own":
+            model.set_bounds(np.concatenate([x[rows].ravel(), y[rows]]))
+        elif kind == "flat":
+            model.lo = model.hi = float(y[rows][0])
+        else:
+            model.set_bounds(np.array([0.0, 1000.0]))
+        models.append(model)
+    return models, x, y, draw(st.integers(0, 6))
+
+
+def _clone(model):
+    twin = PredictorModel.zeros(model.window, model.hidden, model.learning_rate)
+    twin.w1[:], twin.b1[:], twin.w2[:] = model.w1, model.b1, model.w2
+    twin.b2, twin.lo, twin.hi = model.b2, model.lo, model.hi
+    return twin
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_problems())
+def test_stacked_training_equals_training_each_model_alone(problem):
+    models, x, y, epochs = problem
+    alone = [_clone(m) for m in models]
+    n = len(x) // len(models)
+    # Identity scaling of raw values saturates the sigmoid.
+    with np.errstate(over="ignore"):
+        traces = train_on_windows(models, x, y, epochs=epochs)
+        singles = [
+            train_on_windows(m, x[i * n : (i + 1) * n], y[i * n : (i + 1) * n], epochs=epochs)
+            for i, m in enumerate(alone)
+        ]
+    for trace, single_trace, stacked, single in zip(traces, singles, models, alone):
+        assert trace == single_trace
+        assert np.array_equal(stacked.w1, single.w1)
+        assert np.array_equal(stacked.b1, single.b1)
+        assert np.array_equal(stacked.w2, single.w2)
+        assert stacked.b2 == single.b2
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        PredictorModel(window=5, hidden=3, seed=1),
+        PredictorModel(window=4, hidden=2, seed=1),
+        PredictorModel(window=4, hidden=3, learning_rate=0.1, seed=1),
+    ],
+    ids=["window", "hidden", "learning_rate"],
+)
+def test_stacked_training_rejects_mismatched_models(other):
+    model = PredictorModel(window=4, hidden=3, seed=0)
+    x = np.ones((4, 4))
+    with pytest.raises(ValueError):
+        train_on_windows([model, other], x, np.ones(4), epochs=1)
+
+
+def test_stacked_training_rejects_rows_that_do_not_split_evenly():
+    models = [PredictorModel(window=4, seed=i) for i in range(2)]
+    with pytest.raises(ValueError):
+        train_on_windows(models, np.ones((3, 4)), np.ones(3), epochs=1)
 
 
 def test_gradient_check_on_shipped_shape():

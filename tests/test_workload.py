@@ -92,6 +92,30 @@ def test_ingest_raw_trace_sums_network_and_converts_memory(tmp_path):
     assert trace.series["box7"][1].tolist() == [600.0, 4.0, 30.0]
 
 
+@pytest.mark.parametrize("layout", ["canonical", "raw"])
+def test_ingest_drops_non_finite_rows(tmp_path, layout):
+    # nan compares False with 0, so a sign test alone let these rows in;
+    # one nan sample made the VM's rescaled column mean NaN.
+    f = tmp_path / "box.csv"
+    if layout == "canonical":
+        write_canonical(
+            f, ["0,box,100,200,300", "1,box,nan,200,300", "2,box,100,inf,300", "3,box,110,210,310"]
+        )
+    else:
+        f.write_text(
+            "Timestamp [ms];CPU usage [MHZ];Memory usage [KB];"
+            "Network received throughput [KB/s];Network transmitted throughput [KB/s]\n"
+            "0;100;204800;100;200\n"
+            "1;100;204800;nan;200\n"
+            "2;100;inf;100;200\n"
+            "3;110;215040;110;200\n"
+        )
+    trace = ingest_trace(str(f))
+    assert trace.dropped == 2
+    assert trace.series["box"].tolist() == [[100.0, 200.0, 300.0], [110.0, 210.0, 310.0]]
+    assert np.isfinite(fit_trace_to_vms(trace, NOMINALS[:1], 4)).all()
+
+
 def test_ingest_directory_merges_files(tmp_path):
     write_canonical(tmp_path / "a.csv", ["0,vm1,1,1,1"])
     (tmp_path / "b.csv").write_text(
