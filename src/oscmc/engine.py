@@ -73,6 +73,10 @@ log = logging.getLogger("oscmc.engine")
 EVENTS_CSV_HEADER = "interval,kind,attacker,victim,servers"
 
 
+# Cross-user pairs drawn per set-up call: 4 MB of uniforms.
+_DRAW_BLOCK = 1 << 19
+
+
 class SimulationError(Exception):
     """The scenario cannot be simulated (for example, nothing can host a VM)."""
 
@@ -122,13 +126,14 @@ def inject_malicious_behavior(
 
     Exactly four draws are consumed per hostile VM whether or not a link
     results, keeping the random stream aligned across policies; intents of
-    suspended VMs are discarded after drawing.
+    suspended VMs are discarded after drawing.  All are drawn in one call,
+    which equals one call of four per VM.
     """
     benign_alive = [v for v in benign_vms if v not in suspended]
     benign_set = set(benign_alive)
     links: list[tuple[int, int]] = []
-    for vm in malicious_vms:
-        u1, u2, u3, u4 = rng.random(4)
+    draws = rng.random((len(malicious_vms), 4)).tolist()
+    for vm, (u1, u2, u3, u4) in zip(malicious_vms, draws):
         if vm in suspended:
             continue
         host = placement.server_of(vm)
@@ -156,30 +161,79 @@ def benign_links(
     placement: Placement,
     benign_vms: list[int],
     suspended: set[int],
-    authorized_dsts: dict[int, list[int]],
+    ivcl: Ivcl,
     rate: float,
     rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
     """Authorised traffic: each benign VM may open one link to a destination
-    drawn from ``authorized_dsts[vm]``, its authorised-link log entry in
-    ascending order.  Two draws per VM always."""
+    of its authorised-link log row, drawn at a random start and taken as the
+    first placed, unsuspended one from there on, wrapping around.
+
+    Two draws per VM always, all in one call, which equals one call of two
+    per VM.
+    """
+    draws = rng.random((len(benign_vms), 2))
+    ids, indptr, indices = ivcl.csr()
+    rows = np.searchsorted(ids, benign_vms)
+    lo = indptr[rows]
+    size = indptr[rows + 1] - lo
+    opens = (draws[:, 0] < rate) & (size > 0)
+    if suspended:
+        opens &= ~np.isin(benign_vms, list(suspended))
+    which = np.flatnonzero(opens)
+    lo, size = lo[which], size[which]
+    start = (draws[which, 1] * size).astype(np.int64) % size
+
+    def usable(vm: int) -> bool:
+        return vm not in suspended and placement.server_of(vm) is not None
+
     links: list[tuple[int, int]] = []
-    for vm in benign_vms:
-        u1, u2 = rng.random(2)
-        if vm in suspended:
-            continue
-        if u1 >= rate:
-            continue
-        dsts = authorized_dsts[vm]
-        if not dsts:
-            continue
-        start = int(u2 * len(dsts)) % len(dsts)
-        for off in range(len(dsts)):
-            cand = dsts[(start + off) % len(dsts)]
-            if cand not in suspended and placement.server_of(cand) is not None:
-                links.append((vm, cand))
-                break
+    for i, cand, row_lo, n, at in zip(
+        which.tolist(),
+        indices[lo + start].tolist(),
+        lo.tolist(),
+        size.tolist(),
+        start.tolist(),
+    ):
+        if not usable(cand):
+            row = indices[row_lo : row_lo + n].tolist()
+            cand = next(filter(usable, row[at + 1 :] + row[:at]), None)
+            if cand is None:
+                continue
+        links.append((benign_vms[i], cand))
     return links
+
+
+def with_cross_user_grants(
+    base: Ivcl, owner: np.ndarray, rate: float, rng: np.random.Generator
+) -> Ivcl:
+    """``base`` plus a grant of each pair of VMs with different owners with
+    probability ``rate``; ``owner`` holds the owner of each row of ``base``.
+
+    The pairs are drawn in blocks of source rows, each block in one call
+    over its cross-user pairs in (a, b) id order.  Consecutive draws equal
+    one long draw, so each pair gets the same number as in a pairwise
+    enumeration, and a block's uniforms stay a few MB.  No draw is made
+    when ``rate`` is 0.
+    """
+    ids, base_ptr, base_dsts = base.csr()
+    if rate == 0:
+        return base
+    base_cols = np.searchsorted(ids, base_dsts)
+    counts = np.zeros(ids.size, dtype=np.int64)
+    blocks = [np.empty(0, dtype=np.int32)]
+    step = max(1, _DRAW_BLOCK // max(ids.size, 1))
+    for r0 in range(0, ids.size, step):
+        r1 = min(r0 + step, ids.size)
+        cross = owner[r0:r1, None] != owner
+        granted = np.zeros(cross.shape, dtype=bool)
+        granted[cross] = rng.random(np.count_nonzero(cross)) < rate
+        lo, hi = base_ptr[r0], base_ptr[r1]
+        base_rows = np.repeat(np.arange(r1 - r0), np.diff(base_ptr[r0 : r1 + 1]))
+        granted[base_rows, base_cols[lo:hi]] = True
+        counts[r0:r1] = granted.sum(axis=1)
+        blocks.append(ids[np.nonzero(granted)[1]].astype(np.int32))
+    return Ivcl(ids, np.concatenate(([0], np.cumsum(counts))), np.concatenate(blocks))
 
 
 @dataclass
@@ -384,33 +438,19 @@ class Simulation:
         }
 
     def _build_ivcl(self) -> None:
-        sc = self.sc
-        ivcl = Ivcl()
+        intra = Ivcl()
         for vm_id in sorted(self.vms):
-            ivcl.register(vm_id)
+            intra.register(vm_id)
         for user in self.users.values():
             members = sorted(user.vm_ids)
             for a in members:
                 for b in members:
                     if a != b:
-                        ivcl.grant(a, b)
-        if sc.cross_user_auth_rate > 0:
-            ids = np.array(sorted(self.vms))
-            owner = np.array([self.owners[vm] for vm in ids])
-            # One source row at a time, in ascending order: consecutive draws
-            # equal one long draw, so each cross-user pair (a, b) gets the
-            # same number as in a pairwise enumeration.
-            for a, owner_a in zip(ids.tolist(), owner.tolist()):
-                others = ids[owner != owner_a]
-                granted = others[
-                    self.setup_rng.random(others.size) < sc.cross_user_auth_rate
-                ]
-                for b in granted.tolist():
-                    ivcl.grant(a, b)
-        self.ivcl = ivcl
-        self.benign_dsts = {
-            vm: sorted(ivcl.authorized_dsts(vm)) for vm in self.benign_vm_ids
-        }
+                        intra.grant(a, b)
+        owner = np.array([self.owners[vm] for vm in sorted(self.vms)])
+        self.ivcl = with_cross_user_grants(
+            intra, owner, self.sc.cross_user_auth_rate, self.setup_rng
+        )
 
     def _build_usage(self, rng: np.random.Generator) -> None:
         sc = self.sc
@@ -602,7 +642,7 @@ class Simulation:
             self.placement,
             self.benign_vm_ids,
             self.suspended,
-            self.benign_dsts,
+            self.ivcl,
             sc.benign_link_rate,
             self.inject_rng,
         )

@@ -21,7 +21,11 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .model import Placement
 
@@ -42,49 +46,100 @@ LinkEnds = tuple[int, int]
 
 
 class Ivcl:
-    """Authorised-link log: per source VM, the set of permitted destinations.
+    """Authorised-link log as compressed sparse rows.
+
+    Row ``i`` belongs to ``ids[i]``, the registered VMs in ascending id order,
+    and lists that VM's permitted destinations in ascending order as
+    ``indices[indptr[i]:indptr[i + 1]]``.  ``register`` and ``grant`` collect
+    changes that the next query merges into the rows, so a log can still be
+    stated grant by grant, or the rows can be built in bulk and passed in.
 
     Every VM admitted to the data centre is registered here, possibly with an
-    empty destination set.  The log is treated as immutable after set-up;
-    the engine relies on it.
+    empty row.  The log is treated as immutable after set-up; the engine
+    relies on it.
     """
 
-    def __init__(self):
-        self._authorized: dict[int, set[int]] = {}
+    def __init__(self, ids=(), indptr=(0,), indices=()):
+        """An empty log, or one over ``ids`` (ascending) whose rows are
+        already built; arrays are kept, not copied, and become read-only."""
+        self._set_rows(
+            np.asarray(ids, np.int64),
+            np.asarray(indptr, np.int64),
+            np.asarray(indices, np.int32),
+        )
+        # Registrations and grants not yet merged into the rows.
+        self._pending: dict[int, set[int]] = {}
+
+    def _set_rows(self, ids, indptr, indices) -> None:
+        for a in (ids, indptr, indices):
+            a.flags.writeable = False  # shared by copies
+        self._ids, self._indptr, self._indices = ids, indptr, indices
+        self._row = dict(zip(ids.tolist(), range(ids.size)))
 
     def register(self, vm_id: int) -> None:
-        self._authorized.setdefault(vm_id, set())
+        if vm_id not in self._row:
+            self._pending.setdefault(vm_id, set())
 
     def grant(self, src: int, dst: int) -> None:
         if src == dst:
             raise ValueError("cannot authorise a self-link")
         self.register(src)
         self.register(dst)
-        self._authorized[src].add(dst)
+        self._pending.setdefault(src, set()).add(dst)
+
+    def _merge(self) -> None:
+        """Rebuild the rows with the pending registrations and grants, in one
+        pass over the whole log; a large log is passed in as rows."""
+        ptr, rows = self._indptr.tolist(), self._pending
+        for row, vm in enumerate(self._ids.tolist()):
+            rows.setdefault(vm, set()).update(
+                self._indices[ptr[row] : ptr[row + 1]].tolist()
+            )
+        self._pending = {}
+        ids = sorted(rows)
+        dsts = [sorted(rows[vm]) for vm in ids]
+        indptr = np.cumsum([0] + [len(d) for d in dsts], dtype=np.int64)
+        indices = np.fromiter(chain.from_iterable(dsts), np.int32, int(indptr[-1]))
+        self._set_rows(np.array(ids, np.int64), indptr, indices)
+
+    def _rows(self) -> dict[int, int]:
+        if self._pending:
+            self._merge()
+        return self._row
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, indptr, indices)``, read-only."""
+        self._rows()
+        return self._ids, self._indptr, self._indices
 
     def is_registered(self, vm_id: int) -> bool:
-        return vm_id in self._authorized
+        return vm_id in self._row or vm_id in self._pending
 
     def authorized_dsts(self, src: int) -> frozenset[int]:
-        if src not in self._authorized:
+        row = self._rows().get(src)
+        if row is None:
             raise UnregisteredVmError("unregistered VM %d" % src)
-        return frozenset(self._authorized[src])
+        return frozenset(
+            self._indices[self._indptr[row] : self._indptr[row + 1]].tolist()
+        )
 
     def is_authorized(self, src: int, dst: int) -> bool:
-        if src not in self._authorized:
+        rows = self._rows()
+        row = rows.get(src)
+        if row is None:
             raise UnregisteredVmError("unregistered VM %d" % src)
-        if dst not in self._authorized:
+        if dst not in rows:
             raise UnregisteredVmError("unregistered VM %d" % dst)
-        return dst in self._authorized[src]
+        hi = self._indptr[row + 1]
+        at = bisect_left(self._indices, dst, self._indptr[row], hi)
+        return bool(at < hi and self._indices[at] == dst)
 
     @property
     def registered(self) -> frozenset[int]:
-        return frozenset(self._authorized)
+        return frozenset(self._rows())
 
     def copy(self) -> "Ivcl":
-        clone = Ivcl()
-        clone._authorized = {vm: set(dsts) for vm, dsts in self._authorized.items()}
-        return clone
+        return Ivcl(*self.csr())
 
 
 def classify_link(link: LinkEnds, ivcl: Ivcl) -> int:

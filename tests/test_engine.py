@@ -409,7 +409,7 @@ def small_scenarios(draw):
     return Scenario(
         servers=draw(st.integers(1, 6)),
         vms=vms,
-        users=draw(st.none() | st.integers(1, vms + 1)),
+        users=draw(st.none() | st.integers(1, vms)),
         malicious_user_pct=draw(st.sampled_from([0.0, 20.0, 50.0, 100.0])),
         intervals=intervals,
         seed=draw(st.integers(0, 2**16)),

@@ -1,0 +1,235 @@
+"""Link generation and the authorised-link log build against per-pair and
+per-VM references.
+
+The engine draws each kind of link's uniforms in one call and builds the
+log in blocks of source rows.  The references below are the plain loops
+those replaced: one draw call per VM and one draw per cross-user pair.  The
+array versions must return the same links in the same order and leave the
+random stream in the same state.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oscmc import engine
+from oscmc.engine import Simulation, benign_links, inject_malicious_behavior
+from oscmc.model import Placement, ResourceVector, Server
+from oscmc.monitor import Ivcl
+from oscmc.scenario import Scenario
+
+DEMAND = ResourceVector(1.0, 1.0, 1.0)
+
+
+def reference_inject(
+    placement, malicious_vms, benign_vms, suspended, colocated_rate, remote_rate, rng
+):
+    benign_alive = [v for v in benign_vms if v not in suspended]
+    benign_set = set(benign_alive)
+    links = []
+    for vm in malicious_vms:
+        u1, u2, u3, u4 = rng.random(4)
+        if vm in suspended:
+            continue
+        host = placement.server_of(vm)
+        if host is None:
+            continue
+        if u1 < colocated_rate:
+            local = [
+                v
+                for v in sorted(placement.vms_on(host))
+                if v != vm and v in benign_set
+            ]
+            if local:
+                links.append((vm, local[int(u2 * len(local)) % len(local)]))
+        if u3 < remote_rate and benign_alive:
+            start = int(u4 * len(benign_alive)) % len(benign_alive)
+            for off in range(len(benign_alive)):
+                cand = benign_alive[(start + off) % len(benign_alive)]
+                if cand != vm and placement.server_of(cand) != host:
+                    links.append((vm, cand))
+                    break
+    return links
+
+
+def reference_benign(placement, benign_vms, suspended, authorized_dsts, rate, rng):
+    links = []
+    for vm in benign_vms:
+        u1, u2 = rng.random(2)
+        if vm in suspended:
+            continue
+        if u1 >= rate:
+            continue
+        dsts = authorized_dsts[vm]
+        if not dsts:
+            continue
+        start = int(u2 * len(dsts)) % len(dsts)
+        for off in range(len(dsts)):
+            cand = dsts[(start + off) % len(dsts)]
+            if cand not in suspended and placement.server_of(cand) is not None:
+                links.append((vm, cand))
+                break
+    return links
+
+
+def _placement(hosts: dict[int, int | None], servers: int) -> Placement:
+    cap = ResourceVector(1000.0, 1000.0, 1000.0)
+    placement = Placement({sid: Server(sid, cap) for sid in range(1, servers + 1)})
+    for vm, sid in hosts.items():
+        if sid is not None:
+            placement.assign(vm, DEMAND, sid)
+    return placement
+
+
+def _log(vms, grants) -> Ivcl:
+    ivcl = Ivcl()
+    for vm in vms:
+        ivcl.register(vm)
+    for a, b in grants:
+        ivcl.grant(a, b)
+    return ivcl
+
+
+def _rows(ivcl: Ivcl) -> dict[int, list[int]]:
+    ids, indptr, indices = ivcl.csr()
+    return {
+        vm: indices[indptr[i] : indptr[i + 1]].tolist()
+        for i, vm in enumerate(ids.tolist())
+    }
+
+
+rates = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def linkgen_instances(draw):
+    n = draw(st.integers(1, 16))
+    vms = list(range(1, n + 1))
+    servers = draw(st.integers(1, 4))
+    hosts = dict(
+        zip(vms, draw(st.lists(st.none() | st.integers(1, servers), min_size=n, max_size=n)))
+    )
+    malicious = draw(st.sets(st.sampled_from(vms)))
+    pairs = st.tuples(st.sampled_from(vms), st.sampled_from(vms)).filter(
+        lambda p: p[0] != p[1]
+    )
+    return dict(
+        placement=_placement(hosts, servers),
+        malicious=sorted(malicious),
+        benign=[v for v in vms if v not in malicious],
+        suspended=draw(st.sets(st.sampled_from(vms))),
+        ivcl=_log(vms, draw(st.sets(pairs, max_size=60))),
+        rates=draw(st.tuples(rates, rates, rates)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(linkgen_instances())
+def test_array_link_generation_equals_per_vm_loops(case):
+    placement, ivcl, suspended = case["placement"], case["ivcl"], case["suspended"]
+    benign_rate, colocated_rate, remote_rate = case["rates"]
+    rng, ref_rng = (np.random.default_rng(case["seed"]) for _ in range(2))
+    for _ in range(2):  # the stream must stay aligned from one interval to the next
+        attacks = inject_malicious_behavior(
+            0, placement, case["malicious"], case["benign"], suspended,
+            colocated_rate, remote_rate, rng,
+        )
+        assert attacks == reference_inject(
+            placement, case["malicious"], case["benign"], suspended,
+            colocated_rate, remote_rate, ref_rng,
+        )
+        links = benign_links(placement, case["benign"], suspended, ivcl, benign_rate, rng)
+        rows = {vm: sorted(ivcl.authorized_dsts(vm)) for vm in case["benign"]}
+        assert links == reference_benign(
+            placement, case["benign"], suspended, rows, benign_rate, ref_rng
+        )
+        assert all(type(v) is int for link in attacks + links for v in link)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_benign_link_scans_on_from_a_suspended_first_candidate():
+    """VM 1's row is [2, 3, 4, 6], with 6 not placed.  When the drawn start
+    is suspended or unplaced, the link goes to the next usable destination
+    after it, wrapping around; with none usable, or an empty row (VM 5), no
+    link opens, but the draws are still taken."""
+    placement = _placement({1: 1, 2: 1, 3: 2, 4: 2, 5: 1, 6: None}, 2)
+    ivcl = _log(range(1, 7), [(1, 2), (1, 3), (1, 4), (1, 6)])
+    row = [2, 3, 4, 6]
+    for seed in range(16):
+        start = int(np.random.default_rng(seed).random(2)[1] * 4) % 4
+        rotation = [row[(start + off) % 4] for off in range(4)]
+        for suspended in ({rotation[0]}, set(rotation[:2]), {2, 3, 4}):
+            usable = [v for v in rotation if v not in suspended and v != 6]
+            rng = np.random.default_rng(seed)
+            links = benign_links(placement, [1, 5], suspended, ivcl, 1.0, rng)
+            assert links == [(1, v) for v in usable[:1]]
+            assert rng.bit_generator.state == _after_draws(seed, 4)
+
+
+def _after_draws(seed: int, n: int) -> dict:
+    rng = np.random.default_rng(seed)
+    rng.random(n)
+    return rng.bit_generator.state
+
+
+@st.composite
+def populations(draw):
+    """A scenario whose set-up stream is untouched until the log is drawn."""
+    vms = draw(st.integers(1, 16))
+    fixed_users, users = None, None
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(1, vms), min_size=vms, max_size=vms))
+        fixed_users = {}
+        for vm, label in enumerate(labels, start=1):
+            fixed_users.setdefault(label, []).append(vm)
+    else:
+        users = draw(st.none() | st.integers(1, vms))
+    return Scenario(
+        servers=vms,
+        vms=vms,
+        users=users,
+        fixed_users=fixed_users,
+        fixed_malicious_users=[],
+        vuln_score_fixed=5.0,
+        intervals=1,
+        seed=draw(st.integers(0, 2**16)),
+        cross_user_auth_rate=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(populations(), st.integers(1, 40))
+def test_log_build_equals_pairwise_reference(sc, block):
+    """Over any user partition and any block size, the log holds every
+    intra-user pair and the cross-user pairs of one draw per pair in (a, b)
+    id order, and leaves the set-up stream where that draw does."""
+    with mock.patch.object(engine, "_DRAW_BLOCK", block):
+        sim = Simulation(sc)
+    ids = sorted(sim.vms)
+    rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(6)[0])
+    want = {vm: set() for vm in ids}
+    for a in ids:
+        for b in ids:
+            if a != b and sim.owners[a] == sim.owners[b]:
+                want[a].add(b)
+    if sc.cross_user_auth_rate > 0:
+        for a in ids:
+            for b in ids:
+                if sim.owners[a] != sim.owners[b] and rng.random() < sc.cross_user_auth_rate:
+                    want[a].add(b)
+    rows = _rows(sim.ivcl)
+    assert rows == {vm: sorted(dsts) for vm, dsts in want.items()}
+    assert sim.ivcl.csr()[2].dtype == np.int32
+    assert sim.setup_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_grant_after_query_merges_into_rows():
+    ivcl = _log([5, 1], [(5, 1)])
+    assert _rows(ivcl) == {1: [], 5: [1]}
+    ivcl.grant(1, 9)
+    ivcl.grant(5, 3)
+    assert ivcl.is_authorized(5, 3) and ivcl.is_authorized(1, 9)
+    assert _rows(ivcl) == {1: [9], 3: [], 5: [1, 3], 9: []}
