@@ -120,6 +120,7 @@ def inject_malicious_behavior(
     colocated_rate: float,
     remote_rate: float,
     rng: np.random.Generator,
+    kept: tuple[list[int], set[int]] | None = None,
 ) -> list[tuple[int, int]]:
     """Attack links for one interval: each hostile VM may probe one
     co-located benign VM and one benign VM on another server.
@@ -127,10 +128,14 @@ def inject_malicious_behavior(
     Exactly four draws are consumed per hostile VM whether or not a link
     results, keeping the random stream aligned across policies; intents of
     suspended VMs are discarded after drawing.  All are drawn in one call,
-    which equals one call of four per VM.
+    which equals one call of four per VM.  ``kept`` is ``benign_vms``
+    without the suspended VMs, as a list and its set, from a caller that
+    keeps them up to date; without it they are built here.
     """
-    benign_alive = [v for v in benign_vms if v not in suspended]
-    benign_set = set(benign_alive)
+    if kept is None:
+        benign_alive = [v for v in benign_vms if v not in suspended]
+        kept = (benign_alive, set(benign_alive))
+    benign_alive, benign_set = kept
     links: list[tuple[int, int]] = []
     draws = rng.random((len(malicious_vms), 4)).tolist()
     for vm, (u1, u2, u3, u4) in zip(malicious_vms, draws):
@@ -385,6 +390,8 @@ class Simulation:
         self.ordinary_ids = sorted(set(self.servers) - reserved)
         self.vuln_scores = {sid: s.vulnerability_score for sid, s in self.servers.items()}
         self.total_bw = sum(s.capacity.bw for s in self.servers.values())
+        # By placement row: every placement is built over ``self.servers``.
+        self.server_bw = np.array([s.capacity.bw for s in self.servers.values()])
 
     def _build_population(self) -> None:
         sc = self.sc
@@ -433,6 +440,12 @@ class Simulation:
             vm_id for vm_id, vm in self.vms.items() if self.users[vm.owner].is_malicious_truth
         )
         self.benign_vm_ids = sorted(set(self.vms) - set(self.malicious_vm_ids))
+        # The unsuspended benign VMs, in id order, and their set.
+        self.benign_alive = (list(self.benign_vm_ids), set(self.benign_vm_ids))
+        # (tp_min, bw_min) per VM, indexed like ``usage``.
+        self.guarantees = np.array(
+            [(vm.guaranteed.tp_min, vm.guaranteed.bw_min) for _, vm in sorted(self.vms.items())]
+        ).reshape(-1, 2)
         self.flavor_of = {
             vm_id: (vm_id - 1) % len(flavors) for vm_id in self.vms
         }
@@ -536,6 +549,10 @@ class Simulation:
     def _active_vms(self) -> list[int]:
         return sorted(self.placement.vm_ids)
 
+    def _cols(self, vms: list[int]) -> np.ndarray:
+        """The ``usage`` column of each of ``vms``."""
+        return np.fromiter(map(self.vm_index.__getitem__, vms), np.intp, len(vms))
+
     def _windows(self, cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Bandwidth windows ``usage[s : s + window, col]``, one row per
         (col, s) pair, gathered with one fancy index."""
@@ -543,7 +560,7 @@ class Simulation:
         return self.usage[rows, cols[:, None], 2]
 
     def _window_matrix(self, members: list[int], t: int) -> np.ndarray:
-        cols = np.array([self.vm_index[vm] for vm in members])
+        cols = self._cols(members)
         return self._windows(cols, np.full(len(cols), t - self.sc.window + 1))
 
     def _train_and_predict(self, t: int) -> None:
@@ -570,7 +587,7 @@ class Simulation:
                 total = len(group) * starts
                 n = min(sc.train_sample, total)
                 picks = np.sort(self.train_rngs[key].choice(total, size=n, replace=False))
-                cols = np.array([self.vm_index[vm] for vm in group])[picks // starts]
+                cols = self._cols(group)[picks // starts]
                 offsets = picks % starts
                 x = self._windows(cols, offsets)
                 y = self.usage[offsets + sc.window, cols, 2]
@@ -595,34 +612,36 @@ class Simulation:
 
         When a server's observed bandwidth demand exceeds its capacity,
         every hosted VM's delivery scales down proportionally; throughput
-        is reported as the delivered fraction of nominal demand.
+        is reported as the delivered fraction of nominal demand.  A
+        server's load adds its VMs' demands in ``active`` order, from 0.0,
+        as ``np.bincount`` does.
         """
-        perf = {}
-        thresholds = {}
-        load: dict[int, float] = {}
-        for vm in active:
-            sid = self.placement.server_of(vm)
-            load[sid] = load.get(sid, 0.0) + self.usage[t, self.vm_index[vm], 2]
-        for vm in active:
-            sid = self.placement.server_of(vm)
-            cap = self.servers[sid].capacity.bw
-            scale = 1.0 if load[sid] <= cap or load[sid] == 0 else cap / load[sid]
-            delivered = self.usage[t, self.vm_index[vm], 2] * scale
-            nominal = self.vms[vm].demand.bw
-            frac = delivered / nominal if nominal > 0 else 1.0
-            perf[vm] = (frac, delivered)
-            g = self.vms[vm].guaranteed
-            thresholds[vm] = (g.tp_min, g.bw_min)
+        cols = self._cols(active)
+        rows = self.placement.host_rows(active)
+        demand = self.usage[t, cols, 2]
+        load = np.bincount(rows, weights=demand, minlength=len(self.server_bw))[rows]
+        cap = self.server_bw[rows]
+        nominal = self.nominals[cols, 2]
+        # np.where divides every element, also those it then discards.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scale = np.where((load <= cap) | (load == 0), 1.0, cap / load)
+            delivered = demand * scale
+            frac = np.where(nominal > 0, delivered / nominal, 1.0)
+        perf = dict(zip(active, zip(frac.tolist(), delivered.tolist())))
+        thresholds = dict(zip(active, map(tuple, self.guarantees[cols].tolist())))
         return perf, thresholds
 
-    def _new_links(self, t: int) -> list[tuple[int, int]]:
+    def _new_links(self, t: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """This interval's new links, in order: those to classify (attacks
+        and scripted links), then benign links, each drawn from its
+        source's log row and so authorised."""
         sc = self.sc
         if sc.scripted_links is not None:
             return [
                 (s, d)
                 for s, d in sc.scripted_links.get(t, [])
                 if s not in self.suspended and d not in self.suspended
-            ]
+            ], []
         in_burst_window = (
             sc.attack_mode == "steady" or t % sc.burst_period == 0
         )
@@ -637,6 +656,7 @@ class Simulation:
             col_rate,
             rem_rate,
             self.inject_rng,
+            kept=self.benign_alive,
         )
         benign = benign_links(
             self.placement,
@@ -646,7 +666,7 @@ class Simulation:
             sc.benign_link_rate,
             self.inject_rng,
         )
-        return attacks + benign
+        return attacks, benign
 
     def _drop_link(self, ends: tuple[int, int], t: int) -> None:
         born = self.live.pop(ends, None)
@@ -669,6 +689,10 @@ class Simulation:
             self.suspended.add(vm_id)
             self.log.suspended.append(vm_id)
             newly.add(vm_id)
+            alive, alive_set = self.benign_alive
+            if vm_id in alive_set:
+                alive_set.remove(vm_id)
+                alive.remove(vm_id)
             if self.placement.server_of(vm_id) is not None:
                 self.placement.remove(vm_id)
         # Dropping only counts breaches, so one pass in any order suffices.
@@ -699,18 +723,19 @@ class Simulation:
 
     def step(self, t: int) -> None:
         sc = self.sc
+        # Rebalance moves VMs but never adds or removes one, so this list
+        # holds until quarantine.
         active = self._active_vms()
-        observed_bw = {
-            vm: float(self.usage[t, self.vm_index[vm], 2]) for vm in active
-        }
-        predicted_bw = {
-            vm: float(self.predicted[self.vm_index[vm]]) for vm in active
-        }
+        cols = self._cols(active)
+        observed = self.usage[t, cols, 2]
+        # A copy: training overwrites ``self.predicted``, and the snapshot
+        # reads the forecasts made before it.
+        predicted = self.predicted[cols]
 
         if sc.policy == "oscmc":
             congestion = detect_congestion(
-                sum(observed_bw.values()),
-                sum(predicted_bw.values()),
+                sum(observed.tolist()),
+                sum(predicted.tolist()),
                 delta_t=1.0,
                 dev_threshold=sc.congestion_threshold_frac * self.total_bw,
                 time_threshold=1.0,
@@ -718,7 +743,7 @@ class Simulation:
             self._train_and_predict(t)
             hog_vms: list[tuple[int, float]] = []
             if active:
-                values = [float(self.predicted[self.vm_index[vm]]) for vm in active]
+                values = self.predicted[cols].tolist()
                 n_clusters = min(sc.clusters, len(values))
                 assignment = kmeans(
                     values,
@@ -739,14 +764,15 @@ class Simulation:
                 self.placement = result.placement
                 sync_active(self.servers, self.placement)
 
-        for ends in self._new_links(t):
+        checked, authorised = self._new_links(t)
+        for i, ends in enumerate(checked + authorised):
             if ends in self.live:
                 continue
             self.live[ends] = t
             if sc.policy == "oscmc":
                 self.outs[ends[0]].add(ends[1])
                 self.ins[ends[1]].add(ends[0])
-            if classify_link(ends, self.ivcl):
+            if i < len(checked) and classify_link(ends, self.ivcl):
                 self.unauthorised.add(ends)
                 self.log.malicious_links_created += 1
 
@@ -758,7 +784,7 @@ class Simulation:
             for _, relay in self.unauthorised:
                 watched.update((relay, dst) for dst in self.outs[relay])
             vlams = build_vlams(self.placement, watched, self.servers.keys())
-            report = self._detect(t, vlams, self._active_vms())
+            report = self._detect(t, vlams, active)
         else:
             report = ThreatReport(interval=t)
         self.log.reports.append(report)
@@ -768,8 +794,8 @@ class Simulation:
             t,
             self.servers,
             self.placement,
-            observed_bw,
-            predicted_bw,
+            observed,
+            predicted,
             len(self.live),
             len(self.unauthorised),
             hog_threshold=sc.hog_threshold,

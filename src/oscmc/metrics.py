@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import compress
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import Placement, Server
 from .monitor import Ivcl, classify_link
@@ -31,16 +35,16 @@ def ru_server(server: Server, placement: Placement) -> tuple[float, float, float
 
 def ru_dc(servers: dict[int, Server], placement: Placement) -> float:
     """Mean utilisation across resources and active servers."""
-    return _mean_ru({sid: ru_server(s, placement) for sid, s in servers.items() if s.active})
+    return _mean_ru(_active(servers, placement)[2])
 
 
-def _mean_ru(per_server: dict[int, tuple[float, float, float]]) -> float:
-    if not per_server:
+def _mean_ru(sums: list[float]) -> float:
+    if not sums:
         raise EmptyDataCenterError("empty data center")
     total = 0.0
-    for fractions in per_server.values():
-        total += sum(fractions)
-    return total / (3.0 * len(per_server))
+    for s in sums:
+        total += s
+    return total / (3.0 * len(sums))
 
 
 def _power(server: Server, fractions: tuple[float, float, float], mode: str) -> float:
@@ -60,27 +64,74 @@ def power_server(server: Server, placement: Placement, mode: str = "mean") -> fl
 
 def power_dc(servers: dict[int, Server], placement: Placement, mode: str = "mean") -> float:
     """Aggregate power draw over active servers."""
-    return sum(power_server(s, placement, mode) for s in servers.values())
+    # Inactive servers' 0.0 terms would add nothing, so only active ones count.
+    return float(sum(_active(servers, placement, mode)[3]))
 
 
-def count_hogs(
-    observed_bw: dict[int, float],
-    predicted_bw: dict[int, float],
-    threshold: float = 0.5,
-) -> int:
+class _Fleet:
+    """Per-server constants of one ``servers`` dict over one placement
+    layout, in dict order, kept while the same dict and layout come back.
+    Capacities and power figures are read once; the engine never changes
+    them."""
+
+    def __init__(self, servers: dict[int, Server], placement: Placement):
+        # Copies of a placement share its id-to-row map, so it names the layout.
+        self.key = (servers, placement._row)
+        self.members = list(servers.values())
+        self.ids = list(servers)
+        self.rows = placement.rows(self.ids)
+        caps = [s.capacity.as_tuple() for s in self.members]
+        self.cap = np.array(caps, dtype=float).reshape(-1, 3)
+        self.span = np.array([s.pw_max - s.pw_min for s in self.members], dtype=float)
+        self.idle = np.array([s.pw_idle for s in self.members], dtype=float)
+
+
+_fleet: _Fleet | None = None
+
+
+def _active(servers: dict[int, Server], placement: Placement, mode: str | None = None):
+    """Ids, used fractions and their sums of the active servers, in
+    ``servers`` order, each equal to ``ru_server`` and Python's ``sum`` of
+    it (compensated from 3.12); with a power mode, also each one's
+    ``_power``."""
+    global _fleet
+    if _fleet is None or _fleet.key[0] is not servers or _fleet.key[1] is not placement._row:
+        _fleet = _Fleet(servers, placement)
+    fleet = _fleet
+    on = np.fromiter((s.active for s in fleet.members), bool, len(fleet.members))
+    cap = fleet.cap[on]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fractions = np.where(cap > 0, placement.used_array(fleet.rows[on]) / cap, 0.0)
+    rows = list(map(tuple, fractions.tolist()))
+    sums = list(map(sum, rows))
+    power = []
+    if mode is not None and rows:
+        if mode == "cpu":
+            ru = fractions[:, 0]
+        elif mode == "mean":
+            ru = np.array(sums) / 3.0
+        else:
+            raise ValueError("unknown power mode %r" % mode)
+        power = (fleet.span[on] * ru + fleet.idle[on]).tolist()
+    # The dict's own id objects, not new ones, key ``ru_per_server``.
+    return list(compress(fleet.ids, on.tolist())), rows, sums, power
+
+
+def count_hogs(observed_bw, predicted_bw, threshold: float = 0.5) -> int:
     """VMs whose observed bandwidth exceeds prediction by the threshold.
 
-    With the default threshold of 0.5 a VM is a hog when observed exceeds
-    1.5x its predicted bandwidth.
+    Takes mappings vm -> bandwidth, where a VM without a prediction has
+    predicted 0.0, or two aligned arrays.  With the default threshold of
+    0.5 a VM is a hog when observed exceeds 1.5x its predicted bandwidth.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    count = 0
-    for vm, observed in observed_bw.items():
-        predicted = predicted_bw.get(vm, 0.0)
-        if observed > predicted * (1.0 + threshold):
-            count += 1
-    return count
+    if isinstance(observed_bw, Mapping):
+        predicted_bw = [predicted_bw.get(vm, 0.0) for vm in observed_bw]
+        observed_bw = list(observed_bw.values())
+    observed = np.asarray(observed_bw, dtype=float)
+    predicted = np.asarray(predicted_bw, dtype=float)
+    return int(np.count_nonzero(observed > predicted * (1.0 + threshold)))
 
 
 def authorized_link_pct(links, ivcl: Ivcl) -> float:
@@ -135,8 +186,8 @@ def snapshot(
     interval: int,
     servers: dict[int, Server],
     placement: Placement,
-    observed_bw: dict[int, float],
-    predicted_bw: dict[int, float],
+    observed_bw,
+    predicted_bw,
     live_links: int,
     unauthorised_links: int,
     hog_threshold: float = 0.5,
@@ -144,18 +195,18 @@ def snapshot(
 ) -> IntervalMetrics:
     """Collect the per-interval metric bundle.
 
+    ``observed_bw`` and ``predicted_bw`` are what ``count_hogs`` takes.
     The authorised-link share comes from the counts of live links and of
     unauthorised live links, with the formula of ``authorized_link_pct``.
     """
     good = live_links - unauthorised_links
-    # One read per active server; power_dc's 0.0 inactive terms add nothing.
-    per_server = {sid: ru_server(s, placement) for sid, s in servers.items() if s.active}
+    ids, rows, sums, power = _active(servers, placement, power_mode)
     return IntervalMetrics(
         interval=interval,
-        ru_dc=_mean_ru(per_server),
-        ru_per_server=per_server,
-        pw_dc=sum(_power(servers[sid], fr, power_mode) for sid, fr in per_server.items()),
+        ru_dc=_mean_ru(sums),
+        ru_per_server=dict(zip(ids, rows)),
+        pw_dc=sum(power),
         hog_count=count_hogs(observed_bw, predicted_bw, hog_threshold),
         authorized_link_pct=100.0 * good / live_links if live_links else 100.0,
-        active_server_count=len(per_server),
+        active_server_count=len(ids),
     )

@@ -126,17 +126,39 @@ def _from_units(units: tuple[int, int, int]) -> ResourceVector:
     return ResourceVector(units[0] / _UNITS, units[1] / _UNITS, units[2] / _UNITS)
 
 
+def _from_units_array(units: np.ndarray) -> np.ndarray:
+    """``_from_units`` over an int64 array, value for value.
+
+    Python divides ints with one rounding.  Up to 2**53 an int64 converts
+    to float64 exactly, so ``units / 1e6`` rounds once too.  Above it the
+    conversion would round first, but ``q + r / 1e6`` (``q, r`` the
+    quotient and remainder by 10**6) is exact: ``q`` exceeds 2**33, so the
+    rounding of ``r / 1e6`` cannot move the sum across a halfway point.
+    That form rounds twice for small ``q`` (totals of 2**19 to 2**32 units
+    with a fractional part), so neither form serves every range alone.
+    """
+    out = units / _UNITS
+    big = units > 2**53
+    if big.any():
+        q, r = np.divmod(units[big], _UNITS)
+        out[big] = q + r / _UNITS
+    return out
+
+
 class Placement:
     """Mutable VM-to-server map that enforces the capacity constraint
     (sum of hosted demands componentwise <= server capacity) on every
-    mutation.  Free capacity is an ``int64 (S, 3)`` array, a row per server."""
+    mutation.  Capacity and free capacity are ``int64 (S, 3)`` arrays, a row
+    per server; capacity is read-only and shared by copies."""
 
     def __init__(self, servers: dict[int, Server]):
-        self._cap = [_to_units(s.capacity) for s in servers.values()]
-        if any(u > _MAX_UNITS for units in self._cap for u in units):
+        cap = [_to_units(s.capacity) for s in servers.values()]
+        if any(u > _MAX_UNITS for units in cap for u in units):
             raise ValueError("server capacities must not exceed %g" % MAX_RESOURCE)
         self._row = {sid: row for row, sid in enumerate(servers)}
-        self._free = np.array(self._cap, dtype=np.int64).reshape(-1, 3)
+        self._cap = np.array(cap, dtype=np.int64).reshape(-1, 3)
+        self._cap.flags.writeable = False
+        self._free = self._cap.copy()
         self._vm_to_server: dict[int, int] = {}
         self._server_to_vms: dict[int, set[int]] = {sid: set() for sid in servers}
         self._demand: dict[int, tuple[ResourceVector, np.ndarray]] = {}  # and its units
@@ -151,11 +173,15 @@ class Placement:
 
     def used(self, server_id: int) -> ResourceVector:
         row = self._row[server_id]
-        (c0, c1, c2), (f0, f1, f2) = self._cap[row], self._free[row].tolist()
+        (c0, c1, c2), (f0, f1, f2) = self._cap[row].tolist(), self._free[row].tolist()
         return _from_units((c0 - f0, c1 - f1, c2 - f2))
 
+    def used_array(self, rows: np.ndarray) -> np.ndarray:
+        """``used`` of the servers of ``rows`` as an ``(n, 3)`` float array."""
+        return _from_units_array(self._cap[rows] - self._free[rows])
+
     def capacity(self, server_id: int) -> ResourceVector:
-        return _from_units(self._cap[self._row[server_id]])
+        return _from_units(tuple(self._cap[self._row[server_id]].tolist()))
 
     def fits(self, server_id: int, demand: ResourceVector) -> bool:
         free = self._free[self._row[server_id]].tolist()
@@ -164,6 +190,11 @@ class Placement:
     def rows(self, server_ids: list[int]) -> np.ndarray:
         """The rows of ``server_ids``, in their order."""
         return np.array([self._row[sid] for sid in server_ids], dtype=np.intp)
+
+    def host_rows(self, vm_ids: list[int]) -> np.ndarray:
+        """The row of each placed VM's server, in the order of ``vm_ids``."""
+        hosts = map(self._vm_to_server.__getitem__, vm_ids)
+        return np.fromiter(map(self._row.__getitem__, hosts), np.intp, len(vm_ids))
 
     def fit_mask(self, demand: ResourceVector, rows: np.ndarray) -> np.ndarray:
         """Whether each server of ``rows`` can host ``demand`` (clamped to int64)."""
@@ -238,7 +269,7 @@ class Placement:
         """Recompute hosted demand sums and verify the capacity constraint."""
         for sid, vms in self._server_to_vms.items():
             sums = [sum(col) for col in zip(*(_to_units(self._demand[v][0]) for v in vms))]
-            if any(s > c for s, c in zip(sums, self._cap[self._row[sid]])):
+            if any(s > c for s, c in zip(sums, self._cap[self._row[sid]].tolist())):
                 return False
         return True
 

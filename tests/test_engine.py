@@ -14,6 +14,7 @@ from oscmc.engine import (
     Simulation,
     SimulationError,
     first_fit_place,
+    inject_malicious_behavior,
     pssf_place,
     run,
 )
@@ -502,6 +503,8 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
                 link for link in sim.live if classify_link(link, sim.ivcl)
             }
             assert not any(v in sim.suspended for link in sim.live for v in link)
+            alive = [vm for vm in sim.benign_vm_ids if vm not in sim.suspended]
+            assert sim.benign_alive == (alive, set(alive))
             outs, ins = {}, {}
             if sc.policy == "oscmc":
                 for src, dst in sim.live:
@@ -526,3 +529,96 @@ def test_one_bandwidth_model_per_forecast_group():
     assert len(Simulation(small_scenario()).models) == 2
     assert len(Simulation(small_scenario(per_vm_models=True)).models) == 12
     assert Simulation(with_policy(small_scenario(), "wosc")).models == {}
+
+
+def test_suspended_benign_vm_leaves_the_kept_benign_list():
+    """Only scripted links let a benign VM source an unauthorised link; its
+    suspension removes it from the list the attack generator reads."""
+    sc = small_scenario(
+        malicious_user_pct=0.0, cross_user_auth_rate=0.0, scripted_links={0: [(1, 12)]}
+    )
+    sim = Simulation(sc)
+    assert sim.owners[1] != sim.owners[12]
+    sim.step(0)
+    assert sim.suspended == {1}
+    alive = list(range(2, 13))
+    assert sim.benign_alive == (alive, set(alive))
+    rngs = [np.random.default_rng(5) for _ in range(2)]
+    links = [
+        inject_malicious_behavior(
+            1, sim.placement, [2, 5], sim.benign_vm_ids, sim.suspended, 1.0, 1.0, rng, **kept
+        )
+        for rng, kept in zip(rngs, ({}, {"kept": sim.benign_alive}))
+    ]
+    assert links[0] == links[1] and links[0]
+
+
+def reference_perf_samples(sim, t, active):
+    """The per-VM loop that ``Simulation._perf_samples`` replaced."""
+    perf = {}
+    thresholds = {}
+    load = {}
+    for vm in active:
+        sid = sim.placement.server_of(vm)
+        load[sid] = load.get(sid, 0.0) + sim.usage[t, sim.vm_index[vm], 2]
+    for vm in active:
+        sid = sim.placement.server_of(vm)
+        cap = sim.servers[sid].capacity.bw
+        scale = 1.0 if load[sid] <= cap or load[sid] == 0 else cap / load[sid]
+        delivered = sim.usage[t, sim.vm_index[vm], 2] * scale
+        nominal = sim.vms[vm].demand.bw
+        frac = delivered / nominal if nominal > 0 else 1.0
+        perf[vm] = (frac, delivered)
+        g = sim.vms[vm].guaranteed
+        thresholds[vm] = (g.tp_min, g.bw_min)
+    return perf, thresholds
+
+
+def _bits(samples):
+    return {vm: tuple(float(x).hex() for x in pair) for vm, pair in samples.items()}
+
+
+bandwidths = st.just(0.0) | st.sampled_from([1.0, 250.5, 1000.0]) | st.floats(0.0, 1e4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.lists(st.sampled_from([0.0, 1.0, 250.5, 1000.0]), min_size=1, max_size=3),
+    st.sampled_from([1.0, 2500.0, 10000.0]),
+    st.sampled_from([0.0, 0.1, 1.0]),
+    st.data(),
+)
+def test_array_perf_samples_equal_per_vm_loop(vms, flavor_bws, server_bw, frac, data):
+    """Server loads summed by ``np.bincount`` and the scaled deliveries
+    equal the per-VM loop bit for bit, over any subset and order of the
+    placed VMs: servers over their bandwidth (load > capacity), servers with
+    no load, and VMs of zero nominal bandwidth among them."""
+    sc = Scenario(
+        servers=10,
+        vms=vms,
+        intervals=2,
+        policy="wosc",
+        server_cpu=1000.0,
+        server_mem=1000.0,
+        server_bw=server_bw,
+        vm_flavors=[(100.0, 100.0, bw) for bw in flavor_bws],
+        guaranteed_frac=frac,
+        seed=data.draw(st.integers(0, 2**16)),
+    )
+    try:
+        sim = Simulation(sc)
+    except (SimulationError, PlacementInfeasibleError):
+        return
+    sim.usage[:, :, 2] = data.draw(
+        st.lists(bandwidths, min_size=2 * vms, max_size=2 * vms)
+        .map(lambda xs: np.array(xs).reshape(2, vms))
+    )
+    placed = data.draw(st.permutations(sorted(sim.placement.vm_ids)))
+    active = placed[: data.draw(st.integers(0, len(placed)))]
+    for t in range(2):
+        perf, thresholds = sim._perf_samples(t, active)
+        want_perf, want_thresholds = reference_perf_samples(sim, t, active)
+        assert list(perf) == list(want_perf)
+        assert _bits(perf) == _bits(want_perf)
+        assert thresholds == want_thresholds
