@@ -14,6 +14,9 @@ substreams (fleet setup, workload, link injection, model init, model
 training, clustering), in a fixed order.  Link-injection draws happen for
 every VM every interval even when the intent is discarded, so runs that
 share a seed see the same workload and attack stream regardless of policy.
+Clustering draws only in the overloaded intervals whose rebalance reads the
+clusters, each from its own per-interval seed, so skipping it in the other
+intervals shifts no stream.
 One simulation runs serially: each step does its layers in a fixed order
 and builds observed-link matrices only for the policy that reads them, so
 the worker count accepted by ``Simulation`` and ``run`` never changes any
@@ -51,7 +54,6 @@ from .model import (
     Vm,
     VmStatus,
     admit_vm,
-    sync_active,
 )
 from .monitor import (
     Ivcl,
@@ -435,7 +437,6 @@ class Simulation:
             )
             self.users[owner].vm_ids.add(vm_id)
         self.owners = {vm_id: vm.owner for vm_id, vm in self.vms.items()}
-        self.vm_index = {vm_id: vm_id - 1 for vm_id in self.vms}
         self.malicious_vm_ids = sorted(
             vm_id for vm_id, vm in self.vms.items() if self.users[vm.owner].is_malicious_truth
         )
@@ -446,9 +447,6 @@ class Simulation:
         self.guarantees = np.array(
             [(vm.guaranteed.tp_min, vm.guaranteed.bw_min) for _, vm in sorted(self.vms.items())]
         ).reshape(-1, 2)
-        self.flavor_of = {
-            vm_id: (vm_id - 1) % len(flavors) for vm_id in self.vms
-        }
 
     def _build_ivcl(self) -> None:
         intra = Ivcl()
@@ -488,30 +486,26 @@ class Simulation:
 
     def _build_models(self, s_models, s_train) -> None:
         sc = self.sc
+        # One record per forecast group (a flavor, or a VM), in key order:
+        # its VMs' ``usage`` columns, its network and its training RNG.
+        self.models: dict[tuple, tuple[np.ndarray, PredictorModel, np.random.Generator]] = {}
         if sc.policy != "oscmc":
-            self.models = {}
-            self.train_rngs = {}
-            self.model_groups = {}
             return
+        cols = np.arange(len(self.vms))  # as ``_cols`` gives them
         if sc.per_vm_models:
-            groups = {("vm", vm_id): [vm_id] for vm_id in sorted(self.vms)}
+            groups = {("vm", v + 1): cols[v : v + 1] for v in range(cols.size)}
         else:
-            groups: dict[tuple, list[int]] = {}
-            for vm_id in sorted(self.vms):
-                groups.setdefault(("flavor", self.flavor_of[vm_id]), []).append(vm_id)
-        self.model_groups = dict(sorted(groups.items()))
+            # VMs take the flavors in turn, so flavor f has every n-th column.
+            n = len(sc.vm_flavors)
+            groups = {("flavor", f): cols[f::n] for f in range(min(n, cols.size))}
         # Three children per group, the third for bandwidth: the seeds the
         # pinned output digests were recorded with.
-        n = 3 * len(self.model_groups)
+        n = 3 * len(groups)
         seeds = s_models.spawn(n)[2::3]
         train_seeds = s_train.spawn(n)[2::3]
-        self.models = {}
-        self.train_rngs = {}
-        for key, seed, tseed in zip(self.model_groups, seeds, train_seeds):
-            self.models[key] = PredictorModel(
-                sc.window, sc.hidden, sc.learning_rate, seed=seed
-            )
-            self.train_rngs[key] = np.random.default_rng(tseed)
+        for (key, members), seed, tseed in zip(groups.items(), seeds, train_seeds):
+            model = PredictorModel(sc.window, sc.hidden, sc.learning_rate, seed=seed)
+            self.models[key] = (members, model, np.random.default_rng(tseed))
 
     def _initial_placement(self) -> None:
         sc = self.sc
@@ -542,16 +536,13 @@ class Simulation:
         else:
             items = [(vm_id, vm.demand) for vm_id, vm in sorted(self.vms.items())]
             self.placement = first_fit_place(items, self.servers, base)
-        sync_active(self.servers, self.placement)
 
     # -- per-interval helpers --------------------------------------------
 
-    def _active_vms(self) -> list[int]:
-        return sorted(self.placement.vm_ids)
-
     def _cols(self, vms: list[int]) -> np.ndarray:
-        """The ``usage`` column of each of ``vms``."""
-        return np.fromiter(map(self.vm_index.__getitem__, vms), np.intp, len(vms))
+        """The ``usage`` column of each of ``vms``: VM ids run from 1 to V,
+        so VM ``v`` sits in column ``v - 1``."""
+        return np.array(vms, dtype=np.intp) - 1
 
     def _windows(self, cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Bandwidth windows ``usage[s : s + window, col]``, one row per
@@ -559,17 +550,13 @@ class Simulation:
         rows = starts[:, None] + np.arange(self.sc.window)
         return self.usage[rows, cols[:, None], 2]
 
-    def _window_matrix(self, members: list[int], t: int) -> np.ndarray:
-        cols = self._cols(members)
-        return self._windows(cols, np.full(len(cols), t - self.sc.window + 1))
-
-    def _train_and_predict(self, t: int) -> None:
+    def _train_and_predict(self, t: int, placed: np.ndarray) -> None:
         """Fit each group's model on sampled bandwidth history windows, then
-        write every active VM's bandwidth forecast for t+1 into
-        ``self.predicted``.  Each model has its own weights and its own
-        training RNG; groups with the same sample count train as one stack.
-        Placement reads bandwidth alone, so cpu and memory are not forecast.
-        """
+        write the bandwidth forecast for t+1 of each VM in the ``placed``
+        columns into ``self.predicted``.  Each model has its own weights and
+        its own training RNG; groups with the same sample count train as one
+        stack.  Placement reads bandwidth alone, so cpu and memory are not
+        forecast."""
         sc = self.sc
         # Until the first training pass the model is random noise; the
         # nominal forecast stands instead.
@@ -582,12 +569,11 @@ class Simulation:
             # Padding a group to a common sample count would change its
             # means, so only groups of equal count share a stack.
             buckets: dict[int, tuple[list, list, list]] = {}
-            for key, model in self.models.items():
-                group = self.model_groups[key]
-                total = len(group) * starts
+            for members, model, rng in self.models.values():
+                total = members.size * starts
                 n = min(sc.train_sample, total)
-                picks = np.sort(self.train_rngs[key].choice(total, size=n, replace=False))
-                cols = self._cols(group)[picks // starts]
+                picks = np.sort(rng.choice(total, size=n, replace=False))
+                cols = members[picks // starts]
                 offsets = picks % starts
                 x = self._windows(cols, offsets)
                 y = self.usage[offsets + sc.window, cols, 2]
@@ -598,14 +584,13 @@ class Simulation:
                 ys.append(y)
             for models, xs, ys in buckets.values():
                 train_on_windows(models, np.concatenate(xs), np.concatenate(ys), epochs=sc.epochs)
-        active = self.placement.vm_ids
-        for key, model in self.models.items():
-            live_members = [vm for vm in self.model_groups[key] if vm in active]
-            if not live_members:
-                continue
-            windows = self._window_matrix(live_members, t)
-            for vm, value in zip(live_members, model.predict_batch(windows)):
-                self.predicted[self.vm_index[vm]] = float(value)
+        mask = np.zeros(self.predicted.size, dtype=bool)
+        mask[placed] = True
+        for members, model, _ in self.models.values():
+            live = members[mask[members]]
+            if live.size:
+                windows = self._windows(live, np.full(live.size, t - sc.window + 1))
+                self.predicted[live] = model.predict_batch(windows)
 
     def _perf_samples(self, t: int, active: list[int]):
         """Delivered bandwidth share per VM after server-level contention.
@@ -701,7 +686,6 @@ class Simulation:
                 self._drop_link((vm, dst), t)
             for src in list(self.ins[vm]):
                 self._drop_link((src, vm), t)
-        sync_active(self.servers, self.placement)
 
     def _detect(self, t: int, vlams, active: list[int]) -> ThreatReport:
         perf, thresholds = self._perf_samples(t, active)
@@ -725,7 +709,7 @@ class Simulation:
         sc = self.sc
         # Rebalance moves VMs but never adds or removes one, so this list
         # holds until quarantine.
-        active = self._active_vms()
+        active = sorted(self.placement.vm_ids)
         cols = self._cols(active)
         observed = self.usage[t, cols, 2]
         # A copy: training overwrites ``self.predicted``, and the snapshot
@@ -740,9 +724,10 @@ class Simulation:
                 dev_threshold=sc.congestion_threshold_frac * self.total_bw,
                 time_threshold=1.0,
             )
-            self._train_and_predict(t)
+            self._train_and_predict(t, cols)
             hog_vms: list[tuple[int, float]] = []
-            if active:
+            # Only an overload's rebalance reads the clusters.
+            if congestion.value == 1 and not sc.pin_placement and active:
                 values = self.predicted[cols].tolist()
                 n_clusters = min(sc.clusters, len(values))
                 assignment = kmeans(
@@ -762,7 +747,6 @@ class Simulation:
                     congestion.value, self.placement, self.servers, hog_vms
                 )
                 self.placement = result.placement
-                sync_active(self.servers, self.placement)
 
         checked, authorised = self._new_links(t)
         for i, ends in enumerate(checked + authorised):

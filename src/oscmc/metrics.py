@@ -20,9 +20,14 @@ class EmptyDataCenterError(Exception):
     """Data-centre-wide metric asked with no active server."""
 
 
+def _powered(server: Server, placement: Placement) -> bool:
+    """The activity rule: powered while hosting a VM or reserved for hogs."""
+    return server.reserved_for_hogs or bool(placement.vms_on(server.id))
+
+
 def ru_server(server: Server, placement: Placement) -> tuple[float, float, float]:
     """Per-resource utilisation fractions (cpu, mem, bw) of one server."""
-    if not server.active:
+    if not _powered(server, placement):
         raise InactiveServerError("RU undefined for inactive server %d" % server.id)
     used = placement.used(server.id)
     cap = server.capacity
@@ -59,7 +64,8 @@ def _power(server: Server, fractions: tuple[float, float, float], mode: str) -> 
 
 def power_server(server: Server, placement: Placement, mode: str = "mean") -> float:
     """Power draw of one server; inactive servers draw nothing."""
-    return _power(server, ru_server(server, placement), mode) if server.active else 0.0
+    on = _powered(server, placement)
+    return _power(server, ru_server(server, placement), mode) if on else 0.0
 
 
 def power_dc(servers: dict[int, Server], placement: Placement, mode: str = "mean") -> float:
@@ -71,8 +77,8 @@ def power_dc(servers: dict[int, Server], placement: Placement, mode: str = "mean
 class _Fleet:
     """Per-server constants of one ``servers`` dict over one placement
     layout, in dict order, kept while the same dict and layout come back.
-    Capacities and power figures are read once; the engine never changes
-    them."""
+    Capacities, power figures and ``reserved_for_hogs`` are per-server
+    constants, read once; the engine never changes them."""
 
     def __init__(self, servers: dict[int, Server], placement: Placement):
         # Copies of a placement share its id-to-row map, so it names the layout.
@@ -84,21 +90,22 @@ class _Fleet:
         self.cap = np.array(caps, dtype=float).reshape(-1, 3)
         self.span = np.array([s.pw_max - s.pw_min for s in self.members], dtype=float)
         self.idle = np.array([s.pw_idle for s in self.members], dtype=float)
+        self.reserved = np.array([s.reserved_for_hogs for s in self.members], dtype=bool)
 
 
 _fleet: _Fleet | None = None
 
 
 def _active(servers: dict[int, Server], placement: Placement, mode: str | None = None):
-    """Ids, used fractions and their sums of the active servers, in
-    ``servers`` order, each equal to ``ru_server`` and Python's ``sum`` of
-    it (compensated from 3.12); with a power mode, also each one's
-    ``_power``."""
+    """Ids, used fractions and their sums of the active servers (by
+    ``_powered``'s rule), in ``servers`` order, each equal to ``ru_server``
+    and Python's ``sum`` of it (compensated from 3.12); with a power mode,
+    also each one's ``_power``."""
     global _fleet
     if _fleet is None or _fleet.key[0] is not servers or _fleet.key[1] is not placement._row:
         _fleet = _Fleet(servers, placement)
     fleet = _fleet
-    on = np.fromiter((s.active for s in fleet.members), bool, len(fleet.members))
+    on = placement.occupied()[fleet.rows] | fleet.reserved
     cap = fleet.cap[on]
     with np.errstate(divide="ignore", invalid="ignore"):
         fractions = np.where(cap > 0, placement.used_array(fleet.rows[on]) / cap, 0.0)

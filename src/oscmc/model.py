@@ -85,7 +85,6 @@ class Server:
     pw_idle: float = 70.0
     vulnerability_score: float = 0.0
     reserved_for_hogs: bool = False
-    active: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.vulnerability_score <= 10.0:
@@ -183,6 +182,11 @@ class Placement:
     def capacity(self, server_id: int) -> ResourceVector:
         return _from_units(tuple(self._cap[self._row[server_id]].tolist()))
 
+    def occupied(self) -> np.ndarray:
+        """Whether each row's server hosts at least one VM, in row order."""
+        hosts = self._server_to_vms.values()
+        return np.fromiter(map(bool, hosts), bool, len(self._server_to_vms))
+
     def fits(self, server_id: int, demand: ResourceVector) -> bool:
         free = self._free[self._row[server_id]].tolist()
         return all(d <= f for d, f in zip(_to_units(demand), free))
@@ -272,9 +276,3 @@ class Placement:
             if any(s > c for s, c in zip(sums, self._cap[self._row[sid]].tolist())):
                 return False
         return True
-
-
-def sync_active(servers: dict[int, Server], placement: Placement) -> None:
-    """A server is active iff it hosts at least one VM or is hog-reserved."""
-    for sid, server in servers.items():
-        server.active = bool(placement.vms_on(sid)) or server.reserved_for_hogs

@@ -26,9 +26,11 @@ class InsufficientHistoryError(Exception):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)), computed in place in ``z``."""
+    """1 / (1 + exp(-z)), computed in place in ``z``.  Below z = -709, exp
+    overflows to inf and the sigmoid saturates at 0, as it should."""
     np.negative(z, out=z)
-    np.exp(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
     z += 1.0
     return np.divide(1.0, z, out=z)
 

@@ -353,8 +353,7 @@ def test_criterion_08_metric_arithmetic():
     label = "criterion 8: utilisation and power figures match hand arithmetic"
     with verdict(label):
         servers = {
-            sid: Server(sid, ResourceVector(100.0, 100.0, 100.0), active=True)
-            for sid in (1, 2, 3)
+            sid: Server(sid, ResourceVector(100.0, 100.0, 100.0)) for sid in (1, 2, 3)
         }
         p = Placement(servers)
         for sid in servers:
@@ -363,19 +362,20 @@ def test_criterion_08_metric_arithmetic():
         assert power_dc(servers, p) == pytest.approx(427.5)  # 3 * (145*0.5 + 70)
 
         # Two 500-MIPS guests on a 2000-MIPS host occupy half its compute.
-        host = {1: Server(1, ResourceVector(2000.0, 4096.0, 1000.0), active=True)}
+        host = {1: Server(1, ResourceVector(2000.0, 4096.0, 1000.0))}
         hp = Placement(host)
         hp.assign(1, ResourceVector(500.0, 512.0, 100.0), 1)
         hp.assign(2, ResourceVector(500.0, 512.0, 100.0), 1)
         assert ru_server(host[1], hp)[0] == pytest.approx(0.5)
 
-        empty = {1: Server(1, ResourceVector(100.0, 100.0, 100.0), active=True)}
+        # Powered with no VM: only a server reserved for hogs.
+        empty = {1: Server(1, ResourceVector(100.0, 100.0, 100.0), reserved_for_hogs=True)}
         assert power_dc(empty, Placement(empty)) == pytest.approx(70.0)
-        full = {1: Server(1, ResourceVector(100.0, 100.0, 100.0), active=True)}
+        full = {1: Server(1, ResourceVector(100.0, 100.0, 100.0))}
         fp = Placement(full)
         fp.assign(1, ResourceVector(100.0, 100.0, 100.0), 1)
         assert power_dc(full, fp) == pytest.approx(215.0)
-        off = {1: Server(1, ResourceVector(100.0, 100.0, 100.0), active=False)}
+        off = {1: Server(1, ResourceVector(100.0, 100.0, 100.0))}
         assert power_dc(off, Placement(off)) == 0.0
 
         assert count_hogs({1: 150.0, 2: 150.1}, {1: 100.0, 2: 100.0}) == 1

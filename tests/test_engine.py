@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oscmc.engine
 from oscmc.allocator import PlacementInfeasibleError
 from oscmc.engine import (
     RunLog,
@@ -353,6 +354,12 @@ def _xi200x10(policy: str) -> Scenario:
         ),
         (_xi200x10("wosc"), "8f04d7514c73e966"),
         (_xi200x10("pssf"), "d83f671544a67037"),
+        # 8 of 10 intervals overloaded, 32 hogs migrated: the only pinned
+        # run that reads the clusters and moves hogs.
+        (
+            dataclasses.replace(_xi200x10("oscmc"), congestion_threshold_frac=0.01),
+            "509728d206fbb014",
+        ),
         # Forecast groups of 8, 8 and 7 VMs draw 8, 8 and 7 samples at the
         # first training pass, so groups of unequal sample count train apart.
         (
@@ -365,7 +372,14 @@ def _xi200x10(policy: str) -> Scenario:
             "895ee9e777d22c6d",
         ),
     ],
-    ids=["xi200x10", "per_vm_models", "xi200x10-wosc", "xi200x10-pssf", "unequal_groups"],
+    ids=[
+        "xi200x10",
+        "per_vm_models",
+        "xi200x10-wosc",
+        "xi200x10-pssf",
+        "xi200x10-overload",
+        "unequal_groups",
+    ],
 )
 def test_output_bytes_are_pinned(sc, digest):
     # Recorded before forecasting became bandwidth-only; any change to the
@@ -434,6 +448,9 @@ def small_scenarios(draw):
         clusters=draw(st.integers(1, 4)),
         kmeans_restarts=draw(st.integers(1, 2)),
         malicious_vm_threshold=draw(st.integers(1, 3)),
+        # At 0.0 any interval whose observed bandwidth exceeds its forecast
+        # is overloaded, so unless placement is pinned, hogs move.
+        congestion_threshold_frac=draw(st.sampled_from([0.0, 0.01, 0.10])),
         pin_placement=draw(st.booleans()),
         scripted_links=scripted,
     )
@@ -448,6 +465,29 @@ REPORT_FIELDS = (
     "malicious_link_set",
     "coverage",
 )
+
+
+def _powered(sim):
+    """The servers that host a VM or are reserved for hogs."""
+    return {
+        sid
+        for sid, server in sim.servers.items()
+        if server.reserved_for_hogs or sim.placement.vms_on(sid)
+    }
+
+
+def _record_powered_before_quarantine(sim):
+    """Wrap ``sim._apply_quarantine`` to note the powered servers just
+    before it, as the interval's snapshot saw them, by interval."""
+    apply = sim._apply_quarantine
+    seen = {}
+
+    def recording(directive, t):
+        seen[t] = _powered(sim)
+        apply(directive, t)
+
+    sim._apply_quarantine = recording
+    return seen
 
 
 def _check_detection_against_all_live_links(sim):
@@ -484,6 +524,16 @@ def _check_detection_against_all_live_links(sim):
 # The walkthrough always raises cascades, so the detection oracle above
 # always sees a relay's outgoing links.
 @example(load_scenario("illustration"))
+# Trained on one sample a step, a network grows weights that saturate its
+# sigmoid (exp overflows) on windows outside its training bounds.
+@example(
+    Scenario(
+        servers=3, vms=13, malicious_user_pct=0.0, intervals=6, seed=452,
+        server_cpu=4000.0, server_mem=4096.0, server_bw=20000.0, reserved_per=0,
+        benign_link_rate=0.0, attack_colocated_rate=0.0, attack_remote_rate=0.0,
+        cross_user_auth_rate=0.0, window=2, hidden=1, epochs=1, train_sample=1,
+    )
+)
 def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
     """Each small scenario fails validation, stops with the exit-3 errors or
     runs to completion; while it runs, the unauthorised set classified at
@@ -497,8 +547,14 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
     try:
         sim = Simulation(sc)
         checked = _check_detection_against_all_live_links(sim)
+        before_quarantine = _record_powered_before_quarantine(sim)
         for t in range(sc.intervals):
             sim.step(t)
+            m = sim.log.metrics[-1]
+            # Quarantine runs after the snapshot and may empty a server.
+            powered = before_quarantine.pop(t) if t in before_quarantine else _powered(sim)
+            assert m.active_server_count == len(powered)
+            assert set(m.ru_per_server) == powered
             assert sim.unauthorised == {
                 link for link in sim.live if classify_link(link, sim.ivcl)
             }
@@ -523,6 +579,34 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
     assert not sim.unauthorised
     assert len(result.metrics) == sc.intervals
     assert len(checked) == (sc.intervals if sc.policy == "oscmc" else 0)
+
+
+@pytest.mark.parametrize(
+    "threshold, pinned, calls",
+    [(0.10, False, 0), (0.01, False, 8), (0.01, True, 0)],
+    ids=["default", "overload", "overload-pinned"],
+)
+def test_kmeans_runs_only_when_an_overload_reads_it(monkeypatch, threshold, pinned, calls):
+    kmeans, detect_congestion = oscmc.engine.kmeans, oscmc.engine.detect_congestion
+    clustered, overloaded = [], []
+
+    def counting_kmeans(*args, **kwargs):
+        clustered.append(args)
+        return kmeans(*args, **kwargs)
+
+    def counting_congestion(*args, **kwargs):
+        state = detect_congestion(*args, **kwargs)
+        overloaded.append(state.value == 1)
+        return state
+
+    monkeypatch.setattr(oscmc.engine, "kmeans", counting_kmeans)
+    monkeypatch.setattr(oscmc.engine, "detect_congestion", counting_congestion)
+    sc = dataclasses.replace(
+        _xi200x10("oscmc"), congestion_threshold_frac=threshold, pin_placement=pinned
+    )
+    run(sc)
+    assert len(clustered) == calls
+    assert sum(overloaded) == (0 if threshold == 0.10 else 8)
 
 
 def test_one_bandwidth_model_per_forecast_group():
@@ -560,12 +644,12 @@ def reference_perf_samples(sim, t, active):
     load = {}
     for vm in active:
         sid = sim.placement.server_of(vm)
-        load[sid] = load.get(sid, 0.0) + sim.usage[t, sim.vm_index[vm], 2]
+        load[sid] = load.get(sid, 0.0) + sim.usage[t, vm - 1, 2]
     for vm in active:
         sid = sim.placement.server_of(vm)
         cap = sim.servers[sid].capacity.bw
         scale = 1.0 if load[sid] <= cap or load[sid] == 0 else cap / load[sid]
-        delivered = sim.usage[t, sim.vm_index[vm], 2] * scale
+        delivered = sim.usage[t, vm - 1, 2] * scale
         nominal = sim.vms[vm].demand.bw
         frac = delivered / nominal if nominal > 0 else 1.0
         perf[vm] = (frac, delivered)

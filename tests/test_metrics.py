@@ -1,10 +1,13 @@
 """Utilisation, power and traffic-health metric tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscmc.allocator import rebalance
 from oscmc.metrics import (
     EmptyDataCenterError,
     InactiveServerError,
@@ -24,9 +27,9 @@ from oscmc.monitor import Ivcl
 
 
 def make_dc(n_servers, cpu=2000.0, mem=2048.0, bw=10000.0):
+    """Servers that are powered only while they host a VM (none reserved)."""
     servers = {
-        sid: Server(sid, ResourceVector(cpu, mem, bw), active=True)
-        for sid in range(1, n_servers + 1)
+        sid: Server(sid, ResourceVector(cpu, mem, bw)) for sid in range(1, n_servers + 1)
     }
     return servers, Placement(servers)
 
@@ -38,8 +41,7 @@ def test_ru_server_fractions():
 
 
 def test_ru_server_inactive_raises():
-    servers, p = make_dc(1)
-    servers[1].active = False
+    servers, p = make_dc(1)  # hosts nothing and is not reserved
     with pytest.raises(InactiveServerError, match="inactive server"):
         ru_server(servers[1], p)
 
@@ -53,15 +55,12 @@ def test_ru_dc_mean_over_resources_and_servers():
 
 def test_ru_dc_skips_inactive_servers():
     servers, p = make_dc(2, cpu=100.0, mem=100.0, bw=100.0)
-    p.assign(1, ResourceVector(50.0, 50.0, 50.0), 1)
-    servers[2].active = False
+    p.assign(1, ResourceVector(50.0, 50.0, 50.0), 1)  # server 2 hosts nothing
     assert ru_dc(servers, p) == pytest.approx(0.5)
 
 
 def test_ru_dc_empty_raises():
-    servers, p = make_dc(2)
-    for s in servers.values():
-        s.active = False
+    servers, p = make_dc(2)  # no VM, no reserved server
     with pytest.raises(EmptyDataCenterError, match="empty data center"):
         ru_dc(servers, p)
 
@@ -77,12 +76,27 @@ def test_power_three_servers_at_half_utilisation():
 
 def test_power_boundaries():
     servers, p = make_dc(1, cpu=100.0, mem=100.0, bw=100.0)
-    # Active but empty: utilisation 0 -> idle draw only.
-    assert power_server(servers[1], p) == pytest.approx(70.0)
+    reserved = dataclasses.replace(servers[1], reserved_for_hogs=True)
+    # Reserved but empty: utilisation 0 -> idle draw only.
+    assert power_server(reserved, p) == pytest.approx(70.0)
+    assert power_server(servers[1], p) == 0.0  # empty and not reserved: off
     p.assign(1, ResourceVector(100.0, 100.0, 100.0), 1)
     assert power_server(servers[1], p) == pytest.approx(215.0)  # (250-105)*1 + 70
-    servers[1].active = False
+    p.remove(1)
     assert power_server(servers[1], p) == 0.0
+
+
+def test_metrics_read_activity_from_the_placement_they_get():
+    """No call between a rebalance and the metrics: the drained server is off."""
+    servers, p = make_dc(2, cpu=100.0, mem=100.0, bw=100.0)
+    p.assign(1, ResourceVector(10.0, 10.0, 10.0), 1)
+    p.assign(2, ResourceVector(60.0, 60.0, 60.0), 2)
+    result = rebalance(-1, p, servers)
+    assert result.emptied_servers == [1]
+    assert power_dc(servers, result.placement) == pytest.approx(171.5)  # 145*0.7 + 70
+    assert ru_dc(servers, result.placement) == pytest.approx(0.70)
+    # The input placement still has both servers hosting.
+    assert power_dc(servers, p) == pytest.approx(241.5)
 
 
 def test_power_cpu_mode_uses_cpu_fraction_only():
@@ -121,8 +135,7 @@ def test_authorized_link_pct():
 
 def test_snapshot_bundles_interval_metrics():
     servers, p = make_dc(2, cpu=100.0, mem=100.0, bw=100.0)
-    p.assign(1, ResourceVector(50.0, 50.0, 50.0), 1)
-    servers[2].active = False
+    p.assign(1, ResourceVector(50.0, 50.0, 50.0), 1)  # server 2 hosts nothing
     ivcl = Ivcl()
     ivcl.grant(1, 2)
     m = snapshot(
@@ -180,8 +193,13 @@ def reference_hogs(observed_bw, predicted_bw, threshold):
     return count
 
 
+def powered(servers, placement):
+    """The activity rule, stated here: hosting a VM or reserved for hogs."""
+    return [sid for sid, s in servers.items() if s.reserved_for_hogs or placement.vms_on(sid)]
+
+
 def reference_snapshot(servers, placement, observed_bw, predicted_bw, threshold, mode):
-    per_server = {sid: ru_server(s, placement) for sid, s in servers.items() if s.active}
+    per_server = {sid: ru_server(servers[sid], placement) for sid in powered(servers, placement)}
     if not per_server:
         raise EmptyDataCenterError("empty data center")
     total = 0.0
@@ -216,9 +234,9 @@ def fleets(draw):
     servers, caps = [], {}
     for sid in ids:
         idle, low, high = sorted(draw(st.lists(st.floats(0.0, 500.0), min_size=3, max_size=3)))
-        on = draw(st.sampled_from([True, True, True, False]))
+        reserved = draw(st.booleans())
         caps[sid] = draw(triples)
-        servers.append((sid, caps[sid], idle, low, high, on))
+        servers.append((sid, caps[sid], idle, low, high, reserved))
     vms = []
     for _ in range(draw(st.integers(0, 24))):
         sid = draw(st.sampled_from(ids))
@@ -232,8 +250,11 @@ def fleets(draw):
 
 def _build(fleet):
     servers = {
-        sid: Server(sid, ResourceVector(*cap), pw_max=high, pw_min=low, pw_idle=idle, active=on)
-        for sid, cap, idle, low, high, on in fleet["servers"]
+        sid: Server(
+            sid, ResourceVector(*cap), pw_max=high, pw_min=low, pw_idle=idle,
+            reserved_for_hogs=reserved,
+        )
+        for sid, cap, idle, low, high, reserved in fleet["servers"]
     }
     placement = Placement(servers)
     for vm, (demand, sid) in enumerate(fleet["vms"], start=1):
@@ -264,11 +285,12 @@ _EDGES = dict(
 @example(_EDGES, {1: 5.0}, {}, 0.5, "mean")
 def test_array_snapshot_equals_per_server_reference(fleet, observed, predicted, threshold, mode):
     servers, placement = _build(fleet)
-    for flip in (False, True):  # a second call reuses the per-server constants
-        if flip:
-            for server in servers.values():
-                server.active = not server.active
-        if not any(s.active for s in servers.values()):
+    for second in (False, True):  # a second call reuses the per-server constants
+        if second:
+            # Half the VMs leave, so some servers go from powered to off.
+            for vm in sorted(placement.vm_ids)[::2]:
+                placement.remove(vm)
+        if not powered(servers, placement):
             with pytest.raises(EmptyDataCenterError):
                 snapshot(0, servers, placement, observed, predicted, 0, 0, threshold, mode)
             with pytest.raises(EmptyDataCenterError):

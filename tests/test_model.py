@@ -14,7 +14,6 @@ from oscmc.model import (
     Server,
     Vm,
     admit_vm,
-    sync_active,
 )
 
 
@@ -132,17 +131,22 @@ def test_co_located():
     assert not p.co_located(1, 99)
 
 
-def test_sync_active_follows_occupancy_and_reservation():
-    servers = make_servers(3, reserved={3})
+def test_occupied_follows_hosted_vms_by_row():
+    # Rows follow the servers dict's order, not the ids.
+    servers = {sid: make_servers(3, reserved={3})[sid] for sid in (3, 1, 2)}
     p = Placement(servers)
     p.assign(1, ResourceVector(1.0, 1.0, 1.0), 1)
-    sync_active(servers, p)
-    assert servers[1].active
-    assert not servers[2].active
-    assert servers[3].active  # reserved servers stay powered
+    # Reservation is not occupancy: metrics adds it to the activity rule.
+    assert p.occupied().tolist() == [False, True, False]
+    clone = p.copy()
+    clone.move(1, 2)
+    assert clone.occupied().tolist() == [False, False, True]
+    assert p.occupied().tolist() == [False, True, False]
+    p.occupied()[1] = False  # a fresh array each call
+    assert p.occupied().tolist() == [False, True, False]
     p.remove(1)
-    sync_active(servers, p)
-    assert not servers[1].active
+    assert p.occupied().tolist() == [False, False, False]
+    assert clone.occupied().tolist() == [False, False, True]
 
 
 def test_placement_random_mutations_never_violate_capacity():

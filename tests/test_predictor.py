@@ -9,6 +9,7 @@ from oscmc.predictor import (
     CongestionState,
     InsufficientHistoryError,
     PredictorModel,
+    _sigmoid,
     detect_congestion,
     gradient_check,
     make_windows,
@@ -55,6 +56,12 @@ def test_degenerate_bounds_fall_back_to_identity():
     x = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(model._norm(x), x)
     assert model._denorm(0.5) == 0.5
+
+
+def test_sigmoid_saturates_without_an_overflow_warning():
+    # pytest turns a RuntimeWarning into an error.
+    z = np.array([-1000.0, 0.0, 1000.0])
+    assert _sigmoid(z).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_training_loss_decreases_monotonically_in_trace_tail():
