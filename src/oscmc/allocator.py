@@ -91,12 +91,10 @@ def kmeans(
     )
 
 
-def first_fit(placement: Placement, demand: ResourceVector, scan, rows=None, skip=None):
-    """The first server in ``scan`` order that can host ``demand``, if any,
-    passing over position ``skip``; ``rows`` is ``placement.rows(scan)``."""
+def first_fit(placement: Placement, demand: ResourceVector, scan, rows=None):
+    """The first server in ``scan`` order that can host ``demand``, if any;
+    ``rows`` is ``placement.rows(scan)``."""
     ok = placement.fit_mask(demand, placement.rows(scan) if rows is None else rows)
-    if skip is not None:
-        ok[skip] = False
     return scan[int(ok.argmax())] if ok.any() else None
 
 
@@ -143,12 +141,6 @@ class RebalanceResult:
     residual_hogs: list[int] = field(default_factory=list)
 
 
-def _mean_utilisation(placement: Placement, sid: int) -> float:
-    used = placement.used(sid).as_tuple()
-    cap = placement.capacity(sid).as_tuple()
-    return sum(u / c if c > 0 else 0.0 for u, c in zip(used, cap)) / 3.0
-
-
 def rebalance(
     state: int,
     placement: Placement,
@@ -188,30 +180,44 @@ def rebalance(
         return result
 
     # Underload: consolidate.  Moves only go to non-empty ordinary servers,
-    # so the target list shrinks only by the servers drained.
+    # so the target list shrinks only by the servers drained.  A candidate
+    # is tried on an overlay of its targets' free units; only a drain moves.
     ordinary = sorted(
         sid for sid, s in servers.items() if not s.reserved_for_hogs and p.vms_on(sid)
     )
     rows = p.rows(ordinary)
-    by_load = sorted(ordinary, key=lambda sid: (_mean_utilisation(p, sid), sid))
-    for sid in by_load:
+    used, cap = p.used_array(rows), p.capacity_array(rows)
+    fractions = np.divide(used, cap, out=np.zeros_like(used), where=cap > 0)
+    # Mean utilisation with Python's sum per server: from Python 3.12 it
+    # compensates and numpy's does not, so numpy could reorder candidates.
+    load = [total / 3.0 for total in map(sum, fractions.tolist())]
+    fitting = {}  # demand units -> the ordinary servers that fit them, by id
+    for _load, sid in sorted(zip(load, ordinary)):
         if len(result.emptied_servers) >= max_consolidations:
             break
-        skip = ordinary.index(sid)
-        moves = []
+        overlay, moves = {}, []
         for vm_id in sorted(p.vms_on(sid), key=lambda v: (-p.demand_of(v).bw, v)):
-            target = first_fit(p, p.demand_of(vm_id), ordinary, rows, skip)
+            units = p.demand_units(vm_id)
+            if units not in fitting:
+                ok = np.flatnonzero(p.fit_mask(p.demand_of(vm_id), rows)).tolist()
+                fitting[units] = [ordinary[i] for i in ok]
+            # The first fit in id order: the first server this trial left
+            # untouched, or a target of this trial with room left, if lower.
+            target = next((t for t in fitting[units] if t != sid and t not in overlay), None)
+            for t, free in overlay.items():
+                if (target is None or t < target) and all(map(int.__le__, units, free)):
+                    target = t
             if target is None:
-                # Undo in reverse: integer sums restore every load exactly,
-                # so each VM fits back where it came from.
-                for moved_vm, origin, _t in reversed(moves):
-                    p.move(moved_vm, origin)
                 break
-            p.move(vm_id, target)
+            free = overlay[target] if target in overlay else p.free_units(target)
+            overlay[target] = tuple(map(int.__sub__, free, units))
             moves.append((vm_id, sid, target))
         else:
+            for vm_id, _sid, target in moves:
+                p.move(vm_id, target)
             result.moved.extend(moves)
             result.emptied_servers.append(sid)
             ordinary.remove(sid)
             rows = p.rows(ordinary)
+            fitting.clear()
     return result

@@ -44,7 +44,7 @@ from .allocator import (
     kmeans,
     rebalance,
 )
-from .metrics import METRICS_CSV_HEADER, IntervalMetrics, snapshot
+from .metrics import METRICS_CSV_HEADER, EmptyDataCenterError, IntervalMetrics, snapshot
 from .model import (
     GuaranteedThreshold,
     Placement,
@@ -774,17 +774,21 @@ class Simulation:
         self.log.reports.append(report)
         self.detected_cum |= report.malicious_vms
 
-        m = snapshot(
-            t,
-            self.servers,
-            self.placement,
-            observed,
-            predicted,
-            len(self.live),
-            len(self.unauthorised),
-            hog_threshold=sc.hog_threshold,
-            power_mode=sc.power_mode,
-        )
+        try:
+            m = snapshot(
+                t,
+                self.servers,
+                self.placement,
+                observed,
+                predicted,
+                len(self.live),
+                len(self.unauthorised),
+                hog_threshold=sc.hog_threshold,
+                power_mode=sc.power_mode,
+            )
+        except EmptyDataCenterError:
+            msg = "interval %d: every VM is suspended and no server is powered"
+            raise SimulationError(msg % t) from None
         m.theta_col = len(report.colocation)
         m.theta_cas = len(report.cascading)
         m.theta_vul = len(report.vulnerability)

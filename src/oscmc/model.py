@@ -182,6 +182,14 @@ class Placement:
     def capacity(self, server_id: int) -> ResourceVector:
         return _from_units(tuple(self._cap[self._row[server_id]].tolist()))
 
+    def capacity_array(self, rows: np.ndarray) -> np.ndarray:
+        """``capacity`` of the servers of ``rows`` as an ``(n, 3)`` float array."""
+        return _from_units_array(self._cap[rows])
+
+    def free_units(self, server_id: int) -> tuple[int, int, int]:
+        """A server's free capacity in the integer micro-units of every sum."""
+        return tuple(self._free[self._row[server_id]].tolist())
+
     def occupied(self) -> np.ndarray:
         """Whether each row's server hosts at least one VM, in row order."""
         hosts = self._server_to_vms.values()
@@ -207,6 +215,10 @@ class Placement:
 
     def demand_of(self, vm_id: int) -> ResourceVector:
         return self._demand[vm_id][0]
+
+    def demand_units(self, vm_id: int) -> tuple[int, int, int]:
+        """A placed VM's demand in the micro-units of ``free_units``."""
+        return tuple(self._demand[vm_id][1].tolist())
 
     @property
     def vm_ids(self) -> frozenset[int]:

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oscmc.allocator import (
@@ -326,3 +326,130 @@ def test_sparse_unsorted_server_ids_behave_as_relabelled_fleet(
                 if clone.fits(target, demands[0]):
                     clone.move(vm, target)
     assert {s: (p.used(s), [p.fits(s, d) for d in demands]) for s in servers} == before
+
+
+def reference_consolidate(placement, servers, max_consolidations=2):
+    """The underload branch of ``rebalance`` as a move-and-undo loop: the
+    ordinary servers, least utilised first, each move their VMs one at a
+    time to the first other server that fits, and move them back when a
+    later one fits nowhere.  Returns (placement, moved, emptied)."""
+    p = placement.copy()
+    moved, emptied = [], []
+
+    def mean_utilisation(sid):
+        used, cap = p.used(sid).as_tuple(), p.capacity(sid).as_tuple()
+        return sum(u / c if c > 0 else 0.0 for u, c in zip(used, cap)) / 3.0
+
+    ordinary = sorted(
+        sid for sid, s in servers.items() if not s.reserved_for_hogs and p.vms_on(sid)
+    )
+    for sid in sorted(ordinary, key=lambda sid: (mean_utilisation(sid), sid)):
+        if len(emptied) >= max_consolidations:
+            break
+        if emptied:
+            event("a trial after a drain")
+        moves = []
+        for vm_id in sorted(p.vms_on(sid), key=lambda v: (-p.demand_of(v).bw, v)):
+            demand = p.demand_of(vm_id)
+            target = next((t for t in ordinary if t != sid and p.fits(t, demand)), None)
+            if target is None:
+                if moves:
+                    event("a later VM of a candidate fits nowhere")
+                for moved_vm, origin, _t in reversed(moves):
+                    p.move(moved_vm, origin)
+                break
+            if any(t == target for _vm, _o, t in moves):
+                event("two VMs of a candidate on one target")
+            p.move(vm_id, target)
+            moves.append((vm_id, sid, target))
+        else:
+            moved.extend(moves)
+            emptied.append(sid)
+            ordinary.remove(sid)
+    return p, moved, emptied
+
+
+# Capacities that fit a few flavors each, so that a candidate's VMs can
+# share a target.
+_ROOMY = st.sampled_from([0.9, 1.3, 1.7, 2.1])
+
+
+@st.composite
+def consolidation_fleets(draw):
+    """Up to 12 servers with sparse ids in unsorted order, some reserved for
+    hogs, decimal capacities and flavors, and an assign/move history."""
+    ids = draw(st.lists(st.integers(1, 99), min_size=2, max_size=12, unique=True))
+    reserved = draw(st.sets(st.sampled_from(ids), max_size=2))
+    servers = {
+        sid: Server(
+            id=sid,
+            capacity=ResourceVector(*draw(st.tuples(_ROOMY, _ROOMY, _ROOMY))),
+            reserved_for_hogs=sid in reserved,
+        )
+        for sid in ids
+    }
+    flavors = draw(st.lists(st.tuples(_DECIMAL, _DECIMAL, _DECIMAL), min_size=1, max_size=4))
+    p = Placement(servers)
+    for kind, vm, flavor, sid in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["assign", "assign", "move"]),
+                st.integers(0, 24),  # VM id
+                st.integers(0, len(flavors) - 1),
+                st.sampled_from(ids),
+            ),
+            min_size=10,
+            max_size=60,
+        )
+    ):
+        demand = ResourceVector(*flavors[flavor])
+        if kind == "assign" and p.server_of(vm) is None and p.fits(sid, demand):
+            p.assign(vm, demand, sid)
+        elif kind == "move" and p.server_of(vm) is not None and p.fits(sid, p.demand_of(vm)):
+            p.move(vm, sid)
+    return servers, p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fleet=consolidation_fleets(), max_consolidations=st.integers(0, 3))
+def test_consolidation_matches_move_and_undo_reference(fleet, max_consolidations):
+    """``rebalance(-1)`` drains the same servers, records the same moves and
+    leaves every VM and every server's load as the move-and-undo loop."""
+    servers, p = fleet
+    want, moved, emptied = reference_consolidate(p, servers, max_consolidations)
+    got = rebalance(-1, p, servers, max_consolidations=max_consolidations)
+    assert got.moved == moved
+    assert got.emptied_servers == emptied
+    assert {vm: got.placement.server_of(vm) for vm in p.vm_ids} == {
+        vm: want.server_of(vm) for vm in p.vm_ids
+    }
+    assert {s: got.placement.used(s) for s in servers} == {s: want.used(s) for s in servers}
+    assert got.placement.capacity_ok()
+
+
+def test_consolidation_scans_once_per_demand_and_moves_nothing_it_keeps(monkeypatch):
+    """No server can drain, and the VMs take two flavors: one underload call
+    scans the fleet once per flavor and makes no move, tentative or kept."""
+    calls = {"fit_mask": 0, "move": 0}
+    for name in calls:
+        original = getattr(Placement, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Placement, name, counting)
+
+    servers = make_servers(8, cpu=1000.0)
+    p = Placement(servers)
+    large, small = ResourceVector(500.0, 1.0, 2.0), ResourceVector(300.0, 1.0, 1.0)
+    vm = 0
+    for sid in servers:
+        # Servers 1-4 are full with two large VMs; 5-8 hold a large and a
+        # small VM (200 free) or, on 8, two small VMs (400 free).
+        for demand in ((large, large) if sid <= 4 else (large, small) if sid < 8 else (small, small)):
+            vm += 1
+            p.assign(vm, demand, sid)
+    result = rebalance(-1, p, servers)
+    assert result.emptied_servers == [] and result.moved == []
+    assert calls == {"fit_mask": 2, "move": 0}

@@ -161,6 +161,23 @@ def test_oversized_vm_is_rejected():
         Simulation(sc)
 
 
+# Four one-VM users link in cross-user pairs with no cross-user grant: the
+# first interval's quarantine suspends all four VMs, and no server is
+# reserved, so none stays powered.
+_ALL_SUSPENDED = Scenario(
+    servers=2, vms=4, users=4, intervals=3, malicious_user_pct=0,
+    reserved_per=0, cross_user_auth_rate=0,
+    scripted_links={0: [(1, 2), (2, 1), (3, 4), (4, 3)]},
+)
+
+
+def test_run_with_every_vm_suspended_stops_with_simulation_error():
+    """With no server powered the next snapshot has no mean to take; the run
+    stops with the exit-3 error naming the interval, not a metrics error."""
+    with pytest.raises(SimulationError, match="interval 1: every VM is suspended"):
+        run(_ALL_SUSPENDED)
+
+
 def test_run_preserves_vm_conservation_and_capacity():
     sc = small_scenario()
     sim = Simulation(sc)
@@ -534,6 +551,8 @@ def _check_detection_against_all_live_links(sim):
         cross_user_auth_rate=0.0, window=2, hidden=1, epochs=1, train_sample=1,
     )
 )
+# Quarantine suspends every VM, so the run stops with SimulationError.
+@example(_ALL_SUSPENDED)
 def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
     """Each small scenario fails validation, stops with the exit-3 errors or
     runs to completion; while it runs, the unauthorised set classified at
