@@ -156,10 +156,12 @@ def rebalance(
     utilised ordinary servers by first-fit-decreasing their VMs onto the
     remaining active ordinary servers, deactivating servers that drain
     completely; a server that cannot drain completely is left untouched.
-    Steady (0): no change.  The input placement is never mutated.
+    Steady (0): no change.  The input placement is never mutated: it is
+    copied at the first move, so ``result.placement`` is the input itself
+    when nothing moves.
     """
-    result = RebalanceResult(placement.copy())
-    p = result.placement
+    result = RebalanceResult(placement)
+    p = placement
 
     if state == 0:
         return result
@@ -175,6 +177,8 @@ def rebalance(
             if target is None:
                 result.residual_hogs.append(vm_id)
             else:
+                if p is placement:
+                    p = result.placement = placement.copy()
                 p.move(vm_id, target)
                 result.moved.append((vm_id, origin, target))
         return result
@@ -213,6 +217,8 @@ def rebalance(
             overlay[target] = tuple(map(int.__sub__, free, units))
             moves.append((vm_id, sid, target))
         else:
+            if p is placement:
+                p = result.placement = placement.copy()
             for vm_id, _sid, target in moves:
                 p.move(vm_id, target)
             result.moved.extend(moves)

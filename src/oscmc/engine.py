@@ -33,6 +33,7 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -116,13 +117,13 @@ def pssf_place(
 def inject_malicious_behavior(
     interval: int,
     placement: Placement,
-    malicious_vms: list[int],
-    benign_vms: list[int],
+    malicious_vms,
+    benign_vms,
     suspended: set[int],
     colocated_rate: float,
     remote_rate: float,
     rng: np.random.Generator,
-    kept: tuple[list[int], set[int]] | None = None,
+    kept=None,
 ) -> list[tuple[int, int]]:
     """Attack links for one interval: each hostile VM may probe one
     co-located benign VM and one benign VM on another server.
@@ -131,42 +132,68 @@ def inject_malicious_behavior(
     results, keeping the random stream aligned across policies; intents of
     suspended VMs are discarded after drawing.  All are drawn in one call,
     which equals one call of four per VM.  ``kept`` is ``benign_vms``
-    without the suspended VMs, as a list and its set, from a caller that
-    keeps them up to date; without it they are built here.
+    without the suspended VMs, from a caller that keeps it up to date;
+    without it, it is built here.  VM ids are distinct and non-negative,
+    given as sequences or int arrays.
+
+    The co-located victim is the drawn one of the unsuspended benign VMs on
+    the attacker's server, by id, the attacker excluded.  The remote victim
+    is the unsuspended benign VM at the drawn start when it sits on another
+    server, else the first one after it that does, wrapping around.  Links
+    come in attacker order, each attacker's co-located link first.
     """
+    hostile = np.asarray(malicious_vms, dtype=np.intp)
+    draws = rng.random((hostile.size, 4))
     if kept is None:
-        benign_alive = [v for v in benign_vms if v not in suspended]
-        kept = (benign_alive, set(benign_alive))
-    benign_alive, benign_set = kept
-    links: list[tuple[int, int]] = []
-    draws = rng.random((len(malicious_vms), 4)).tolist()
-    for vm, (u1, u2, u3, u4) in zip(malicious_vms, draws):
-        if vm in suspended:
-            continue
-        host = placement.server_of(vm)
-        if host is None:
-            continue
-        if u1 < colocated_rate:
-            local = [
-                v
-                for v in sorted(placement.vms_on(host))
-                if v != vm and v in benign_set
-            ]
-            if local:
-                links.append((vm, local[int(u2 * len(local)) % len(local)]))
-        if u3 < remote_rate and benign_alive:
-            start = int(u4 * len(benign_alive)) % len(benign_alive)
-            for off in range(len(benign_alive)):
-                cand = benign_alive[(start + off) % len(benign_alive)]
-                if cand != vm and placement.server_of(cand) != host:
-                    links.append((vm, cand))
-                    break
-    return links
+        kept = [v for v in benign_vms if v not in suspended]
+    alive = np.asarray(kept, dtype=np.intp)
+    host = placement.host_rows(hostile)
+    acts = host >= 0
+    if suspended:
+        acts &= ~np.isin(hostile, list(suspended))
+    col = np.flatnonzero(acts & (draws[:, 0] < colocated_rate))
+    rem = np.flatnonzero(acts & (draws[:, 2] < remote_rate) & (alive.size > 0))
+    if not (col.size or rem.size):
+        return []
+    alive_rows = placement.host_rows(alive)
+
+    # Co-located: the placed unsuspended benign VMs by (row, id), a run per
+    # row, searched by the key row * span + id.
+    on = alive_rows >= 0
+    span = int(max(alive.max(initial=0), hostile.max(initial=0))) + 1
+    keys = np.sort(alive_rows[on] * span + alive[on])
+    row_key = host[col] * span
+    lo = np.searchsorted(keys, row_key)
+    at = np.searchsorted(keys, row_key + hostile[col])
+    own = np.isin(hostile[col], alive)  # the attacker is in its row's run
+    n = np.searchsorted(keys, row_key + span) - lo - own
+    has = n > 0
+    col, lo, at, own, n = col[has], lo[has], at[has], own[has], n[has]
+    pick = lo + (draws[col, 1] * n).astype(np.int64) % n
+    col_dst = keys[pick + (own & (pick >= at))] - row_key[has]
+
+    # Remote: the drawn start when it sits on another row (so it is not the
+    # attacker), else a scan on from it.
+    start = (draws[rem, 3] * alive.size).astype(np.int64) % max(alive.size, 1)
+    rem_dst = alive[start]
+    missed = alive_rows[start] == host[rem]
+    if missed.any():
+        ring_rows = alive_rows.tolist()
+        for j in np.flatnonzero(missed).tolist():
+            row, at0 = host.item(rem[j]), start.item(j)
+            scan = chain(range(at0 + 1, alive.size), range(at0))
+            i = next((i for i in scan if ring_rows[i] != row), None)
+            rem_dst[j] = -1 if i is None else alive[i]
+    found = rem_dst >= 0
+    src = np.concatenate([col, rem[found]])
+    dst = np.concatenate([col_dst, rem_dst[found]])
+    order = np.argsort(src, kind="stable")  # co-located before remote
+    return list(zip(hostile[src[order]].tolist(), dst[order].tolist()))
 
 
 def benign_links(
     placement: Placement,
-    benign_vms: list[int],
+    benign_vms,
     suspended: set[int],
     ivcl: Ivcl,
     rate: float,
@@ -177,38 +204,34 @@ def benign_links(
     first placed, unsuspended one from there on, wrapping around.
 
     Two draws per VM always, all in one call, which equals one call of two
-    per VM.
+    per VM.  ``benign_vms`` is a sequence or an int array of registered VMs.
     """
-    draws = rng.random((len(benign_vms), 2))
+    benign = np.asarray(benign_vms, dtype=np.intp)
+    draws = rng.random((benign.size, 2))
     ids, indptr, indices = ivcl.csr()
-    rows = np.searchsorted(ids, benign_vms)
+    rows = np.searchsorted(ids, benign)
     lo = indptr[rows]
     size = indptr[rows + 1] - lo
     opens = (draws[:, 0] < rate) & (size > 0)
     if suspended:
-        opens &= ~np.isin(benign_vms, list(suspended))
+        opens &= ~np.isin(benign, list(suspended))
     which = np.flatnonzero(opens)
     lo, size = lo[which], size[which]
     start = (draws[which, 1] * size).astype(np.int64) % size
+    dst = indices[lo + start].astype(np.intp)
+    usable = placement.host_rows(dst) >= 0
+    if suspended:
+        usable &= ~np.isin(dst, list(suspended))
 
-    def usable(vm: int) -> bool:
+    def usable_vm(vm: int) -> bool:
         return vm not in suspended and placement.server_of(vm) is not None
 
-    links: list[tuple[int, int]] = []
-    for i, cand, row_lo, n, at in zip(
-        which.tolist(),
-        indices[lo + start].tolist(),
-        lo.tolist(),
-        size.tolist(),
-        start.tolist(),
-    ):
-        if not usable(cand):
-            row = indices[row_lo : row_lo + n].tolist()
-            cand = next(filter(usable, row[at + 1 :] + row[:at]), None)
-            if cand is None:
-                continue
-        links.append((benign_vms[i], cand))
-    return links
+    for j in np.flatnonzero(~usable).tolist():
+        row = indices[lo[j] : lo[j] + size[j]].tolist()
+        at = start.item(j)
+        dst[j] = next(filter(usable_vm, row[at + 1 :] + row[:at]), -1)
+    found = dst >= 0
+    return list(zip(benign[which[found]].tolist(), dst[found].tolist()))
 
 
 def with_cross_user_grants(
@@ -437,12 +460,16 @@ class Simulation:
             )
             self.users[owner].vm_ids.add(vm_id)
         self.owners = {vm_id: vm.owner for vm_id, vm in self.vms.items()}
-        self.malicious_vm_ids = sorted(
-            vm_id for vm_id, vm in self.vms.items() if self.users[vm.owner].is_malicious_truth
-        )
-        self.benign_vm_ids = sorted(set(self.vms) - set(self.malicious_vm_ids))
-        # The unsuspended benign VMs, in id order, and their set.
-        self.benign_alive = (list(self.benign_vm_ids), set(self.benign_vm_ids))
+        ids = np.arange(1, sc.vms + 1, dtype=np.intp)
+        truth = (self.users[vm.owner].is_malicious_truth for vm in self.vms.values())
+        hostile = np.fromiter(truth, bool, sc.vms)
+        self.malicious_vm_ids = ids[hostile]
+        self.benign_vm_ids = ids[~hostile]
+        # The unsuspended benign VMs, in id order.
+        self.benign_alive = self.benign_vm_ids.copy()
+        # The int object of each VM id, indexed by id (``self.vms``'s keys),
+        # for live-link keys to share.
+        self.vm_ints = [0, *self.vms]
         # (tp_min, bw_min) per VM, indexed like ``usage``.
         self.guarantees = np.array(
             [(vm.guaranteed.tp_min, vm.guaranteed.bw_min) for _, vm in sorted(self.vms.items())]
@@ -539,7 +566,7 @@ class Simulation:
 
     # -- per-interval helpers --------------------------------------------
 
-    def _cols(self, vms: list[int]) -> np.ndarray:
+    def _cols(self, vms) -> np.ndarray:
         """The ``usage`` column of each of ``vms``: VM ids run from 1 to V,
         so VM ``v`` sits in column ``v - 1``."""
         return np.array(vms, dtype=np.intp) - 1
@@ -592,8 +619,11 @@ class Simulation:
                 windows = self._windows(live, np.full(live.size, t - sc.window + 1))
                 self.predicted[live] = model.predict_batch(windows)
 
-    def _perf_samples(self, t: int, active: list[int]):
-        """Delivered bandwidth share per VM after server-level contention.
+    def _perf_samples(self, t: int, active) -> tuple[np.ndarray, np.ndarray]:
+        """Delivered bandwidth share of each VM of ``active`` after
+        server-level contention, and its guarantee, as ``(n, 2)`` arrays
+        with a row per VM: (throughput fraction, delivered bandwidth) and
+        (tp_min, bw_min).
 
         When a server's observed bandwidth demand exceeds its capacity,
         every hosted VM's delivery scales down proportionally; throughput
@@ -612,9 +642,7 @@ class Simulation:
             scale = np.where((load <= cap) | (load == 0), 1.0, cap / load)
             delivered = demand * scale
             frac = np.where(nominal > 0, delivered / nominal, 1.0)
-        perf = dict(zip(active, zip(frac.tolist(), delivered.tolist())))
-        thresholds = dict(zip(active, map(tuple, self.guarantees[cols].tolist())))
-        return perf, thresholds
+        return np.column_stack((frac, delivered)), self.guarantees[cols]
 
     def _new_links(self, t: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """This interval's new links, in order: those to classify (attacks
@@ -674,12 +702,10 @@ class Simulation:
             self.suspended.add(vm_id)
             self.log.suspended.append(vm_id)
             newly.add(vm_id)
-            alive, alive_set = self.benign_alive
-            if vm_id in alive_set:
-                alive_set.remove(vm_id)
-                alive.remove(vm_id)
             if self.placement.server_of(vm_id) is not None:
                 self.placement.remove(vm_id)
+        if newly:
+            self.benign_alive = self.benign_alive[~np.isin(self.benign_alive, list(newly))]
         # Dropping only counts breaches, so one pass in any order suffices.
         for vm in newly:
             for dst in list(self.outs[vm]):
@@ -687,7 +713,7 @@ class Simulation:
             for src in list(self.ins[vm]):
                 self._drop_link((src, vm), t)
 
-    def _detect(self, t: int, vlams, active: list[int]) -> ThreatReport:
+    def _detect(self, t: int, vlams, active: np.ndarray) -> ThreatReport:
         perf, thresholds = self._perf_samples(t, active)
         colocation = detect_colocation(self.placement, vlams, self.ivcl)
         return build_threat_report(
@@ -696,6 +722,7 @@ class Simulation:
             vlams,
             self.ivcl,
             self.owners,
+            vms=active,
             perf=perf,
             thresholds=thresholds,
             vuln_scores=self.vuln_scores,
@@ -707,9 +734,9 @@ class Simulation:
 
     def step(self, t: int) -> None:
         sc = self.sc
-        # Rebalance moves VMs but never adds or removes one, so this list
-        # holds until quarantine.
-        active = sorted(self.placement.vm_ids)
+        # Rebalance moves VMs but never adds or removes one, so these ids
+        # hold until quarantine.
+        active = self.placement.placed()
         cols = self._cols(active)
         observed = self.usage[t, cols, 2]
         # A copy: training overwrites ``self.predicted``, and the snapshot
@@ -727,7 +754,7 @@ class Simulation:
             self._train_and_predict(t, cols)
             hog_vms: list[tuple[int, float]] = []
             # Only an overload's rebalance reads the clusters.
-            if congestion.value == 1 and not sc.pin_placement and active:
+            if congestion.value == 1 and not sc.pin_placement and active.size:
                 values = self.predicted[cols].tolist()
                 n_clusters = min(sc.clusters, len(values))
                 assignment = kmeans(
@@ -739,7 +766,7 @@ class Simulation:
                 top = assignment.top_cluster()
                 hog_vms = [
                     (vm, value)
-                    for vm, value, label in zip(active, values, assignment.labels)
+                    for vm, value, label in zip(active.tolist(), values, assignment.labels)
                     if label == top
                 ]
             if not sc.pin_placement:
@@ -749,9 +776,13 @@ class Simulation:
                 self.placement = result.placement
 
         checked, authorised = self._new_links(t)
+        # Generated links hold fresh ints; live-link keys share each VM's.
+        ints = self.vm_ints if sc.scripted_links is None else None
         for i, ends in enumerate(checked + authorised):
             if ends in self.live:
                 continue
+            if ints is not None:
+                ends = (ints[ends[0]], ints[ends[1]])
             self.live[ends] = t
             if sc.policy == "oscmc":
                 self.outs[ends[0]].add(ends[1])
@@ -767,7 +798,11 @@ class Simulation:
             watched = set(self.unauthorised)
             for _, relay in self.unauthorised:
                 watched.update((relay, dst) for dst in self.outs[relay])
-            vlams = build_vlams(self.placement, watched, self.servers.keys())
+            # Only the servers hosting a watched endpoint: an empty matrix
+            # adds no event and no observed link.
+            hosts = {self.placement.server_of(vm) for link in watched for vm in link}
+            hosts.discard(None)
+            vlams = build_vlams(self.placement, watched, hosts)
             report = self._detect(t, vlams, active)
         else:
             report = ThreatReport(interval=t)

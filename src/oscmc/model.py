@@ -148,24 +148,33 @@ class Placement:
     """Mutable VM-to-server map that enforces the capacity constraint
     (sum of hosted demands componentwise <= server capacity) on every
     mutation.  Capacity and free capacity are ``int64 (S, 3)`` arrays, a row
-    per server; capacity is read-only and shared by copies."""
+    per server; capacity is read-only and shared by copies.  Who runs where
+    is one array indexed by VM id, holding each VM's server row (-1 when
+    unplaced; VM ids are non-negative), with a VM count per row and each
+    server's VM set as the index of what it hosts."""
 
     def __init__(self, servers: dict[int, Server]):
         cap = [_to_units(s.capacity) for s in servers.values()]
         if any(u > _MAX_UNITS for units in cap for u in units):
             raise ValueError("server capacities must not exceed %g" % MAX_RESOURCE)
         self._row = {sid: row for row, sid in enumerate(servers)}
+        self._sid = tuple(servers)  # server id by row
         self._cap = np.array(cap, dtype=np.int64).reshape(-1, 3)
         self._cap.flags.writeable = False
         self._free = self._cap.copy()
-        self._vm_to_server: dict[int, int] = {}
+        self._host = np.full(0, -1, dtype=np.intp)
+        self._count = np.zeros(len(self._sid), dtype=np.intp)
         self._server_to_vms: dict[int, set[int]] = {sid: set() for sid in servers}
         self._demand: dict[int, tuple[ResourceVector, np.ndarray]] = {}  # and its units
 
     # -- queries ---------------------------------------------------------
 
+    def _host_row(self, vm_id: int) -> int:
+        return self._host.item(vm_id) if 0 <= vm_id < self._host.size else -1
+
     def server_of(self, vm_id: int) -> int | None:
-        return self._vm_to_server.get(vm_id)
+        row = self._host_row(vm_id)
+        return self._sid[row] if row >= 0 else None
 
     def vms_on(self, server_id: int) -> frozenset[int]:
         return frozenset(self._server_to_vms[server_id])
@@ -192,8 +201,7 @@ class Placement:
 
     def occupied(self) -> np.ndarray:
         """Whether each row's server hosts at least one VM, in row order."""
-        hosts = self._server_to_vms.values()
-        return np.fromiter(map(bool, hosts), bool, len(self._server_to_vms))
+        return self._count > 0
 
     def fits(self, server_id: int, demand: ResourceVector) -> bool:
         free = self._free[self._row[server_id]].tolist()
@@ -203,10 +211,18 @@ class Placement:
         """The rows of ``server_ids``, in their order."""
         return np.array([self._row[sid] for sid in server_ids], dtype=np.intp)
 
-    def host_rows(self, vm_ids: list[int]) -> np.ndarray:
-        """The row of each placed VM's server, in the order of ``vm_ids``."""
-        hosts = map(self._vm_to_server.__getitem__, vm_ids)
-        return np.fromiter(map(self._row.__getitem__, hosts), np.intp, len(vm_ids))
+    def host_rows(self, vm_ids) -> np.ndarray:
+        """The row of each VM's server, -1 for an unplaced VM, in the order
+        of ``vm_ids`` (non-negative ids, a sequence or an int array)."""
+        ids = np.asarray(vm_ids, dtype=np.intp)
+        host = self._host
+        if ids.size and ids.max() >= host.size:
+            host = np.concatenate([host, np.full(ids.max() + 1 - host.size, -1, np.intp)])
+        return host[ids]
+
+    def placed(self) -> np.ndarray:
+        """The ids of the placed VMs, ascending, as an int array."""
+        return np.flatnonzero(self._host >= 0)
 
     def fit_mask(self, demand: ResourceVector, rows: np.ndarray) -> np.ndarray:
         """Whether each server of ``rows`` can host ``demand`` (clamped to int64)."""
@@ -222,20 +238,22 @@ class Placement:
 
     @property
     def vm_ids(self) -> frozenset[int]:
-        return frozenset(self._vm_to_server)
+        return frozenset(self.placed().tolist())
 
     @property
     def server_ids(self) -> frozenset[int]:
         return frozenset(self._row)
 
     def co_located(self, a: int, b: int) -> bool:
-        sa = self._vm_to_server.get(a)
-        return sa is not None and sa == self._vm_to_server.get(b)
+        row = self._host_row(a)
+        return row >= 0 and row == self._host_row(b)
 
     # -- mutations -------------------------------------------------------
 
     def assign(self, vm_id: int, demand: ResourceVector, server_id: int) -> None:
-        if vm_id in self._vm_to_server:
+        if vm_id < 0:
+            raise ValueError("VM ids must be non-negative, got %d" % vm_id)
+        if self._host_row(vm_id) >= 0:
             raise CapacityError("VM %d is already placed" % vm_id)
         if server_id not in self._row:
             raise KeyError("unknown server %d" % server_id)
@@ -243,25 +261,36 @@ class Placement:
             raise CapacityError(
                 "placing VM %d on server %d would exceed capacity" % (vm_id, server_id)
             )
+        if vm_id >= self._host.size:
+            grown = np.full(max(vm_id + 1, 2 * self._host.size), -1, dtype=np.intp)
+            grown[: self._host.size] = self._host
+            self._host = grown
         self._place(vm_id, demand, np.array(_to_units(demand), dtype=np.int64), server_id)
 
     def _place(self, vm_id: int, demand: ResourceVector, units, server_id: int) -> None:
-        self._vm_to_server[vm_id] = server_id
+        row = self._row[server_id]
+        self._host[vm_id] = row
+        self._count[row] += 1
         self._server_to_vms[server_id].add(vm_id)
-        self._free[self._row[server_id]] -= units
+        self._free[row] -= units
         self._demand[vm_id] = (demand, units)
 
     def remove(self, vm_id: int) -> int:
         """Unhost a VM; returns the server it was on."""
-        if vm_id not in self._vm_to_server:
+        row = self._host_row(vm_id)
+        if row < 0:
             raise KeyError("VM %d is not placed" % vm_id)
-        server_id = self._vm_to_server.pop(vm_id)
+        server_id = self._sid[row]
+        self._host[vm_id] = -1
+        self._count[row] -= 1
         self._server_to_vms[server_id].discard(vm_id)
-        self._free[self._row[server_id]] += self._demand.pop(vm_id)[1]
+        self._free[row] += self._demand.pop(vm_id)[1]
         return server_id
 
     def move(self, vm_id: int, server_id: int) -> None:
-        origin = self._vm_to_server[vm_id]
+        origin = self.server_of(vm_id)
+        if origin is None:
+            raise KeyError("VM %d is not placed" % vm_id)
         if origin == server_id:
             return
         demand, units = self._demand[vm_id]
@@ -274,9 +303,11 @@ class Placement:
 
     def copy(self) -> "Placement":
         clone = Placement.__new__(Placement)
-        clone._cap, clone._row = self._cap, self._row  # never mutated, safe to share
+        # Never mutated, safe to share.
+        clone._cap, clone._row, clone._sid = self._cap, self._row, self._sid
         clone._free = self._free.copy()
-        clone._vm_to_server = dict(self._vm_to_server)
+        clone._host = self._host.copy()
+        clone._count = self._count.copy()
         clone._server_to_vms = {sid: set(vms) for sid, vms in self._server_to_vms.items()}
         clone._demand = dict(self._demand)
         return clone

@@ -75,6 +75,8 @@ class Ivcl:
             a.flags.writeable = False  # shared by copies
         self._ids, self._indptr, self._indices = ids, indptr, indices
         self._row = dict(zip(ids.tolist(), range(ids.size)))
+        # Views that index to Python ints, for the per-link bisect.
+        self._ptr, self._dsts = memoryview(indptr), memoryview(indices)
 
     def register(self, vm_id: int) -> None:
         if vm_id not in self._row:
@@ -130,9 +132,10 @@ class Ivcl:
             raise UnregisteredVmError("unregistered VM %d" % src)
         if dst not in rows:
             raise UnregisteredVmError("unregistered VM %d" % dst)
-        hi = self._indptr[row + 1]
-        at = bisect_left(self._indices, dst, self._indptr[row], hi)
-        return bool(at < hi and self._indices[at] == dst)
+        ptr, dsts = self._ptr, self._dsts
+        hi = ptr[row + 1]
+        at = bisect_left(dsts, dst, ptr[row], hi)
+        return bool(at < hi and dsts[at] == dst)
 
     @property
     def registered(self) -> frozenset[int]:
@@ -259,28 +262,34 @@ def detect_cascading(
 
 
 def detect_vulnerability(
-    perf: dict[int, tuple[float, float]],
-    thresholds: dict[int, tuple[float, float]],
+    vms,
+    perf: np.ndarray,
+    thresholds: np.ndarray,
     placement: Placement,
     vuln_scores: dict[int, float],
     high_risk_score: float = 7.0,
 ) -> list[VulnerabilityEvent]:
-    """VMs starved below their guaranteed threshold on both indicators.
+    """Placed VMs starved below their guaranteed threshold on both
+    indicators, in VM id order.
 
-    ``perf`` maps vm -> (delivered throughput fraction, delivered bandwidth)
-    over the interval; ``thresholds`` maps vm -> (tp_min, bw_min).  An event
-    fires only when both figures fall below their guarantee, and is flagged
-    high risk when the hosting server's vulnerability score reaches
-    ``high_risk_score``.
+    ``perf`` and ``thresholds`` are ``(n, 2)`` arrays with a row per VM of
+    ``vms``: the delivered throughput fraction and delivered bandwidth over
+    the interval, and the guarantee ``(tp_min, bw_min)``.  Every placed VM
+    needs a row.  An event fires only when both figures fall below their
+    guarantee, and is flagged high risk when the hosting server's
+    vulnerability score reaches ``high_risk_score``.
     """
+    vms = np.asarray(vms, dtype=np.intp)
+    placed = placement.placed()
+    missing = placed[~np.isin(placed, vms)]
+    if missing.size:
+        raise IncompleteTelemetryError("incomplete telemetry for VM %d" % missing[0])
+    below = np.asarray(perf) < np.asarray(thresholds)
+    starved = vms[np.flatnonzero(below[:, 0] & below[:, 1])]
     events = []
-    for vm in sorted(placement.vm_ids):
-        if vm not in perf or vm not in thresholds:
-            raise IncompleteTelemetryError("incomplete telemetry for VM %d" % vm)
-        tp_avl, bw_avl = perf[vm]
-        tp_min, bw_min = thresholds[vm]
-        if tp_avl < tp_min and bw_avl < bw_min:
-            server = placement.server_of(vm)
+    for vm in sorted(starved.tolist()):
+        server = placement.server_of(vm)
+        if server is not None:
             score = vuln_scores.get(server, 0.0)
             events.append(VulnerabilityEvent(vm, server, score >= high_risk_score))
     return events
@@ -373,23 +382,26 @@ def build_threat_report(
     vlams: dict[int, Vlam],
     ivcl: Ivcl,
     owners: dict[int, int],
-    perf: dict[int, tuple[float, float]] | None = None,
-    thresholds: dict[int, tuple[float, float]] | None = None,
+    vms=None,
+    perf: np.ndarray | None = None,
+    thresholds: np.ndarray | None = None,
     vuln_scores: dict[int, float] | None = None,
     min_links: int = 1,
     colocation: list[ColocationEvent] | None = None,
 ) -> ThreatReport:
     """Run the full detection pass for one interval.
 
-    ``colocation`` may carry a precomputed ``detect_colocation`` result;
-    cascades are always joined on the merged observed links.
+    Vulnerability events are raised from ``vms``, ``perf`` and
+    ``thresholds`` as ``detect_vulnerability`` takes them, when all three
+    are given.  ``colocation`` may carry a precomputed ``detect_colocation``
+    result; cascades are always joined on the merged observed links.
     """
     if colocation is None:
         colocation = detect_colocation(placement, vlams, ivcl)
     cascading = cascades_from_colocation(colocation, vlams, placement)
-    if perf is not None and thresholds is not None:
+    if vms is not None and perf is not None and thresholds is not None:
         vulnerability = detect_vulnerability(
-            perf, thresholds, placement, vuln_scores or {}
+            vms, perf, thresholds, placement, vuln_scores or {}
         )
     else:
         vulnerability = []

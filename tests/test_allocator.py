@@ -1,6 +1,7 @@
 """Clustering, placement and rebalancing tests."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -203,6 +204,42 @@ def test_rebalance_underload_is_all_or_nothing():
     assert result.emptied_servers == []
     assert result.placement.server_of(1) == 1
     assert result.placement.server_of(2) == 1
+
+
+def _hosts(p: Placement) -> dict[int, int]:
+    return {vm: p.server_of(vm) for vm in p.vm_ids}
+
+
+def test_rebalance_copies_the_placement_only_at_the_first_move():
+    """A steady state, an underload that drains nothing and an overload with
+    no hog to move return the input itself, uncopied; a drain copies once
+    and leaves the input as it was."""
+    servers = make_servers(3, cpu=1000.0, reserved={3})
+    p = Placement(servers)
+    p.assign(1, ResourceVector(400.0, 1.0, 1.0), 1)
+    p.assign(2, ResourceVector(400.0, 1.0, 1.0), 1)
+    p.assign(3, ResourceVector(500.0, 1.0, 1.0), 2)
+    copy = Placement.copy
+    with mock.patch.object(Placement, "copy", autospec=True, side_effect=copy) as copies:
+        for state, hogs in ((0, None), (-1, None), (1, [(7, 1.0)])):
+            result = rebalance(state, p, servers, hog_vms=hogs)
+            assert result.placement is p and not result.moved
+        assert copies.call_count == 0
+
+        p.remove(3)
+        p.assign(3, ResourceVector(100.0, 1.0, 1.0), 2)
+        before = _hosts(p)
+        result = rebalance(-1, p, servers)
+        assert result.emptied_servers == [2] and result.placement is not p
+        assert copies.call_count == 1
+        assert _hosts(p) == before and _hosts(result.placement) == {1: 1, 2: 1, 3: 1}
+        # Server 2 is empty in the result, as server 3 is in both.
+        assert p.free_units(2) != result.placement.free_units(2) == p.free_units(3)
+
+        # Two hogs move, on one copy.
+        result = rebalance(1, p, servers, hog_vms=[(1, 5.0), (2, 4.0)])
+        assert result.moved == [(1, 1, 3), (2, 1, 3)]
+        assert copies.call_count == 2 and _hosts(p) == before
 
 
 def test_rebalance_underload_respects_max_consolidations():

@@ -81,7 +81,8 @@ def test_simulation_builds_deterministic_population():
     a = Simulation(small_scenario())
     b = Simulation(small_scenario())
     assert a.owners == b.owners
-    assert a.malicious_vm_ids == b.malicious_vm_ids
+    assert a.malicious_vm_ids.tolist() == b.malicious_vm_ids.tolist()
+    assert a.benign_vm_ids.dtype == a.benign_alive.dtype == np.intp
     assert {s: a.servers[s].vulnerability_score for s in a.servers} == {
         s: b.servers[s].vulnerability_score for s in b.servers
     }
@@ -94,7 +95,7 @@ def test_population_respects_fixed_users_and_malicious_list():
     assert sim.users[3].is_malicious_truth
     assert not sim.users[1].is_malicious_truth
     assert sorted(sim.users[3].vm_ids) == [8, 9, 10, 11]
-    assert sim.malicious_vm_ids == [8, 9, 10, 11]
+    assert sim.malicious_vm_ids.tolist() == [8, 9, 10, 11]
 
 
 def test_ivcl_grants_cover_intra_user_pairs():
@@ -213,14 +214,25 @@ def test_detector_never_reads_ground_truth():
     for user in b.users.values():
         user.is_malicious_truth = not user.is_malicious_truth
     # Keep the injection identical by restoring the original attacker list.
-    b.malicious_vm_ids = list(a.malicious_vm_ids)
-    b.benign_vm_ids = list(a.benign_vm_ids)
+    b.malicious_vm_ids = a.malicious_vm_ids.copy()
+    b.benign_vm_ids = a.benign_vm_ids.copy()
     for t in range(sc.intervals):
         a.step(t)
         b.step(t)
         ra, rb = a.log.reports[t], b.log.reports[t]
         assert ra.malicious_vms == rb.malicious_vms
         assert ra.colocation == rb.colocation
+
+
+def test_live_link_keys_share_the_vm_id_objects():
+    """Generated links carry fresh ints; the keys kept in ``live`` reuse the
+    id objects of ``sim.vms``, so a long run holds one int per VM (ids above
+    256 are not interned)."""
+    sim = Simulation(with_policy(small_scenario(servers=200, vms=400, users=40), "wosc"))
+    for t in range(3):
+        sim.step(t)
+    ids = {id(vm) for vm in sim.vms}
+    assert sim.live and all(id(v) in ids for link in sim.live for v in link)
 
 
 def test_oscmc_quarantines_and_wosc_does_not():
@@ -514,6 +526,8 @@ def _check_detection_against_all_live_links(sim):
     checked = []
 
     def checked_detect(t, vlams, active):
+        # The engine builds a matrix only for a server with a watched link.
+        assert all(vlam.links for vlam in vlams.values())
         report = detect(t, vlams, active)
         perf, thresholds = sim._perf_samples(t, active)
         oracle = build_threat_report(
@@ -522,6 +536,7 @@ def _check_detection_against_all_live_links(sim):
             build_vlams(sim.placement, list(sim.live), sim.servers.keys()),
             sim.ivcl,
             sim.owners,
+            vms=active,
             perf=perf,
             thresholds=thresholds,
             vuln_scores={sid: s.vulnerability_score for sid, s in sim.servers.items()},
@@ -578,8 +593,8 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
                 link for link in sim.live if classify_link(link, sim.ivcl)
             }
             assert not any(v in sim.suspended for link in sim.live for v in link)
-            alive = [vm for vm in sim.benign_vm_ids if vm not in sim.suspended]
-            assert sim.benign_alive == (alive, set(alive))
+            alive = [vm for vm in sim.benign_vm_ids.tolist() if vm not in sim.suspended]
+            assert sim.benign_alive.tolist() == alive
             outs, ins = {}, {}
             if sc.policy == "oscmc":
                 for src, dst in sim.live:
@@ -644,8 +659,7 @@ def test_suspended_benign_vm_leaves_the_kept_benign_list():
     assert sim.owners[1] != sim.owners[12]
     sim.step(0)
     assert sim.suspended == {1}
-    alive = list(range(2, 13))
-    assert sim.benign_alive == (alive, set(alive))
+    assert sim.benign_alive.tolist() == list(range(2, 13))
     rngs = [np.random.default_rng(5) for _ in range(2)]
     links = [
         inject_malicious_behavior(
@@ -719,9 +733,11 @@ def test_array_perf_samples_equal_per_vm_loop(vms, flavor_bws, server_bw, frac, 
     )
     placed = data.draw(st.permutations(sorted(sim.placement.vm_ids)))
     active = placed[: data.draw(st.integers(0, len(placed)))]
+    # The engine passes an int array; a list of ids works alike.
+    ids = np.array(active, dtype=np.intp) if data.draw(st.booleans()) else active
     for t in range(2):
-        perf, thresholds = sim._perf_samples(t, active)
+        perf, thresholds = sim._perf_samples(t, ids)
         want_perf, want_thresholds = reference_perf_samples(sim, t, active)
-        assert list(perf) == list(want_perf)
-        assert _bits(perf) == _bits(want_perf)
-        assert thresholds == want_thresholds
+        assert perf.shape == thresholds.shape == (len(active), 2)
+        assert _bits(dict(zip(active, perf.tolist()))) == _bits(want_perf)
+        assert dict(zip(active, map(tuple, thresholds.tolist()))) == want_thresholds

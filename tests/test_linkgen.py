@@ -11,6 +11,7 @@ random stream in the same state.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,15 +116,33 @@ def linkgen_instances(draw):
     pairs = st.tuples(st.sampled_from(vms), st.sampled_from(vms)).filter(
         lambda p: p[0] != p[1]
     )
+    benign = [v for v in vms if v not in malicious]
+    if draw(st.booleans()):
+        # Overlapping lists, as a caller may pass: an attacker must not
+        # pick itself, co-located or remote.
+        benign = sorted(draw(st.sets(st.sampled_from(vms))))
     return dict(
         placement=_placement(hosts, servers),
         malicious=sorted(malicious),
-        benign=[v for v in vms if v not in malicious],
+        benign=benign,
         suspended=draw(st.sets(st.sampled_from(vms))),
         ivcl=_log(vms, draw(st.sets(pairs, max_size=60))),
         rates=draw(st.tuples(rates, rates, rates)),
         seed=draw(st.integers(0, 2**32 - 1)),
+        form=draw(st.sampled_from(["lists", "arrays", "arrays and kept"])),
     )
+
+
+def _as_passed(form, malicious, benign, suspended):
+    """The VM lists as lists, or as the engine passes them: int arrays,
+    with the unsuspended benign VMs as ``kept``."""
+    if form == "lists":
+        return malicious, benign, {}
+    ids = (np.array(vms, dtype=np.intp) for vms in (malicious, benign))
+    kept = {}
+    if form == "arrays and kept":
+        kept = {"kept": np.array([v for v in benign if v not in suspended], dtype=np.intp)}
+    return (*ids, kept)
 
 
 @settings(max_examples=300, deadline=None)
@@ -131,23 +150,59 @@ def linkgen_instances(draw):
 def test_array_link_generation_equals_per_vm_loops(case):
     placement, ivcl, suspended = case["placement"], case["ivcl"], case["suspended"]
     benign_rate, colocated_rate, remote_rate = case["rates"]
+    malicious, benign, kept = _as_passed(
+        case["form"], case["malicious"], case["benign"], suspended
+    )
     rng, ref_rng = (np.random.default_rng(case["seed"]) for _ in range(2))
     for _ in range(2):  # the stream must stay aligned from one interval to the next
         attacks = inject_malicious_behavior(
-            0, placement, case["malicious"], case["benign"], suspended,
-            colocated_rate, remote_rate, rng,
+            0, placement, malicious, benign, suspended,
+            colocated_rate, remote_rate, rng, **kept,
         )
         assert attacks == reference_inject(
             placement, case["malicious"], case["benign"], suspended,
             colocated_rate, remote_rate, ref_rng,
         )
-        links = benign_links(placement, case["benign"], suspended, ivcl, benign_rate, rng)
+        links = benign_links(placement, benign, suspended, ivcl, benign_rate, rng)
         rows = {vm: sorted(ivcl.authorized_dsts(vm)) for vm in case["benign"]}
         assert links == reference_benign(
             placement, case["benign"], suspended, rows, benign_rate, ref_rng
         )
         assert all(type(v) is int for link in attacks + links for v in link)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "malicious, suspended",
+    [
+        ([], set()),  # no hostile VM
+        ([1, 4], {2, 3, 5, 6}),  # no unsuspended benign VM
+        ([1, 4], {1, 2, 3, 4, 5, 6}),  # every VM suspended
+        ([1, 2, 3, 4, 5, 6], set()),  # no benign VM at all
+    ],
+    ids=["no-hostile", "no-benign-left", "all-suspended", "no-benign"],
+)
+def test_link_generation_over_empty_populations(malicious, suspended):
+    """Populations with nothing to link still take every draw, and give the
+    reference links, whichever form the VM lists take."""
+    placement = _placement({1: 1, 2: 1, 3: 2, 4: 2, 5: 1, 6: 2}, 2)
+    benign = [v for v in range(1, 7) if v not in malicious]
+    ivcl = _log(range(1, 7), [(a, b) for a in range(1, 7) for b in range(1, 7) if a != b])
+    rows = {vm: sorted(ivcl.authorized_dsts(vm)) for vm in benign}
+    for form in ("lists", "arrays", "arrays and kept"):
+        hostile, benign_ids, kept = _as_passed(form, malicious, benign, suspended)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        attacks = inject_malicious_behavior(
+            0, placement, hostile, benign_ids, suspended, 1.0, 1.0, rng, **kept
+        )
+        assert attacks == reference_inject(
+            placement, malicious, benign, suspended, 1.0, 1.0, ref
+        )
+        links = benign_links(placement, benign_ids, suspended, ivcl, 1.0, rng)
+        assert links == reference_benign(placement, benign, suspended, rows, 1.0, ref)
+        assert rng.bit_generator.state == _after_draws(3, 4 * len(malicious) + 2 * len(benign))
+        if len(benign) == len(suspended & set(benign)):
+            assert attacks == [] and links == []
 
 
 def test_benign_link_scans_on_from_a_suspended_first_candidate():

@@ -226,6 +226,87 @@ def test_placement_is_exact_for_decimal_flavors(flavors, cap, ops):
                 assert p.fits(s, d) == fresh.fits(s, d)
 
 
+def _assert_placement_agrees(p, servers, hosted):
+    """The VM-indexed host array and the per-row VM counts agree with the
+    queries and with ``hosted`` (vm -> server)."""
+    ids = list(range(-1, 20))  # beyond the largest id ever placed, and VM 0
+    assert [p.server_of(vm) for vm in ids] == [hosted.get(vm) for vm in ids]
+    assert p.placed().tolist() == sorted(hosted)
+    assert p.vm_ids == frozenset(hosted)
+    rows = {sid: row for row, sid in enumerate(servers)}
+    want_rows = [rows[hosted[vm]] if vm in hosted else -1 for vm in ids[1:]]
+    assert p.host_rows(ids[1:]).tolist() == want_rows
+    assert p.host_rows(np.array(ids[1:], dtype=np.intp)).tolist() == want_rows
+    on = [{vm for vm, sid in hosted.items() if sid == s} for s in servers]
+    assert [set(p.vms_on(sid)) for sid in servers] == on
+    assert p._count.tolist() == [len(vms) for vms in on]
+    assert p.occupied().tolist() == [bool(vms) for vms in on]
+    for a in ids[1:6]:
+        for b in ids[1:6]:
+            assert p.co_located(a, b) == (a in hosted and hosted.get(b) == hosted[a])
+    assert p.capacity_ok()
+
+
+_CHURN = st.lists(
+    st.tuples(
+        st.sampled_from(["assign", "move", "remove", "copy"]),
+        st.integers(0, 15),  # VM id, 0 included
+        st.integers(0, 3),  # server index
+        st.booleans(),  # after a copy: go on with the clone
+    ),
+    max_size=50,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sids=st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True),
+    ops=_CHURN,
+)
+def test_host_array_agrees_with_queries_under_churn(sids, ops):
+    """Sparse, unsorted server ids; assign, move, remove and copy in any
+    order.  After each step the host array and the row counts agree with
+    ``server_of``, ``vms_on`` and ``occupied()``, and every copy still holds
+    exactly what it held when it was taken."""
+    servers = {sid: Server(sid, ResourceVector(4.0, 4.0, 4.0)) for sid in sids}
+    demand = ResourceVector(1.0, 1.0, 1.0)
+    p, hosted = Placement(servers), {}
+    frozen = []  # (placement, its contents) that nothing mutates any more
+    for kind, vm, index, swap in ops:
+        sid = sids[index % len(sids)]
+        if kind == "assign":
+            if vm in hosted:
+                with pytest.raises(CapacityError):
+                    p.assign(vm, demand, sid)
+            elif p.fits(sid, demand):
+                p.assign(vm, demand, sid)
+                hosted[vm] = sid
+        elif kind == "move" and vm in hosted and p.fits(sid, demand):
+            p.move(vm, sid)
+            hosted[vm] = sid
+        elif kind == "remove":
+            if vm in hosted:
+                assert p.remove(vm) == hosted.pop(vm)
+            else:
+                with pytest.raises(KeyError):
+                    p.remove(vm)
+        elif kind == "copy":
+            clone = p.copy()
+            if swap:
+                p, clone = clone, p
+            frozen.append((clone, dict(hosted)))
+        _assert_placement_agrees(p, servers, hosted)
+    for clone, contents in frozen:
+        _assert_placement_agrees(clone, servers, contents)
+
+
+def test_placement_rejects_negative_vm_ids():
+    p = Placement(make_servers(1))
+    with pytest.raises(ValueError, match="non-negative"):
+        p.assign(-1, ResourceVector(1.0, 1.0, 1.0), 1)
+    assert p.placed().size == 0 and p.server_of(-1) is None
+
+
 def test_placement_rejects_capacity_above_ceiling():
     """Loads are int64 micro-units; a capacity above 1e12 could overflow them."""
     Placement(make_servers(1, cpu=1e12))

@@ -176,30 +176,43 @@ def test_malicious_links_unregistered_vm_raises():
 
 def test_detect_vulnerability_requires_both_indicators_strictly():
     placement = make_placement({1: 1, 2: 1, 3: 1, 4: 1}, 1)
-    thresholds = {vm: (0.1, 100.0) for vm in (1, 2, 3, 4)}
-    perf = {
-        1: (0.05, 50.0),   # both below -> event
-        2: (0.1, 50.0),    # throughput at threshold -> no event
-        3: (0.05, 100.0),  # bandwidth at threshold -> no event
-        4: (0.5, 500.0),   # healthy
-    }
-    events = detect_vulnerability(perf, thresholds, placement, {1: 3.0})
+    thresholds = np.array([(0.1, 100.0)] * 4)
+    perf = np.array(
+        [
+            (0.05, 50.0),   # VM 1: both below -> event
+            (0.1, 50.0),    # VM 2: throughput at threshold -> no event
+            (0.05, 100.0),  # VM 3: bandwidth at threshold -> no event
+            (0.5, 500.0),   # VM 4: healthy
+        ]
+    )
+    events = detect_vulnerability([1, 2, 3, 4], perf, thresholds, placement, {1: 3.0})
     assert [(e.vm, e.server, e.high_risk) for e in events] == [(1, 1, False)]
 
 
 def test_detect_vulnerability_high_risk_flag():
     placement = make_placement({1: 1, 2: 2}, 2)
-    thresholds = {1: (0.1, 100.0), 2: (0.1, 100.0)}
-    perf = {1: (0.0, 0.0), 2: (0.0, 0.0)}
-    events = detect_vulnerability(perf, thresholds, placement, {1: 7.0, 2: 6.9})
+    thresholds = np.array([(0.1, 100.0), (0.1, 100.0)])
+    perf = np.zeros((2, 2))
+    events = detect_vulnerability([1, 2], perf, thresholds, placement, {1: 7.0, 2: 6.9})
     flags = {e.vm: e.high_risk for e in events}
     assert flags == {1: True, 2: False}
+
+
+def test_detect_vulnerability_orders_by_vm_and_skips_unplaced_samples():
+    """Rows may come in any order; events follow VM ids, and a sample of a
+    VM that is not placed raises nothing."""
+    placement = make_placement({1: 1, 2: 2, 3: 1}, 2)
+    perf = np.zeros((4, 2))
+    thresholds = np.ones((4, 2))
+    events = detect_vulnerability([3, 9, 1, 2], perf, thresholds, placement, {})
+    assert [(e.vm, e.server) for e in events] == [(1, 1), (2, 2), (3, 1)]
+    assert detect_vulnerability([], np.empty((0, 2)), np.empty((0, 2)), make_placement({}, 1), {}) == []
 
 
 def test_detect_vulnerability_incomplete_telemetry():
     placement = make_placement({1: 1, 2: 1}, 1)
     with pytest.raises(IncompleteTelemetryError, match="VM 2"):
-        detect_vulnerability({1: (1.0, 1.0)}, {1: (0.1, 1.0), 2: (0.1, 1.0)}, placement, {})
+        detect_vulnerability([1], np.ones((1, 2)), np.full((1, 2), 0.1), placement, {})
 
 
 def test_aggregate_breaches_attributes_victim_owner():
