@@ -3,11 +3,12 @@ congestion-driven rebalancing."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Placement, ResourceVector, Server
+from .model import Placement, ResourceVector, Server, to_units
 
 
 class ClusterCountError(Exception):
@@ -94,7 +95,7 @@ def kmeans(
 def first_fit(placement: Placement, demand: ResourceVector, scan, rows=None):
     """The first server in ``scan`` order that can host ``demand``, if any;
     ``rows`` is ``placement.rows(scan)``."""
-    ok = placement.fit_mask(demand, placement.rows(scan) if rows is None else rows)
+    ok = placement.fit_mask(to_units(demand), placement.rows(scan) if rows is None else rows)
     return scan[int(ok.argmax())] if ok.any() else None
 
 
@@ -173,10 +174,11 @@ def rebalance(
             origin = p.server_of(vm_id)
             if origin is None or servers[origin].reserved_for_hogs:
                 continue
-            target = first_fit(p, p.demand_of(vm_id), reserved, rows)
-            if target is None:
+            ok = p.fit_mask(p.demand_units(vm_id), rows)
+            if not ok.any():
                 result.residual_hogs.append(vm_id)
             else:
+                target = reserved[int(ok.argmax())]
                 if p is placement:
                     p = result.placement = placement.copy()
                 p.move(vm_id, target)
@@ -186,24 +188,24 @@ def rebalance(
     # Underload: consolidate.  Moves only go to non-empty ordinary servers,
     # so the target list shrinks only by the servers drained.  A candidate
     # is tried on an overlay of its targets' free units; only a drain moves.
-    ordinary = sorted(
-        sid for sid, s in servers.items() if not s.reserved_for_hogs and p.vms_on(sid)
-    )
+    ordinary = sorted(sid for sid, s in servers.items() if not s.reserved_for_hogs)
+    ordinary = [sid for sid, on in zip(ordinary, p.occupied()[p.rows(ordinary)].tolist()) if on]
     rows = p.rows(ordinary)
     used, cap = p.used_array(rows), p.capacity_array(rows)
     fractions = np.divide(used, cap, out=np.zeros_like(used), where=cap > 0)
     # Mean utilisation with Python's sum per server: from Python 3.12 it
     # compensates and numpy's does not, so numpy could reorder candidates.
     load = [total / 3.0 for total in map(sum, fractions.tolist())]
+    listed, hosts = _listing(p)
     fitting = {}  # demand units -> the ordinary servers that fit them, by id
-    for _load, sid in sorted(zip(load, ordinary)):
+    for _load, sid, row in sorted(zip(load, ordinary, rows.tolist())):
         if len(result.emptied_servers) >= max_consolidations:
             break
         overlay, moves = {}, []
-        for vm_id in sorted(p.vms_on(sid), key=lambda v: (-p.demand_of(v).bw, v)):
+        for vm_id in listed[bisect_left(hosts, row) : bisect_right(hosts, row)]:
             units = p.demand_units(vm_id)
             if units not in fitting:
-                ok = np.flatnonzero(p.fit_mask(p.demand_of(vm_id), rows)).tolist()
+                ok = np.flatnonzero(p.fit_mask(units, rows)).tolist()
                 fitting[units] = [ordinary[i] for i in ok]
             # The first fit in id order: the first server this trial left
             # untouched, or a target of this trial with room left, if lower.
@@ -226,4 +228,13 @@ def rebalance(
             ordinary.remove(sid)
             rows = p.rows(ordinary)
             fitting.clear()
+            listed, hosts = _listing(p)
     return result
+
+
+def _listing(placement: Placement) -> tuple[list[int], list[int]]:
+    """The placed VMs by (row, descending bandwidth units, id), and their rows."""
+    vms = placement.placed()
+    host = placement.host_rows(vms)
+    order = np.lexsort((vms, -placement.demand_units_array(vms)[:, 2], host))
+    return vms[order].tolist(), host[order].tolist()

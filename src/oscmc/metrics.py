@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import compress
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,20 +21,15 @@ class EmptyDataCenterError(Exception):
 
 def _powered(server: Server, placement: Placement) -> bool:
     """The activity rule: powered while hosting a VM or reserved for hogs."""
-    return server.reserved_for_hogs or bool(placement.vms_on(server.id))
+    return server.reserved_for_hogs or placement.vms_on(server.id).size > 0
 
 
 def ru_server(server: Server, placement: Placement) -> tuple[float, float, float]:
     """Per-resource utilisation fractions (cpu, mem, bw) of one server."""
     if not _powered(server, placement):
         raise InactiveServerError("RU undefined for inactive server %d" % server.id)
-    used = placement.used(server.id)
-    cap = server.capacity
-    return (
-        used.cpu / cap.cpu if cap.cpu > 0 else 0.0,
-        used.mem / cap.mem if cap.mem > 0 else 0.0,
-        used.bw / cap.bw if cap.bw > 0 else 0.0,
-    )
+    used, cap = placement.used(server.id).as_tuple(), server.capacity.as_tuple()
+    return tuple(u / c if c > 0 else 0.0 for u, c in zip(used, cap))
 
 
 def ru_dc(servers: dict[int, Server], placement: Placement) -> float:
@@ -84,8 +78,8 @@ class _Fleet:
         # Copies of a placement share its id-to-row map, so it names the layout.
         self.key = (servers, placement._row)
         self.members = list(servers.values())
-        self.ids = list(servers)
-        self.rows = placement.rows(self.ids)
+        self.ids = np.array(list(servers), dtype=np.intp)
+        self.rows = placement.rows(list(servers))
         caps = [s.capacity.as_tuple() for s in self.members]
         self.cap = np.array(caps, dtype=float).reshape(-1, 3)
         self.span = np.array([s.pw_max - s.pw_min for s in self.members], dtype=float)
@@ -109,7 +103,7 @@ def _active(servers: dict[int, Server], placement: Placement, mode: str | None =
     cap = fleet.cap[on]
     with np.errstate(divide="ignore", invalid="ignore"):
         fractions = np.where(cap > 0, placement.used_array(fleet.rows[on]) / cap, 0.0)
-    rows = list(map(tuple, fractions.tolist()))
+    rows = fractions.tolist()
     sums = list(map(sum, rows))
     power = []
     if mode is not None and rows:
@@ -120,8 +114,7 @@ def _active(servers: dict[int, Server], placement: Placement, mode: str | None =
         else:
             raise ValueError("unknown power mode %r" % mode)
         power = (fleet.span[on] * ru + fleet.idle[on]).tolist()
-    # The dict's own id objects, not new ones, key ``ru_per_server``.
-    return list(compress(fleet.ids, on.tolist())), rows, sums, power
+    return fleet.ids[on], rows, sums, power
 
 
 def count_hogs(observed_bw, predicted_bw, threshold: float = 0.5) -> int:
@@ -164,7 +157,6 @@ METRICS_CSV_HEADER = (
 class IntervalMetrics:
     interval: int
     ru_dc: float
-    ru_per_server: dict[int, tuple[float, float, float]]
     pw_dc: float
     hog_count: int
     authorized_link_pct: float
@@ -211,7 +203,6 @@ def snapshot(
     return IntervalMetrics(
         interval=interval,
         ru_dc=_mean_ru(sums),
-        ru_per_server=dict(zip(ids, rows)),
         pw_dc=sum(power),
         hog_count=count_hogs(observed_bw, predicted_bw, hog_threshold),
         authorized_link_pct=100.0 * good / live_links if live_links else 100.0,

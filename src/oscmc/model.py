@@ -4,7 +4,6 @@ VM-to-server placement map."""
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,14 +113,11 @@ MAX_RESOURCE = 1e12  # a capacity ceiling of 10**18 units keeps int64 sums exact
 _MAX_UNITS = 10**18
 
 
-def _to_units(rv: ResourceVector) -> tuple[int, int, int]:
+def to_units(rv: ResourceVector) -> tuple[int, int, int]:
     return (round(rv.cpu * _UNITS), round(rv.mem * _UNITS), round(rv.bw * _UNITS))
 
 
-@functools.lru_cache(maxsize=4096)
 def _from_units(units: tuple[int, int, int]) -> ResourceVector:
-    # Few distinct totals occur and the vectors are immutable, so metrics
-    # that read every server's load each interval share them.
     return ResourceVector(units[0] / _UNITS, units[1] / _UNITS, units[2] / _UNITS)
 
 
@@ -147,14 +143,16 @@ def _from_units_array(units: np.ndarray) -> np.ndarray:
 class Placement:
     """Mutable VM-to-server map that enforces the capacity constraint
     (sum of hosted demands componentwise <= server capacity) on every
-    mutation.  Capacity and free capacity are ``int64 (S, 3)`` arrays, a row
-    per server; capacity is read-only and shared by copies.  Who runs where
-    is one array indexed by VM id, holding each VM's server row (-1 when
-    unplaced; VM ids are non-negative), with a VM count per row and each
-    server's VM set as the index of what it hosts."""
+    mutation.  It holds arrays alone.  Capacity and free capacity are
+    ``int64 (S, 3)`` micro-unit arrays, a row per server; capacity is
+    read-only and shared by copies.  Who runs where is one array indexed by
+    VM id, holding each VM's server row (-1 when unplaced; VM ids are
+    non-negative), with a VM count per row, and each VM's demand units are
+    a row of an ``int64 (V, 3)`` array indexed the same way.  A server's
+    VMs are the ids whose host row is its row."""
 
     def __init__(self, servers: dict[int, Server]):
-        cap = [_to_units(s.capacity) for s in servers.values()]
+        cap = [to_units(s.capacity) for s in servers.values()]
         if any(u > _MAX_UNITS for units in cap for u in units):
             raise ValueError("server capacities must not exceed %g" % MAX_RESOURCE)
         self._row = {sid: row for row, sid in enumerate(servers)}
@@ -164,8 +162,7 @@ class Placement:
         self._free = self._cap.copy()
         self._host = np.full(0, -1, dtype=np.intp)
         self._count = np.zeros(len(self._sid), dtype=np.intp)
-        self._server_to_vms: dict[int, set[int]] = {sid: set() for sid in servers}
-        self._demand: dict[int, tuple[ResourceVector, np.ndarray]] = {}  # and its units
+        self._units = np.zeros((0, 3), dtype=np.int64)  # stale for an unplaced id
 
     # -- queries ---------------------------------------------------------
 
@@ -176,8 +173,9 @@ class Placement:
         row = self._host_row(vm_id)
         return self._sid[row] if row >= 0 else None
 
-    def vms_on(self, server_id: int) -> frozenset[int]:
-        return frozenset(self._server_to_vms[server_id])
+    def vms_on(self, server_id: int) -> np.ndarray:
+        """The ids of the VMs a server hosts, ascending, as an int array."""
+        return np.flatnonzero(self._host == self._row[server_id])
 
     def used(self, server_id: int) -> ResourceVector:
         row = self._row[server_id]
@@ -204,8 +202,7 @@ class Placement:
         return self._count > 0
 
     def fits(self, server_id: int, demand: ResourceVector) -> bool:
-        free = self._free[self._row[server_id]].tolist()
-        return all(d <= f for d, f in zip(_to_units(demand), free))
+        return all(map(int.__le__, to_units(demand), self.free_units(server_id)))
 
     def rows(self, server_ids: list[int]) -> np.ndarray:
         """The rows of ``server_ids``, in their order."""
@@ -224,17 +221,20 @@ class Placement:
         """The ids of the placed VMs, ascending, as an int array."""
         return np.flatnonzero(self._host >= 0)
 
-    def fit_mask(self, demand: ResourceVector, rows: np.ndarray) -> np.ndarray:
-        """Whether each server of ``rows`` can host ``demand`` (clamped to int64)."""
-        units = [[min(u, _MAX_UNITS + 1)] for u in _to_units(demand)]
+    def fit_mask(self, units, rows: np.ndarray) -> np.ndarray:
+        """Whether each server of ``rows`` can host ``units`` (clamped to int64)."""
+        units = [[min(u, _MAX_UNITS + 1)] for u in units]
         return (self._free.T.take(rows, 1) >= np.array(units, dtype=np.int64)).all(axis=0)
-
-    def demand_of(self, vm_id: int) -> ResourceVector:
-        return self._demand[vm_id][0]
 
     def demand_units(self, vm_id: int) -> tuple[int, int, int]:
         """A placed VM's demand in the micro-units of ``free_units``."""
-        return tuple(self._demand[vm_id][1].tolist())
+        if self._host_row(vm_id) < 0:
+            raise KeyError("VM %d is not placed" % vm_id)
+        return tuple(self._units[vm_id].tolist())
+
+    def demand_units_array(self, vm_ids: np.ndarray) -> np.ndarray:
+        """``demand_units`` of placed ``vm_ids`` as an ``(n, 3)`` int64 array."""
+        return self._units[vm_ids]
 
     @property
     def vm_ids(self) -> frozenset[int]:
@@ -262,30 +262,26 @@ class Placement:
                 "placing VM %d on server %d would exceed capacity" % (vm_id, server_id)
             )
         if vm_id >= self._host.size:
-            grown = np.full(max(vm_id + 1, 2 * self._host.size), -1, dtype=np.intp)
-            grown[: self._host.size] = self._host
-            self._host = grown
-        self._place(vm_id, demand, np.array(_to_units(demand), dtype=np.int64), server_id)
+            grow = max(vm_id + 1 - self._host.size, self._host.size)
+            self._host = np.concatenate([self._host, np.full(grow, -1, np.intp)])
+            self._units = np.concatenate([self._units, np.zeros((grow, 3), np.int64)])
+        self._units[vm_id] = to_units(demand)
+        self._place(vm_id, self._row[server_id])
 
-    def _place(self, vm_id: int, demand: ResourceVector, units, server_id: int) -> None:
-        row = self._row[server_id]
+    def _place(self, vm_id: int, row: int) -> None:
         self._host[vm_id] = row
         self._count[row] += 1
-        self._server_to_vms[server_id].add(vm_id)
-        self._free[row] -= units
-        self._demand[vm_id] = (demand, units)
+        self._free[row] -= self._units[vm_id]
 
     def remove(self, vm_id: int) -> int:
         """Unhost a VM; returns the server it was on."""
         row = self._host_row(vm_id)
         if row < 0:
             raise KeyError("VM %d is not placed" % vm_id)
-        server_id = self._sid[row]
         self._host[vm_id] = -1
         self._count[row] -= 1
-        self._server_to_vms[server_id].discard(vm_id)
-        self._free[row] += self._demand.pop(vm_id)[1]
-        return server_id
+        self._free[row] += self._units[vm_id]
+        return self._sid[row]
 
     def move(self, vm_id: int, server_id: int) -> None:
         origin = self.server_of(vm_id)
@@ -293,13 +289,13 @@ class Placement:
             raise KeyError("VM %d is not placed" % vm_id)
         if origin == server_id:
             return
-        demand, units = self._demand[vm_id]
-        if not (units <= self._free[self._row[server_id]]).all():
+        row = self._row[server_id]
+        if not (self._units[vm_id] <= self._free[row]).all():
             raise CapacityError(
                 "moving VM %d to server %d would exceed capacity" % (vm_id, server_id)
             )
         self.remove(vm_id)
-        self._place(vm_id, demand, units, server_id)
+        self._place(vm_id, row)
 
     def copy(self) -> "Placement":
         clone = Placement.__new__(Placement)
@@ -308,14 +304,16 @@ class Placement:
         clone._free = self._free.copy()
         clone._host = self._host.copy()
         clone._count = self._count.copy()
-        clone._server_to_vms = {sid: set(vms) for sid, vms in self._server_to_vms.items()}
-        clone._demand = dict(self._demand)
+        clone._units = self._units.copy()
         return clone
 
     def capacity_ok(self) -> bool:
-        """Recompute hosted demand sums and verify the capacity constraint."""
-        for sid, vms in self._server_to_vms.items():
-            sums = [sum(col) for col in zip(*(_to_units(self._demand[v][0]) for v in vms))]
-            if any(s > c for s, c in zip(sums, self._cap[self._row[sid]].tolist())):
-                return False
-        return True
+        """Recompute each server's hosted demand sums and VM count from the
+        host and demand arrays; verify the capacity constraint and that free
+        capacity and the counts agree with them."""
+        placed = self.placed()
+        sums = np.zeros_like(self._cap)
+        np.add.at(sums, self._host[placed], self._units[placed])
+        counts = np.bincount(self._host[placed], minlength=len(self._sid))
+        return bool((sums <= self._cap).all() and (self._free == self._cap - sums).all()
+                    and (self._count == counts).all())

@@ -385,7 +385,7 @@ def test_criterion_08_metric_arithmetic():
         assert authorized_link_pct([], ivcl) == 100.0
 
         row = IntervalMetrics(
-            interval=0, ru_dc=0.5, ru_per_server={}, pw_dc=427.5, hog_count=0,
+            interval=0, ru_dc=0.5, pw_dc=427.5, hog_count=0,
             authorized_link_pct=100.0, active_server_count=3,
         ).csv_row()
         assert row == "0,50.000000,427.500000,0,100.000000,3,0,0,0,0"

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oscmc.allocator import (
@@ -117,7 +117,7 @@ def test_ffd_hand_packed_oracle():
     placed = ffd_place(items, servers, Placement(servers))
     sizes = sorted(len(placed.vms_on(sid)) for sid in servers)
     assert sizes == [3, 4, 4]
-    assert placed.vms_on(1) == frozenset({1, 2, 3, 4})
+    assert placed.vms_on(1).tolist() == [1, 2, 3, 4]
     assert placed.capacity_ok()
 
 
@@ -189,7 +189,7 @@ def test_rebalance_underload_consolidates_least_utilised():
     result = rebalance(-1, p, servers)
     # Server 2 is the lightest and its VM fits elsewhere.
     assert 2 in result.emptied_servers
-    assert result.placement.vms_on(2) == frozenset()
+    assert result.placement.vms_on(2).tolist() == []
     assert result.placement.capacity_ok()
 
 
@@ -326,11 +326,13 @@ def test_sparse_unsorted_server_ids_behave_as_relabelled_fleet(
     twin_servers = dict(sorted(fleet(relabel.get).items()))
     demands = [ResourceVector(*f) for f in flavors]
     p, twin = Placement(servers), Placement(twin_servers)
+    held = {}  # vm -> the demand it was assigned
     for kind, vm, flavor, sid in ops:
         if kind == "assign" and p.server_of(vm) is None and p.fits(sid, demands[flavor]):
             p.assign(vm, demands[flavor], sid)
             twin.assign(vm, demands[flavor], relabel[sid])
-        elif kind == "move" and p.server_of(vm) is not None and p.fits(sid, p.demand_of(vm)):
+            held[vm] = demands[flavor]
+        elif kind == "move" and p.server_of(vm) is not None and p.fits(sid, held[vm]):
             p.move(vm, sid)
             twin.move(vm, relabel[sid])
         elif kind == "remove" and p.server_of(vm) is not None:
@@ -365,11 +367,13 @@ def test_sparse_unsorted_server_ids_behave_as_relabelled_fleet(
     assert {s: (p.used(s), [p.fits(s, d) for d in demands]) for s in servers} == before
 
 
-def reference_consolidate(placement, servers, max_consolidations=2):
+def reference_consolidate(placement, servers, demands, max_consolidations=2):
     """The underload branch of ``rebalance`` as a move-and-undo loop: the
-    ordinary servers, least utilised first, each move their VMs one at a
-    time to the first other server that fits, and move them back when a
-    later one fits nowhere.  Returns (placement, moved, emptied)."""
+    ordinary servers, least utilised first, each move their VMs (by
+    descending bandwidth, ties by id; ``demands`` maps each VM to the demand
+    it was assigned) one at a time to the first other server that fits, and
+    move them back when a later one fits nowhere.  Returns (placement,
+    moved, emptied)."""
     p = placement.copy()
     moved, emptied = [], []
 
@@ -378,7 +382,7 @@ def reference_consolidate(placement, servers, max_consolidations=2):
         return sum(u / c if c > 0 else 0.0 for u, c in zip(used, cap)) / 3.0
 
     ordinary = sorted(
-        sid for sid, s in servers.items() if not s.reserved_for_hogs and p.vms_on(sid)
+        sid for sid, s in servers.items() if not s.reserved_for_hogs and p.vms_on(sid).size
     )
     for sid in sorted(ordinary, key=lambda sid: (mean_utilisation(sid), sid)):
         if len(emptied) >= max_consolidations:
@@ -386,8 +390,8 @@ def reference_consolidate(placement, servers, max_consolidations=2):
         if emptied:
             event("a trial after a drain")
         moves = []
-        for vm_id in sorted(p.vms_on(sid), key=lambda v: (-p.demand_of(v).bw, v)):
-            demand = p.demand_of(vm_id)
+        for vm_id in sorted(p.vms_on(sid).tolist(), key=lambda v: (-demands[v].bw, v)):
+            demand = demands[vm_id]
             target = next((t for t in ordinary if t != sid and p.fits(t, demand)), None)
             if target is None:
                 if moves:
@@ -404,6 +408,40 @@ def reference_consolidate(placement, servers, max_consolidations=2):
             emptied.append(sid)
             ordinary.remove(sid)
     return p, moved, emptied
+
+
+def _tie_fleet(bw):
+    """Server 2 (the least utilised) holds VM 1 (cpu 0.2, bandwidth 0.3) and
+    VM 4 (cpu 0.7, bandwidth ``bw``); server 5 has room for cpu 0.8 and
+    server 8 for 1.4, so the VM moved first takes server 5 and the other
+    goes on to server 8 if it no longer fits there.  Returns (servers,
+    placement, demands)."""
+    servers = {sid: Server(sid, ResourceVector(2.1, 2.1, 2.1)) for sid in (5, 2, 8)}
+    demands = {
+        10: ResourceVector(1.3, 0.7, 0.7),
+        1: ResourceVector(0.2, 0.1, 0.3),
+        4: ResourceVector(0.7, 0.1, bw),
+        11: ResourceVector(0.7, 0.7, 0.7),
+    }
+    p = Placement(servers)
+    for vm, sid in ((10, 5), (1, 2), (4, 2), (11, 8)):
+        p.assign(vm, demands[vm], sid)
+    return servers, p, demands
+
+
+def test_consolidation_ties_bandwidths_within_a_micro_unit_by_id():
+    """A candidate's VMs go by descending bandwidth in micro-units, ties by
+    ascending id: bandwidths that round to the same unit tie, whatever their
+    cpu, and one unit apart they do not."""
+    for bw, moved in (
+        (0.3, [(1, 2, 5), (4, 2, 8)]),
+        (0.3000004, [(1, 2, 5), (4, 2, 8)]),  # 300000 units, as VM 1
+        (0.300001, [(4, 2, 5), (1, 2, 8)]),
+    ):
+        servers, p, _demands = _tie_fleet(bw)
+        result = rebalance(-1, p, servers, max_consolidations=1)
+        assert result.moved == moved
+        assert result.emptied_servers == [2]
 
 
 # Capacities that fit a few flavors each, so that a candidate's VMs can
@@ -426,7 +464,7 @@ def consolidation_fleets(draw):
         for sid in ids
     }
     flavors = draw(st.lists(st.tuples(_DECIMAL, _DECIMAL, _DECIMAL), min_size=1, max_size=4))
-    p = Placement(servers)
+    p, demands = Placement(servers), {}
     for kind, vm, flavor, sid in draw(
         st.lists(
             st.tuples(
@@ -442,18 +480,20 @@ def consolidation_fleets(draw):
         demand = ResourceVector(*flavors[flavor])
         if kind == "assign" and p.server_of(vm) is None and p.fits(sid, demand):
             p.assign(vm, demand, sid)
-        elif kind == "move" and p.server_of(vm) is not None and p.fits(sid, p.demand_of(vm)):
+            demands[vm] = demand
+        elif kind == "move" and p.server_of(vm) is not None and p.fits(sid, demands[vm]):
             p.move(vm, sid)
-    return servers, p
+    return servers, p, demands
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(fleet=consolidation_fleets(), max_consolidations=st.integers(0, 3))
+@example(fleet=_tie_fleet(0.3), max_consolidations=2)  # equal bandwidths, cpu apart
 def test_consolidation_matches_move_and_undo_reference(fleet, max_consolidations):
     """``rebalance(-1)`` drains the same servers, records the same moves and
     leaves every VM and every server's load as the move-and-undo loop."""
-    servers, p = fleet
-    want, moved, emptied = reference_consolidate(p, servers, max_consolidations)
+    servers, p, demands = fleet
+    want, moved, emptied = reference_consolidate(p, servers, demands, max_consolidations)
     got = rebalance(-1, p, servers, max_consolidations=max_consolidations)
     assert got.moved == moved
     assert got.emptied_servers == emptied

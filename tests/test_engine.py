@@ -19,7 +19,7 @@ from oscmc.engine import (
     pssf_place,
     run,
 )
-from oscmc.metrics import METRICS_CSV_HEADER, authorized_link_pct
+from oscmc.metrics import METRICS_CSV_HEADER, _active, authorized_link_pct
 from oscmc.model import Placement, ResourceVector, Server
 from oscmc.monitor import build_threat_report, build_vlams, classify_link
 from oscmc.scenario import Scenario, ScenarioError, load_scenario, with_policy
@@ -501,18 +501,24 @@ def _powered(sim):
     return {
         sid
         for sid, server in sim.servers.items()
-        if server.reserved_for_hogs or sim.placement.vms_on(sid)
+        if server.reserved_for_hogs or sim.placement.vms_on(sid).size
     }
 
 
+def _active_ids(sim):
+    """The servers ``snapshot`` counts as active, as ``metrics._active`` lists them."""
+    return set(_active(sim.servers, sim.placement)[0].tolist())
+
+
 def _record_powered_before_quarantine(sim):
-    """Wrap ``sim._apply_quarantine`` to note the powered servers just
-    before it, as the interval's snapshot saw them, by interval."""
+    """Wrap ``sim._apply_quarantine`` to note the powered servers and the
+    snapshot's active servers just before it, as the interval's snapshot
+    saw them, by interval."""
     apply = sim._apply_quarantine
     seen = {}
 
     def recording(directive, t):
-        seen[t] = _powered(sim)
+        seen[t] = _powered(sim), _active_ids(sim)
         apply(directive, t)
 
     sim._apply_quarantine = recording
@@ -586,9 +592,12 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
             sim.step(t)
             m = sim.log.metrics[-1]
             # Quarantine runs after the snapshot and may empty a server.
-            powered = before_quarantine.pop(t) if t in before_quarantine else _powered(sim)
+            if t in before_quarantine:
+                powered, active = before_quarantine.pop(t)
+            else:
+                powered, active = _powered(sim), _active_ids(sim)
             assert m.active_server_count == len(powered)
-            assert set(m.ru_per_server) == powered
+            assert active == powered
             assert sim.unauthorised == {
                 link for link in sim.live if classify_link(link, sim.ivcl)
             }

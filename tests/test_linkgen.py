@@ -40,7 +40,7 @@ def reference_inject(
         if u1 < colocated_rate:
             local = [
                 v
-                for v in sorted(placement.vms_on(host))
+                for v in placement.vms_on(host).tolist()
                 if v != vm and v in benign_set
             ]
             if local:

@@ -13,6 +13,7 @@ from oscmc.metrics import (
     InactiveServerError,
     IntervalMetrics,
     METRICS_CSV_HEADER,
+    _active,
     _power,
     authorized_link_pct,
     count_hogs,
@@ -153,14 +154,14 @@ def test_snapshot_bundles_interval_metrics():
     assert m.hog_count == 1
     assert m.authorized_link_pct == 100.0
     assert m.active_server_count == 1
-    assert m.ru_per_server == {1: (0.5, 0.5, 0.5)}
+    ids, rows, _sums, _power = _active(servers, p)
+    assert (ids.tolist(), rows) == ([1], [[0.5, 0.5, 0.5]])
 
 
 def test_csv_row_matches_header():
     m = IntervalMetrics(
         interval=0,
         ru_dc=0.5,
-        ru_per_server={},
         pw_dc=427.5,
         hog_count=2,
         authorized_link_pct=52.631579,
@@ -195,7 +196,9 @@ def reference_hogs(observed_bw, predicted_bw, threshold):
 
 def powered(servers, placement):
     """The activity rule, stated here: hosting a VM or reserved for hogs."""
-    return [sid for sid, s in servers.items() if s.reserved_for_hogs or placement.vms_on(sid)]
+    return [
+        sid for sid, s in servers.items() if s.reserved_for_hogs or placement.vms_on(sid).size
+    ]
 
 
 def reference_snapshot(servers, placement, observed_bw, predicted_bw, threshold, mode):
@@ -207,7 +210,7 @@ def reference_snapshot(servers, placement, observed_bw, predicted_bw, threshold,
         total += sum(fractions)
     return dict(
         ru_dc=total / (3.0 * len(per_server)),
-        ru_per_server=per_server,
+        per_server=per_server,
         pw_dc=sum(_power(servers[sid], fr, mode) for sid, fr in per_server.items()),
         hog_count=reference_hogs(observed_bw, predicted_bw, threshold),
         active_server_count=len(per_server),
@@ -299,12 +302,14 @@ def test_array_snapshot_equals_per_server_reference(fleet, observed, predicted, 
             continue
         want = reference_snapshot(servers, placement, observed, predicted, threshold, mode)
         m = snapshot(0, servers, placement, observed, predicted, 0, 0, threshold, mode)
-        got = {name: getattr(m, name) for name in want}
-        assert list(got["ru_per_server"]) == list(want["ru_per_server"])
+        got = {name: getattr(m, name) for name in want if name != "per_server"}
         for name in ("ru_dc", "pw_dc"):
             assert got[name].hex() == want[name].hex(), name
-        for sid, fractions in want["ru_per_server"].items():
-            assert [f.hex() for f in got["ru_per_server"][sid]] == [f.hex() for f in fractions]
+        # The per-server rows the snapshot sums, as ``ru_server`` gives them.
+        ids, rows, _sums, _power = _active(servers, placement, mode)
+        assert ids.tolist() == list(want["per_server"])
+        for row, fractions in zip(rows, want["per_server"].values()):
+            assert [f.hex() for f in row] == [f.hex() for f in fractions]
         assert got["hog_count"] == want["hog_count"]
         assert got["active_server_count"] == want["active_server_count"]
         assert ru_dc(servers, placement).hex() == want["ru_dc"].hex()

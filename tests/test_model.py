@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscmc.model import (
@@ -155,7 +155,7 @@ def test_placement_random_mutations_never_violate_capacity():
     for _ in range(50):
         servers = make_servers(4, cpu=1000.0, mem=1000.0, bw=1000.0)
         p = Placement(servers)
-        placed = {}
+        placed, demands = {}, {}
         for op in range(120):
             roll = rng.random()
             if roll < 0.5:
@@ -166,11 +166,11 @@ def test_placement_random_mutations_never_violate_capacity():
                 sid = int(rng.integers(1, 5))
                 if p.fits(sid, d):
                     p.assign(vm, d, sid)
-                    placed[vm] = sid
+                    placed[vm], demands[vm] = sid, d
             elif roll < 0.75 and placed:
                 vm = int(rng.choice(sorted(placed)))
                 sid = int(rng.integers(1, 5))
-                if p.fits(sid, p.demand_of(vm)) or sid == placed[vm]:
+                if p.fits(sid, demands[vm]) or sid == placed[vm]:
                     p.move(vm, sid)
                     placed[vm] = sid
             elif placed:
@@ -226,24 +226,46 @@ def test_placement_is_exact_for_decimal_flavors(flavors, cap, ops):
                 assert p.fits(s, d) == fresh.fits(s, d)
 
 
+# Flavors and their micro-units, written out, so a stale demand row shows.
+_FLAVORS = [(1.0, 1.0, 1.0), (0.5, 2.0, 0.25), (1.5, 0.1, 3.0)]
+_FLAVOR_UNITS = [
+    (10**6, 10**6, 10**6),
+    (500_000, 2 * 10**6, 250_000),
+    (1_500_000, 100_000, 3 * 10**6),
+]
+
+
 def _assert_placement_agrees(p, servers, hosted):
-    """The VM-indexed host array and the per-row VM counts agree with the
-    queries and with ``hosted`` (vm -> server)."""
+    """The VM-indexed host and demand arrays and the per-row VM counts agree
+    with the queries and with ``hosted`` (vm -> (server, flavor index))."""
+    where = {vm: sid for vm, (sid, _flavor) in hosted.items()}
     ids = list(range(-1, 20))  # beyond the largest id ever placed, and VM 0
-    assert [p.server_of(vm) for vm in ids] == [hosted.get(vm) for vm in ids]
-    assert p.placed().tolist() == sorted(hosted)
-    assert p.vm_ids == frozenset(hosted)
+    assert [p.server_of(vm) for vm in ids] == [where.get(vm) for vm in ids]
+    assert p.placed().tolist() == sorted(where)
+    assert p.vm_ids == frozenset(where)
     rows = {sid: row for row, sid in enumerate(servers)}
-    want_rows = [rows[hosted[vm]] if vm in hosted else -1 for vm in ids[1:]]
+    want_rows = [rows[where[vm]] if vm in where else -1 for vm in ids[1:]]
     assert p.host_rows(ids[1:]).tolist() == want_rows
     assert p.host_rows(np.array(ids[1:], dtype=np.intp)).tolist() == want_rows
-    on = [{vm for vm, sid in hosted.items() if sid == s} for s in servers]
-    assert [set(p.vms_on(sid)) for sid in servers] == on
+    on = [sorted(vm for vm, sid in where.items() if sid == s) for s in servers]
+    assert [p.vms_on(sid).tolist() for sid in servers] == on
     assert p._count.tolist() == [len(vms) for vms in on]
     assert p.occupied().tolist() == [bool(vms) for vms in on]
+    units = {vm: _FLAVOR_UNITS[flavor] for vm, (_sid, flavor) in hosted.items()}
+    for vm in ids[1:]:
+        if vm in units:
+            assert p.demand_units(vm) == units[vm]
+        else:
+            with pytest.raises(KeyError):
+                p.demand_units(vm)
+    placed = p.placed()
+    assert p.demand_units_array(placed).tolist() == [list(units[vm]) for vm in placed.tolist()]
+    for sid, vms in zip(servers, on):
+        used = [sum(units[vm][k] for vm in vms) for k in range(3)]
+        assert p.free_units(sid) == tuple(4 * 10**6 - u for u in used)
     for a in ids[1:6]:
         for b in ids[1:6]:
-            assert p.co_located(a, b) == (a in hosted and hosted.get(b) == hosted[a])
+            assert p.co_located(a, b) == (a in where and where.get(b) == where[a])
     assert p.capacity_ok()
 
 
@@ -253,6 +275,7 @@ _CHURN = st.lists(
         st.integers(0, 15),  # VM id, 0 included
         st.integers(0, 3),  # server index
         st.booleans(),  # after a copy: go on with the clone
+        st.integers(0, len(_FLAVORS) - 1),  # flavor of an assign
     ),
     max_size=50,
 )
@@ -263,30 +286,51 @@ _CHURN = st.lists(
     sids=st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True),
     ops=_CHURN,
 )
+# VM 3 leaves and comes back with another flavor: its stale demand row must
+# be overwritten, not added to or kept.
+@example(
+    sids=[7],
+    ops=[("assign", 3, 0, False, 2), ("remove", 3, 0, False, 0), ("assign", 3, 0, False, 1)],
+)
+# A clone grows its arrays for a larger VM id after the copy and rewrites
+# VM 1's demand row; the original must keep what it held.
+@example(
+    sids=[7, 2],
+    ops=[
+        ("assign", 1, 0, False, 0),
+        ("copy", 0, 0, True, 0),
+        ("assign", 15, 1, False, 1),
+        ("remove", 1, 0, False, 0),
+        ("assign", 1, 1, False, 2),
+        ("copy", 0, 0, False, 0),
+        ("assign", 12, 0, False, 1),
+    ],
+)
 def test_host_array_agrees_with_queries_under_churn(sids, ops):
-    """Sparse, unsorted server ids; assign, move, remove and copy in any
-    order.  After each step the host array and the row counts agree with
-    ``server_of``, ``vms_on`` and ``occupied()``, and every copy still holds
-    exactly what it held when it was taken."""
+    """Sparse, unsorted server ids; assign (with a drawn flavor), move,
+    remove and copy in any order.  After each step the host and demand
+    arrays and the row counts agree with ``server_of``, ``vms_on``,
+    ``demand_units``, ``free_units`` and ``occupied()``, and every copy
+    still holds exactly what it held when it was taken."""
     servers = {sid: Server(sid, ResourceVector(4.0, 4.0, 4.0)) for sid in sids}
-    demand = ResourceVector(1.0, 1.0, 1.0)
+    demands = [ResourceVector(*f) for f in _FLAVORS]
     p, hosted = Placement(servers), {}
     frozen = []  # (placement, its contents) that nothing mutates any more
-    for kind, vm, index, swap in ops:
+    for kind, vm, index, swap, flavor in ops:
         sid = sids[index % len(sids)]
         if kind == "assign":
             if vm in hosted:
                 with pytest.raises(CapacityError):
-                    p.assign(vm, demand, sid)
-            elif p.fits(sid, demand):
-                p.assign(vm, demand, sid)
-                hosted[vm] = sid
-        elif kind == "move" and vm in hosted and p.fits(sid, demand):
+                    p.assign(vm, demands[flavor], sid)
+            elif p.fits(sid, demands[flavor]):
+                p.assign(vm, demands[flavor], sid)
+                hosted[vm] = (sid, flavor)
+        elif kind == "move" and vm in hosted and p.fits(sid, demands[hosted[vm][1]]):
             p.move(vm, sid)
-            hosted[vm] = sid
+            hosted[vm] = (sid, hosted[vm][1])
         elif kind == "remove":
             if vm in hosted:
-                assert p.remove(vm) == hosted.pop(vm)
+                assert p.remove(vm) == hosted.pop(vm)[0]
             else:
                 with pytest.raises(KeyError):
                     p.remove(vm)
@@ -298,6 +342,29 @@ def test_host_array_agrees_with_queries_under_churn(sids, ops):
         _assert_placement_agrees(p, servers, hosted)
     for clone, contents in frozen:
         _assert_placement_agrees(clone, servers, contents)
+
+
+def test_capacity_ok_catches_drift_in_free_or_demand_rows():
+    """The gate recomputes every server's sums from the host and demand
+    arrays: a free-capacity row or a placed VM's demand row that no longer
+    agrees with the others fails it, even inside capacity."""
+    servers = make_servers(2, cpu=1000.0)
+    p = Placement(servers)
+    p.assign(1, ResourceVector(400.0, 1.0, 1.0), 1)
+    p.assign(2, ResourceVector(100.0, 1.0, 1.0), 2)
+    assert p.capacity_ok()
+    drifted = p.copy()
+    drifted._free[1, 0] -= 1  # server 2 appears one unit fuller
+    assert not drifted.capacity_ok()
+    drifted = p.copy()
+    drifted._units[1, 2] += 1  # VM 1 appears one unit larger
+    assert not drifted.capacity_ok()
+    drifted = p.copy()
+    drifted._count[0] += 1  # server 1 appears to host another VM
+    assert not drifted.capacity_ok()
+    p.remove(2)
+    p._units[2] = 10**9  # a stale row of an unplaced VM counts for nothing
+    assert p.capacity_ok()
 
 
 def test_placement_rejects_negative_vm_ids():
