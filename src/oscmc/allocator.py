@@ -92,11 +92,40 @@ def kmeans(
     )
 
 
-def first_fit(placement: Placement, demand: ResourceVector, scan, rows=None):
-    """The first server in ``scan`` order that can host ``demand``, if any;
-    ``rows`` is ``placement.rows(scan)``."""
-    ok = placement.fit_mask(to_units(demand), placement.rows(scan) if rows is None else rows)
-    return scan[int(ok.argmax())] if ok.any() else None
+def first_fit_pass(items, placement: Placement, scan, prior=None) -> Placement:
+    """First-fit each ``(vm_id, demand, owner)`` of ``items``, in order, onto
+    a copy of ``placement``, servers scanned in ``scan`` order; with ``prior``
+    (owner -> server id, updated) a VM first tries its owner's last server.
+    Free units only fall during the pass, so each demand keeps a pointer to
+    the first scan position that may still fit it.  Items are checked as
+    ``Placement.assign`` checks them, in order, and written by one
+    ``assign_rows``.  Raises PlacementInfeasibleError naming the first VM
+    that fits nowhere; the input placement is left untouched."""
+    rows = placement.rows(scan)
+    free = placement.free_units_array(rows).tolist()
+    n, at = len(free), {sid: i for i, sid in enumerate(scan)}
+    units_of, start, picks = {}, {}, {}  # picks: vm id -> (units, scan position)
+    for vm_id, demand, owner in items:
+        units = units_of.get(demand) or units_of.setdefault(demand, to_units(demand))
+        c, m, b = units
+        i = at[prior[owner]] if prior is not None and owner in prior else n
+        if i == n or not (c <= free[i][0] and m <= free[i][1] and b <= free[i][2]):
+            i = start.get(units, 0)
+            while i < n and not (c <= free[i][0] and m <= free[i][1] and b <= free[i][2]):
+                i += 1
+            start[units] = i
+        if i == n:
+            raise PlacementInfeasibleError("placement infeasible: no server fits VM %d" % vm_id)
+        placement.check_new_id(vm_id, picks)
+        picks[vm_id] = units, i
+        f = free[i]
+        f[0], f[1], f[2] = f[0] - c, f[1] - m, f[2] - b
+        if prior is not None:
+            prior[owner] = scan[i]
+    result = placement.copy()
+    chosen = list(picks.values())
+    result.assign_rows(list(picks), [u for u, _ in chosen], rows[[i for _, i in chosen]])
+    return result
 
 
 def first_fit_place(
@@ -105,20 +134,10 @@ def first_fit_place(
     placement: Placement,
     eligible=None,
 ) -> Placement:
-    """Plain first-fit onto a placement copy, in the given item order, servers
-    scanned in ascending id order.  Raises PlacementInfeasibleError naming
-    the first VM that fits nowhere; the input placement is left untouched."""
-    result = placement.copy()
+    """``first_fit_pass`` of ``items``, which hold (vm_id, demand), over the
+    servers (or ``eligible``) in ascending id order."""
     scan = sorted(eligible) if eligible is not None else sorted(servers)
-    rows = result.rows(scan)
-    for vm_id, demand in items:
-        sid = first_fit(result, demand, scan, rows)
-        if sid is None:
-            raise PlacementInfeasibleError(
-                "placement infeasible: no server fits VM %d" % vm_id
-            )
-        result.assign(vm_id, demand, sid)
-    return result
+    return first_fit_pass(((vm_id, d, None) for vm_id, d in items), placement, scan)
 
 
 def ffd_place(

@@ -59,14 +59,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The metrics.csv columns that ``compare`` tabulates, in table order.
+_COMPARED = ("pw_dc_watts", "ru_dc_pct", "authorized_link_pct", "hogs")
+
+
 def _read_metrics(path: str) -> list[dict[str, float]]:
+    """The rows of a metrics.csv as numbers; ValueError names the file when
+    a compared column is missing or a cell is not a number."""
     import csv
 
     with open(path, newline="") as fh:
-        return [
-            {k: float(v) for k, v in row.items()}
-            for row in csv.DictReader(fh)
-        ]
+        reader = csv.DictReader(fh)
+        missing = [c for c in _COMPARED if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError("%s lacks column %s" % (path, ", ".join(missing)))
+        try:
+            return [{k: float(v) for k, v in row.items()} for row in reader]
+        except (TypeError, ValueError) as exc:
+            raise ValueError("%s line %d: %s" % (path, reader.line_num, exc)) from None
 
 
 def cmd_run(args) -> int:
@@ -85,6 +95,12 @@ def cmd_run(args) -> int:
     except (ScenarioError, TraceFormatError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    try:  # fail before simulating, not after
+        for policy in policies:
+            os.makedirs(os.path.join(args.out, policy), exist_ok=True)
+    except OSError as exc:
+        print("configuration error: cannot create output directory: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
 
     for policy in policies:
         try:
@@ -96,7 +112,6 @@ def cmd_run(args) -> int:
             print("simulation failed: %s" % exc, file=sys.stderr)
             return EXIT_RUNTIME
         out_dir = os.path.join(args.out, policy)
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
             fh.write(result.metrics_csv_text())
         with open(os.path.join(out_dir, "events.csv"), "w") as fh:
@@ -114,7 +129,11 @@ def cmd_compare(args) -> int:
         if not os.path.exists(path):
             print("configuration error: no metrics.csv under %s" % d, file=sys.stderr)
             return EXIT_CONFIG
-        tables.append((d, _read_metrics(path)))
+        try:
+            tables.append((d, _read_metrics(path)))
+        except ValueError as exc:
+            print("configuration error: %s" % exc, file=sys.stderr)
+            return EXIT_CONFIG
 
     counts = {len(rows) for _, rows in tables}
     if len(counts) != 1:
@@ -128,17 +147,7 @@ def cmd_compare(args) -> int:
     def mean(rows, key):
         return sum(r[key] for r in rows) / len(rows) if rows else 0.0
 
-    stats = []
-    for d, rows in tables:
-        stats.append(
-            (
-                d,
-                mean(rows, "pw_dc_watts"),
-                mean(rows, "ru_dc_pct"),
-                mean(rows, "authorized_link_pct"),
-                mean(rows, "hogs"),
-            )
-        )
+    stats = [(d, *(mean(rows, key) for key in _COMPARED)) for d, rows in tables]
 
     def delta(value, base):
         if base == 0:
@@ -148,19 +157,11 @@ def cmd_compare(args) -> int:
     base = stats[0]
     header = ("run", "pw_watts", "ru_pct", "auth_link_pct", "hogs")
     rows_out = [header]
-    for i, (d, pw, ru, al, hogs) in enumerate(stats):
-        if i == 0:
-            rows_out.append((d, "%.1f" % pw, "%.2f" % ru, "%.2f" % al, "%.2f" % hogs))
-        else:
-            rows_out.append(
-                (
-                    d,
-                    "%.1f (%s)" % (pw, delta(pw, base[1])),
-                    "%.2f (%s)" % (ru, delta(ru, base[2])),
-                    "%.2f (%s)" % (al, delta(al, base[3])),
-                    "%.2f (%s)" % (hogs, delta(hogs, base[4])),
-                )
-            )
+    for i, (d, *values) in enumerate(stats):
+        cells = [fmt % v for fmt, v in zip(("%.1f", "%.2f", "%.2f", "%.2f"), values)]
+        if i > 0:  # each later run with its change against the first
+            cells = ["%s (%s)" % (c, delta(v, b)) for c, v, b in zip(cells, values, base[1:])]
+        rows_out.append((d, *cells))
     widths = [max(len(str(row[c])) for row in rows_out) for c in range(len(header))]
     for row in rows_out:
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip())

@@ -40,7 +40,7 @@ import numpy as np
 from .allocator import (
     PlacementInfeasibleError,
     ffd_place,
-    first_fit,
+    first_fit_pass,
     first_fit_place,
     kmeans,
     rebalance,
@@ -95,23 +95,8 @@ def pssf_place(
 
     ``items`` holds (vm_id, owner, demand) in arrival order.
     """
-    result = placement.copy()
-    prior: dict[int, int] = dict(history or {})
-    scan = sorted(servers)
-    rows = result.rows(scan)
-    for vm_id, owner, demand in items:
-        last = prior.get(owner)
-        if last is not None and result.fits(last, demand):
-            target = last
-        else:
-            target = first_fit(result, demand, scan, rows)
-        if target is None:
-            raise PlacementInfeasibleError(
-                "placement infeasible: no server fits VM %d" % vm_id
-            )
-        result.assign(vm_id, demand, target)
-        prior[owner] = target
-    return result
+    items = ((vm_id, demand, owner) for vm_id, owner, demand in items)
+    return first_fit_pass(items, placement, sorted(servers), dict(history or {}))
 
 
 def inject_malicious_behavior(
@@ -536,12 +521,14 @@ class Simulation:
 
     def _initial_placement(self) -> None:
         sc = self.sc
-        for vm in self.vms.values():
+        vms = sorted(self.vms.items())
+        first = {}  # admission reads only the demand: test each one's lowest-id VM
+        for _vm_id, vm in vms:
+            first.setdefault(vm.demand, vm)
+        for vm in first.values():
             decision = admit_vm(vm, self.servers)
             if not decision.accepted:
-                raise SimulationError(
-                    "VM %d rejected: %s" % (vm.id, decision.reason)
-                )
+                raise SimulationError("VM %d rejected: %s" % (vm.id, decision.reason))
         base = Placement(self.servers)
         if sc.fixed_placement:
             for sid, vm_list in sorted(sc.fixed_placement.items()):
@@ -549,19 +536,13 @@ class Simulation:
                     base.assign(vm_id, self.vms[vm_id].demand, sid)
             self.placement = base
         elif sc.policy == "oscmc":
-            items = [
-                (vm_id, vm.demand, vm.demand.bw) for vm_id, vm in sorted(self.vms.items())
-            ]
-            self.placement = ffd_place(
-                items, self.servers, base, eligible=self.ordinary_ids
-            )
+            items = [(vm_id, vm.demand, vm.demand.bw) for vm_id, vm in vms]
+            self.placement = ffd_place(items, self.servers, base, eligible=self.ordinary_ids)
         elif sc.policy == "pssf":
-            items = [
-                (vm_id, vm.owner, vm.demand) for vm_id, vm in sorted(self.vms.items())
-            ]
+            items = [(vm_id, vm.owner, vm.demand) for vm_id, vm in vms]
             self.placement = pssf_place(items, self.servers, base)
         else:
-            items = [(vm_id, vm.demand) for vm_id, vm in sorted(self.vms.items())]
+            items = [(vm_id, vm.demand) for vm_id, vm in vms]
             self.placement = first_fit_place(items, self.servers, base)
 
     # -- per-interval helpers --------------------------------------------

@@ -197,6 +197,10 @@ class Placement:
         """A server's free capacity in the integer micro-units of every sum."""
         return tuple(self._free[self._row[server_id]].tolist())
 
+    def free_units_array(self, rows: np.ndarray) -> np.ndarray:
+        """``free_units`` of the servers of ``rows`` as an ``(n, 3)`` int64 array."""
+        return self._free[rows]
+
     def occupied(self) -> np.ndarray:
         """Whether each row's server hosts at least one VM, in row order."""
         return self._count > 0
@@ -250,28 +254,44 @@ class Placement:
 
     # -- mutations -------------------------------------------------------
 
-    def assign(self, vm_id: int, demand: ResourceVector, server_id: int) -> None:
+    def check_new_id(self, vm_id: int, pending=()) -> None:
+        """Raise what ``assign`` raises for a negative id, or one placed or in ``pending``."""
         if vm_id < 0:
             raise ValueError("VM ids must be non-negative, got %d" % vm_id)
-        if self._host_row(vm_id) >= 0:
+        if vm_id in pending or self._host_row(vm_id) >= 0:
             raise CapacityError("VM %d is already placed" % vm_id)
+
+    def assign(self, vm_id: int, demand: ResourceVector, server_id: int) -> None:
+        self.check_new_id(vm_id)
         if server_id not in self._row:
             raise KeyError("unknown server %d" % server_id)
-        if not self.fits(server_id, demand):
-            raise CapacityError(
-                "placing VM %d on server %d would exceed capacity" % (vm_id, server_id)
-            )
-        if vm_id >= self._host.size:
-            grow = max(vm_id + 1 - self._host.size, self._host.size)
+        # Clamped, so a demand above the ceiling overruns instead of overflowing int64.
+        units = [min(u, _MAX_UNITS + 1) for u in to_units(demand)]
+        self.assign_rows([vm_id], [units], self.rows([server_id]))
+
+    def assign_rows(self, vm_ids: list[int], units: list, rows: np.ndarray) -> None:
+        """Place VMs whose ids passed ``check_new_id`` in one write: VM
+        ``vm_ids[i]`` with demand ``units[i]`` on row ``rows[i]``.  The
+        capacity check covers every row at once; on a fault it names the
+        first VM that ``assign`` would have refused, and nothing is written."""
+        units = np.array(units, dtype=np.int64).reshape(-1, 3)
+        free = self._free.copy()
+        np.subtract.at(free, rows, units)
+        if (free < 0).any():
+            left = self._free.copy()
+            for vm_id, row, need in zip(vm_ids, rows.tolist(), units):
+                left[row] -= need
+                if (left[row] < 0).any():
+                    raise CapacityError("placing VM %d on server %d would exceed capacity"
+                                        % (vm_id, self._sid[row]))
+        if vm_ids and max(vm_ids) >= self._host.size:  # at least double, once
+            grow = max(max(vm_ids) + 1 - self._host.size, self._host.size)
             self._host = np.concatenate([self._host, np.full(grow, -1, np.intp)])
             self._units = np.concatenate([self._units, np.zeros((grow, 3), np.int64)])
-        self._units[vm_id] = to_units(demand)
-        self._place(vm_id, self._row[server_id])
-
-    def _place(self, vm_id: int, row: int) -> None:
-        self._host[vm_id] = row
-        self._count[row] += 1
-        self._free[row] -= self._units[vm_id]
+        self._host[vm_ids] = rows
+        self._units[vm_ids] = units
+        self._count += np.bincount(rows, minlength=len(self._sid))
+        self._free = free
 
     def remove(self, vm_id: int) -> int:
         """Unhost a VM; returns the server it was on."""
@@ -295,7 +315,9 @@ class Placement:
                 "moving VM %d to server %d would exceed capacity" % (vm_id, server_id)
             )
         self.remove(vm_id)
-        self._place(vm_id, row)
+        self._host[vm_id] = row
+        self._count[row] += 1
+        self._free[row] -= self._units[vm_id]
 
     def copy(self) -> "Placement":
         clone = Placement.__new__(Placement)

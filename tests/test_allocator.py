@@ -12,11 +12,12 @@ from oscmc.allocator import (
     ClusterCountError,
     PlacementInfeasibleError,
     ffd_place,
-    first_fit,
+    first_fit_place,
     kmeans,
     rebalance,
 )
-from oscmc.model import Placement, ResourceVector, Server
+from oscmc.engine import pssf_place
+from oscmc.model import CapacityError, Placement, ResourceVector, Server, to_units
 
 
 def make_servers(n, cpu=2000.0, mem=2048.0, bw=10000.0, reserved=()):
@@ -274,9 +275,11 @@ def test_rebalance_never_violates_capacity_random_churn():
 
 def test_first_fit_finds_no_host_for_demand_above_ceiling():
     """A demand above the int64-safe ceiling fits nowhere and does not overflow."""
-    p = Placement(make_servers(2, cpu=1e12))
-    assert first_fit(p, ResourceVector(1e12, 1.0, 1.0), [1, 2]) == 1
-    assert first_fit(p, ResourceVector(1e20, 1.0, 1.0), [1, 2]) is None
+    servers = make_servers(2, cpu=1e12)
+    p = Placement(servers)
+    assert first_fit_place([(1, ResourceVector(1e12, 1.0, 1.0))], servers, p).server_of(1) == 1
+    with pytest.raises(PlacementInfeasibleError, match="no server fits VM 1$"):
+        first_fit_place([(1, ResourceVector(1e20, 1.0, 1.0))], servers, p)
     assert not p.fits(1, ResourceVector(1e20, 1.0, 1.0))
 
 
@@ -307,8 +310,8 @@ def test_sparse_unsorted_server_ids_behave_as_relabelled_fleet(
     caps, reserved, flavors, ops, scans
 ):
     """On servers {9, 2, 14, 5} (in that dict order) with decimal flavors and
-    any assign/move/remove history: first_fit is the first server of any
-    scan that fits; rebalance in every state decides as on the same fleet
+    any assign/move/remove history: fit_mask over any scan marks exactly the
+    servers that fit; rebalance in every state decides as on the same fleet
     relabelled 1..4 in id order; and mutating a copy leaves the original."""
     relabel = {sid: i for i, sid in enumerate(sorted(_SPARSE_IDS), start=1)}
     back = {i: sid for sid, i in relabel.items()}
@@ -342,7 +345,7 @@ def test_sparse_unsorted_server_ids_behave_as_relabelled_fleet(
 
     for scan in scans + [list(_SPARSE_IDS), sorted(_SPARSE_IDS)]:
         for d in demands:
-            assert first_fit(p, d, scan) == next((s for s in scan if p.fits(s, d)), None)
+            assert p.fit_mask(to_units(d), p.rows(scan)).tolist() == [p.fits(s, d) for s in scan]
 
     hogs = [(vm, float(vm % 3)) for vm in sorted(p.vm_ids)]
     for state in (-1, 0, 1):
@@ -530,3 +533,128 @@ def test_consolidation_scans_once_per_demand_and_moves_nothing_it_keeps(monkeypa
     result = rebalance(-1, p, servers)
     assert result.emptied_servers == [] and result.moved == []
     assert calls == {"fit_mask": 2, "move": 0}
+
+
+def reference_first_fit(items, placement, scan, prior=None):
+    """The per-VM loop that ``first_fit_pass`` replaces: for each
+    (vm_id, demand, owner), the owner's last server if ``prior`` names one
+    that fits, else one ``fit_mask`` scan; then one ``assign``."""
+    result = placement.copy()
+    rows = result.rows(scan)
+    for vm_id, demand, owner in items:
+        last = prior.get(owner) if prior is not None else None
+        if last is not None and result.fits(last, demand):
+            target = last
+        else:
+            ok = result.fit_mask(to_units(demand), rows)
+            target = scan[int(ok.argmax())] if ok.any() else None
+        if target is None:
+            raise PlacementInfeasibleError("placement infeasible: no server fits VM %d" % vm_id)
+        result.assign(vm_id, demand, target)
+        if prior is not None:
+            prior[owner] = target
+    return result
+
+
+def _outcome(call):
+    """A placement's arrays, or the type and message of what it raised."""
+    try:
+        p = call()
+    except (PlacementInfeasibleError, CapacityError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert p.capacity_ok()
+    vms = p.placed()
+    return (vms.tolist(), p.host_rows(vms).tolist(), p.demand_units_array(vms).tolist(),
+            p._free.tolist(), p._count.tolist())
+
+
+_NOWHERE = ResourceVector(5.0, 0.1, 0.1)  # above every drawn capacity
+_ABOVE_CEILING = ResourceVector(1e20, 0.1, 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sids=st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True),
+    caps=st.lists(st.tuples(_CAP, _CAP, _CAP), min_size=6, max_size=6),
+    flavors=st.lists(st.tuples(_DECIMAL, _DECIMAL, _DECIMAL), min_size=1, max_size=4),
+    base_ops=st.lists(st.tuples(st.integers(20, 40), st.integers(0, 3), st.integers(0, 5)),
+                      max_size=6),
+    # (vm id, flavor code, owner, predicted bandwidth) with distinct ids, some
+    # of them placed in the base; flavor codes 0 and 1 are the two demands
+    # that fit nowhere.  ``repeat`` copies item j to position k.
+    items=st.lists(st.tuples(st.integers(-1, 24), st.integers(0, 39), st.integers(1, 3),
+                             st.sampled_from([0.0, 1.0, 2.5])),
+                   max_size=12, unique_by=lambda it: it[0]),
+    repeat=st.none() | st.tuples(st.integers(0, 11), st.integers(0, 12)),
+    eligible=st.none() | st.lists(st.integers(0, 5), unique=True),
+    history=st.dictionaries(st.integers(1, 3), st.integers(0, 5), max_size=3),
+)
+@example(  # an id the base placement holds already
+    sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.3, 0.3, 0.3)],
+    base_ops=[(24, 0, 0)], items=[(24, 2, 1, 0.0)], repeat=None, eligible=None, history={},
+)
+@example(  # an id given twice, and a later VM that fits nowhere
+    sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.3, 0.3, 0.3)], base_ops=[],
+    items=[(5, 2, 1, 0.0), (6, 2, 1, 0.0), (9, 0, 1, 0.0)], repeat=(0, 2),
+    eligible=None, history={},
+)
+@example(  # owner 1's last server is the second, though the first fits its next VM
+    sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.3, 0.3, 0.3), (0.9, 0.3, 0.3)],
+    base_ops=[], items=[(1, 2, 2, 0.0), (2, 3, 1, 0.0), (3, 2, 1, 0.0)], repeat=None,
+    eligible=None, history={},
+)
+def test_first_fit_pass_equals_per_vm_reference(
+    sids, caps, flavors, base_ops, items, repeat, eligible, history
+):
+    """first_fit_place, ffd_place (with ``eligible``) and pssf_place (with
+    ``history``) give what the per-VM scan-and-assign loop gives, array for
+    array, or raise what it raises with the same message, on sparse
+    unsorted server ids over a pre-populated placement; the input placement
+    and history stay unchanged."""
+    servers = {sid: Server(sid, ResourceVector(*cap)) for sid, cap in zip(sids, caps)}
+    demands = [ResourceVector(*f) for f in flavors]
+    base = Placement(servers)
+    for vm, flavor, at in base_ops:
+        sid, demand = sids[at % len(sids)], demands[flavor % len(demands)]
+        if base.server_of(vm) is None and base.fits(sid, demand):
+            base.assign(vm, demand, sid)
+    before = _outcome(lambda: base)
+    if repeat and items:
+        items.insert(repeat[1], items[repeat[0] % len(items)])
+    code = lambda c: (_NOWHERE, _ABOVE_CEILING)[c] if c < 2 else demands[c % len(demands)]
+    drawn = [(vm, code(c), owner, bw) for vm, c, owner, bw in items]
+    scan = sorted(servers)
+    subset = None if eligible is None else sorted({sids[i % len(sids)] for i in eligible})
+    prior = {owner: sids[i % len(sids)] for owner, i in history.items()}
+    kept = dict(prior)
+
+    got = _outcome(lambda: first_fit_place([(v, d) for v, d, _, _ in drawn], servers, base))
+    assert got == _outcome(
+        lambda: reference_first_fit([(v, d, None) for v, d, _, _ in drawn], base, scan))
+
+    ordered = sorted(drawn, key=lambda it: (-it[3], it[0]))
+    got = _outcome(lambda: ffd_place([(v, d, bw) for v, d, _, bw in drawn], servers, base,
+                                     eligible=subset))
+    assert got == _outcome(lambda: reference_first_fit(
+        [(v, d, None) for v, d, _, _ in ordered], base, scan if subset is None else subset))
+
+    got = _outcome(lambda: pssf_place([(v, o, d) for v, d, o, _ in drawn], servers, base, prior))
+    assert got == _outcome(
+        lambda: reference_first_fit([(v, d, o) for v, d, o, _ in drawn], base, scan, dict(prior)))
+
+    assert _outcome(lambda: base) == before
+    assert prior == kept
+
+
+def test_assign_rows_names_the_first_vm_that_overruns_and_writes_nothing():
+    servers = make_servers(2, cpu=1000.0)
+    p = Placement(servers)
+    p.assign(1, ResourceVector(500.0, 1.0, 1.0), 2)  # VM 6 fills server 2 exactly
+    units = [to_units(ResourceVector(500.0, 1.0, 1.0))] * 4
+    with pytest.raises(CapacityError, match="^placing VM 7 on server 2 would exceed capacity$"):
+        p.assign_rows([5, 6, 7, 8], units, p.rows([1, 2, 2, 1]))
+    assert p.placed().tolist() == [1] and p.free_units(1) == to_units(servers[1].capacity)
+    assert p.capacity_ok()
+    p.assign_rows([5, 6, 9], units[:3], p.rows([1, 2, 1]))
+    assert [p.server_of(v) for v in (1, 5, 6, 9)] == [2, 1, 2, 1] and p.capacity_ok()
+    assert p.vms_on(1).tolist() == [5, 9] and p.free_units(2) == (0, 2046 * 10**6, 9998 * 10**6)

@@ -248,3 +248,32 @@ def test_missing_subcommand_exits_config(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("interval,pw_dc_watts,ru_dc_pct,hogs\n0,1,2,3\n", "lacks column authorized_link_pct"),
+        ("interval,pw_dc_watts,ru_dc_pct,authorized_link_pct,hogs\n0,1,x,3,4\n",
+         "line 2: could not convert string to float: 'x'"),
+        ("interval,pw_dc_watts,ru_dc_pct,authorized_link_pct,hogs\n0,1,2,3\n", "line 2"),
+    ],
+)
+def test_compare_bad_metrics_file_exits_config_naming_it(tmp_path, capsys, text, message):
+    (tmp_path / "metrics.csv").write_text(text)
+    code = main(["compare", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "%s %s" % (tmp_path / "metrics.csv", message) in err
+    assert "Traceback" not in err
+
+
+def test_run_out_on_a_file_exits_config_before_simulating(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "taken"
+    out.write_text("")
+    monkeypatch.setattr("oscmc.cli.run", lambda sc: pytest.fail("simulated before the check"))
+    code = main(["run", "--scenario", "illustration", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "cannot create output directory" in err and str(out) in err
+    assert out.read_text() == ""

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oscmc.allocator
 import oscmc.engine
+import oscmc.model
 from oscmc.allocator import PlacementInfeasibleError
 from oscmc.engine import (
     RunLog,
@@ -160,6 +162,43 @@ def test_oversized_vm_is_rejected():
     sc = small_scenario(vm_flavors=[(9000.0, 10.0, 10.0)])
     with pytest.raises(SimulationError, match="rejected"):
         Simulation(sc)
+
+
+def test_rejection_names_the_lowest_id_vm_of_any_rejected_flavor():
+    # Flavors cycle over VM ids from VM 1: VMs 2 and 3 are each the first of
+    # a flavor no server can host.
+    flavors = [(100.0, 10.0, 10.0), (9000.0, 10.0, 10.0), (10.0, 9000.0, 10.0)]
+    with pytest.raises(SimulationError, match="^VM 2 rejected"):
+        Simulation(small_scenario(vm_flavors=flavors))
+    with pytest.raises(SimulationError, match="^VM 3 rejected"):
+        Simulation(small_scenario(vm_flavors=[flavors[0], flavors[0], flavors[2]]))
+
+
+@pytest.mark.parametrize("policy", ["oscmc", "pssf", "wosc"])
+def test_initial_placement_admits_and_converts_once_per_flavor(monkeypatch, policy):
+    """Set-up of a 2-flavor fleet makes no fit_mask scan, one placement copy,
+    one admission test per flavor and one unit conversion per flavor beside
+    the servers' capacities."""
+    calls = {"fit_mask": 0, "copy": 0, "admit_vm": 0, "to_units": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("fit_mask", "copy"):
+        monkeypatch.setattr(Placement, name, counting(name, getattr(Placement, name)))
+    monkeypatch.setattr(oscmc.engine, "admit_vm", counting("admit_vm", oscmc.engine.admit_vm))
+    for module in (oscmc.model, oscmc.allocator):
+        monkeypatch.setattr(module, "to_units", counting("to_units", module.to_units))
+    sc = small_scenario(
+        policy=policy, servers=20, vms=60, users=9, reserved_per=10,
+        vm_flavors=[(500.0, 512.0, 1000.0), (250.0, 256.0, 500.0)],
+    )
+    sim = Simulation(sc)
+    assert sim.placement.capacity_ok() and len(sim.placement.placed()) == 60
+    assert calls == {"fit_mask": 0, "copy": 1, "admit_vm": 2, "to_units": 20 + 2}
 
 
 # Four one-VM users link in cross-user pairs with no cross-user grant: the
