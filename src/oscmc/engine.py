@@ -22,16 +22,16 @@ and builds observed-link matrices only for the policy that reads them, so
 the worker count accepted by ``Simulation`` and ``run`` never changes any
 output byte.
 
-Those matrices hold only the links that can change the threat report:
-each unauthorised live link and the live outgoing links of its receiver,
-a potential cascade relay.  Under ``oscmc`` a live-link adjacency in both
-directions finds these, and a suspended VM's links, without a full scan.
+Live links are one sorted array of keys ``src * span + dst`` (``span =
+V + 1``) that each interval's new links join in one array pass.  The
+observed-link matrices hold only the links that can change the threat
+report: each unauthorised live link and the live outgoing links of its
+receiver, a potential cascade relay, which are the relay's key range.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -109,7 +109,7 @@ def inject_malicious_behavior(
     remote_rate: float,
     rng: np.random.Generator,
     kept=None,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Attack links for one interval: each hostile VM may probe one
     co-located benign VM and one benign VM on another server.
 
@@ -121,7 +121,8 @@ def inject_malicious_behavior(
     without it, it is built here.  VM ids are distinct and non-negative,
     given as sequences or int arrays.
 
-    The co-located victim is the drawn one of the unsuspended benign VMs on
+    Returns an ``(n, 2)`` intp array of (attacker, victim) rows.  The
+    co-located victim is the drawn one of the unsuspended benign VMs on
     the attacker's server, by id, the attacker excluded.  The remote victim
     is the unsuspended benign VM at the drawn start when it sits on another
     server, else the first one after it that does, wrapping around.  Links
@@ -139,7 +140,7 @@ def inject_malicious_behavior(
     col = np.flatnonzero(acts & (draws[:, 0] < colocated_rate))
     rem = np.flatnonzero(acts & (draws[:, 2] < remote_rate) & (alive.size > 0))
     if not (col.size or rem.size):
-        return []
+        return np.empty((0, 2), dtype=np.intp)
     alive_rows = placement.host_rows(alive)
 
     # Co-located: the placed unsuspended benign VMs by (row, id), a run per
@@ -173,7 +174,7 @@ def inject_malicious_behavior(
     src = np.concatenate([col, rem[found]])
     dst = np.concatenate([col_dst, rem_dst[found]])
     order = np.argsort(src, kind="stable")  # co-located before remote
-    return list(zip(hostile[src[order]].tolist(), dst[order].tolist()))
+    return np.column_stack((hostile[src[order]], dst[order]))
 
 
 def benign_links(
@@ -183,13 +184,14 @@ def benign_links(
     ivcl: Ivcl,
     rate: float,
     rng: np.random.Generator,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Authorised traffic: each benign VM may open one link to a destination
     of its authorised-link log row, drawn at a random start and taken as the
     first placed, unsuspended one from there on, wrapping around.
 
     Two draws per VM always, all in one call, which equals one call of two
     per VM.  ``benign_vms`` is a sequence or an int array of registered VMs.
+    Returns an ``(n, 2)`` intp array of (source, destination) rows.
     """
     benign = np.asarray(benign_vms, dtype=np.intp)
     draws = rng.random((benign.size, 2))
@@ -216,7 +218,7 @@ def benign_links(
         at = start.item(j)
         dst[j] = next(filter(usable_vm, row[at + 1 :] + row[:at]), -1)
     found = dst >= 0
-    return list(zip(benign[which[found]].tolist(), dst[found].tolist()))
+    return np.column_stack((benign[which[found]], dst[found]))
 
 
 def with_cross_user_grants(
@@ -346,15 +348,13 @@ class Simulation:
         self._build_models(s_models, s_train)
         self._initial_placement()
 
-        # Live links in birth order: (src, dst) -> interval established.
-        self.live: dict[tuple[int, int], int] = {}
-        # The live links the log does not authorise.  The log never changes
-        # after set-up, so a link is classified once, when it goes live.
-        self.unauthorised: set[tuple[int, int]] = set()
-        # Live-link adjacency, vm -> {peer}, outgoing and incoming.  Kept
-        # only under oscmc, whose detection and quarantine alone read it.
-        self.outs: defaultdict[int, set[int]] = defaultdict(set)
-        self.ins: defaultdict[int, set[int]] = defaultdict(set)
+        # Live links as sorted keys src * span + dst; VM ids run from 1 to V.
+        self.span = len(self.vms) + 1
+        self.link_keys = np.empty(0, dtype=np.int64)
+        # The live links the log does not authorise, (src, dst) -> interval
+        # established.  The log never changes after set-up, so a link is
+        # classified once, when it goes live.
+        self.unauthorised: dict[tuple[int, int], int] = {}
         self.suspended: set[int] = set()
         self.detected_cum: set[int] = set()
         # Bandwidth forecast per VM, indexed like ``usage``; nominal until
@@ -406,19 +406,20 @@ class Simulation:
     def _build_population(self) -> None:
         sc = self.sc
         flavors = [ResourceVector(*f) for f in sc.vm_flavors]
+        frac = sc.guaranteed_frac
+        guaranteed = [GuaranteedThreshold(frac, frac * f.bw) for f in flavors]
+        vm_ids = range(1, sc.vms + 1)
         if sc.fixed_users:
-            owner_of = {
-                vm: uid for uid, vm_list in sc.fixed_users.items() for vm in vm_list
-            }
+            owner_of = {vm: uid for uid, vm_list in sc.fixed_users.items() for vm in vm_list}
             user_ids = sorted(sc.fixed_users)
+            owner = [owner_of[vm] for vm in vm_ids]
         else:
             m = sc.user_count()
-            chunks = np.array_split(np.arange(1, sc.vms + 1), m)
-            owner_of = {}
             user_ids = list(range(1, m + 1))
-            for uid, chunk in zip(user_ids, chunks):
-                for vm in chunk:
-                    owner_of[int(vm)] = uid
+            # The chunk sizes of np.array_split: the first V % m one larger.
+            sizes = np.full(m, sc.vms // m)
+            sizes[: sc.vms % m] += 1
+            owner = np.repeat(user_ids, sizes).tolist()
         if sc.fixed_malicious_users is not None:
             hostile = set(sc.fixed_malicious_users)
         else:
@@ -428,37 +429,22 @@ class Simulation:
             perm = self.setup_rng.permutation(user_ids)
             hostile = set(int(u) for u in perm[:k])
 
-        self.users = {
-            uid: User(uid, set(), uid in hostile) for uid in user_ids
-        }
+        self.users = {uid: User(uid, set(), uid in hostile) for uid in user_ids}
+        flavor = np.arange(sc.vms) % len(flavors)
         self.vms: dict[int, Vm] = {}
-        for vm_id in range(1, sc.vms + 1):
-            owner = owner_of[vm_id]
-            flavor = flavors[(vm_id - 1) % len(flavors)]
-            self.vms[vm_id] = Vm(
-                id=vm_id,
-                owner=owner,
-                demand=flavor,
-                guaranteed=GuaranteedThreshold(
-                    sc.guaranteed_frac, sc.guaranteed_frac * flavor.bw
-                ),
-            )
-            self.users[owner].vm_ids.add(vm_id)
-        self.owners = {vm_id: vm.owner for vm_id, vm in self.vms.items()}
+        for vm_id, uid, f in zip(vm_ids, owner, flavor.tolist()):
+            self.vms[vm_id] = Vm(vm_id, uid, flavors[f], guaranteed=guaranteed[f])
+            self.users[uid].vm_ids.add(vm_id)
+        self.owners = dict(zip(vm_ids, owner))
         ids = np.arange(1, sc.vms + 1, dtype=np.intp)
-        truth = (self.users[vm.owner].is_malicious_truth for vm in self.vms.values())
-        hostile = np.fromiter(truth, bool, sc.vms)
-        self.malicious_vm_ids = ids[hostile]
-        self.benign_vm_ids = ids[~hostile]
+        is_hostile = np.isin(owner, list(hostile))
+        self.malicious_vm_ids = ids[is_hostile]
+        self.benign_vm_ids = ids[~is_hostile]
         # The unsuspended benign VMs, in id order.
         self.benign_alive = self.benign_vm_ids.copy()
-        # The int object of each VM id, indexed by id (``self.vms``'s keys),
-        # for live-link keys to share.
-        self.vm_ints = [0, *self.vms]
-        # (tp_min, bw_min) per VM, indexed like ``usage``.
-        self.guarantees = np.array(
-            [(vm.guaranteed.tp_min, vm.guaranteed.bw_min) for _, vm in sorted(self.vms.items())]
-        ).reshape(-1, 2)
+        # (tp_min, bw_min) and nominal demand per VM, indexed like ``usage``.
+        self.guarantees = np.array([(g.tp_min, g.bw_min) for g in guaranteed])[flavor]
+        self.nominals = np.array([f.as_tuple() for f in flavors])[flavor]
 
     def _build_ivcl(self) -> None:
         intra = Ivcl()
@@ -477,9 +463,6 @@ class Simulation:
 
     def _build_usage(self, rng: np.random.Generator) -> None:
         sc = self.sc
-        self.nominals = np.array(
-            [self.vms[vm_id].demand.as_tuple() for vm_id in sorted(self.vms)]
-        )
         if sc.trace_path:
             trace = ingest_trace(sc.trace_path)
             self.usage = fit_trace_to_vms(
@@ -625,20 +608,16 @@ class Simulation:
             frac = np.where(nominal > 0, delivered / nominal, 1.0)
         return np.column_stack((frac, delivered)), self.guarantees[cols]
 
-    def _new_links(self, t: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """This interval's new links, in order: those to classify (attacks
-        and scripted links), then benign links, each drawn from its
-        source's log row and so authorised."""
+    def _new_links(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """This interval's new links as ``(n, 2)`` arrays, in order: those to
+        classify (attacks and scripted links), then benign links, each drawn
+        from its source's log row and so authorised."""
         sc = self.sc
         if sc.scripted_links is not None:
-            return [
-                (s, d)
-                for s, d in sc.scripted_links.get(t, [])
-                if s not in self.suspended and d not in self.suspended
-            ], []
-        in_burst_window = (
-            sc.attack_mode == "steady" or t % sc.burst_period == 0
-        )
+            links = np.array(sc.scripted_links.get(t, []), dtype=np.intp).reshape(-1, 2)
+            links = links[~np.isin(links, list(self.suspended)).any(axis=1)]
+            return links, links[:0]
+        in_burst_window = sc.attack_mode == "steady" or t % sc.burst_period == 0
         col_rate = sc.attack_colocated_rate if in_burst_window else 0.0
         rem_rate = sc.attack_remote_rate if in_burst_window else 0.0
         attacks = inject_malicious_behavior(
@@ -662,37 +641,70 @@ class Simulation:
         )
         return attacks, benign
 
-    def _drop_link(self, ends: tuple[int, int], t: int) -> None:
-        born = self.live.pop(ends, None)
-        if born is not None and self.sc.policy == "oscmc":
-            self.outs[ends[0]].discard(ends[1])
-            self.ins[ends[1]].discard(ends[0])
-        if ends in self.unauthorised:
-            self.unauthorised.remove(ends)
-            if t - born >= 1:
+    def _add_links(self, checked: np.ndarray, authorised: np.ndarray, t: int) -> None:
+        """Merge the links not yet live into the keys, each at its first
+        occurrence, and classify the fresh ``checked`` ones in birth order."""
+        ends = np.concatenate((checked, authorised))
+        new, first = np.unique(self._keys(ends), return_index=True)
+        keys = self.link_keys
+        at = np.searchsorted(keys, new)
+        # Clipped, a key past the end meets the last live key, a smaller one.
+        fresh = keys.take(at, mode="clip") != new if keys.size else np.ones(new.size, bool)
+        self.link_keys = np.insert(keys, at[fresh], new[fresh])
+        born = np.sort(first[fresh])
+        for link in map(tuple, ends[born[born < len(checked)]].tolist()):
+            if classify_link(link, self.ivcl):
+                self.unauthorised[link] = t
+                self.log.malicious_links_created += 1
+
+    def _keys(self, links) -> np.ndarray:
+        """The key of each (src, dst) of ``links``, a sequence or array."""
+        ends = np.asarray(links, dtype=np.int64).reshape(-1, 2)
+        return ends[:, 0] * self.span + ends[:, 1]
+
+    def _links_from(self, vms) -> np.ndarray:
+        """The live keys sourced by the distinct ``vms``: each one's key range."""
+        keys = self.link_keys
+        start = np.fromiter(vms, np.int64, len(vms)) * self.span
+        lo = np.searchsorted(keys, start)
+        n = np.searchsorted(keys, start + self.span) - lo
+        return keys[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
+
+    def live_links(self, keys: np.ndarray | None = None) -> list[tuple[int, int]]:
+        """The live links (or those of ``keys``) as (src, dst), in key order."""
+        src, dst = np.divmod(self.link_keys if keys is None else keys, self.span)
+        return list(zip(src.tolist(), dst.tolist()))
+
+    def _drop_links(self, links, t: int, vms=()) -> None:
+        """Drop the live ``links`` and every live link of ``vms``; an
+        unauthorised link live since an earlier interval is a breach."""
+        drop = self._keys(list(links))
+        at = np.searchsorted(self.link_keys, drop)
+        gone = np.zeros(self.link_keys.size, dtype=bool)
+        gone[at[np.searchsorted(self.link_keys, drop, side="right") > at]] = True
+        if vms:
+            src, dst = np.divmod(self.link_keys, self.span)
+            gone |= np.isin(src, vms) | np.isin(dst, vms)
+        for link in self.live_links(self.link_keys[gone]):
+            born = self.unauthorised.pop(link, None)
+            if born is not None and t - born >= 1:
                 self.log.realized_breaches += 1
+        self.link_keys = self.link_keys[~gone]
 
     def _apply_quarantine(self, directive: QuarantineDirective, t: int) -> None:
-        for ends in sorted(directive.terminate_links):
-            self._drop_link(ends, t)
-        newly = set()
+        newly = []
         for vm_id in sorted(directive.suspend_vms):
             if vm_id in self.suspended:
                 continue
             self.vms[vm_id].status = VmStatus.SUSPENDED
             self.suspended.add(vm_id)
             self.log.suspended.append(vm_id)
-            newly.add(vm_id)
+            newly.append(vm_id)
             if self.placement.server_of(vm_id) is not None:
                 self.placement.remove(vm_id)
         if newly:
-            self.benign_alive = self.benign_alive[~np.isin(self.benign_alive, list(newly))]
-        # Dropping only counts breaches, so one pass in any order suffices.
-        for vm in newly:
-            for dst in list(self.outs[vm]):
-                self._drop_link((vm, dst), t)
-            for src in list(self.ins[vm]):
-                self._drop_link((src, vm), t)
+            self.benign_alive = self.benign_alive[~np.isin(self.benign_alive, newly)]
+        self._drop_links(directive.terminate_links, t, newly)
 
     def _detect(self, t: int, vlams, active: np.ndarray) -> ThreatReport:
         perf, thresholds = self._perf_samples(t, active)
@@ -756,29 +768,15 @@ class Simulation:
                 )
                 self.placement = result.placement
 
-        checked, authorised = self._new_links(t)
-        # Generated links hold fresh ints; live-link keys share each VM's.
-        ints = self.vm_ints if sc.scripted_links is None else None
-        for i, ends in enumerate(checked + authorised):
-            if ends in self.live:
-                continue
-            if ints is not None:
-                ends = (ints[ends[0]], ints[ends[1]])
-            self.live[ends] = t
-            if sc.policy == "oscmc":
-                self.outs[ends[0]].add(ends[1])
-                self.ins[ends[1]].add(ends[0])
-            if i < len(checked) and classify_link(ends, self.ivcl):
-                self.unauthorised.add(ends)
-                self.log.malicious_links_created += 1
+        self._add_links(*self._new_links(t), t)
 
         if sc.policy == "oscmc":
             # Only unauthorised links and their receivers' (the potential
             # relays') outgoing links can raise an event; every other live
             # link is authorised, so this report equals one over all of them.
+            relays = {relay for _, relay in self.unauthorised}
             watched = set(self.unauthorised)
-            for _, relay in self.unauthorised:
-                watched.update((relay, dst) for dst in self.outs[relay])
+            watched.update(self.live_links(self._links_from(relays)))
             # Only the servers hosting a watched endpoint: an empty matrix
             # adds no event and no observed link.
             hosts = {self.placement.server_of(vm) for link in watched for vm in link}
@@ -797,7 +795,7 @@ class Simulation:
                 self.placement,
                 observed,
                 predicted,
-                len(self.live),
+                self.link_keys.size,
                 len(self.unauthorised),
                 hog_threshold=sc.hog_threshold,
                 power_mode=sc.power_mode,
@@ -821,8 +819,7 @@ class Simulation:
     def finish(self) -> RunLog:
         """Drop the unauthorised links still live after the last interval,
         counting breaches by the same rule as a quarantine drop."""
-        for ends in list(self.unauthorised):
-            self._drop_link(ends, self.sc.intervals - 1)
+        self._drop_links(self.unauthorised, self.sc.intervals - 1)
         return self.log
 
 

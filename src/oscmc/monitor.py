@@ -22,6 +22,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -413,16 +414,14 @@ def build_threat_report(
         bad_links |= links
 
     per_owner: dict[int, set[LinkEnds]] = {}
-    owner_counts: dict[int, int] = {}
-    for vm, owner in owners.items():
-        owner_counts[owner] = owner_counts.get(owner, 0) + 1
     for src, links in grouped.items():
         owner = owners.get(src)
         if owner is not None:
             per_owner.setdefault(owner, set()).update(links)
-    coverage = {
-        owner: len(links) / owner_counts[owner] for owner, links in per_owner.items()
-    }
+    coverage = {}
+    if per_owner:  # VM counts of the owners with a malicious link only
+        counts = Counter(owner for owner in owners.values() if owner in per_owner)
+        coverage = {owner: len(links) / counts[owner] for owner, links in per_owner.items()}
 
     return ThreatReport(
         interval=interval,

@@ -143,6 +143,9 @@ class Scenario:
             raise ScenarioError("learning_rate must be > 0")
         if self.power_mode not in ("mean", "cpu"):
             raise ScenarioError("power_mode must be mean or cpu")
+        ends = [v for links in (self.scripted_links or {}).values() for link in links for v in link]
+        if not all(1 <= v <= self.vms and v == int(v) for v in ends):
+            raise ScenarioError("scripted_links must join VMs 1 to vms")
 
     def user_count(self) -> int:
         if self.fixed_users:

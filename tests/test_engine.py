@@ -1,5 +1,6 @@
 """Simulation-engine tests: construction, invariants and policy contracts."""
 
+import copy
 import dataclasses
 import hashlib
 
@@ -22,8 +23,13 @@ from oscmc.engine import (
     run,
 )
 from oscmc.metrics import METRICS_CSV_HEADER, _active, authorized_link_pct
-from oscmc.model import Placement, ResourceVector, Server
-from oscmc.monitor import build_threat_report, build_vlams, classify_link
+from oscmc.model import GuaranteedThreshold, Placement, ResourceVector, Server
+from oscmc.monitor import (
+    QuarantineDirective,
+    build_threat_report,
+    build_vlams,
+    classify_link,
+)
 from oscmc.scenario import Scenario, ScenarioError, load_scenario, with_policy
 
 
@@ -236,7 +242,7 @@ def test_suspended_vms_never_relink():
     for t in range(sc.intervals):
         suspended_before = set(sim.suspended)
         sim.step(t)
-        for src, dst in sim.live:
+        for src, dst in sim.live_links():
             if src in suspended_before or dst in suspended_before:
                 seen_after_suspension.append((t, src, dst))
     assert seen_after_suspension == []
@@ -263,15 +269,26 @@ def test_detector_never_reads_ground_truth():
         assert ra.colocation == rb.colocation
 
 
-def test_live_link_keys_share_the_vm_id_objects():
-    """Generated links carry fresh ints; the keys kept in ``live`` reuse the
-    id objects of ``sim.vms``, so a long run holds one int per VM (ids above
-    256 are not interned)."""
+def test_live_links_are_one_sorted_key_array():
+    """The live links are held as one strictly increasing int64 key array,
+    one key per link, whose size the snapshot reads; the keys decode to
+    registered VMs.  Generated links arrive as ``(n, 2)`` intp arrays."""
     sim = Simulation(with_policy(small_scenario(servers=200, vms=400, users=40), "wosc"))
     for t in range(3):
         sim.step(t)
-    ids = {id(vm) for vm in sim.vms}
-    assert sim.live and all(id(v) in ids for link in sim.live for v in link)
+        keys = sim.link_keys
+        assert keys.dtype == np.int64 and keys.ndim == 1 and keys.size > 0
+        assert (np.diff(keys) > 0).all()
+        assert sim.span == 401
+        links = sim.live_links()
+        assert len(links) == keys.size
+        assert all(1 <= v <= 400 for link in links for v in link)
+        assert [s * sim.span + d for s, d in links] == keys.tolist()
+        m = sim.log.metrics[-1]
+        good = keys.size - len(sim.unauthorised)
+        assert m.authorized_link_pct == 100.0 * good / keys.size
+    for links in sim._new_links(3):
+        assert links.dtype == np.intp and links.ndim == 2 and links.shape[1] == 2
 
 
 def test_oscmc_quarantines_and_wosc_does_not():
@@ -578,7 +595,7 @@ def _check_detection_against_all_live_links(sim):
         oracle = build_threat_report(
             t,
             sim.placement,
-            build_vlams(sim.placement, list(sim.live), sim.servers.keys()),
+            build_vlams(sim.placement, sim.live_links(), sim.servers.keys()),
             sim.ivcl,
             sim.owners,
             vms=active,
@@ -594,6 +611,26 @@ def _check_detection_against_all_live_links(sim):
 
     sim._detect = checked_detect
     return checked
+
+
+def _check_link_queries(sim, live):
+    """Each VM's outgoing key range, the relay query of detection, and the
+    links a quarantine of that VM would drop, against brute force over the
+    live links; no query changes the store."""
+    keys = sim.link_keys.copy()
+    assert len(set(live)) == len(live) == keys.size
+    for vm in range(1, sim.span):
+        outs = {link for link in live if link[0] == vm}
+        assert set(sim.live_links(sim._links_from([vm]))) == outs
+        probe = copy.copy(sim)
+        probe.unauthorised = {}  # so no breach reaches sim's log
+        probe._drop_links((), 0, [vm])
+        assert set(live) - set(probe.live_links()) == {link for link in live if vm in link}
+    relays = {relay for _, relay in sim.unauthorised}
+    assert set(sim.live_links(sim._links_from(relays))) == {
+        link for link in live if link[0] in relays
+    }
+    assert np.array_equal(sim.link_keys, keys)
 
 
 @settings(max_examples=100, deadline=None)
@@ -615,10 +652,11 @@ def _check_detection_against_all_live_links(sim):
 @example(_ALL_SUSPENDED)
 def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
     """Each small scenario fails validation, stops with the exit-3 errors or
-    runs to completion; while it runs, the unauthorised set classified at
-    birth matches a fresh classification of the live links, the live-link
-    adjacency matches the live links, and every ``oscmc`` threat report
-    equals the one computed over every live link."""
+    runs to completion; while it runs, the unauthorised links classified at
+    birth match a fresh classification of the live links, each VM's key
+    range and the quarantine's decoding pass find exactly its live links,
+    and every ``oscmc`` threat report equals the one computed over every
+    live link."""
     try:
         sc.validate()
     except ScenarioError:
@@ -637,23 +675,19 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
                 powered, active = _powered(sim), _active_ids(sim)
             assert m.active_server_count == len(powered)
             assert active == powered
-            assert sim.unauthorised == {
-                link for link in sim.live if classify_link(link, sim.ivcl)
+            live = sim.live_links()
+            assert sim.unauthorised.keys() == {
+                link for link in live if classify_link(link, sim.ivcl)
             }
-            assert not any(v in sim.suspended for link in sim.live for v in link)
+            assert all(0 <= born <= t for born in sim.unauthorised.values())
+            assert not any(v in sim.suspended for link in live for v in link)
             alive = [vm for vm in sim.benign_vm_ids.tolist() if vm not in sim.suspended]
             assert sim.benign_alive.tolist() == alive
-            outs, ins = {}, {}
-            if sc.policy == "oscmc":
-                for src, dst in sim.live:
-                    outs.setdefault(src, set()).add(dst)
-                    ins.setdefault(dst, set()).add(src)
-            assert {vm: peers for vm, peers in sim.outs.items() if peers} == outs
-            assert {vm: peers for vm, peers in sim.ins.items() if peers} == ins
+            _check_link_queries(sim, live)
             if sc.policy != "oscmc":
                 # oscmc's quarantine drops links after the snapshot.
                 assert sim.log.metrics[-1].authorized_link_pct == authorized_link_pct(
-                    sim.live, sim.ivcl
+                    live, sim.ivcl
                 )
     except (SimulationError, PlacementInfeasibleError):
         return
@@ -715,7 +749,7 @@ def test_suspended_benign_vm_leaves_the_kept_benign_list():
         )
         for rng, kept in zip(rngs, ({}, {"kept": sim.benign_alive}))
     ]
-    assert links[0] == links[1] and links[0]
+    assert np.array_equal(links[0], links[1]) and links[0].size
 
 
 def reference_perf_samples(sim, t, active):
@@ -789,3 +823,118 @@ def test_array_perf_samples_equal_per_vm_loop(vms, flavor_bws, server_bw, frac, 
         assert perf.shape == thresholds.shape == (len(active), 2)
         assert _bits(dict(zip(active, perf.tolist()))) == _bits(want_perf)
         assert dict(zip(active, map(tuple, thresholds.tolist()))) == want_thresholds
+
+
+class _DictLinks:
+    """The per-link loop the sorted key store replaced: live links with their
+    birth interval, the unauthorised set, and a breach counted when an
+    unauthorised link live since an earlier interval is dropped."""
+
+    def __init__(self, ivcl):
+        self.ivcl, self.live, self.unauthorised = ivcl, {}, set()
+        self.created = self.breaches = 0
+
+    def add(self, checked, authorised, t):
+        for i, ends in enumerate(checked + authorised):
+            if ends in self.live:
+                continue
+            self.live[ends] = t
+            if i < len(checked) and classify_link(ends, self.ivcl):
+                self.unauthorised.add(ends)
+                self.created += 1
+
+    def drop(self, ends, t):
+        born = self.live.pop(ends, None)
+        if ends in self.unauthorised:
+            self.unauthorised.remove(ends)
+            if t - born >= 1:
+                self.breaches += 1
+
+    def quarantine(self, terminate, suspend, t):
+        for ends in sorted(terminate):
+            self.drop(ends, t)
+        for vm in suspend:
+            for ends in [link for link in self.live if vm in link]:
+                self.drop(ends, t)
+
+
+def _assert_same_links(sim, ref):
+    assert sorted(sim.live_links()) == sorted(ref.live)
+    assert sim.unauthorised == {link: ref.live[link] for link in ref.unauthorised}
+    assert sim.log.malicious_links_created == ref.created
+    assert sim.log.realized_breaches == ref.breaches
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_array_link_insert_equals_per_link_dict_loop(data):
+    """Batches of scripted links (self-links, links of suspended VMs,
+    repeats within the batch and links already live) and authorised links
+    go in through the key store as through the old dict loop, with the same
+    live links, births of unauthorised links, link count and breaches,
+    through quarantines (terminating live and other links) and the final
+    drop."""
+    sc = small_scenario(policy="wosc", cross_user_auth_rate=0.2, scripted_links={})
+    sim = Simulation(sc)
+    ref = _DictLinks(sim.ivcl)
+    vms = st.sampled_from(range(1, sc.vms + 1))
+    for t in range(data.draw(st.integers(1, sc.intervals))):
+        live = sorted(ref.live)
+        pick = st.tuples(vms, vms) | (st.sampled_from(live) if live else st.nothing())
+        batch = data.draw(st.lists(pick, max_size=12))
+        if batch:
+            batch += data.draw(st.lists(st.sampled_from(batch), max_size=4))
+        batch = data.draw(st.permutations(batch))
+        grants = [
+            (a, b)
+            for a in range(1, sc.vms + 1)
+            for b in sorted(sim.ivcl.authorized_dsts(a))
+            if a not in sim.suspended and b not in sim.suspended
+        ]
+        authorised = data.draw(st.lists(st.sampled_from(grants), max_size=12)) if grants else []
+        sim.sc = dataclasses.replace(sc, scripted_links={t: batch})
+        checked, none = sim._new_links(t)
+        assert none.shape == (0, 2)
+        sim._add_links(checked, np.array(authorised, dtype=np.intp).reshape(-1, 2), t)
+        ref.add(
+            [(s, d) for s, d in batch if s not in sim.suspended and d not in sim.suspended],
+            authorised,
+            t,
+        )
+        _assert_same_links(sim, ref)
+        if data.draw(st.booleans()):
+            # Quarantine terminates live links; a link not live is passed over.
+            terminate = data.draw(st.sets(pick, max_size=6))
+            unsuspended = [v for v in range(1, sc.vms + 1) if v not in sim.suspended]
+            suspend = data.draw(st.sets(st.sampled_from(unsuspended), max_size=2))
+            sim._apply_quarantine(QuarantineDirective(terminate, suspend), t)
+            ref.quarantine(terminate, suspend, t)
+            _assert_same_links(sim, ref)
+    sim.finish()
+    for ends in list(ref.unauthorised):
+        ref.drop(ends, sc.intervals - 1)
+    _assert_same_links(sim, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda v: st.tuples(st.just(v), st.integers(1, v))))
+def test_population_follows_the_array_split_of_vm_ids(vms_users):
+    """Users own consecutive chunks of VM ids as ``np.array_split`` cuts
+    them; each VM's guarantee is its flavor's, and the hostile and benign id
+    arrays follow the owners' truth labels."""
+    vms, users = vms_users
+    sim = Simulation(small_scenario(servers=vms, vms=vms, users=users, malicious_user_pct=30.0))
+    chunks = np.array_split(np.arange(1, vms + 1), users)
+    owner = {vm: uid for uid, chunk in enumerate(chunks, 1) for vm in chunk.tolist()}
+    assert sim.owners == owner
+    assert {uid: u.vm_ids for uid, u in sim.users.items()} == {
+        uid: set(chunk.tolist()) for uid, chunk in enumerate(chunks, 1)
+    }
+    hostile = [vm for vm in range(1, vms + 1) if sim.users[owner[vm]].is_malicious_truth]
+    assert sim.malicious_vm_ids.tolist() == hostile
+    assert sim.benign_vm_ids.tolist() == sorted(set(range(1, vms + 1)) - set(hostile))
+    frac = sim.sc.guaranteed_frac
+    for vm_id, vm in sim.vms.items():
+        assert vm.owner == owner[vm_id]
+        assert vm.guaranteed == GuaranteedThreshold(frac, frac * vm.demand.bw)
+        assert sim.guarantees[vm_id - 1].tolist() == [frac, frac * vm.demand.bw]

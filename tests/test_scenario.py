@@ -125,3 +125,14 @@ def test_user_count_default_is_third_of_vms():
     assert Scenario(vms=21).user_count() == 7
     assert Scenario(vms=2).user_count() == 1
     assert Scenario(vms=30, users=5).user_count() == 5
+
+
+@pytest.mark.parametrize(
+    "link", [(0, 2), (2, 11), (-1, 3), (1.5, 2), (float("nan"), 2), (2, float("inf"))]
+)
+def test_validate_rejects_scripted_links_outside_the_vms(link):
+    """Live links are keyed by VM id, so a scripted link must join VMs 1 to
+    ``vms``; a self-link is a link like any other."""
+    with pytest.raises(ScenarioError, match="scripted_links"):
+        Scenario(vms=10, scripted_links={0: [(1, 2), link]}).validate()
+    Scenario(vms=10, scripted_links={0: [(1, 2), (10, 10)], 3: []}).validate()
