@@ -12,6 +12,9 @@ batched ``matmul`` per product serves every network of an epoch.  Each
 group keeps the row-major ``(n, ·)`` layout of a lone network, so numpy
 makes the same BLAS call per group and a network trained in a stack ends
 bit for bit where it would alone.  A single network is a stack of one.
+A network's parameters are one row of P = W*H + 2H + 1 values and a
+stack's one (G, P) buffer, so a descent step is one multiply and one
+subtract; training writes every work array of an epoch in place.
 """
 
 from __future__ import annotations
@@ -35,30 +38,65 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def _forward(xn, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations (G, n, H) and outputs (G, n) of G stacked networks
-    on normalised inputs ``xn`` (G, n, W)."""
-    z = xn @ w1
-    z += b1[:, None, :]
-    h = _sigmoid(z)
-    return h, (h @ w2[:, :, None])[:, :, 0] + b2[:, None]
+def _views(theta: np.ndarray, window: int, hidden: int):
+    """``w1`` (G, W, H), ``b1`` (G, 1, H), ``w2`` (G, H, 1) and ``b2`` (G, 1, 1)
+    as views of a (G, P) buffer that holds one network's parameters a row."""
+    g, wh = theta.shape[0], window * hidden
+    return (
+        theta[:, :wh].reshape(g, window, hidden),
+        theta[:, None, wh : wh + hidden],
+        theta[:, wh + hidden : -1, None],
+        theta[:, None, -1:],
+    )
 
 
-def _gradients(xn, yn, w1, b1, w2, b2):
-    """Analytic gradients of mean squared loss 0.5*(out - y)^2 and the
-    loss itself, per network of the stack; ``yn`` is (G, n)."""
-    h, out = _forward(xn, w1, b1, w2, b2)
-    err = out - yn
-    dout = err / xn.shape[1]
-    dw2 = (h.transpose(0, 2, 1) @ dout[:, :, None])[:, :, 0]
-    db2 = dout.sum(axis=1)
-    dz = dout[:, :, None] * w2[:, None, :]
-    dz *= h
-    dz *= 1.0 - h
-    dw1 = xn.transpose(0, 2, 1) @ dz
-    db1 = dz.sum(axis=1)
-    loss = 0.5 * np.mean(err**2, axis=1)
-    return dw1, db1, dw2, db2, loss
+def _forward(xn, w1, b1, w2, b2, h=None, out=None):
+    """Hidden activations (G, n, H) and outputs (G, n, 1) of G stacked networks
+    on normalised inputs ``xn`` (G, n, W), into ``h`` and ``out`` if given."""
+    h = np.matmul(xn, w1, out=h)
+    h += b1
+    _sigmoid(h)
+    out = np.matmul(h, w2, out=out)
+    out += b2
+    return h, out
+
+
+class _Stack:
+    """G networks of one shape on their normalised rows ``xn`` (G, n, W) and
+    ``yn`` (G, n): the parameters ``theta`` (G, P), the gradients ``grad``
+    in the same layout, and every work array of an epoch allocated once."""
+
+    def __init__(self, theta, window, hidden, xn, yn):
+        g, n = yn.shape
+        self.theta, self.grad, self.xn, self.yn, self.n = theta, np.empty_like(theta), xn, yn, n
+        self.params = _views(theta, window, hidden)
+        self.grads = _views(self.grad, window, hidden)
+        self.w2_row = self.params[2].transpose(0, 2, 1)
+        self.xn_t = xn.transpose(0, 2, 1)
+        self.h, self.dz, self.tmp = (np.empty((g, n, hidden)) for _ in range(3))
+        self.h_t = self.h.transpose(0, 2, 1)
+        self.out, self.dout, self.err = np.empty((g, n, 1)), np.empty((g, n, 1)), np.empty((g, n))
+
+    def forward(self) -> None:
+        _forward(self.xn, *self.params, self.h, self.out)
+        np.subtract(self.out[:, :, 0], self.yn, out=self.err)
+
+    def backward(self) -> None:
+        """Gradients of each mean loss 0.5*(out - y)^2 at the last forward, into ``grad``."""
+        dw1, db1, dw2, db2 = self.grads
+        h, dout, dz = self.h, self.dout, self.dz
+        np.divide(self.err[:, :, None], self.n, out=dout)
+        np.matmul(self.h_t, dout, out=dw2)
+        np.add.reduce(dout, axis=1, keepdims=True, out=db2)
+        np.multiply(dout, self.w2_row, out=dz)
+        dz *= h
+        dz *= np.subtract(1.0, h, out=self.tmp)
+        np.matmul(self.xn_t, dz, out=dw1)
+        np.add.reduce(dz, axis=1, keepdims=True, out=db1)
+
+    def loss(self) -> np.ndarray:
+        """Each network's loss at the last forward pass."""
+        return 0.5 * np.mean(self.err**2, axis=1)
 
 
 class PredictorModel:
@@ -76,21 +114,33 @@ class PredictorModel:
         self.window = window
         self.hidden = hidden
         self.learning_rate = learning_rate
+        self.theta = np.zeros(window * hidden + 2 * hidden + 1)
         rng = np.random.default_rng(seed)
-        self.w1 = rng.uniform(-0.5, 0.5, size=(window, hidden))
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.uniform(-0.5, 0.5, size=hidden)
-        self.b2 = 0.0
+        self.w1[:] = rng.uniform(-0.5, 0.5, size=(window, hidden))
+        self.w2[:] = rng.uniform(-0.5, 0.5, size=hidden)
         # Normalisation bounds; lo == hi means identity scaling.
-        self.lo = 0.0
-        self.hi = 0.0
+        self.lo = self.hi = 0.0
 
     @classmethod
     def zeros(cls, window: int = 6, hidden: int = 8, learning_rate: float = 0.05):
         model = cls(window, hidden, learning_rate, seed=0)
-        model.w1[:] = 0.0
-        model.w2[:] = 0.0
+        model.theta[:] = 0.0
         return model
+
+    def _views(self):
+        return _views(self.theta[None], self.window, self.hidden)
+
+    w1 = property(lambda self: self._views()[0][0], doc="input weights (W, H), a view")
+    b1 = property(lambda self: self._views()[1][0, 0], doc="hidden biases (H,), a view")
+    w2 = property(lambda self: self._views()[2][0, :, 0], doc="output weights (H,), a view")
+
+    @property
+    def b2(self) -> float:
+        return float(self.theta[-1])
+
+    @b2.setter
+    def b2(self, value: float) -> None:
+        self.theta[-1] = value
 
     # -- normalisation ---------------------------------------------------
 
@@ -111,13 +161,9 @@ class PredictorModel:
 
     # -- forward ---------------------------------------------------------
 
-    def _params(self):
-        """The weights as a stack of one network (views, but for ``b2``)."""
-        return self.w1[None], self.b1[None], self.w2[None], np.array([self.b2])
-
     def _outputs(self, xn: np.ndarray) -> np.ndarray:
         """Outputs (n,) for normalised inputs (n, W)."""
-        return _forward(xn[None], *self._params())[1][0]
+        return _forward(xn[None], *self._views())[1][0, :, 0]
 
     def predict(self, window_values) -> float:
         """Forecast the next sample from the last ``window`` raw samples."""
@@ -154,14 +200,14 @@ def train_on_windows(
     x: np.ndarray,
     y: np.ndarray,
     epochs: int = 200,
-) -> list[float] | list[list[float]]:
+) -> float | list[float]:
     """Full-batch gradient descent on raw (window, target) pairs.
 
     ``models`` is one model or a list of G models that share window, hidden
     size and learning rate; they train as one stack.  ``x`` (G*n, W) and
     ``y`` (G*n,) hold each model's n rows in turn, and each model normalises
-    its own rows with its own bounds.  Returns the loss trace, or one trace
-    per model for a list.
+    its own rows with its own bounds.  Returns the loss at the last epoch
+    (at the given weights for ``epochs = 0``), or one per model for a list.
     """
     group = [models] if isinstance(models, PredictorModel) else list(models)
     first = group[0]
@@ -177,26 +223,24 @@ def train_on_windows(
         )
     xn = np.stack([m._norm(rows) for m, rows in zip(group, x.reshape(g, -1, first.window))])
     yn = np.stack([m._norm(rows) for m, rows in zip(group, y.reshape(g, -1))])
-    w1 = np.stack([m.w1 for m in group])
-    b1 = np.stack([m.b1 for m in group])
-    w2 = np.stack([m.w2 for m in group])
-    b2 = np.array([m.b2 for m in group])
-    lr = first.learning_rate
-    losses = np.empty((epochs, g))
-    for epoch in range(epochs):
-        dw1, db1, dw2, db2, losses[epoch] = _gradients(xn, yn, w1, b1, w2, b2)
-        w1 -= lr * dw1
-        b1 -= lr * db1
-        w2 -= lr * dw2
-        b2 -= lr * db2
-    for i, m in enumerate(group):
-        m.w1, m.b1, m.w2, m.b2 = w1[i], b1[i], w2[i], float(b2[i])
-    traces = losses.T.tolist()
-    return traces[0] if isinstance(models, PredictorModel) else traces
+    theta = np.stack([m.theta for m in group])
+    stack = _Stack(theta, first.window, first.hidden, xn, yn)
+    lr, step = first.learning_rate, np.empty_like(theta)
+    for _ in range(epochs):
+        stack.forward()
+        stack.backward()
+        np.multiply(lr, stack.grad, out=step)
+        theta -= step
+    if not epochs:
+        stack.forward()
+    for m, row in zip(group, theta):
+        m.theta = row
+    losses = stack.loss().tolist()
+    return losses[0] if isinstance(models, PredictorModel) else losses
 
 
-def train(model: PredictorModel, series, epochs: int = 200) -> list[float]:
-    """Fit normalisation bounds on the series and train; returns loss trace."""
+def train(model: PredictorModel, series, epochs: int = 200) -> float:
+    """Fit normalisation bounds on the series and train; returns the final loss."""
     x, y = make_windows(series, model.window)
     model.set_bounds(np.asarray(series, dtype=float))
     return train_on_windows(model, x, y, epochs)
@@ -205,38 +249,22 @@ def train(model: PredictorModel, series, epochs: int = 200) -> list[float]:
 def gradient_check(
     model: PredictorModel, window_values, target: float, step: float = 1e-4
 ) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between the gradients that training runs and
+    central differences of the loss, over every parameter of ``model``."""
     xn = model._norm(np.asarray(window_values, dtype=float)[None, None, :])
     yn = model._norm(np.asarray([[target]], dtype=float))
-
-    dw1, db1, dw2, db2, _ = _gradients(xn, yn, *model._params())
-    analytic = np.concatenate([dw1.ravel(), db1.ravel(), dw2.ravel(), db2])
-
-    params = [model.w1, model.b1, model.w2]
-
-    def loss_now() -> float:
-        return float(_gradients(xn, yn, *model._params())[4][0])
-
-    numeric = []
-    for arr in params:
-        flat = arr.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_now()
-            flat[i] = orig - step
-            down = loss_now()
-            flat[i] = orig
-            numeric.append((up - down) / (2.0 * step))
-    orig = model.b2
-    model.b2 = orig + step
-    up = loss_now()
-    model.b2 = orig - step
-    down = loss_now()
-    model.b2 = orig
-    numeric.append((up - down) / (2.0 * step))
-
-    numeric = np.asarray(numeric)
+    # One stack of 2P + 1 networks: the model, then for each parameter i a
+    # copy with it moved up by ``step`` and a copy with it moved down.
+    p = model.theta.size
+    g, rows = 2 * p + 1, np.arange(2 * p)
+    probes = np.repeat(model.theta[None], g, axis=0)
+    probes[rows + 1, rows // 2] += np.tile([step, -step], p)
+    stack = _Stack(probes, model.window, model.hidden, xn.repeat(g, 0), yn.repeat(g, 0))
+    stack.forward()
+    stack.backward()
+    analytic = stack.grad[0]
+    up, down = stack.loss()[1:].reshape(p, 2).T
+    numeric = (up - down) / (2.0 * step)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
 

@@ -139,6 +139,8 @@ class Scenario:
             raise ScenarioError("power figures must satisfy pw_idle <= pw_min <= pw_max")
         if self.vuln_score_fixed is not None and not 0.0 <= self.vuln_score_fixed <= 10.0:
             raise ScenarioError("vuln_score_fixed must lie in [0, 10]")
+        if self.window * self.hidden > 2**20:
+            raise ScenarioError("window * hidden must be <= 2**20 weights per network")
         if not self.learning_rate > 0:
             raise ScenarioError("learning_rate must be > 0")
         if self.power_mode not in ("mean", "cpu"):

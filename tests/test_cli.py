@@ -102,6 +102,8 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
         "burst_mult = nan",
         "pw_max = inf",
         "attack_mode = burst\nburst_period = 0",
+        "hidden = 1000000000000",
+        "window = 1000000000000",
     ],
 )
 def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):

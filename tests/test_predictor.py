@@ -69,9 +69,11 @@ def test_training_loss_decreases_monotonically_in_trace_tail():
     rng = np.random.default_rng(5)
     series = 100.0 + 50.0 * np.sin(np.arange(120) / 6.0) + rng.normal(0, 1.0, 120)
     model = PredictorModel(window=6, hidden=8, learning_rate=0.05, seed=3)
-    trace = train(model, series, epochs=200)
-    assert trace[-1] < trace[0] * 0.5
-    assert trace[-1] < 0.05
+    # The first epoch's loss is the loss at the initial weights.
+    first = train(_clone(model), series, epochs=1)
+    last = train(model, series, epochs=200)
+    assert last < first * 0.5
+    assert last < 0.05
 
 
 def test_trained_model_beats_persistence_on_smooth_series():
@@ -105,21 +107,22 @@ def test_train_on_windows_matches_train_pipeline():
     series = np.linspace(10.0, 40.0, 30)
     a = PredictorModel(window=4, seed=9)
     b = PredictorModel(window=4, seed=9)
-    trace_a = train(a, series, epochs=50)
+    loss_a = train(a, series, epochs=50)
     x, y = make_windows(series, 4)
     b.set_bounds(series)
-    trace_b = train_on_windows(b, x, y, epochs=50)
-    assert trace_a == trace_b
+    loss_b = train_on_windows(b, x, y, epochs=50)
+    assert isinstance(loss_a, float)
+    assert loss_a == loss_b
     assert np.array_equal(a.w1, b.w1)
 
 
 @st.composite
-def stacked_problems(draw):
+def stacked_problems(draw, groups=st.integers(1, 5), rows=st.integers(1, 12)):
     """G models of one shape with each its own rows and bounds."""
-    g = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 12))
-    window = draw(st.integers(1, 5))
-    hidden = draw(st.integers(1, 5))
+    g = draw(groups)
+    n = draw(rows)
+    window = draw(st.integers(1, 8))
+    hidden = draw(st.integers(1, 8))
     lr = draw(st.sampled_from([0.01, 0.05, 0.5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.uniform(0.0, 1000.0, (g * n, window))
@@ -157,17 +160,101 @@ def test_stacked_training_equals_training_each_model_alone(problem):
     n = len(x) // len(models)
     # Identity scaling of raw values saturates the sigmoid.
     with np.errstate(over="ignore"):
-        traces = train_on_windows(models, x, y, epochs=epochs)
+        losses = train_on_windows(models, x, y, epochs=epochs)
         singles = [
             train_on_windows(m, x[i * n : (i + 1) * n], y[i * n : (i + 1) * n], epochs=epochs)
             for i, m in enumerate(alone)
         ]
-    for trace, single_trace, stacked, single in zip(traces, singles, models, alone):
-        assert trace == single_trace
+    for loss, single_loss, stacked, single in zip(losses, singles, models, alone):
+        assert loss == single_loss
         assert np.array_equal(stacked.w1, single.w1)
         assert np.array_equal(stacked.b1, single.b1)
         assert np.array_equal(stacked.w2, single.w2)
         assert stacked.b2 == single.b2
+
+
+# The epoch loop as it was before the parameters moved into one buffer per
+# stack: fresh temporaries every epoch, four separate descent steps and a
+# loss per epoch.  It is the oracle for the buffered loop.
+
+
+def _reference_sigmoid(z):
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+def _reference_forward(xn, w1, b1, w2, b2):
+    z = xn @ w1
+    z += b1[:, None, :]
+    h = _reference_sigmoid(z)
+    return h, (h @ w2[:, :, None])[:, :, 0] + b2[:, None]
+
+
+def _reference_gradients(xn, yn, w1, b1, w2, b2):
+    h, out = _reference_forward(xn, w1, b1, w2, b2)
+    err = out - yn
+    dout = err / xn.shape[1]
+    dw2 = (h.transpose(0, 2, 1) @ dout[:, :, None])[:, :, 0]
+    db2 = dout.sum(axis=1)
+    dz = dout[:, :, None] * w2[:, None, :]
+    dz *= h
+    dz *= 1.0 - h
+    dw1 = xn.transpose(0, 2, 1) @ dz
+    db1 = dz.sum(axis=1)
+    loss = 0.5 * np.mean(err**2, axis=1)
+    return dw1, db1, dw2, db2, loss
+
+
+def reference_train_on_windows(group, x, y, epochs):
+    """The old loop on a list of models, which it leaves untouched; returns
+    the trained (w1, b1, w2, b2) stacks and the (epochs, G) loss trace."""
+    first = group[0]
+    g = len(group)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xn = np.stack([m._norm(rows) for m, rows in zip(group, x.reshape(g, -1, first.window))])
+    yn = np.stack([m._norm(rows) for m, rows in zip(group, y.reshape(g, -1))])
+    w1 = np.stack([m.w1 for m in group])
+    b1 = np.stack([m.b1 for m in group])
+    w2 = np.stack([m.w2 for m in group])
+    b2 = np.array([m.b2 for m in group])
+    lr = first.learning_rate
+    losses = np.empty((epochs, g))
+    for epoch in range(epochs):
+        dw1, db1, dw2, db2, losses[epoch] = _reference_gradients(xn, yn, w1, b1, w2, b2)
+        w1 -= lr * dw1
+        b1 -= lr * db1
+        w2 -= lr * dw2
+        b2 -= lr * db2
+    return w1, b1, w2, b2, losses
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        stacked_problems(),
+        # Per-VM models: many small groups in one stack.
+        stacked_problems(groups=st.integers(50, 200), rows=st.integers(1, 24)),
+    )
+)
+def test_buffered_training_equals_the_reference_loop(problem):
+    models, x, y, epochs = problem
+    with np.errstate(over="ignore"):
+        w1, b1, w2, b2, trace = reference_train_on_windows(models, x, y, epochs)
+        if epochs == 0:
+            g, window = len(models), models[0].window
+            xn = np.stack([m._norm(r) for m, r in zip(models, x.reshape(g, -1, window))])
+            yn = np.stack([m._norm(r) for m, r in zip(models, y.reshape(g, -1))])
+            trace = [_reference_gradients(xn, yn, w1, b1, w2, b2)[4]]
+        losses = train_on_windows(models, x, y, epochs=epochs)
+    assert losses == list(trace[-1])
+    assert np.stack([m.w1 for m in models]).tobytes() == w1.tobytes()
+    assert np.stack([m.b1 for m in models]).tobytes() == b1.tobytes()
+    assert np.stack([m.w2 for m in models]).tobytes() == w2.tobytes()
+    assert np.array([m.b2 for m in models]).tobytes() == b2.tobytes()
 
 
 @pytest.mark.parametrize(
