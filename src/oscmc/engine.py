@@ -45,7 +45,9 @@ from .allocator import (
     kmeans,
     rebalance,
 )
-from .metrics import METRICS_CSV_HEADER, EmptyDataCenterError, IntervalMetrics, snapshot
+from .metrics import (
+    METRICS_CSV_HEADER, EmptyDataCenterError, Fleet, IntervalMetrics, exact_sum, snapshot,
+)
 from .model import (
     GuaranteedThreshold,
     Placement,
@@ -82,6 +84,15 @@ _DRAW_BLOCK = 1 << 19
 
 class SimulationError(Exception):
     """The scenario cannot be simulated (for example, nothing can host a VM)."""
+
+
+def _member(ids: np.ndarray, vms) -> np.ndarray:
+    """Whether each of the non-negative ``ids`` is one of ``vms`` (a set, a
+    list or an int array), read from a mask indexed by id."""
+    vms = vms if isinstance(vms, np.ndarray) else np.fromiter(vms, np.intp, len(vms))
+    mask = np.zeros(int(vms.max(initial=-1)) + 2, dtype=bool)  # the last slot stays False
+    mask[vms] = True
+    return mask[np.minimum(ids, mask.size - 1)]
 
 
 def pssf_place(
@@ -136,7 +147,7 @@ def inject_malicious_behavior(
     host = placement.host_rows(hostile)
     acts = host >= 0
     if suspended:
-        acts &= ~np.isin(hostile, list(suspended))
+        acts &= ~_member(hostile, suspended)
     col = np.flatnonzero(acts & (draws[:, 0] < colocated_rate))
     rem = np.flatnonzero(acts & (draws[:, 2] < remote_rate) & (alive.size > 0))
     if not (col.size or rem.size):
@@ -151,7 +162,7 @@ def inject_malicious_behavior(
     row_key = host[col] * span
     lo = np.searchsorted(keys, row_key)
     at = np.searchsorted(keys, row_key + hostile[col])
-    own = np.isin(hostile[col], alive)  # the attacker is in its row's run
+    own = _member(hostile[col], alive)  # the attacker is in its row's run
     n = np.searchsorted(keys, row_key + span) - lo - own
     has = n > 0
     col, lo, at, own, n = col[has], lo[has], at[has], own[has], n[has]
@@ -201,14 +212,14 @@ def benign_links(
     size = indptr[rows + 1] - lo
     opens = (draws[:, 0] < rate) & (size > 0)
     if suspended:
-        opens &= ~np.isin(benign, list(suspended))
+        opens &= ~_member(benign, suspended)
     which = np.flatnonzero(opens)
     lo, size = lo[which], size[which]
     start = (draws[which, 1] * size).astype(np.int64) % size
     dst = indices[lo + start].astype(np.intp)
     usable = placement.host_rows(dst) >= 0
     if suspended:
-        usable &= ~np.isin(dst, list(suspended))
+        usable &= ~_member(dst, suspended)
 
     def usable_vm(vm: int) -> bool:
         return vm not in suspended and placement.server_of(vm) is not None
@@ -347,6 +358,8 @@ class Simulation:
         self._build_usage(np.random.default_rng(s_workload))
         self._build_models(s_models, s_train)
         self._initial_placement()
+        # In placement row order: every later placement is this one or a copy.
+        self.fleet = Fleet(self.servers, self.placement)
 
         # Live links as sorted keys src * span + dst; VM ids run from 1 to V.
         self.span = len(self.vms) + 1
@@ -400,8 +413,6 @@ class Simulation:
         self.ordinary_ids = sorted(set(self.servers) - reserved)
         self.vuln_scores = {sid: s.vulnerability_score for sid, s in self.servers.items()}
         self.total_bw = sum(s.capacity.bw for s in self.servers.values())
-        # By placement row: every placement is built over ``self.servers``.
-        self.server_bw = np.array([s.capacity.bw for s in self.servers.values()])
 
     def _build_population(self) -> None:
         sc = self.sc
@@ -598,8 +609,9 @@ class Simulation:
         cols = self._cols(active)
         rows = self.placement.host_rows(active)
         demand = self.usage[t, cols, 2]
-        load = np.bincount(rows, weights=demand, minlength=len(self.server_bw))[rows]
-        cap = self.server_bw[rows]
+        bw = self.fleet.cap[:, 2]
+        load = np.bincount(rows, weights=demand, minlength=bw.size)[rows]
+        cap = bw[rows]
         nominal = self.nominals[cols, 2]
         # np.where divides every element, also those it then discards.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -615,7 +627,7 @@ class Simulation:
         sc = self.sc
         if sc.scripted_links is not None:
             links = np.array(sc.scripted_links.get(t, []), dtype=np.intp).reshape(-1, 2)
-            links = links[~np.isin(links, list(self.suspended)).any(axis=1)]
+            links = links[~_member(links, self.suspended).any(axis=1)]
             return links, links[:0]
         in_burst_window = sc.attack_mode == "steady" or t % sc.burst_period == 0
         col_rate = sc.attack_colocated_rate if in_burst_window else 0.0
@@ -684,7 +696,7 @@ class Simulation:
         gone[at[np.searchsorted(self.link_keys, drop, side="right") > at]] = True
         if vms:
             src, dst = np.divmod(self.link_keys, self.span)
-            gone |= np.isin(src, vms) | np.isin(dst, vms)
+            gone |= _member(src, vms) | _member(dst, vms)
         for link in self.live_links(self.link_keys[gone]):
             born = self.unauthorised.pop(link, None)
             if born is not None and t - born >= 1:
@@ -703,7 +715,7 @@ class Simulation:
             if self.placement.server_of(vm_id) is not None:
                 self.placement.remove(vm_id)
         if newly:
-            self.benign_alive = self.benign_alive[~np.isin(self.benign_alive, newly)]
+            self.benign_alive = self.benign_alive[~_member(self.benign_alive, newly)]
         self._drop_links(directive.terminate_links, t, newly)
 
     def _detect(self, t: int, vlams, active: np.ndarray) -> ThreatReport:
@@ -738,8 +750,8 @@ class Simulation:
 
         if sc.policy == "oscmc":
             congestion = detect_congestion(
-                sum(observed.tolist()),
-                sum(predicted.tolist()),
+                exact_sum(observed),
+                exact_sum(predicted),
                 delta_t=1.0,
                 dev_threshold=sc.congestion_threshold_frac * self.total_bw,
                 time_threshold=1.0,
@@ -799,6 +811,7 @@ class Simulation:
                 len(self.unauthorised),
                 hog_threshold=sc.hog_threshold,
                 power_mode=sc.power_mode,
+                fleet=self.fleet,
             )
         except EmptyDataCenterError:
             msg = "interval %d: every VM is suspended and no server is powered"

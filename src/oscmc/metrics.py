@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,13 +39,38 @@ def ru_dc(servers: dict[int, Server], placement: Placement) -> float:
     return _mean_ru(_active(servers, placement)[2])
 
 
-def _mean_ru(sums: list[float]) -> float:
-    if not sums:
+def _mean_ru(sums: np.ndarray) -> float:
+    """The mean of the row sums per resource, their total added from 0.0 left
+    to right (``total += s``) on every Python version."""
+    if not sums.size:
         raise EmptyDataCenterError("empty data center")
-    total = 0.0
-    for s in sums:
-        total += s
-    return total / (3.0 * len(sums))
+    return float(_running(sums)[1][-1]) / (3.0 * sums.size)
+
+
+def _running(a) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as float64 with its first term ``0 + a[0]`` (a ``-0.0`` leads as
+    ``0.0``), and its running sums from the left along the last axis."""
+    x = np.array(a, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x[..., :1] += 0.0
+        return x, np.add.accumulate(x, axis=-1)
+
+
+def exact_sum(a, *, compensated: bool = sys.version_info >= (3, 12)):
+    """The builtin ``sum`` of float64 ``a``, bit for bit: a float for a 1-D
+    array, the row sums along the last axis of an ``(n, k)`` one.  ``sum``
+    adds left to right and, if ``compensated`` (from Python 3.12), adds at
+    the end the running sum of each step's rounding error (Neumaier, *ZAMM*
+    54, 1974) when that is non-zero and finite."""
+    x, f = _running(a)
+    total = f[..., -1] if x.shape[-1] else np.zeros(x.shape[:-1])
+    if compensated and x.shape[-1] > 1:
+        prev, t, x = f[..., :-1], f[..., 1:], x[..., 1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.where(np.abs(prev) >= np.abs(x), (prev - t) + x, (x - t) + prev)
+            c = np.add.accumulate(err, axis=-1)[..., -1]
+            total = np.where((c != 0) & np.isfinite(c), total + c, total)
+    return total if total.ndim else float(total)
 
 
 def _power(server: Server, fractions: tuple[float, float, float], mode: str) -> float:
@@ -65,56 +92,44 @@ def power_server(server: Server, placement: Placement, mode: str = "mean") -> fl
 def power_dc(servers: dict[int, Server], placement: Placement, mode: str = "mean") -> float:
     """Aggregate power draw over active servers."""
     # Inactive servers' 0.0 terms would add nothing, so only active ones count.
-    return float(sum(_active(servers, placement, mode)[3]))
+    return exact_sum(_active(servers, placement, mode)[3])
 
 
-class _Fleet:
-    """Per-server constants of one ``servers`` dict over one placement
-    layout, in dict order, kept while the same dict and layout come back.
-    Capacities, power figures and ``reserved_for_hogs`` are per-server
-    constants, read once; the engine never changes them."""
+class Fleet:
+    """The per-server constants the snapshot reads, in ``servers`` order, read
+    once: a caller that changes a server builds a new one.  Any placement
+    with the row layout of ``placement`` (a copy, say) may be read with it."""
 
     def __init__(self, servers: dict[int, Server], placement: Placement):
-        # Copies of a placement share its id-to-row map, so it names the layout.
-        self.key = (servers, placement._row)
-        self.members = list(servers.values())
+        members = list(servers.values())
         self.ids = np.array(list(servers), dtype=np.intp)
         self.rows = placement.rows(list(servers))
-        caps = [s.capacity.as_tuple() for s in self.members]
-        self.cap = np.array(caps, dtype=float).reshape(-1, 3)
-        self.span = np.array([s.pw_max - s.pw_min for s in self.members], dtype=float)
-        self.idle = np.array([s.pw_idle for s in self.members], dtype=float)
-        self.reserved = np.array([s.reserved_for_hogs for s in self.members], dtype=bool)
+        caps = chain.from_iterable(s.capacity.as_tuple() for s in members)
+        self.cap = np.fromiter(caps, float, 3 * len(members)).reshape(-1, 3)
+        self.span = np.array([s.pw_max - s.pw_min for s in members], dtype=float)
+        self.idle = np.array([s.pw_idle for s in members], dtype=float)
+        self.reserved = np.array([s.reserved_for_hogs for s in members], dtype=bool)
 
 
-_fleet: _Fleet | None = None
-
-
-def _active(servers: dict[int, Server], placement: Placement, mode: str | None = None):
-    """Ids, used fractions and their sums of the active servers (by
-    ``_powered``'s rule), in ``servers`` order, each equal to ``ru_server``
-    and Python's ``sum`` of it (compensated from 3.12); with a power mode,
-    also each one's ``_power``."""
-    global _fleet
-    if _fleet is None or _fleet.key[0] is not servers or _fleet.key[1] is not placement._row:
-        _fleet = _Fleet(servers, placement)
-    fleet = _fleet
+def _active(servers: dict[int, Server], placement: Placement, mode=None, fleet=None):
+    """Ids, used fractions ``(n, 3)`` and their row sums of the active
+    servers (by ``_powered``'s rule), in ``servers`` order, each equal to
+    ``ru_server`` and ``sum`` of it; with a power mode, also each one's
+    ``_power``.  ``fleet`` is the servers' ``Fleet``, built here without it."""
+    fleet = fleet or Fleet(servers, placement)
     on = placement.occupied()[fleet.rows] | fleet.reserved
     cap = fleet.cap[on]
     with np.errstate(divide="ignore", invalid="ignore"):
         fractions = np.where(cap > 0, placement.used_array(fleet.rows[on]) / cap, 0.0)
-    rows = fractions.tolist()
-    sums = list(map(sum, rows))
-    power = []
-    if mode is not None and rows:
-        if mode == "cpu":
-            ru = fractions[:, 0]
-        elif mode == "mean":
-            ru = np.array(sums) / 3.0
-        else:
-            raise ValueError("unknown power mode %r" % mode)
-        power = (fleet.span[on] * ru + fleet.idle[on]).tolist()
-    return fleet.ids[on], rows, sums, power
+    sums = exact_sum(fractions)
+    if mode == "cpu":
+        ru = fractions[:, 0]
+    elif mode == "mean":
+        ru = sums / 3.0
+    elif mode is not None:
+        raise ValueError("unknown power mode %r" % mode)
+    power = fleet.span[on] * ru + fleet.idle[on] if mode else None
+    return fleet.ids[on], fractions, sums, power
 
 
 def count_hogs(observed_bw, predicted_bw, threshold: float = 0.5) -> int:
@@ -191,19 +206,21 @@ def snapshot(
     unauthorised_links: int,
     hog_threshold: float = 0.5,
     power_mode: str = "mean",
+    fleet: Fleet | None = None,
 ) -> IntervalMetrics:
     """Collect the per-interval metric bundle.
 
     ``observed_bw`` and ``predicted_bw`` are what ``count_hogs`` takes.
     The authorised-link share comes from the counts of live links and of
     unauthorised live links, with the formula of ``authorized_link_pct``.
+    ``fleet`` is the servers' ``Fleet``, built from them without it.
     """
     good = live_links - unauthorised_links
-    ids, rows, sums, power = _active(servers, placement, power_mode)
+    ids, _fractions, sums, power = _active(servers, placement, power_mode, fleet)
     return IntervalMetrics(
         interval=interval,
         ru_dc=_mean_ru(sums),
-        pw_dc=sum(power),
+        pw_dc=exact_sum(power),
         hog_count=count_hogs(observed_bw, predicted_bw, hog_threshold),
         authorized_link_pct=100.0 * good / live_links if live_links else 100.0,
         active_server_count=len(ids),

@@ -141,6 +141,15 @@ class Scenario:
             raise ScenarioError("vuln_score_fixed must lie in [0, 10]")
         if self.window * self.hidden > 2**20:
             raise ScenarioError("window * hidden must be <= 2**20 weights per network")
+        # Training holds (groups, rows, hidden) work arrays: a group is a flavor, or
+        # a VM under per_vm_models, with a row per window of its VMs, up to train_sample.
+        groups = self.vms if self.per_vm_models else min(len(self.vm_flavors), self.vms)
+        rows = min(self.train_sample, -(-self.vms // groups) * self.intervals)
+        if groups * rows * self.hidden > 2**24:
+            what = "VMs under per_vm_models" if self.per_vm_models else "flavors"
+            raise ScenarioError("train_sample * hidden times the %s must be <= 2**24" % what)
+        if self.per_vm_models and self.vms * self.window * self.hidden > 2**24:
+            raise ScenarioError("vms * window * hidden must be <= 2**24 under per_vm_models")
         if not self.learning_rate > 0:
             raise ScenarioError("learning_rate must be > 0")
         if self.power_mode not in ("mean", "cpu"):

@@ -104,6 +104,8 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
         "attack_mode = burst\nburst_period = 0",
         "hidden = 1000000000000",
         "window = 1000000000000",
+        "hidden = 500000",
+        "per_vm_models = true\nhidden = 500000",
     ],
 )
 def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):

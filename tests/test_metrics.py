@@ -1,6 +1,7 @@
 """Utilisation, power and traffic-health metric tests."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oscmc.allocator import rebalance
 from oscmc.metrics import (
     EmptyDataCenterError,
+    Fleet,
     InactiveServerError,
     IntervalMetrics,
     METRICS_CSV_HEADER,
@@ -17,6 +19,7 @@ from oscmc.metrics import (
     _power,
     authorized_link_pct,
     count_hogs,
+    exact_sum,
     power_dc,
     power_server,
     ru_dc,
@@ -100,6 +103,25 @@ def test_metrics_read_activity_from_the_placement_they_get():
     assert power_dc(servers, p) == pytest.approx(241.5)
 
 
+@pytest.mark.parametrize("how", ["mutate", "replace"])
+def test_metrics_read_each_server_as_it_is_at_the_call(how):
+    """A server changed between two calls, in place or by a new dict entry,
+    changes the figures: nothing is kept from the first call."""
+    servers, p = make_dc(3, cpu=100.0, mem=100.0, bw=100.0)
+    p.assign(1, ResourceVector(50.0, 50.0, 50.0), 1)
+    assert (power_dc(servers, p), ru_dc(servers, p)) == (142.5, 0.5)
+    if how == "mutate":
+        servers[2].reserved_for_hogs = True
+        servers[1].pw_idle = 10.0
+    else:
+        servers[2] = dataclasses.replace(servers[2], reserved_for_hogs=True)
+        servers[1] = dataclasses.replace(servers[1], pw_idle=10.0)
+    want = sum(power_server(s, p) for s in servers.values())
+    assert power_dc(servers, p) == want == 152.5  # (145 * 0.5 + 10) + 70
+    assert ru_dc(servers, p) == 0.25  # (1.5 + 0) / (3 * 2)
+    assert snapshot(0, servers, p, {}, {}, 0, 0).pw_dc == want
+
+
 def test_power_cpu_mode_uses_cpu_fraction_only():
     servers, p = make_dc(1, cpu=100.0, mem=100.0, bw=100.0)
     p.assign(1, ResourceVector(100.0, 0.0, 0.0), 1)
@@ -155,7 +177,7 @@ def test_snapshot_bundles_interval_metrics():
     assert m.authorized_link_pct == 100.0
     assert m.active_server_count == 1
     ids, rows, _sums, _power = _active(servers, p)
-    assert (ids.tolist(), rows) == ([1], [[0.5, 0.5, 0.5]])
+    assert (ids.tolist(), rows.tolist()) == ([1], [[0.5, 0.5, 0.5]])
 
 
 def test_csv_row_matches_header():
@@ -288,7 +310,8 @@ _EDGES = dict(
 @example(_EDGES, {1: 5.0}, {}, 0.5, "mean")
 def test_array_snapshot_equals_per_server_reference(fleet, observed, predicted, threshold, mode):
     servers, placement = _build(fleet)
-    for second in (False, True):  # a second call reuses the per-server constants
+    constants = Fleet(servers, placement)  # as a simulation holds them, built once
+    for second in (False, True):
         if second:
             # Half the VMs leave, so some servers go from powered to off.
             for vm in sorted(placement.vm_ids)[::2]:
@@ -302,6 +325,8 @@ def test_array_snapshot_equals_per_server_reference(fleet, observed, predicted, 
             continue
         want = reference_snapshot(servers, placement, observed, predicted, threshold, mode)
         m = snapshot(0, servers, placement, observed, predicted, 0, 0, threshold, mode)
+        held = snapshot(0, servers, placement, observed, predicted, 0, 0, threshold, mode, constants)
+        assert held == m
         got = {name: getattr(m, name) for name in want if name != "per_server"}
         for name in ("ru_dc", "pw_dc"):
             assert got[name].hex() == want[name].hex(), name
@@ -321,3 +346,71 @@ def test_array_snapshot_equals_per_server_reference(fleet, observed, predicted, 
     assert count_hogs(np.array(list(observed.values())), aligned, threshold) == reference_hogs(
         observed, predicted, threshold
     )
+
+
+# -- the exact sum ---------------------------------------------------------
+#
+# ``exact_sum`` stands in for the builtin ``sum`` of Python floats, so the
+# figures summed over arrays equal those once summed over lists.  Both of
+# its forms are checked against a model of CPython's loop, and the form of
+# the running interpreter against ``sum`` itself.
+
+
+def left_to_right(xs):
+    """``sum`` of floats before Python 3.12."""
+    total = 0
+    for x in xs:
+        total = total + x
+    return float(total)
+
+
+def neumaier(xs):
+    """``sum`` of floats from Python 3.12: 0 + xs[0], then each term with
+    Neumaier's compensation, added at the end when non-zero and finite."""
+    if not xs:
+        return 0.0
+    total, c = 0 + xs[0], 0.0
+    for x in xs[1:]:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def same_float(got, want):
+    """Equal bits up to a NaN's sign and payload, which no output shows;
+    ``sum`` of nothing is the integer 0."""
+    want = float(want)
+    if math.isnan(want):
+        return math.isnan(got)
+    return type(got) is float and got.hex() == want.hex()
+
+
+# Signed zeros, infinities, NaN, cancelling 1e16 terms, terms below an ulp
+# of 1 and of 1e16, and the odd ordinary float.
+term = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, -1e16, 1.0, -1.0]),
+    st.sampled_from([2.0**-53, -(2.0**-53), 1.5, 0.1, 5e-324, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-4.0, 4.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(term, max_size=40), st.lists(st.tuples(term, term, term), max_size=12))
+@example([-0.0], [(-0.0, -0.0, -0.0)])
+@example([1e16, 1.0, -1e16], [(1e16, 1.0, -1e16)])
+@example([math.inf, 1.0, -math.inf], [(1.7e308, 1.7e308, -1.7e308)])
+def test_exact_sum_equals_builtin_sum(xs, rows):
+    assert same_float(exact_sum(np.array(xs, dtype=float)), sum(xs))
+    for compensated, model in ((False, left_to_right), (True, neumaier)):
+        got = exact_sum(np.array(xs, dtype=float), compensated=compensated)
+        assert same_float(got, model(xs))
+    block = np.array(rows, dtype=float).reshape(-1, 3)
+    sums = exact_sum(block)
+    assert sums.shape == (len(rows),)
+    for got, row in zip(sums.tolist(), rows):
+        assert same_float(got, sum(row))
+    for compensated, model in ((False, left_to_right), (True, neumaier)):
+        got = exact_sum(block, compensated=compensated).tolist()
+        assert all(same_float(g, model(row)) for g, row in zip(got, rows))

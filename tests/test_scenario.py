@@ -1,5 +1,7 @@
 """Scenario configuration and file-format tests."""
 
+import re
+
 import pytest
 
 from oscmc.scenario import (
@@ -136,3 +138,25 @@ def test_validate_rejects_scripted_links_outside_the_vms(link):
     with pytest.raises(ScenarioError, match="scripted_links"):
         Scenario(vms=10, scripted_links={0: [(1, 2), link]}).validate()
     Scenario(vms=10, scripted_links={0: [(1, 2), (10, 10)], 3: []}).validate()
+
+
+@pytest.mark.parametrize(
+    "knobs, named",
+    [
+        # One network's weights are in bounds, its training activations not.
+        (dict(window=1, hidden=2**20), "train_sample * hidden"),
+        (dict(vms=2**15, window=1, hidden=2**11, per_vm_models=True), "train_sample * hidden"),
+        # Per-VM networks: few rows each, but 2**25 weights in all.
+        (dict(vms=2**16, window=64, hidden=8, per_vm_models=True), "vms * window * hidden"),
+    ],
+)
+def test_validate_bounds_the_training_arrays(knobs, named):
+    """Validation alone: no network is built, so nothing large is allocated."""
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        Scenario(**knobs).validate()
+
+
+def test_training_arrays_at_the_ceiling_validate():
+    Scenario(window=1, hidden=2**15).validate()  # 2 flavors * 256 rows * 2**15
+    Scenario(vms=2**15, window=64, hidden=8, per_vm_models=True).validate()
+    assert 2 * 256 * 2**15 == 2**15 * 64 * 8 == 2**24
