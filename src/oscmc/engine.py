@@ -144,7 +144,9 @@ def inject_malicious_behavior(
     if kept is None:
         kept = [v for v in benign_vms if v not in suspended]
     alive = np.asarray(kept, dtype=np.intp)
-    host = placement.host_rows(hostile)
+    host, alive_rows, span, keys, in_run = placement.derived(
+        "colocation", (hostile.tobytes(), alive.tobytes()),
+        lambda: _colocation_index(placement, hostile, alive))
     acts = host >= 0
     if suspended:
         acts &= ~_member(hostile, suspended)
@@ -152,17 +154,12 @@ def inject_malicious_behavior(
     rem = np.flatnonzero(acts & (draws[:, 2] < remote_rate) & (alive.size > 0))
     if not (col.size or rem.size):
         return np.empty((0, 2), dtype=np.intp)
-    alive_rows = placement.host_rows(alive)
 
-    # Co-located: the placed unsuspended benign VMs by (row, id), a run per
-    # row, searched by the key row * span + id.
-    on = alive_rows >= 0
-    span = int(max(alive.max(initial=0), hostile.max(initial=0))) + 1
-    keys = np.sort(alive_rows[on] * span + alive[on])
+    # Co-located: a binary search of the attacker's row's run.
     row_key = host[col] * span
     lo = np.searchsorted(keys, row_key)
     at = np.searchsorted(keys, row_key + hostile[col])
-    own = _member(hostile[col], alive)  # the attacker is in its row's run
+    own = in_run[col]
     n = np.searchsorted(keys, row_key + span) - lo - own
     has = n > 0
     col, lo, at, own, n = col[has], lo[has], at[has], own[has], n[has]
@@ -188,6 +185,16 @@ def inject_malicious_behavior(
     return np.column_stack((hostile[src[order]], dst[order]))
 
 
+def _colocation_index(placement: Placement, hostile: np.ndarray, alive: np.ndarray):
+    """Host rows of ``hostile`` and ``alive``, the key span, the placed ``alive``
+    VMs as sorted keys ``row * span + id``, and which hostile VMs are in ``alive``."""
+    host, alive_rows = placement.host_rows(hostile), placement.host_rows(alive)
+    on = alive_rows >= 0
+    span = int(max(alive.max(initial=0), hostile.max(initial=0))) + 1
+    keys = np.sort(alive_rows[on] * span + alive[on])
+    return host, alive_rows, span, keys, _member(hostile, alive)
+
+
 def benign_links(
     placement: Placement,
     benign_vms,
@@ -206,8 +213,8 @@ def benign_links(
     """
     benign = np.asarray(benign_vms, dtype=np.intp)
     draws = rng.random((benign.size, 2))
-    ids, indptr, indices = ivcl.csr()
-    rows = np.searchsorted(ids, benign)
+    _ids, indptr, indices = ivcl.csr()
+    rows = ivcl.rows_of(benign)
     lo = indptr[rows]
     size = indptr[rows + 1] - lo
     opens = (draws[:, 0] < rate) & (size > 0)
@@ -247,7 +254,7 @@ def with_cross_user_grants(
     ids, base_ptr, base_dsts = base.csr()
     if rate == 0:
         return base
-    base_cols = np.searchsorted(ids, base_dsts)
+    base_cols = base.rows_of(base_dsts)
     counts = np.zeros(ids.size, dtype=np.int64)
     blocks = [np.empty(0, dtype=np.int32)]
     step = max(1, _DRAW_BLOCK // max(ids.size, 1))

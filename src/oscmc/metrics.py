@@ -109,6 +109,8 @@ class Fleet:
         self.span = np.array([s.pw_max - s.pw_min for s in members], dtype=float)
         self.idle = np.array([s.pw_idle for s in members], dtype=float)
         self.reserved = np.array([s.reserved_for_hogs for s in members], dtype=bool)
+        for a in (self.ids, self.rows, self.cap, self.span, self.idle, self.reserved):
+            a.flags.writeable = False
 
 
 def _active(servers: dict[int, Server], placement: Placement, mode=None, fleet=None):
@@ -216,12 +218,20 @@ def snapshot(
     ``fleet`` is the servers' ``Fleet``, built from them without it.
     """
     good = live_links - unauthorised_links
-    ids, _fractions, sums, power = _active(servers, placement, power_mode, fleet)
+    fleet = fleet or Fleet(servers, placement)
+    active, ru, pw = placement.derived(
+        "figures", (fleet, power_mode), lambda: _figures(placement, power_mode, fleet))
     return IntervalMetrics(
         interval=interval,
-        ru_dc=_mean_ru(sums),
-        pw_dc=exact_sum(power),
+        ru_dc=ru,
+        pw_dc=pw,
         hog_count=count_hogs(observed_bw, predicted_bw, hog_threshold),
         authorized_link_pct=100.0 * good / live_links if live_links else 100.0,
-        active_server_count=len(ids),
+        active_server_count=active,
     )
+
+
+def _figures(placement: Placement, mode: str, fleet: Fleet) -> tuple[int, float, float]:
+    """The active-server count, ``ru_dc`` and ``pw_dc`` of ``placement``."""
+    ids, _fractions, sums, power = _active(None, placement, mode, fleet)
+    return len(ids), _mean_ru(sums), exact_sum(power)

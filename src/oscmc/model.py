@@ -163,6 +163,7 @@ class Placement:
         self._host = np.full(0, -1, dtype=np.intp)
         self._count = np.zeros(len(self._sid), dtype=np.intp)
         self._units = np.zeros((0, 3), dtype=np.int64)  # stale for an unplaced id
+        self._memo: dict = {}  # name -> (witness, value) of ``derived``
 
     # -- queries ---------------------------------------------------------
 
@@ -184,14 +185,14 @@ class Placement:
 
     def used_array(self, rows: np.ndarray) -> np.ndarray:
         """``used`` of the servers of ``rows`` as an ``(n, 3)`` float array."""
-        return _from_units_array(self._cap[rows] - self._free[rows])
+        return _from_units_array(self._cap.take(rows, 0) - self._free.take(rows, 0))
 
     def capacity(self, server_id: int) -> ResourceVector:
         return _from_units(tuple(self._cap[self._row[server_id]].tolist()))
 
     def capacity_array(self, rows: np.ndarray) -> np.ndarray:
         """``capacity`` of the servers of ``rows`` as an ``(n, 3)`` float array."""
-        return _from_units_array(self._cap[rows])
+        return _from_units_array(self._cap.take(rows, 0))
 
     def free_units(self, server_id: int) -> tuple[int, int, int]:
         """A server's free capacity in the integer micro-units of every sum."""
@@ -199,7 +200,7 @@ class Placement:
 
     def free_units_array(self, rows: np.ndarray) -> np.ndarray:
         """``free_units`` of the servers of ``rows`` as an ``(n, 3)`` int64 array."""
-        return self._free[rows]
+        return self._free.take(rows, 0)
 
     def occupied(self) -> np.ndarray:
         """Whether each row's server hosts at least one VM, in row order."""
@@ -238,7 +239,7 @@ class Placement:
 
     def demand_units_array(self, vm_ids: np.ndarray) -> np.ndarray:
         """``demand_units`` of placed ``vm_ids`` as an ``(n, 3)`` int64 array."""
-        return self._units[vm_ids]
+        return self._units.take(vm_ids, 0)
 
     @property
     def vm_ids(self) -> frozenset[int]:
@@ -251,6 +252,15 @@ class Placement:
     def co_located(self, a: int, b: int) -> bool:
         row = self._host_row(a)
         return row >= 0 and row == self._host_row(b)
+
+    def derived(self, name: str, witness, build):
+        """``build()`` of this state, kept under ``name`` while ``witness`` (all else
+        it reads) compares equal.  Mutate only through the methods, which drop
+        what is kept; a copy starts with none.  Do not change what it returns."""
+        kept = self._memo.get(name)
+        if kept is None or kept[0] != witness:
+            kept = self._memo[name] = (witness, build())
+        return kept[1]
 
     # -- mutations -------------------------------------------------------
 
@@ -292,6 +302,7 @@ class Placement:
         self._units[vm_ids] = units
         self._count += np.bincount(rows, minlength=len(self._sid))
         self._free = free
+        self._memo.clear()
 
     def remove(self, vm_id: int) -> int:
         """Unhost a VM; returns the server it was on."""
@@ -301,6 +312,7 @@ class Placement:
         self._host[vm_id] = -1
         self._count[row] -= 1
         self._free[row] += self._units[vm_id]
+        self._memo.clear()
         return self._sid[row]
 
     def move(self, vm_id: int, server_id: int) -> None:
@@ -327,6 +339,7 @@ class Placement:
         clone._host = self._host.copy()
         clone._count = self._count.copy()
         clone._units = self._units.copy()
+        clone._memo = {}
         return clone
 
     def capacity_ok(self) -> bool:

@@ -76,10 +76,15 @@ class Ivcl:
             a.flags.writeable = False  # shared by copies
         self._ids, self._indptr, self._indices = ids, indptr, indices
         self._row = dict(zip(ids.tolist(), range(ids.size)))
+        # Row by VM id, -1 if unregistered, as ``Placement`` indexes hosts.
+        self._row_of = np.full(int(ids.max(initial=-1)) + 1, -1, np.intp)
+        self._row_of[ids] = np.arange(ids.size)
         # Views that index to Python ints, for the per-link bisect.
         self._ptr, self._dsts = memoryview(indptr), memoryview(indices)
 
     def register(self, vm_id: int) -> None:
+        if vm_id < 0:
+            raise ValueError("VM ids must be non-negative, got %d" % vm_id)
         if vm_id not in self._row:
             self._pending.setdefault(vm_id, set())
 
@@ -114,6 +119,11 @@ class Ivcl:
         """``(ids, indptr, indices)``, read-only."""
         self._rows()
         return self._ids, self._indptr, self._indices
+
+    def rows_of(self, vm_ids) -> np.ndarray:
+        """The row of each of the registered ``vm_ids`` (an int array)."""
+        self._rows()
+        return self._row_of[vm_ids]
 
     def is_registered(self, vm_id: int) -> bool:
         return vm_id in self._row or vm_id in self._pending

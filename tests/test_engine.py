@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oscmc.allocator
 import oscmc.engine
+import oscmc.metrics
 import oscmc.model
 from oscmc.allocator import PlacementInfeasibleError
 from oscmc.engine import (
@@ -22,8 +23,10 @@ from oscmc.engine import (
     pssf_place,
     run,
 )
-from oscmc.metrics import METRICS_CSV_HEADER, _active, authorized_link_pct
-from oscmc.model import GuaranteedThreshold, Placement, ResourceVector, Server
+from oscmc.metrics import (
+    METRICS_CSV_HEADER, EmptyDataCenterError, Fleet, _active, authorized_link_pct, snapshot,
+)
+from oscmc.model import CapacityError, GuaranteedThreshold, Placement, ResourceVector, Server
 from oscmc.monitor import (
     QuarantineDirective,
     build_threat_report,
@@ -205,6 +208,35 @@ def test_initial_placement_admits_and_converts_once_per_flavor(monkeypatch, poli
     sim = Simulation(sc)
     assert sim.placement.capacity_ok() and len(sim.placement.placed()) == 60
     assert calls == {"fit_mask": 0, "copy": 1, "admit_vm": 2, "to_units": 20 + 2}
+
+
+@pytest.mark.parametrize("policy, derivations", [("wosc", 1), ("oscmc", 15)])
+def test_placement_state_is_derived_once_per_change(monkeypatch, policy, derivations):
+    """The snapshot's fleet figures and the attack generator's co-location
+    index are derived once per placement state: once in a whole ``wosc``
+    run, whose placement never changes, and in an ``oscmc`` run once per
+    interval whose placement differs from the previous interval's (15 of
+    20 here, by rebalancing or quarantine)."""
+    calls = {"_figures": 0, "_colocation_index": 0}
+    for module, name in ((oscmc.metrics, "_figures"), (oscmc.engine, "_colocation_index")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+    states = []
+    recorded = oscmc.engine.snapshot
+
+    def recording(t, servers, placement, *args, **kwargs):
+        states.append(placement.host_rows(np.arange(1, len(sim.vms) + 1)).tobytes())
+        return recorded(t, servers, placement, *args, **kwargs)
+
+    monkeypatch.setattr(oscmc.engine, "snapshot", recording)
+    sim = Simulation(dataclasses.replace(_xi200x10(policy), intervals=20))
+    for t in range(sim.sc.intervals):
+        sim.step(t)
+    changes = 1 + sum(a != b for a, b in zip(states, states[1:]))
+    assert calls == {"_figures": changes, "_colocation_index": changes}
+    assert changes == derivations
 
 
 # Four one-VM users link in cross-user pairs with no cross-user grant: the
@@ -938,3 +970,90 @@ def test_population_follows_the_array_split_of_vm_ids(vms_users):
         assert vm.owner == owner[vm_id]
         assert vm.guaranteed == GuaranteedThreshold(frac, frac * vm.demand.bw)
         assert sim.guarantees[vm_id - 1].tolist() == [frac, frac * vm.demand.bw]
+
+
+_STEPS = ["assign", "assign_rows", "move", "remove", "copy", "kept", "hostile"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=True), st.data())
+def test_derived_placement_state_is_never_stale(server_ids, data):
+    """After any sequence of placement mutations, copies and changes to the
+    attacker and kept-VM arrays (replaced, or changed in place), the
+    snapshot and the attack generator on a placement equal a cold
+    computation on a fresh placement of the same VMs.  Servers have sparse,
+    unsorted ids; two placements, one a copy of the other, are read
+    alternately through one ``Fleet``."""
+    draw = data.draw
+    servers = {
+        sid: Server(sid, ResourceVector(4.0, 4.0, 4.0), reserved_for_hogs=draw(st.booleans()))
+        for sid in server_ids
+    }
+    demands = [ResourceVector(1.0, 1.0, 1.0), ResourceVector(2.0, 1.0, 3.0)]
+    vm_ids = list(range(12))
+    demand = {vm: draw(st.sampled_from(demands)) for vm in vm_ids}
+    placements = [Placement(servers)]
+    placements.append(placements[0].copy())
+    fleet = Fleet(servers, placements[0])
+    subsets = st.lists(st.sampled_from(vm_ids), max_size=8, unique=True)
+    hostile = np.array(draw(subsets), dtype=np.intp)
+    kept = np.array(draw(subsets), dtype=np.intp)
+
+    for step in range(draw(st.integers(1, 25))):
+        which = draw(st.sampled_from([0, 1]))
+        p = placements[which]
+        placed = p.placed().tolist()
+        unplaced = [vm for vm in vm_ids if vm not in placed]
+        kind = draw(st.sampled_from(_STEPS))
+        try:
+            if kind == "assign" and unplaced:
+                vm = draw(st.sampled_from(unplaced))
+                p.assign(vm, demand[vm], draw(st.sampled_from(server_ids)))
+            elif kind == "assign_rows" and unplaced:
+                vms = draw(st.lists(st.sampled_from(unplaced), min_size=1, unique=True))
+                sids = [draw(st.sampled_from(server_ids)) for _ in vms]
+                units = [oscmc.model.to_units(demand[vm]) for vm in vms]
+                p.assign_rows(vms, units, p.rows(sids))
+            elif kind == "move" and placed:
+                vm = draw(st.sampled_from(placed))
+                own = p.server_of(vm)
+                p.move(vm, own if draw(st.booleans()) else draw(st.sampled_from(server_ids)))
+            elif kind == "remove" and placed:
+                p.remove(draw(st.sampled_from(placed)))
+            elif kind == "copy":
+                # The copy takes the other slot; later steps mutate either.
+                placements[1 - which] = p.copy()
+            elif kind in ("kept", "hostile"):
+                arr = kept if kind == "kept" else hostile
+                others = [vm for vm in vm_ids if vm not in arr.tolist()]
+                if draw(st.booleans()) or not (arr.size and others):
+                    arr = np.array(draw(subsets), dtype=np.intp)  # replaced
+                else:
+                    arr[draw(st.integers(0, arr.size - 1))] = draw(st.sampled_from(others))
+                kept, hostile = (arr, hostile) if kind == "kept" else (kept, arr)
+        except CapacityError:
+            pass
+        for p in placements[::1 if step % 2 else -1]:
+            reads = (servers, fleet, hostile, kept, draw(st.sampled_from(["mean", "cpu"])),
+                     draw(st.integers(0, 2**32 - 1)))
+            assert _derived_reads(p, *reads) == _derived_reads(_rebuilt(p, servers), *reads)
+
+
+def _rebuilt(p, servers):
+    """A new placement of the same VMs on the same servers, built without ``copy``."""
+    q = Placement(servers)
+    vms = p.placed()
+    q.assign_rows(vms.tolist(), p.demand_units_array(vms), p.host_rows(vms))
+    return q
+
+
+def _derived_reads(p, servers, fleet, hostile, kept, mode, seed):
+    """A snapshot of ``p`` (None when no server is powered) and its attack
+    links for one seed, as lists."""
+    try:
+        metrics = snapshot(0, servers, p, [], [], 0, 0, power_mode=mode, fleet=fleet)
+    except EmptyDataCenterError:
+        metrics = None
+    rng = np.random.default_rng(seed)
+    links = inject_malicious_behavior(0, p, hostile, kept, set(), 1.0, 1.0, rng, kept=kept)
+    return metrics, links.tolist()

@@ -76,6 +76,10 @@ def test_ivcl_register_grant_and_errors():
         ivcl.authorized_dsts(9)
     with pytest.raises(UnregisteredVmError):
         ivcl.is_authorized(1, 9)
+    with pytest.raises(ValueError):
+        ivcl.register(-1)  # rows are indexed by VM id
+    ivcl.register(7)
+    assert ivcl.rows_of(np.array([7, 1, 2])).tolist() == [2, 0, 1]
 
 
 def test_ivcl_copy_is_independent():
