@@ -175,10 +175,10 @@ def rebalance(
     residual, never dropped.  Underload (-1): try to empty the least
     utilised ordinary servers by first-fit-decreasing their VMs onto the
     remaining active ordinary servers, deactivating servers that drain
-    completely; a server that cannot drain completely is left untouched.
-    Steady (0): no change.  The input placement is never mutated: it is
-    copied at the first move, so ``result.placement`` is the input itself
-    when nothing moves.
+    completely; a server that cannot drain is left untouched, and a state
+    that drained nothing is not tried again until it changes.  Steady (0):
+    no change.  The input placement is never mutated: it is copied at the
+    first move, so ``result.placement`` is the input itself when nothing moves.
     """
     result = RebalanceResult(placement)
     p = placement
@@ -207,8 +207,10 @@ def rebalance(
     # Underload: consolidate.  Moves only go to non-empty ordinary servers,
     # so the target list shrinks only by the servers drained.  A candidate
     # is tried on an overlay of its targets' free units; only a drain moves.
-    ordinary = sorted(sid for sid, s in servers.items() if not s.reserved_for_hogs)
-    ordinary = [sid for sid, on in zip(ordinary, p.occupied()[p.rows(ordinary)].tolist()) if on]
+    unreserved = sorted(sid for sid, s in servers.items() if not s.reserved_for_hogs)
+    if p.derived("undrainable", (unreserved, max_consolidations), lambda: False):
+        return result
+    ordinary = [sid for sid, on in zip(unreserved, p.occupied()[p.rows(unreserved)].tolist()) if on]
     rows = p.rows(ordinary)
     used, cap = p.used_array(rows), p.capacity_array(rows)
     fractions = np.divide(used, cap, out=np.zeros_like(used), where=cap > 0)
@@ -248,6 +250,7 @@ def rebalance(
             rows = p.rows(ordinary)
             fitting.clear()
             listed, hosts = _listing(p)
+    placement.keep("undrainable", (unreserved, max_consolidations), p is placement)
     return result
 
 

@@ -266,8 +266,10 @@ def with_cross_user_grants(
         lo, hi = base_ptr[r0], base_ptr[r1]
         base_rows = np.repeat(np.arange(r1 - r0), np.diff(base_ptr[r0 : r1 + 1]))
         granted[base_rows, base_cols[lo:hi]] = True
-        counts[r0:r1] = granted.sum(axis=1)
-        blocks.append(ids[np.nonzero(granted)[1]].astype(np.int32))
+        rows, cols = np.divmod(np.flatnonzero(granted), ids.size)
+        counts[r0:r1] = np.bincount(rows, minlength=r1 - r0)
+        blocks.append(ids[cols].astype(np.int32))
+        del rows, cols  # freed before the next block's draws
     return Ivcl(ids, np.concatenate(([0], np.cumsum(counts))), np.concatenate(blocks))
 
 
@@ -553,6 +555,13 @@ class Simulation:
         so VM ``v`` sits in column ``v - 1``."""
         return np.array(vms, dtype=np.intp) - 1
 
+    def _placed_cols(self) -> tuple[np.ndarray, np.ndarray]:
+        """The placed VMs and their ``_cols``, read-only: kept per placement state."""
+        active = self.placement.placed()
+        cols = self._cols(active)
+        active.flags.writeable = cols.flags.writeable = False
+        return active, cols
+
     def _windows(self, cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Bandwidth windows ``usage[s : s + window, col]``, one row per
         (col, s) pair, gathered with one fancy index."""
@@ -748,8 +757,7 @@ class Simulation:
         sc = self.sc
         # Rebalance moves VMs but never adds or removes one, so these ids
         # hold until quarantine.
-        active = self.placement.placed()
-        cols = self._cols(active)
+        active, cols = self.placement.derived("placed", None, self._placed_cols)
         observed = self.usage[t, cols, 2]
         # A copy: training overwrites ``self.predicted``, and the snapshot
         # reads the forecasts made before it.

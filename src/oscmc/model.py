@@ -262,6 +262,10 @@ class Placement:
             kept = self._memo[name] = (witness, build())
         return kept[1]
 
+    def keep(self, name: str, witness, value) -> None:
+        """Keep ``value`` under ``name`` as if ``derived`` had built it."""
+        self._memo[name] = (witness, value)
+
     # -- mutations -------------------------------------------------------
 
     def check_new_id(self, vm_id: int, pending=()) -> None:

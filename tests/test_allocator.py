@@ -1,5 +1,6 @@
 """Clustering, placement and rebalancing tests."""
 
+import dataclasses
 import itertools
 from unittest import mock
 
@@ -533,6 +534,77 @@ def test_consolidation_scans_once_per_demand_and_moves_nothing_it_keeps(monkeypa
     result = rebalance(-1, p, servers)
     assert result.emptied_servers == [] and result.moved == []
     assert calls == {"fit_mask": 2, "move": 0}
+
+
+def _same_consolidation(got, want):
+    """Two underload results agree: moves, drained servers and every VM's row."""
+    ids = np.arange(32)
+    assert got.moved == want.moved
+    assert got.emptied_servers == want.emptied_servers
+    assert np.array_equal(got.placement.host_rows(ids), want.placement.host_rows(ids))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    fleet=consolidation_fleets(),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["none", "remove", "move", "assign_rows", "copy"]),
+            st.integers(0, 31),  # VM id
+            st.integers(0, 98),  # picks a server
+            st.sampled_from(["given", "given", "unreserved", "flipped"]),  # reserved set
+            st.sampled_from([2, 2, 2, 0, 1, 3]),  # max_consolidations
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_undrainable_state_is_remembered_only_until_it_changes(fleet, steps):
+    """Each step mutates or copies the placement (or not) and then makes an
+    underload call on it twice.  Both calls equal the same call on a fresh
+    ``copy()``, which remembers nothing, so a state that drained nothing is
+    never served after a mutation, under another reserved set or another
+    ``max_consolidations``, and a state that drained is tried again."""
+    servers, p, demands = fleet
+    ids = sorted(servers)
+    fleets = {
+        "given": servers,
+        "unreserved": {sid: dataclasses.replace(s, reserved_for_hogs=False)
+                       for sid, s in servers.items()},
+        "flipped": {sid: dataclasses.replace(s, reserved_for_hogs=not s.reserved_for_hogs)
+                    for sid, s in servers.items()},
+    }
+    last = None  # (placement, reserved set, max_consolidations) of a call that drained nothing
+    for kind, vm, pick, reserved, max_consolidations in steps:
+        sid = ids[pick % len(ids)]
+        changed = False
+        if kind == "remove" and p.server_of(vm) is not None:
+            p.remove(vm)
+            changed = True
+        elif kind == "move" and p.server_of(vm) is not None and p.fits(sid, demands[vm]):
+            changed = p.server_of(vm) != sid
+            p.move(vm, sid)
+        elif kind == "assign_rows" and p.server_of(vm) is None:
+            demand = demands.get(vm) or next(iter(demands.values()), ResourceVector(0.1, 0.1, 0.1))
+            if p.fits(sid, demand):
+                p.assign_rows([vm], [to_units(demand)], p.rows([sid]))
+                demands[vm] = demand
+                changed = True
+        elif kind == "copy":
+            p = p.copy()
+        assert p.capacity_ok()
+        if last is not None and last[0] is p:
+            event("a state that drained nothing, mutated" if changed else
+                  "a state that drained nothing, again" if last[1:] == (reserved, max_consolidations)
+                  else "a state that drained nothing, another witness")
+        want = rebalance(-1, p.copy(), fleets[reserved], max_consolidations=max_consolidations)
+        for _ in range(2):
+            got = rebalance(-1, p, fleets[reserved], max_consolidations=max_consolidations)
+            _same_consolidation(got, want)
+        if got.emptied_servers:
+            event("a drain")
+        last = None if got.emptied_servers else (p, reserved, max_consolidations)
+        p = got.placement
 
 
 def reference_first_fit(items, placement, scan, prior=None):

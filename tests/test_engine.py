@@ -757,6 +757,40 @@ def test_kmeans_runs_only_when_an_overload_reads_it(monkeypatch, threshold, pinn
     assert sum(overloaded) == (0 if threshold == 0.10 else 8)
 
 
+def test_consolidation_tries_each_new_placement_state_once(monkeypatch):
+    """On xi200 at seed 7 (50 intervals) consolidation lists the placed VMs
+    once per underloaded interval on a new placement state, and once more
+    after each drain.  A repeat is an underloaded interval whose placement
+    is the object the last underloaded interval left, unchanged, after that
+    interval drained nothing: 21 of the 26, leaving 5 trials."""
+    calls = {"underloaded": 0, "repeats": 0, "drains": 0, "listings": 0}
+    last = None  # (placement, its placed VMs and rows) of a call that drained nothing
+    rebalance, listing = oscmc.engine.rebalance, oscmc.allocator._listing
+
+    def spy_rebalance(state, placement, *args, **kwargs):
+        nonlocal last
+        result = rebalance(state, placement, *args, **kwargs)
+        if state == -1:
+            placed = placement.placed()
+            key = (placement, placed.tolist(), placement.host_rows(placed).tolist())
+            calls["underloaded"] += 1
+            calls["repeats"] += last is not None and last[0] is placement and last[1:] == key[1:]
+            calls["drains"] += len(result.emptied_servers)
+            last = None if result.emptied_servers else key
+        return result
+
+    def spy_listing(placement):
+        calls["listings"] += 1
+        return listing(placement)
+
+    monkeypatch.setattr(oscmc.engine, "rebalance", spy_rebalance)
+    monkeypatch.setattr(oscmc.allocator, "_listing", spy_listing)
+    run(dataclasses.replace(load_scenario("xi200"), intervals=50, seed=7))
+    trials = calls["underloaded"] - calls["repeats"]
+    assert calls["listings"] == trials + calls["drains"]
+    assert (calls["underloaded"], calls["repeats"], trials) == (26, 21, 5)
+
+
 def test_one_bandwidth_model_per_forecast_group():
     assert len(Simulation(small_scenario()).models) == 2
     assert len(Simulation(small_scenario(per_vm_models=True)).models) == 12
