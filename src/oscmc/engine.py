@@ -23,17 +23,19 @@ the worker count accepted by ``Simulation`` and ``run`` never changes any
 output byte.
 
 Live links are one sorted array of keys ``src * span + dst`` (``span =
-V + 1``) that each interval's new links join in one array pass.  The
-observed-link matrices hold only the links that can change the threat
-report: each unauthorised live link and the live outgoing links of its
-receiver, a potential cascade relay, which are the relay's key range.
+V + 1``) that each interval's new links join in one array pass.  The fresh
+attack and scripted links among them are classified as one batch, with one
+search of the authorised-link log's row keys; the log never changes after
+set-up, so a link's class is fixed at birth.  The observed-link matrices
+hold only the links that can change the threat report: each unauthorised
+live link and the live outgoing links of its receiver, a potential cascade
+relay, which are the relay's key range.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -64,7 +66,7 @@ from .monitor import (
     ThreatReport,
     build_threat_report,
     build_vlams,
-    classify_link,
+    classify_link,  # noqa: F401  not called here: the trace hook on this name must resolve
     detect_colocation,
     events_csv_rows,
     quarantine,
@@ -170,14 +172,11 @@ def inject_malicious_behavior(
     # attacker), else a scan on from it.
     start = (draws[rem, 3] * alive.size).astype(np.int64) % max(alive.size, 1)
     rem_dst = alive[start]
-    missed = alive_rows[start] == host[rem]
-    if missed.any():
-        ring_rows = alive_rows.tolist()
-        for j in np.flatnonzero(missed).tolist():
-            row, at0 = host.item(rem[j]), start.item(j)
-            scan = chain(range(at0 + 1, alive.size), range(at0))
-            i = next((i for i in scan if ring_rows[i] != row), None)
-            rem_dst[j] = -1 if i is None else alive[i]
+    missed = np.flatnonzero(alive_rows[start] == host[rem])
+    if missed.size:
+        row = host[rem[missed]]
+        at = _first_on_ring(start[missed], alive.size, lambda i, j: alive_rows[i] != row[j])
+        rem_dst[missed] = np.where(at >= 0, alive[at], -1)
     found = rem_dst >= 0
     src = np.concatenate([col, rem[found]])
     dst = np.concatenate([col_dst, rem_dst[found]])
@@ -193,6 +192,26 @@ def _colocation_index(placement: Placement, hostile: np.ndarray, alive: np.ndarr
     span = int(max(alive.max(initial=0), hostile.max(initial=0))) + 1
     keys = np.sort(alive_rows[on] * span + alive[on])
     return host, alive_rows, span, keys, _member(hostile, alive)
+
+
+def _first_on_ring(start, size, ok) -> np.ndarray:
+    """For each ring ``j``, the first position ``(start[j] + k) % size[j]``,
+    k = 1, ..., size[j] - 1, at which ``ok(positions, ring indices)`` (a bool
+    array) holds, else -1: the scan on from a failed start, wrapping around.
+    A pass reads 64 positions of each open ring, repeating failed ones past
+    its end."""
+    size = np.broadcast_to(size, start.shape)
+    found = np.full(start.shape, -1, np.int64)
+    todo, k = np.flatnonzero(size > 1), np.arange(1, 65)
+    while todo.size:
+        ring = todo[:, None]
+        at = (start[ring] + k) % size[ring]
+        hit = ok(at, ring)
+        first = hit.argmax(axis=1)
+        got = hit[np.arange(todo.size), first]
+        found[todo[got]] = at[got, first[got]]
+        todo, k = todo[~got & (size[todo] > k[-1] + 1)], k + k.size
+    return found
 
 
 def benign_links(
@@ -213,7 +232,7 @@ def benign_links(
     """
     benign = np.asarray(benign_vms, dtype=np.intp)
     draws = rng.random((benign.size, 2))
-    _ids, indptr, indices = ivcl.csr()
+    indptr, keys, span = ivcl.row_keys()
     rows = ivcl.rows_of(benign)
     lo = indptr[rows]
     size = indptr[rows + 1] - lo
@@ -221,20 +240,21 @@ def benign_links(
     if suspended:
         opens &= ~_member(benign, suspended)
     which = np.flatnonzero(opens)
-    lo, size = lo[which], size[which]
+    lo, size, row_key = lo[which], size[which], rows[which] * span
     start = (draws[which, 1] * size).astype(np.int64) % size
-    dst = indices[lo + start].astype(np.intp)
-    usable = placement.host_rows(dst) >= 0
-    if suspended:
-        usable &= ~_member(dst, suspended)
 
-    def usable_vm(vm: int) -> bool:
-        return vm not in suspended and placement.server_of(vm) is not None
+    def usable(vms: np.ndarray) -> np.ndarray:
+        ok = placement.host_rows(vms) >= 0
+        return ok & ~_member(vms, suspended) if suspended else ok
 
-    for j in np.flatnonzero(~usable).tolist():
-        row = indices[lo[j] : lo[j] + size[j]].tolist()
-        at = start.item(j)
-        dst[j] = next(filter(usable_vm, row[at + 1 :] + row[:at]), -1)
+    dst = keys[lo + start] - row_key
+    missed = np.flatnonzero(~usable(dst))
+    if missed.size:
+        lo, row_key = lo[missed], row_key[missed]
+        at = _first_on_ring(
+            start[missed], size[missed], lambda i, j: usable(keys[lo[j] + i] - row_key[j])
+        )
+        dst[missed] = np.where(at >= 0, keys[lo + at] - row_key, -1)
     found = dst >= 0
     return np.column_stack((benign[which[found]], dst[found]))
 
@@ -251,12 +271,12 @@ def with_cross_user_grants(
     enumeration, and a block's uniforms stay a few MB.  No draw is made
     when ``rate`` is 0.
     """
-    ids, base_ptr, base_dsts = base.csr()
     if rate == 0:
         return base
+    ids, base_ptr, base_dsts = base.csr()
     base_cols = base.rows_of(base_dsts)
     counts = np.zeros(ids.size, dtype=np.int64)
-    blocks = [np.empty(0, dtype=np.int32)]
+    blocks = []
     step = max(1, _DRAW_BLOCK // max(ids.size, 1))
     for r0 in range(0, ids.size, step):
         r1 = min(r0 + step, ids.size)
@@ -270,7 +290,7 @@ def with_cross_user_grants(
         counts[r0:r1] = np.bincount(rows, minlength=r1 - r0)
         blocks.append(ids[cols].astype(np.int32))
         del rows, cols  # freed before the next block's draws
-    return Ivcl(ids, np.concatenate(([0], np.cumsum(counts))), np.concatenate(blocks))
+    return Ivcl(ids, np.concatenate(([0], np.cumsum(counts))), *blocks)
 
 
 @dataclass
@@ -671,7 +691,8 @@ class Simulation:
 
     def _add_links(self, checked: np.ndarray, authorised: np.ndarray, t: int) -> None:
         """Merge the links not yet live into the keys, each at its first
-        occurrence, and classify the fresh ``checked`` ones in birth order."""
+        occurrence, and classify the fresh ``checked`` ones in one batch, in
+        birth order."""
         ends = np.concatenate((checked, authorised))
         new, first = np.unique(self._keys(ends), return_index=True)
         keys = self.link_keys
@@ -680,10 +701,10 @@ class Simulation:
         fresh = keys.take(at, mode="clip") != new if keys.size else np.ones(new.size, bool)
         self.link_keys = np.insert(keys, at[fresh], new[fresh])
         born = np.sort(first[fresh])
-        for link in map(tuple, ends[born[born < len(checked)]].tolist()):
-            if classify_link(link, self.ivcl):
-                self.unauthorised[link] = t
-                self.log.malicious_links_created += 1
+        links = ends[born[born < len(checked)]]
+        bad = links[~self.ivcl.authorized(links[:, 0], links[:, 1])]
+        self.unauthorised.update(dict.fromkeys(map(tuple, bad.tolist()), t))
+        self.log.malicious_links_created += len(bad)
 
     def _keys(self, links) -> np.ndarray:
         """The key of each (src, dst) of ``links``, a sequence or array."""

@@ -47,40 +47,60 @@ LinkEnds = tuple[int, int]
 
 
 class Ivcl:
-    """Authorised-link log as compressed sparse rows.
+    """Authorised-link log as sorted row keys.
 
     Row ``i`` belongs to ``ids[i]``, the registered VMs in ascending id order,
-    and lists that VM's permitted destinations in ascending order as
-    ``indices[indptr[i]:indptr[i + 1]]``.  ``register`` and ``grant`` collect
-    changes that the next query merges into the rows, so a log can still be
-    stated grant by grant, or the rows can be built in bulk and passed in.
+    and holds that VM's permitted destinations ``d`` in ascending order as the
+    keys ``i * span + d`` of ``keys[indptr[i]:indptr[i + 1]]``, with ``span``
+    above every id.  The keys (``int32`` while every key fits) are the log's
+    only per-grant array: ``authorized`` checks a batch of links with one
+    search of them, and ``csr`` derives the destinations on demand.
+    ``register`` and ``grant`` collect changes that the next query merges
+    into the rows, so a log can still be stated grant by grant, or the rows
+    can be built in bulk and passed in.
 
     Every VM admitted to the data centre is registered here, possibly with an
     empty row.  The log is treated as immutable after set-up; the engine
     relies on it.
     """
 
-    def __init__(self, ids=(), indptr=(0,), indices=()):
+    def __init__(self, ids=(), indptr=(0,), *indices):
         """An empty log, or one over ``ids`` (ascending) whose rows are
-        already built; arrays are kept, not copied, and become read-only."""
-        self._set_rows(
-            np.asarray(ids, np.int64),
-            np.asarray(indptr, np.int64),
-            np.asarray(indices, np.int32),
-        )
+        already built: their destinations ``indices``, in one array or in
+        consecutive pieces.  ``ids`` and ``indptr`` are kept, not copied, and
+        become read-only."""
+        self._set_rows(np.asarray(ids, np.int64), np.asarray(indptr, np.int64), indices)
         # Registrations and grants not yet merged into the rows.
         self._pending: dict[int, set[int]] = {}
 
-    def _set_rows(self, ids, indptr, indices) -> None:
-        for a in (ids, indptr, indices):
-            a.flags.writeable = False  # shared by copies
-        self._ids, self._indptr, self._indices = ids, indptr, indices
+    def _set_rows(self, ids, indptr, pieces) -> None:
+        self._ids, self._indptr = ids, indptr
         self._row = dict(zip(ids.tolist(), range(ids.size)))
-        # Row by VM id, -1 if unregistered, as ``Placement`` indexes hosts.
-        self._row_of = np.full(int(ids.max(initial=-1)) + 1, -1, np.intp)
+        # Row by VM id, -1 if unregistered, as ``Placement`` indexes hosts;
+        # the last slot, past every id, stays -1.
+        self._row_of = np.full(int(ids.max(initial=-1)) + 2, -1, np.intp)
         self._row_of[ids] = np.arange(ids.size)
+        self._span = 1 + int(max([ids.max(initial=0)] + [np.max(p, initial=0) for p in pieces]))
+        dtype = np.int32 if self._span**2 < 2**31 else np.int64
+        keys = np.concatenate([np.empty(0, dtype)] + [np.asarray(p, dtype) for p in pieces])
+        for lo, hi, starts in self._row_starts(dtype):
+            keys[lo:hi] += starts
+        for a in (ids, indptr, keys):
+            a.flags.writeable = False  # shared by copies
+        self._keys = keys
         # Views that index to Python ints, for the per-link bisect.
-        self._ptr, self._dsts = memoryview(indptr), memoryview(indices)
+        self._ptr, self._key_view = memoryview(indptr), memoryview(keys)
+
+    def _row_starts(self, dtype):
+        """``(lo, hi, starts)`` over about 16k keys at a time, so that no
+        temporary spans the log: ``i * span`` for each key ``keys[lo:hi]`` of
+        row ``i``."""
+        ptr, n = self._indptr, self._ids.size
+        step = max(1, (n << 14) // max(int(ptr[-1]), 1))
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            starts = np.arange(r0, r1, dtype=dtype) * self._span
+            yield ptr[r0], ptr[r1], np.repeat(starts, np.diff(ptr[r0 : r1 + 1]))
 
     def register(self, vm_id: int) -> None:
         if vm_id < 0:
@@ -98,17 +118,15 @@ class Ivcl:
     def _merge(self) -> None:
         """Rebuild the rows with the pending registrations and grants, in one
         pass over the whole log; a large log is passed in as rows."""
-        ptr, rows = self._indptr.tolist(), self._pending
-        for row, vm in enumerate(self._ids.tolist()):
-            rows.setdefault(vm, set()).update(
-                self._indices[ptr[row] : ptr[row + 1]].tolist()
-            )
-        self._pending = {}
+        rows, self._pending = self._pending, {}
+        ids, ptr, old = self.csr()
+        for row, vm in enumerate(ids.tolist()):
+            rows.setdefault(vm, set()).update(old[ptr[row] : ptr[row + 1]].tolist())
         ids = sorted(rows)
         dsts = [sorted(rows[vm]) for vm in ids]
         indptr = np.cumsum([0] + [len(d) for d in dsts], dtype=np.int64)
         indices = np.fromiter(chain.from_iterable(dsts), np.int32, int(indptr[-1]))
-        self._set_rows(np.array(ids, np.int64), indptr, indices)
+        self._set_rows(np.array(ids, np.int64), indptr, [indices])
 
     def _rows(self) -> dict[int, int]:
         if self._pending:
@@ -116,9 +134,18 @@ class Ivcl:
         return self._row
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ids, indptr, indices)``, read-only."""
+        """``(ids, indptr, indices)``, read-only; ``indices`` derived per call."""
         self._rows()
-        return self._ids, self._indptr, self._indices
+        indices = np.empty(self._keys.size, np.int32)
+        for lo, hi, starts in self._row_starts(self._keys.dtype):
+            indices[lo:hi] = self._keys[lo:hi] - starts
+        indices.flags.writeable = False
+        return self._ids, self._indptr, indices
+
+    def row_keys(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(indptr, keys, span)``, read-only."""
+        self._rows()
+        return self._indptr, self._keys, self._span
 
     def rows_of(self, vm_ids) -> np.ndarray:
         """The row of each of the registered ``vm_ids`` (an int array)."""
@@ -132,9 +159,8 @@ class Ivcl:
         row = self._rows().get(src)
         if row is None:
             raise UnregisteredVmError("unregistered VM %d" % src)
-        return frozenset(
-            self._indices[self._indptr[row] : self._indptr[row + 1]].tolist()
-        )
+        keys = self._keys[self._indptr[row] : self._indptr[row + 1]]
+        return frozenset((keys - row * self._span).tolist())
 
     def is_authorized(self, src: int, dst: int) -> bool:
         rows = self._rows()
@@ -143,10 +169,25 @@ class Ivcl:
             raise UnregisteredVmError("unregistered VM %d" % src)
         if dst not in rows:
             raise UnregisteredVmError("unregistered VM %d" % dst)
-        ptr, dsts = self._ptr, self._dsts
-        hi = ptr[row + 1]
-        at = bisect_left(dsts, dst, ptr[row], hi)
-        return bool(at < hi and dsts[at] == dst)
+        ptr, keys = self._ptr, self._key_view
+        key, hi = row * self._span + dst, ptr[row + 1]
+        at = bisect_left(keys, key, ptr[row], hi)
+        return bool(at < hi and keys[at] == key)
+
+    def authorized(self, src, dst) -> np.ndarray:
+        """``is_authorized`` of each link ``src[i] -> dst[i]`` (VM id arrays
+        of one length), as a bool array from one search of the keys."""
+        self._rows()
+        ends = np.concatenate((src, dst)).astype(np.intp, copy=False)
+        n, keys = len(src), self._keys
+        rows = self._row_of.take(ends, mode="clip")
+        unknown = (rows | ends) < 0  # row -1, or a negative id clipped to row 0
+        if unknown.any():
+            raise UnregisteredVmError("unregistered VM %d" % ends[unknown][0])
+        key = (rows[:n] * self._span + ends[n:]).astype(keys.dtype)
+        # Clipped, a key past the end meets the last key, a smaller one.
+        at = np.searchsorted(keys, key)
+        return keys.take(at, mode="clip") == key if keys.size else np.zeros(n, bool)
 
     @property
     def registered(self) -> frozenset[int]:

@@ -1,11 +1,13 @@
-"""Link generation and the authorised-link log build against per-pair and
-per-VM references.
+"""Link generation and the authorised-link log against per-pair, per-VM and
+per-link references.
 
-The engine draws each kind of link's uniforms in one call and builds the
-log in blocks of source rows.  The references below are the plain loops
-those replaced: one draw call per VM and one draw per cross-user pair.  The
-array versions must return the same links in the same order and leave the
-random stream in the same state.
+The engine draws each kind of link's uniforms in one call, scans on from a
+drawn start that misses with array passes, builds the log in blocks of
+source rows and checks a batch of links with one search of the log.  The
+references below are the plain loops those replaced: one draw call per VM,
+one draw per cross-user pair and one check per link.  The array versions
+must return the same links in the same order and leave the random stream in
+the same state.
 """
 
 from unittest import mock
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from oscmc import engine
 from oscmc.engine import Simulation, benign_links, inject_malicious_behavior
 from oscmc.model import Placement, ResourceVector, Server
-from oscmc.monitor import Ivcl
+from oscmc.monitor import Ivcl, UnregisteredVmError
 from oscmc.scenario import Scenario
 
 DEMAND = ResourceVector(1.0, 1.0, 1.0)
@@ -283,6 +285,7 @@ def test_log_build_equals_pairwise_reference(sc, block):
     rows = _rows(sim.ivcl)
     assert rows == {vm: sorted(dsts) for vm, dsts in want.items()}
     assert sim.ivcl.csr()[2].dtype == np.int32
+    _assert_round_trips(sim.ivcl)
     assert sim.setup_rng.bit_generator.state == rng.bit_generator.state
 
 
@@ -293,3 +296,164 @@ def test_grant_after_query_merges_into_rows():
     ivcl.grant(5, 3)
     assert ivcl.is_authorized(5, 3) and ivcl.is_authorized(1, 9)
     assert _rows(ivcl) == {1: [9], 3: [], 5: [1, 3], 9: []}
+
+
+class _Uniforms:
+    """Stands in for a generator: ``random`` serves the given uniforms in
+    order, so a test can place a drawn start where it wants it."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, shape):
+        n = int(np.prod(shape))
+        out, self.values = self.values[:n], self.values[n:]
+        assert len(out) == n, "more uniforms drawn than given"
+        return np.array(out).reshape(shape)
+
+
+def _start_draw(start: int, size: int) -> float:
+    """The uniform that draws position ``start`` of ``size``."""
+    return (start + 0.5) / size
+
+
+RING = 150  # past two 64-position passes of the fallback scan
+
+
+@pytest.mark.parametrize("start", [0, 1, 64, 100, RING - 1])
+@pytest.mark.parametrize("unusable", ["suspended", "unplaced"])
+def test_benign_scan_wraps_to_the_destination_just_before_the_start(start, unusable):
+    """VM 1's row holds VMs 2 to 151, and only the one just before the drawn
+    start is usable, so the scan reads every other position of the row,
+    wrapping around; with none usable, no link opens."""
+    row = list(range(2, RING + 2))
+    ivcl = _log(range(1, RING + 2), [(1, d) for d in row])
+    target = row[start - 1]
+    others = set(row) - {target}
+    hosts = {vm: 1 for vm in range(1, RING + 2)}
+    suspended = others if unusable == "suspended" else set()
+    if unusable == "unplaced":
+        hosts.update(dict.fromkeys(others))
+    placement = _placement(hosts, 1)
+    rows = {1: row}
+    for usable, want in ((True, [(1, target)]), (False, [])):
+        if not usable:
+            suspended = suspended | {target}
+        draws = [0.0, _start_draw(start, RING)]
+        links = benign_links(placement, [1], suspended, ivcl, 1.0, _Uniforms(draws))
+        assert _pairs(links) == want
+        ref = reference_benign(placement, [1], suspended, rows, 1.0, _Uniforms(draws))
+        assert ref == want
+
+
+@pytest.mark.parametrize("start", [0, 1, 64, 100, RING - 1])
+def test_remote_scan_wraps_and_skips_an_attacker_with_no_remote_victim(start):
+    """Attacker 1 shares server 1 with every alive benign VM but the one just
+    before its drawn start, which the scan reaches last, wrapping around.
+    Once that one shares server 1 too, no remote link opens."""
+    benign = list(range(2, RING + 2))
+    target = benign[start - 1]
+    for remote, want in ((True, [(1, target)]), (False, [])):
+        hosts = {vm: 1 for vm in range(1, RING + 2)}
+        hosts[target] = 2 if remote else 1
+        placement = _placement(hosts, 2)
+        # No co-located draw succeeds; the remote one always does.
+        draws = [0.5, 0.5, 0.5, _start_draw(start, RING)]
+        for form in ("lists", "arrays", "arrays and kept"):
+            hostile, benign_ids, kept = _as_passed(form, [1], benign, set())
+            links = inject_malicious_behavior(
+                0, placement, hostile, benign_ids, set(), 0.0, 1.0, _Uniforms(draws), **kept
+            )
+            assert _pairs(links) == want
+        ref = reference_inject(placement, [1], benign, set(), 0.0, 1.0, _Uniforms(draws))
+        assert ref == want
+
+
+# Ids past 46340 make (id + 1) ** 2 reach 2 ** 31, so the log keys become int64.
+ids_ = st.integers(0, 40) | st.integers(46339, 46342) | st.integers(10**6, 10**6 + 3)
+
+
+@st.composite
+def logs(draw):
+    """Registered ids (possibly none, possibly sparse), grants among them,
+    grants to add after a first query, and links to check, some with an
+    unregistered or negative end."""
+    ids = sorted(draw(st.sets(ids_, max_size=10)))
+    grants = []
+    if len(ids) > 1:
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+            lambda p: p[0] != p[1]
+        )
+        grants = draw(st.lists(pairs, max_size=30))
+    later = draw(st.lists(st.tuples(ids_, ids_).filter(lambda p: p[0] != p[1]), max_size=4))
+    ends = st.sampled_from(ids) if ids else st.nothing()
+    ends = ends | st.integers(-2, 45) if draw(st.booleans()) or not ids else ends
+    links = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    return ids, grants, later, links
+
+
+def _checked(ivcl, links):
+    """``is_authorized`` of each link, or the error of the first one that
+    raises."""
+    try:
+        return [ivcl.is_authorized(a, b) for a, b in links]
+    except UnregisteredVmError:
+        return UnregisteredVmError
+
+
+def _assert_round_trips(ivcl):
+    """``csr`` gives read-only ``(ids, indptr, int32 indices)``, and a log
+    built from those rows, whole or in pieces, gives them back."""
+    ids, indptr, indices = ivcl.csr()
+    assert (ids.dtype, indptr.dtype, indices.dtype) == (np.int64, np.int64, np.int32)
+    assert not any(a.flags.writeable for a in (ids, indptr, indices))
+    cut = len(indices) // 3
+    for pieces in ([indices], [indices[:cut], indices[cut:]], []):
+        if not pieces and len(indices):
+            continue
+        again = Ivcl(ids, indptr, *pieces).csr()
+        assert [a.tolist() for a in again] == [ids.tolist(), indptr.tolist(), indices.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(logs())
+def test_batch_check_equals_per_link_check(case):
+    """``Ivcl.authorized`` equals ``is_authorized`` link by link, raises as it
+    does for an unregistered end, and holds after grants added once the log
+    was queried; ``csr`` gives the rows the grants state."""
+    ids, grants, later, links = case
+    ivcl = _log(ids, grants)
+    for added in ([], later):
+        for a, b in added:
+            ivcl.grant(a, b)  # merged into the rows at the next query
+        grants = grants + added
+        want = _checked(ivcl, links)
+        src, dst = (np.array([link[i] for link in links], dtype=np.intp) for i in (0, 1))
+        if want is UnregisteredVmError:
+            with pytest.raises(UnregisteredVmError):
+                ivcl.authorized(src, dst)
+        else:
+            got = ivcl.authorized(src, dst)
+            assert got.dtype == bool and got.tolist() == want
+        registered = sorted(ivcl.registered)
+        assert registered == sorted(set(ids).union(*added))
+        rows = {vm: sorted({b for a, b in grants if a == vm}) for vm in registered}
+        assert _rows(ivcl) == rows
+        _assert_round_trips(ivcl)
+        _indptr, keys, span = ivcl.row_keys()
+        assert span == max(registered, default=0) + 1
+        assert keys.dtype == (np.int32 if span**2 < 2**31 else np.int64)
+
+
+def test_batch_check_over_empty_logs_and_rows():
+    empty = Ivcl()
+    assert empty.authorized(np.array([], np.intp), np.array([], np.intp)).tolist() == []
+    for src, dst in ([0], [0]), ([-1], [-1]), ([1], [2]):
+        with pytest.raises(UnregisteredVmError):
+            empty.authorized(np.array(src), np.array(dst))
+    assert Ivcl([1, 2], [0, 0, 0], []).authorized([1, 2], [2, 1]).tolist() == [False] * 2
+    ivcl = _log([3, 7, 900], [])  # registered, every row empty
+    assert ivcl.authorized(np.array([3, 7, 900]), np.array([7, 900, 3])).tolist() == [False] * 3
+    for src, dst in ([3], [-1]), ([-1], [3]), ([3], [4]), ([901], [3]), ([3, 7], [7, 8]):
+        with pytest.raises(UnregisteredVmError):
+            ivcl.authorized(np.array(src), np.array(dst))

@@ -1,8 +1,10 @@
-"""Peak memory of a fleet-scale set-up.
+"""Peak memory of a fleet-scale set-up and its first interval.
 
 The authorised-link log grows as the square of the VM count.  At 8800 VMs it
 holds about 3.9M grants; kept as Python sets they took about 470 MB of peak
-RSS, kept as compressed sparse rows they take under 100 MB.
+RSS, kept as sorted row keys they take under 100 MB.  The simulation steps
+once, so an array over the log built at the first link generation or
+classification shows here too.
 """
 
 import os
@@ -22,7 +24,7 @@ from oscmc.scenario import load_scenario
 sc = dataclasses.replace(
     load_scenario("xi1100"), policy="wosc", vms=8800, servers=3960, intervals=1
 )
-Simulation(sc)
+Simulation(sc).step(0)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
