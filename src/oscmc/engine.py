@@ -50,16 +50,7 @@ from .allocator import (
 from .metrics import (
     METRICS_CSV_HEADER, EmptyDataCenterError, Fleet, IntervalMetrics, exact_sum, snapshot,
 )
-from .model import (
-    GuaranteedThreshold,
-    Placement,
-    ResourceVector,
-    Server,
-    User,
-    Vm,
-    VmStatus,
-    admit_vm,
-)
+from .model import Placement, ResourceVector, Server, Vm, admit_vm
 from .monitor import (
     Ivcl,
     QuarantineDirective,
@@ -368,6 +359,10 @@ class RunLog:
 class Simulation:
     """One deterministic run of a scenario under one policy.
 
+    VMs have ids 1 to V and no record of their own: each per-VM array is
+    indexed by ``usage`` column, VM ``v`` in column ``v - 1``.  Only link
+    injection reads the ground truth, the hostile and benign VM ids.
+
     ``workers`` is accepted for callers that pass it and ignored: a single
     simulation always runs serially.
     """
@@ -382,7 +377,7 @@ class Simulation:
         self.kmeans_seeds = s_kmeans.generate_state(sc.intervals)
 
         self._build_fleet()
-        self._build_population()
+        hostile_users = self._build_population()
         self._build_ivcl()
         self._build_usage(np.random.default_rng(s_workload))
         self._build_models(s_models, s_train)
@@ -391,7 +386,7 @@ class Simulation:
         self.fleet = Fleet(self.servers, self.placement)
 
         # Live links as sorted keys src * span + dst; VM ids run from 1 to V.
-        self.span = len(self.vms) + 1
+        self.span = sc.vms + 1
         self.link_keys = np.empty(0, dtype=np.int64)
         # The live links the log does not authorise, (src, dst) -> interval
         # established.  The log never changes after set-up, so a link is
@@ -407,9 +402,9 @@ class Simulation:
             policy=sc.policy,
             seed=sc.seed,
             servers=len(self.servers),
-            vms=len(self.vms),
-            users=len(self.users),
-            malicious_users=sum(1 for u in self.users.values() if u.is_malicious_truth),
+            vms=sc.vms,
+            users=sc.user_count(),
+            malicious_users=hostile_users,
         )
 
     # -- construction ----------------------------------------------------
@@ -421,45 +416,33 @@ class Simulation:
             scores = np.full(sc.servers, float(sc.vuln_score_fixed))
         else:
             scores = self.setup_rng.uniform(0.0, 10.0, sc.servers)
-        n_reserved = (
-            sc.servers // sc.reserved_per
-            if sc.reserved_per > 0 and sc.policy == "oscmc"
-            else 0
-        )
-        reserved = set(range(sc.servers - n_reserved + 1, sc.servers + 1))
+        n_reserved = sc.servers // sc.reserved_per if sc.reserved_per and sc.policy == "oscmc" else 0
         self.servers = {
-            sid: Server(
-                id=sid,
-                capacity=cap,
-                pw_max=sc.pw_max,
-                pw_min=sc.pw_min,
-                pw_idle=sc.pw_idle,
-                vulnerability_score=float(scores[sid - 1]),
-                reserved_for_hogs=sid in reserved,
-            )
+            sid: Server(sid, cap, pw_max=sc.pw_max, pw_min=sc.pw_min, pw_idle=sc.pw_idle,
+                        vulnerability_score=float(scores[sid - 1]),
+                        reserved_for_hogs=sid > sc.servers - n_reserved)
             for sid in range(1, sc.servers + 1)
         }
-        self.ordinary_ids = sorted(set(self.servers) - reserved)
         self.vuln_scores = {sid: s.vulnerability_score for sid, s in self.servers.items()}
-        self.total_bw = sum(s.capacity.bw for s in self.servers.values())
 
-    def _build_population(self) -> None:
+    def _build_population(self) -> int:
+        """Each VM's owner and flavor index, its flavor's nominal demand and
+        guarantee (tp_min, bw_min), and the hostile and benign VM ids.  Users
+        own the chunks of VM ids ``np.array_split`` cuts, unless fixed.
+        Returns the number of hostile users."""
         sc = self.sc
-        flavors = [ResourceVector(*f) for f in sc.vm_flavors]
-        frac = sc.guaranteed_frac
-        guaranteed = [GuaranteedThreshold(frac, frac * f.bw) for f in flavors]
-        vm_ids = range(1, sc.vms + 1)
         if sc.fixed_users:
-            owner_of = {vm: uid for uid, vm_list in sc.fixed_users.items() for vm in vm_list}
             user_ids = sorted(sc.fixed_users)
-            owner = [owner_of[vm] for vm in vm_ids]
+            self.owner = np.empty(sc.vms, dtype=np.intp)
+            for uid in user_ids:
+                self.owner[np.asarray(sc.fixed_users[uid], dtype=np.intp) - 1] = uid
         else:
             m = sc.user_count()
             user_ids = list(range(1, m + 1))
             # The chunk sizes of np.array_split: the first V % m one larger.
             sizes = np.full(m, sc.vms // m)
             sizes[: sc.vms % m] += 1
-            owner = np.repeat(user_ids, sizes).tolist()
+            self.owner = np.repeat(np.arange(1, m + 1, dtype=np.intp), sizes)
         if sc.fixed_malicious_users is not None:
             hostile = set(sc.fixed_malicious_users)
         else:
@@ -469,47 +452,43 @@ class Simulation:
             perm = self.setup_rng.permutation(user_ids)
             hostile = set(int(u) for u in perm[:k])
 
-        self.users = {uid: User(uid, set(), uid in hostile) for uid in user_ids}
-        flavor = np.arange(sc.vms) % len(flavors)
-        self.vms: dict[int, Vm] = {}
-        for vm_id, uid, f in zip(vm_ids, owner, flavor.tolist()):
-            self.vms[vm_id] = Vm(vm_id, uid, flavors[f], guaranteed=guaranteed[f])
-            self.users[uid].vm_ids.add(vm_id)
-        self.owners = dict(zip(vm_ids, owner))
+        # The mapping the threat report reads.
+        self.owners = dict(enumerate(self.owner.tolist(), 1))
+        self.flavor = np.arange(sc.vms) % len(sc.vm_flavors)
+        flavors = np.array(sc.vm_flavors, dtype=float).reshape(-1, 3)
+        frac = sc.guaranteed_frac
+        self.nominals = flavors[self.flavor]
+        self.guarantees = np.column_stack((np.full(sc.vms, frac), frac * self.nominals[:, 2]))
         ids = np.arange(1, sc.vms + 1, dtype=np.intp)
-        is_hostile = np.isin(owner, list(hostile))
+        is_hostile = np.isin(self.owner, list(hostile))
         self.malicious_vm_ids = ids[is_hostile]
         self.benign_vm_ids = ids[~is_hostile]
         # The unsuspended benign VMs, in id order.
         self.benign_alive = self.benign_vm_ids.copy()
-        # (tp_min, bw_min) and nominal demand per VM, indexed like ``usage``.
-        self.guarantees = np.array([(g.tp_min, g.bw_min) for g in guaranteed])[flavor]
-        self.nominals = np.array([f.as_tuple() for f in flavors])[flavor]
+        return len(hostile)
 
     def _build_ivcl(self) -> None:
-        intra = Ivcl()
-        for vm_id in sorted(self.vms):
-            intra.register(vm_id)
-        for user in self.users.values():
-            members = sorted(user.vm_ids)
+        """Every ordered same-owner pair, user by user, and cross-user grants."""
+        intra = Ivcl(np.arange(1, self.sc.vms + 1), np.zeros(self.sc.vms + 1, np.int64))
+        by_owner = np.argsort(self.owner, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.owner[by_owner])) + 1
+        for cols in np.split(by_owner, cuts):
+            members = (cols + 1).tolist()
             for a in members:
                 for b in members:
                     if a != b:
                         intra.grant(a, b)
-        owner = np.array([self.owners[vm] for vm in sorted(self.vms)])
         self.ivcl = with_cross_user_grants(
-            intra, owner, self.sc.cross_user_auth_rate, self.setup_rng
+            intra, self.owner, self.sc.cross_user_auth_rate, self.setup_rng
         )
 
     def _build_usage(self, rng: np.random.Generator) -> None:
         sc = self.sc
         if sc.trace_path:
             trace = ingest_trace(sc.trace_path)
-            self.usage = fit_trace_to_vms(
-                trace, self.nominals, sc.intervals, sc.trace_rescale
-            )
+            usage = fit_trace_to_vms(trace, self.nominals, sc.intervals, sc.trace_rescale)
         else:
-            self.usage = synthetic_usage(
+            usage = synthetic_usage(
                 self.nominals,
                 sc.intervals,
                 rng,
@@ -518,6 +497,7 @@ class Simulation:
                 burst_exit=sc.burst_exit,
                 burst_mult=sc.burst_mult,
             )
+        self.usage = np.ascontiguousarray(usage[..., 2])  # the only column read
 
     def _build_models(self, s_models, s_train) -> None:
         sc = self.sc
@@ -526,7 +506,7 @@ class Simulation:
         self.models: dict[tuple, tuple[np.ndarray, PredictorModel, np.random.Generator]] = {}
         if sc.policy != "oscmc":
             return
-        cols = np.arange(len(self.vms))  # as ``_cols`` gives them
+        cols = np.arange(sc.vms)  # as ``_cols`` gives them
         if sc.per_vm_models:
             groups = {("vm", v + 1): cols[v : v + 1] for v in range(cols.size)}
         else:
@@ -544,29 +524,29 @@ class Simulation:
 
     def _initial_placement(self) -> None:
         sc = self.sc
-        vms = sorted(self.vms.items())
-        first = {}  # admission reads only the demand: test each one's lowest-id VM
-        for _vm_id, vm in vms:
-            first.setdefault(vm.demand, vm)
-        for vm in first.values():
+        flavors = [ResourceVector(*f) for f in sc.vm_flavors]
+        # Admission reads only the demand: test each flavor's lowest-id VM.
+        for vm in (Vm(f + 1, self.owners[f + 1], d) for f, d in enumerate(flavors[: sc.vms])):
             decision = admit_vm(vm, self.servers)
             if not decision.accepted:
                 raise SimulationError("VM %d rejected: %s" % (vm.id, decision.reason))
         base = Placement(self.servers)
+        demand = [flavors[f] for f in self.flavor.tolist()]
+        vms = range(1, sc.vms + 1)
         if sc.fixed_placement:
             for sid, vm_list in sorted(sc.fixed_placement.items()):
                 for vm_id in vm_list:
-                    base.assign(vm_id, self.vms[vm_id].demand, sid)
+                    base.assign(vm_id, demand[vm_id - 1], sid)
             self.placement = base
         elif sc.policy == "oscmc":
-            items = [(vm_id, vm.demand, vm.demand.bw) for vm_id, vm in vms]
-            self.placement = ffd_place(items, self.servers, base, eligible=self.ordinary_ids)
+            items = [(vm_id, d, d.bw) for vm_id, d in zip(vms, demand)]
+            ordinary = [sid for sid, s in self.servers.items() if not s.reserved_for_hogs]
+            self.placement = ffd_place(items, self.servers, base, eligible=ordinary)
         elif sc.policy == "pssf":
-            items = [(vm_id, vm.owner, vm.demand) for vm_id, vm in vms]
+            items = list(zip(vms, self.owner.tolist(), demand))
             self.placement = pssf_place(items, self.servers, base)
         else:
-            items = [(vm_id, vm.demand) for vm_id, vm in vms]
-            self.placement = first_fit_place(items, self.servers, base)
+            self.placement = first_fit_place(list(zip(vms, demand)), self.servers, base)
 
     # -- per-interval helpers --------------------------------------------
 
@@ -586,7 +566,7 @@ class Simulation:
         """Bandwidth windows ``usage[s : s + window, col]``, one row per
         (col, s) pair, gathered with one fancy index."""
         rows = starts[:, None] + np.arange(self.sc.window)
-        return self.usage[rows, cols[:, None], 2]
+        return self.usage[rows, cols[:, None]]
 
     def _train_and_predict(self, t: int, placed: np.ndarray) -> None:
         """Fit each group's model on sampled bandwidth history windows, then
@@ -614,7 +594,7 @@ class Simulation:
                 cols = members[picks // starts]
                 offsets = picks % starts
                 x = self._windows(cols, offsets)
-                y = self.usage[offsets + sc.window, cols, 2]
+                y = self.usage[offsets + sc.window, cols]
                 model.set_bounds(np.concatenate([x.ravel(), y]))
                 models, xs, ys = buckets.setdefault(n, ([], [], []))
                 models.append(model)
@@ -644,7 +624,7 @@ class Simulation:
         """
         cols = self._cols(active)
         rows = self.placement.host_rows(active)
-        demand = self.usage[t, cols, 2]
+        demand = self.usage[t, cols]
         bw = self.fleet.cap[:, 2]
         load = np.bincount(rows, weights=demand, minlength=bw.size)[rows]
         cap = bw[rows]
@@ -745,7 +725,6 @@ class Simulation:
         for vm_id in sorted(directive.suspend_vms):
             if vm_id in self.suspended:
                 continue
-            self.vms[vm_id].status = VmStatus.SUSPENDED
             self.suspended.add(vm_id)
             self.log.suspended.append(vm_id)
             newly.append(vm_id)
@@ -779,7 +758,7 @@ class Simulation:
         # Rebalance moves VMs but never adds or removes one, so these ids
         # hold until quarantine.
         active, cols = self.placement.derived("placed", None, self._placed_cols)
-        observed = self.usage[t, cols, 2]
+        observed = self.usage[t, cols]
         # A copy: training overwrites ``self.predicted``, and the snapshot
         # reads the forecasts made before it.
         predicted = self.predicted[cols]
@@ -789,7 +768,7 @@ class Simulation:
                 exact_sum(observed),
                 exact_sum(predicted),
                 delta_t=1.0,
-                dev_threshold=sc.congestion_threshold_frac * self.total_bw,
+                dev_threshold=sc.congestion_threshold_frac * exact_sum(self.fleet.cap[:, 2]),
                 time_threshold=1.0,
             )
             self._train_and_predict(t, cols)

@@ -155,8 +155,21 @@ class Scenario:
         if self.power_mode not in ("mean", "cpu"):
             raise ScenarioError("power_mode must be mean or cpu")
         ends = [v for links in (self.scripted_links or {}).values() for link in links for v in link]
-        if not all(1 <= v <= self.vms and v == int(v) for v in ends):
+        if not _ids_in(ends, self.vms):
             raise ScenarioError("scripted_links must join VMs 1 to vms")
+        users = self.fixed_users or range(1, self.user_count() + 1)
+        owned = [v for vms in (self.fixed_users or {}).values() for v in vms]
+        if self.fixed_users and not (len(owned) == self.vms and _ids_in(owned, self.vms, True)):
+            raise ScenarioError("fixed_users must give each of VMs 1 to vms one owner")
+        if not all(u == int(u) for u in users):
+            raise ScenarioError("fixed_users must have whole-number user ids")
+        placed = [v for vms in (self.fixed_placement or {}).values() for v in vms]
+        if not _ids_in(placed, self.vms, True):
+            raise ScenarioError("fixed_placement must name each of VMs 1 to vms at most once")
+        if not _ids_in(self.fixed_placement or (), self.servers):
+            raise ScenarioError("fixed_placement must name servers 1 to servers")
+        if not all(u in users for u in self.fixed_malicious_users or ()):
+            raise ScenarioError("fixed_malicious_users must name users of the scenario")
 
     def user_count(self) -> int:
         if self.fixed_users:
@@ -164,6 +177,13 @@ class Scenario:
         if self.users is not None:
             return self.users
         return max(1, self.vms // 3)
+
+
+def _ids_in(values, count, distinct: bool = False) -> bool:
+    """Whether each of ``values`` is a whole number from 1 to ``count``,
+    and with ``distinct`` no two are equal."""
+    ok = all(1 <= v <= count and v == int(v) for v in values)
+    return ok and not (distinct and len(set(values)) < len(values))
 
 
 # -- presets ------------------------------------------------------------

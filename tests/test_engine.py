@@ -103,22 +103,28 @@ def test_simulation_builds_deterministic_population():
 def test_population_respects_fixed_users_and_malicious_list():
     sc = load_scenario("illustration")
     sim = Simulation(sc)
-    assert sim.users[3].is_malicious_truth
-    assert not sim.users[1].is_malicious_truth
-    assert sorted(sim.users[3].vm_ids) == [8, 9, 10, 11]
+    hostile_owners = set(sim.owner[sim.malicious_vm_ids - 1].tolist())
+    assert 3 in hostile_owners
+    assert 1 not in hostile_owners
+    assert (np.flatnonzero(sim.owner == 3) + 1).tolist() == [8, 9, 10, 11]
     assert sim.malicious_vm_ids.tolist() == [8, 9, 10, 11]
+    assert (sim.log.users, sim.log.malicious_users) == (4, 1)
 
 
 def test_ivcl_grants_cover_intra_user_pairs():
     sim = Simulation(small_scenario(cross_user_auth_rate=0.0))
-    for user in sim.users.values():
-        for a in user.vm_ids:
-            for b in user.vm_ids:
+    # Four users of three consecutive VM ids each.
+    users = np.arange(1, 13).reshape(4, 3).tolist()
+    owners = {vm: uid for uid, vms in enumerate(users, 1) for vm in vms}
+    assert sim.owners == owners
+    for vms in users:
+        for a in vms:
+            for b in vms:
                 if a != b:
                     assert sim.ivcl.is_authorized(a, b)
     # No cross-user authorisation when the rate is zero.
-    for a, owner_a in sim.owners.items():
-        for b, owner_b in sim.owners.items():
+    for a, owner_a in owners.items():
+        for b, owner_b in owners.items():
             if a != b and owner_a != owner_b:
                 assert not sim.ivcl.is_authorized(a, b)
 
@@ -135,10 +141,9 @@ def test_ivcl_cross_user_grants_follow_pairwise_draw_order():
         cross_user_auth_rate=0.4,
     )
     sim = Simulation(sc)
-    ids = sorted(sim.vms)
-    pairs = [
-        (a, b) for a in ids for b in ids if a != b and sim.owners[a] != sim.owners[b]
-    ]
+    ids = range(1, sc.vms + 1)
+    owners = {vm: uid for uid, vms in users.items() for vm in vms}
+    pairs = [(a, b) for a in ids for b in ids if a != b and owners[a] != owners[b]]
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(6)[0])
     draws = rng.random(len(pairs)) < sc.cross_user_auth_rate
     expected = {pair for pair, keep in zip(pairs, draws) if keep}
@@ -227,7 +232,7 @@ def test_placement_state_is_derived_once_per_change(monkeypatch, policy, derivat
     recorded = oscmc.engine.snapshot
 
     def recording(t, servers, placement, *args, **kwargs):
-        states.append(placement.host_rows(np.arange(1, len(sim.vms) + 1)).tobytes())
+        states.append(placement.host_rows(np.arange(1, sim.sc.vms + 1)).tobytes())
         return recorded(t, servers, placement, *args, **kwargs)
 
     monkeypatch.setattr(oscmc.engine, "snapshot", recording)
@@ -259,7 +264,7 @@ def test_run_with_every_vm_suspended_stops_with_simulation_error():
 def test_run_preserves_vm_conservation_and_capacity():
     sc = small_scenario()
     sim = Simulation(sc)
-    all_vms = set(sim.vms)
+    all_vms = set(range(1, sc.vms + 1))
     for t in range(sc.intervals):
         sim.step(t)
         assert set(sim.placement.vm_ids) | sim.suspended == all_vms
@@ -284,15 +289,24 @@ def test_suspended_vms_never_relink():
 
 
 def test_detector_never_reads_ground_truth():
-    """Scrambling truth labels after construction changes no detection output."""
+    """Swapping the hostile and benign VM ids after construction changes no
+    detection output, when link injection alone still reads the true ones."""
     sc = small_scenario()
     a = Simulation(sc)
     b = Simulation(sc)
-    for user in b.users.values():
-        user.is_malicious_truth = not user.is_malicious_truth
-    # Keep the injection identical by restoring the original attacker list.
-    b.malicious_vm_ids = a.malicious_vm_ids.copy()
-    b.benign_vm_ids = a.benign_vm_ids.copy()
+    truth = a.malicious_vm_ids.copy(), a.benign_vm_ids.copy()
+    scrambled = truth[::-1]
+    b.malicious_vm_ids, b.benign_vm_ids = scrambled
+    new_links = b._new_links
+
+    def injecting_with_truth(t):
+        b.malicious_vm_ids, b.benign_vm_ids = truth
+        try:
+            return new_links(t)
+        finally:
+            b.malicious_vm_ids, b.benign_vm_ids = scrambled
+
+    b._new_links = injecting_with_truth
     for t in range(sc.intervals):
         a.step(t)
         b.step(t)
@@ -432,8 +446,37 @@ def test_trace_driven_run(tmp_path):
     result = run(sc)
     assert len(result.metrics) == 5
     sim = Simulation(sc)
-    # Rescaled trace means match nominal demand per VM.
-    assert sim.usage.shape == (5, 12, 3)
+    # The bandwidth column alone; rescaled trace means match nominal demand per VM.
+    assert sim.usage.shape == (5, 12)
+    nominal = [sc.vm_flavors[v % len(sc.vm_flavors)][2] for v in range(12)]
+    assert np.allclose(sim.usage.mean(axis=0), nominal)
+
+
+def _canonical_trace(path):
+    """Three trace VMs of 7 rows each, rows out of time order, one malformed
+    row, and values from integer formulas: no random draw."""
+    lines = ["timestamp,vm_id,cpu_usage_mips,mem_usage_mb,net_bw_used"]
+    for k, vm in enumerate(("c", "a", "b")):
+        for t in (3, 0, 6, 1, 5, 2, 4):
+            cpu = 100 + 37 * ((7 * t + 3 * k) % 11)
+            mem = 64 + 53 * ((5 * t + k) % 9)
+            bw = 50 + 91 * ((3 * t + 5 * k) % 13) + (400 if t == 5 - k else 0)
+            lines.append("%d,%s,%d,%d,%d" % (t, vm, cpu, mem, bw))
+    lines.append("7,a,not-a-number,1,1")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "rescale, digest", [(True, "f0516103c865af21"), (False, "7173d8bfa7687b2b")], ids=["rescaled", "raw"]
+)
+def test_trace_driven_output_is_pinned(tmp_path, rescale, digest):
+    """A trace shorter than the run, repeated cyclically onto 12 VMs, with
+    and without rescaling to nominal demand; the run trains its forecaster
+    on the trace."""
+    trace = _canonical_trace(tmp_path / "trace.csv")
+    sc = small_scenario(intervals=10, trace_path=trace, trace_rescale=rescale)
+    assert _output_digest(run(sc)) == digest
 
 
 def test_worker_fanout_preserves_results():
@@ -825,16 +868,17 @@ def reference_perf_samples(sim, t, active):
     load = {}
     for vm in active:
         sid = sim.placement.server_of(vm)
-        load[sid] = load.get(sid, 0.0) + sim.usage[t, vm - 1, 2]
+        load[sid] = load.get(sid, 0.0) + sim.usage[t, vm - 1]
     for vm in active:
         sid = sim.placement.server_of(vm)
         cap = sim.servers[sid].capacity.bw
         scale = 1.0 if load[sid] <= cap or load[sid] == 0 else cap / load[sid]
-        delivered = sim.usage[t, vm - 1, 2] * scale
-        nominal = sim.vms[vm].demand.bw
+        delivered = sim.usage[t, vm - 1] * scale
+        # Flavors cycle over VM ids from VM 1.
+        nominal = sim.sc.vm_flavors[(vm - 1) % len(sim.sc.vm_flavors)][2]
         frac = delivered / nominal if nominal > 0 else 1.0
         perf[vm] = (frac, delivered)
-        g = sim.vms[vm].guaranteed
+        g = GuaranteedThreshold(sim.sc.guaranteed_frac, sim.sc.guaranteed_frac * nominal)
         thresholds[vm] = (g.tp_min, g.bw_min)
     return perf, thresholds
 
@@ -875,7 +919,7 @@ def test_array_perf_samples_equal_per_vm_loop(vms, flavor_bws, server_bw, frac, 
         sim = Simulation(sc)
     except (SimulationError, PlacementInfeasibleError):
         return
-    sim.usage[:, :, 2] = data.draw(
+    sim.usage[:, :] = data.draw(
         st.lists(bandwidths, min_size=2 * vms, max_size=2 * vms)
         .map(lambda xs: np.array(xs).reshape(2, vms))
     )
@@ -986,24 +1030,59 @@ def test_array_link_insert_equals_per_link_dict_loop(data):
 @given(st.integers(1, 40).flatmap(lambda v: st.tuples(st.just(v), st.integers(1, v))))
 def test_population_follows_the_array_split_of_vm_ids(vms_users):
     """Users own consecutive chunks of VM ids as ``np.array_split`` cuts
-    them; each VM's guarantee is its flavor's, and the hostile and benign id
-    arrays follow the owners' truth labels."""
+    them; each VM's nominal demand and guarantee are its flavor's, and the
+    hostile and benign id arrays follow the users drawn hostile from the
+    set-up stream."""
     vms, users = vms_users
-    sim = Simulation(small_scenario(servers=vms, vms=vms, users=users, malicious_user_pct=30.0))
+    sc = small_scenario(servers=vms, vms=vms, users=users, malicious_user_pct=30.0)
+    sim = Simulation(sc)
     chunks = np.array_split(np.arange(1, vms + 1), users)
     owner = {vm: uid for uid, chunk in enumerate(chunks, 1) for vm in chunk.tolist()}
     assert sim.owners == owner
-    assert {uid: u.vm_ids for uid, u in sim.users.items()} == {
+    assert {uid: set((np.flatnonzero(sim.owner == uid) + 1).tolist()) for uid in owner.values()} == {
         uid: set(chunk.tolist()) for uid, chunk in enumerate(chunks, 1)
     }
-    hostile = [vm for vm in range(1, vms + 1) if sim.users[owner[vm]].is_malicious_truth]
+    # The set-up stream draws the servers' scores, then the user permutation.
+    rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(6)[0])
+    rng.uniform(0.0, 10.0, sc.servers)
+    k = max(1, round(users * 0.3))
+    hostile_users = set(rng.permutation(np.arange(1, users + 1))[:k].tolist())
+    assert (sim.log.users, sim.log.malicious_users) == (users, k)
+    hostile = [vm for vm in range(1, vms + 1) if owner[vm] in hostile_users]
     assert sim.malicious_vm_ids.tolist() == hostile
     assert sim.benign_vm_ids.tolist() == sorted(set(range(1, vms + 1)) - set(hostile))
-    frac = sim.sc.guaranteed_frac
-    for vm_id, vm in sim.vms.items():
-        assert vm.owner == owner[vm_id]
-        assert vm.guaranteed == GuaranteedThreshold(frac, frac * vm.demand.bw)
-        assert sim.guarantees[vm_id - 1].tolist() == [frac, frac * vm.demand.bw]
+    frac = sc.guaranteed_frac
+    for vm_id in range(1, vms + 1):
+        flavor = sc.vm_flavors[(vm_id - 1) % len(sc.vm_flavors)]
+        g = GuaranteedThreshold(frac, frac * flavor[2])
+        assert sim.owner[vm_id - 1] == owner[vm_id]
+        assert sim.flavor[vm_id - 1] == (vm_id - 1) % len(sc.vm_flavors)
+        assert sim.nominals[vm_id - 1].tolist() == list(flavor)
+        assert sim.guarantees[vm_id - 1].tolist() == [g.tp_min, g.bw_min]
+
+
+@pytest.mark.parametrize("policy", ["oscmc", "pssf", "wosc"])
+def test_population_is_arrays_indexed_by_usage_column(monkeypatch, policy):
+    """Set-up builds one ``Vm`` per flavor, for admission, and no ``User``;
+    the simulation keeps no per-VM or per-user records and no server
+    mirrors, and ``usage`` is the bandwidth column alone, contiguous."""
+    built = {"Vm": 0, "User": 0}
+    for name in built:
+        cls = getattr(oscmc.model, name)
+
+        def counting(self, *args, _name=name, _init=cls.__init__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    sc = small_scenario(policy=policy, vm_flavors=[(500.0, 512.0, 1000.0)] * 3)
+    sim = Simulation(sc)
+    assert built == {"Vm": 3, "User": 0}
+    for name in ("vms", "users", "ordinary_ids", "total_bw"):
+        assert not hasattr(sim, name), name
+    assert sim.owner.shape == sim.flavor.shape == (sc.vms,)
+    assert sim.usage.shape == (sc.intervals, sc.vms)
+    assert sim.usage.flags.c_contiguous
 
 
 _STEPS = ["assign", "assign_rows", "move", "remove", "copy", "kept", "hostile"]

@@ -270,17 +270,23 @@ def test_log_build_equals_pairwise_reference(sc, block):
     id order, and leaves the set-up stream where that draw does."""
     with mock.patch.object(engine, "_DRAW_BLOCK", block):
         sim = Simulation(sc)
-    ids = sorted(sim.vms)
+    ids = range(1, sc.vms + 1)
+    if sc.fixed_users:
+        owners = {vm: uid for uid, vms in sc.fixed_users.items() for vm in vms}
+    else:
+        chunks = np.array_split(np.arange(1, sc.vms + 1), sc.user_count())
+        owners = {vm: uid for uid, chunk in enumerate(chunks, 1) for vm in chunk.tolist()}
+    assert sim.owners == owners
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(6)[0])
     want = {vm: set() for vm in ids}
     for a in ids:
         for b in ids:
-            if a != b and sim.owners[a] == sim.owners[b]:
+            if a != b and owners[a] == owners[b]:
                 want[a].add(b)
     if sc.cross_user_auth_rate > 0:
         for a in ids:
             for b in ids:
-                if sim.owners[a] != sim.owners[b] and rng.random() < sc.cross_user_auth_rate:
+                if owners[a] != owners[b] and rng.random() < sc.cross_user_auth_rate:
                     want[a].add(b)
     rows = _rows(sim.ivcl)
     assert rows == {vm: sorted(dsts) for vm, dsts in want.items()}

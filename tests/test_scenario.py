@@ -3,7 +3,10 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oscmc.engine import Simulation
 from oscmc.scenario import (
     PRESETS,
     Scenario,
@@ -160,3 +163,86 @@ def test_training_arrays_at_the_ceiling_validate():
     Scenario(window=1, hidden=2**15).validate()  # 2 flavors * 256 rows * 2**15
     Scenario(vms=2**15, window=64, hidden=8, per_vm_models=True).validate()
     assert 2 * 256 * 2**15 == 2**15 * 64 * 8 == 2**24
+
+
+# Each defect of a fixed structure, by the knob the error names.
+_DEFECTS = {
+    "user misses a VM": "fixed_users",
+    "VM of two users": "fixed_users",
+    "user VM outside": "fixed_users",
+    "user id not whole": "fixed_users",
+    "placed VM outside": "fixed_placement",
+    "VM placed twice": "fixed_placement",
+    "server outside": "fixed_placement",
+    "hostile user unknown": "fixed_malicious_users",
+}
+
+
+@st.composite
+def fixed_structures(draw):
+    """A scenario with fixed users (or the default users), a partial fixed
+    placement and fixed hostile users, and either no defect or one of
+    ``_DEFECTS``, named."""
+    vms, servers = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    vm_ids = list(range(1, vms + 1))
+    users = None
+    if draw(st.booleans()):
+        uids = draw(st.lists(st.integers(1, 20), min_size=1, max_size=vms, unique=True))
+        users = {uid: [] for uid in uids}
+        for vm in draw(st.permutations(vm_ids)):
+            users[draw(st.sampled_from(uids))].append(vm)
+    user_ids = list(users) if users else list(range(1, max(1, vms // 3) + 1))
+    placed = draw(st.lists(st.sampled_from(vm_ids), unique=True))
+    placement = {}
+    for vm in placed:
+        placement.setdefault(draw(st.integers(1, servers)), []).append(vm)
+    hostile = draw(st.lists(st.sampled_from(user_ids), unique=True))
+    kinds = [d for d, knob in _DEFECTS.items() if users or knob != "fixed_users"]
+    defect = draw(st.none() | st.sampled_from(kinds))
+    some = draw(st.sampled_from(vm_ids))
+    outside = draw(st.sampled_from([0, vms + 1, -1]))
+    if defect == "user misses a VM":
+        owner = next(uid for uid, vms_of in users.items() if some in vms_of)
+        users[owner].remove(some)
+    elif defect == "VM of two users":
+        users[draw(st.sampled_from(user_ids))].append(some)
+    elif defect == "user VM outside":
+        users[draw(st.sampled_from(user_ids))].append(outside)
+    elif defect == "user id not whole":
+        users[draw(st.sampled_from([0.5, 2.5]))] = []
+    elif defect == "placed VM outside":
+        placement.setdefault(draw(st.integers(1, servers)), []).append(outside)
+    elif defect == "VM placed twice":
+        twice = draw(st.sampled_from(placed or [some]))
+        placement.setdefault(draw(st.integers(1, servers)), []).extend([twice] * (2 - bool(placed)))
+    elif defect == "server outside":
+        placement[draw(st.sampled_from([0, servers + 1]))] = [some]
+    elif defect == "hostile user unknown":
+        hostile.append(draw(st.integers(-2, 25).filter(lambda u: u not in user_ids)))
+    sc = Scenario(
+        servers=servers, vms=vms, intervals=1, reserved_per=0, vuln_score_fixed=5.0,
+        vm_flavors=[(10.0, 10.0, 10.0)], fixed_users=users,
+        fixed_placement=placement or None, fixed_malicious_users=hostile,
+    )
+    return sc, defect
+
+
+@settings(max_examples=200, deadline=None)
+@given(fixed_structures())
+def test_fixed_structures_validate_or_build(drawn):
+    """Each drawn defect of the fixed users, placement or hostile users is a
+    ``ScenarioError``; each valid structure builds a simulation that holds
+    exactly it."""
+    sc, defect = drawn
+    if defect:
+        with pytest.raises(ScenarioError, match=_DEFECTS[defect]):
+            sc.validate()
+        return
+    sim = Simulation(sc)
+    if sc.fixed_users:
+        assert sim.owners == {vm: uid for uid, vms in sc.fixed_users.items() for vm in vms}
+    for sid, vms in (sc.fixed_placement or {}).items():
+        assert all(sim.placement.server_of(vm) == sid for vm in vms)
+    hostile = [vm for vm, uid in sorted(sim.owners.items()) if uid in sc.fixed_malicious_users]
+    assert sim.malicious_vm_ids.tolist() == hostile
+    assert sim.log.malicious_users == len(sc.fixed_malicious_users)
