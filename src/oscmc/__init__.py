@@ -31,10 +31,6 @@ from .model import (
     Placement,
     ResourceVector,
     Server,
-    User,
-    Vm,
-    VmStatus,
-    admit_vm,
 )
 from .monitor import (
     ColocationEvent,
@@ -96,11 +92,7 @@ __all__ = [
     "TraceFormatError",
     "UndefinedCoverageError",
     "UnregisteredVmError",
-    "User",
-    "Vm",
-    "VmStatus",
     "VulnerabilityEvent",
-    "admit_vm",
     "attack_coverage",
     "authorized_link_pct",
     "build_threat_report",

@@ -112,12 +112,19 @@ def cmd_run(args) -> int:
             print("simulation failed: %s" % exc, file=sys.stderr)
             return EXIT_RUNTIME
         out_dir = os.path.join(args.out, policy)
-        with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
-            fh.write(result.metrics_csv_text())
-        with open(os.path.join(out_dir, "events.csv"), "w") as fh:
-            fh.write(result.events_csv_text())
-        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-            fh.write(result.summary_text())
+        for name, text in (
+            ("metrics.csv", result.metrics_csv_text()),
+            ("events.csv", result.events_csv_text()),
+            ("summary.txt", result.summary_text()),
+        ):
+            path = os.path.join(out_dir, name)
+            try:
+                with open(path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print("configuration error: cannot write %s: %s" % (path, exc.strerror or exc),
+                      file=sys.stderr)
+                return EXIT_CONFIG
         print("%s: wrote %s" % (policy, out_dir))
     return EXIT_OK
 
@@ -133,6 +140,10 @@ def cmd_compare(args) -> int:
             tables.append((d, _read_metrics(path)))
         except ValueError as exc:
             print("configuration error: %s" % exc, file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print("configuration error: cannot read %s: %s" % (path, exc.strerror or exc),
+                  file=sys.stderr)
             return EXIT_CONFIG
 
     counts = {len(rows) for _, rows in tables}

@@ -50,7 +50,7 @@ from .allocator import (
 from .metrics import (
     METRICS_CSV_HEADER, EmptyDataCenterError, Fleet, IntervalMetrics, exact_sum, snapshot,
 )
-from .model import Placement, ResourceVector, Server, Vm, admit_vm
+from .model import Placement, ResourceVector, Server
 from .monitor import (
     Ivcl,
     QuarantineDirective,
@@ -112,7 +112,6 @@ def inject_malicious_behavior(
     colocated_rate: float,
     remote_rate: float,
     rng: np.random.Generator,
-    kept=None,
 ) -> np.ndarray:
     """Attack links for one interval: each hostile VM may probe one
     co-located benign VM and one benign VM on another server.
@@ -120,10 +119,8 @@ def inject_malicious_behavior(
     Exactly four draws are consumed per hostile VM whether or not a link
     results, keeping the random stream aligned across policies; intents of
     suspended VMs are discarded after drawing.  All are drawn in one call,
-    which equals one call of four per VM.  ``kept`` is ``benign_vms``
-    without the suspended VMs, from a caller that keeps it up to date;
-    without it, it is built here.  VM ids are distinct and non-negative,
-    given as sequences or int arrays.
+    which equals one call of four per VM.  VM ids are distinct and
+    non-negative, given as sequences or int arrays.
 
     Returns an ``(n, 2)`` intp array of (attacker, victim) rows.  The
     co-located victim is the drawn one of the unsuspended benign VMs on
@@ -134,9 +131,9 @@ def inject_malicious_behavior(
     """
     hostile = np.asarray(malicious_vms, dtype=np.intp)
     draws = rng.random((hostile.size, 4))
-    if kept is None:
-        kept = [v for v in benign_vms if v not in suspended]
-    alive = np.asarray(kept, dtype=np.intp)
+    alive = np.asarray(benign_vms, dtype=np.intp)
+    if suspended:
+        alive = alive[~_member(alive, suspended)]
     host, alive_rows, span, keys, in_run = placement.derived(
         "colocation", (hostile.tobytes(), alive.tobytes()),
         lambda: _colocation_index(placement, hostile, alive))
@@ -396,7 +393,7 @@ class Simulation:
         self.detected_cum: set[int] = set()
         # Bandwidth forecast per VM, indexed like ``usage``; nominal until
         # the forecaster has trained.
-        self.predicted = self.nominals[:, 2].copy()
+        self.predicted = self.nominal_bw.copy()
         self.log = RunLog(
             scenario_name=sc.name,
             policy=sc.policy,
@@ -426,8 +423,8 @@ class Simulation:
         self.vuln_scores = {sid: s.vulnerability_score for sid, s in self.servers.items()}
 
     def _build_population(self) -> int:
-        """Each VM's owner and flavor index, its flavor's nominal demand and
-        guarantee (tp_min, bw_min), and the hostile and benign VM ids.  Users
+        """Each VM's owner and flavor index, its flavor's nominal bandwidth
+        and guarantee (tp_min, bw_min), and the hostile and benign VM ids.  Users
         own the chunks of VM ids ``np.array_split`` cuts, unless fixed.
         Returns the number of hostile users."""
         sc = self.sc
@@ -455,16 +452,14 @@ class Simulation:
         # The mapping the threat report reads.
         self.owners = dict(enumerate(self.owner.tolist(), 1))
         self.flavor = np.arange(sc.vms) % len(sc.vm_flavors)
-        flavors = np.array(sc.vm_flavors, dtype=float).reshape(-1, 3)
+        flavor_bw = np.array(sc.vm_flavors, dtype=float).reshape(-1, 3)[:, 2]
         frac = sc.guaranteed_frac
-        self.nominals = flavors[self.flavor]
-        self.guarantees = np.column_stack((np.full(sc.vms, frac), frac * self.nominals[:, 2]))
+        self.nominal_bw = flavor_bw[self.flavor]
+        self.guarantees = np.column_stack((np.full(sc.vms, frac), frac * self.nominal_bw))
         ids = np.arange(1, sc.vms + 1, dtype=np.intp)
         is_hostile = np.isin(self.owner, list(hostile))
         self.malicious_vm_ids = ids[is_hostile]
         self.benign_vm_ids = ids[~is_hostile]
-        # The unsuspended benign VMs, in id order.
-        self.benign_alive = self.benign_vm_ids.copy()
         return len(hostile)
 
     def _build_ivcl(self) -> None:
@@ -486,10 +481,10 @@ class Simulation:
         sc = self.sc
         if sc.trace_path:
             trace = ingest_trace(sc.trace_path)
-            usage = fit_trace_to_vms(trace, self.nominals, sc.intervals, sc.trace_rescale)
+            self.usage = fit_trace_to_vms(trace, self.nominal_bw, sc.intervals, sc.trace_rescale)
         else:
-            usage = synthetic_usage(
-                self.nominals,
+            self.usage = synthetic_usage(
+                self.nominal_bw,
                 sc.intervals,
                 rng,
                 sigma=sc.workload_sigma,
@@ -497,7 +492,6 @@ class Simulation:
                 burst_exit=sc.burst_exit,
                 burst_mult=sc.burst_mult,
             )
-        self.usage = np.ascontiguousarray(usage[..., 2])  # the only column read
 
     def _build_models(self, s_models, s_train) -> None:
         sc = self.sc
@@ -525,11 +519,13 @@ class Simulation:
     def _initial_placement(self) -> None:
         sc = self.sc
         flavors = [ResourceVector(*f) for f in sc.vm_flavors]
-        # Admission reads only the demand: test each flavor's lowest-id VM.
-        for vm in (Vm(f + 1, self.owners[f + 1], d) for f, d in enumerate(flavors[: sc.vms])):
-            decision = admit_vm(vm, self.servers)
-            if not decision.accepted:
-                raise SimulationError("VM %d rejected: %s" % (vm.id, decision.reason))
+        # Every server has the one capacity: admit each flavor that some VM
+        # takes against it, naming the flavor's lowest-id VM.
+        cap = ResourceVector(sc.server_cpu, sc.server_mem, sc.server_bw)
+        for f, flavor in enumerate(flavors[: sc.vms]):
+            if not flavor.fits_within(cap):
+                msg = "VM %d rejected: demand exceeds every server capacity"
+                raise SimulationError(msg % (f + 1))
         base = Placement(self.servers)
         demand = [flavors[f] for f in self.flavor.tolist()]
         vms = range(1, sc.vms + 1)
@@ -628,7 +624,7 @@ class Simulation:
         bw = self.fleet.cap[:, 2]
         load = np.bincount(rows, weights=demand, minlength=bw.size)[rows]
         cap = bw[rows]
-        nominal = self.nominals[cols, 2]
+        nominal = self.nominal_bw[cols]
         # np.where divides every element, also those it then discards.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             scale = np.where((load <= cap) | (load == 0), 1.0, cap / load)
@@ -657,7 +653,6 @@ class Simulation:
             col_rate,
             rem_rate,
             self.inject_rng,
-            kept=self.benign_alive,
         )
         benign = benign_links(
             self.placement,
@@ -730,8 +725,6 @@ class Simulation:
             newly.append(vm_id)
             if self.placement.server_of(vm_id) is not None:
                 self.placement.remove(vm_id)
-        if newly:
-            self.benign_alive = self.benign_alive[~_member(self.benign_alive, newly)]
         self._drop_links(directive.terminate_links, t, newly)
 
     def _detect(self, t: int, vlams, active: np.ndarray) -> ThreatReport:

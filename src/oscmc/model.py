@@ -1,10 +1,9 @@
-"""Core data-centre entities: resource bundles, servers, users, VMs and the
-VM-to-server placement map."""
+"""Core data-centre entities: resource bundles, servers and the VM-to-server
+placement map."""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,38 +42,6 @@ class ResourceVector:
         return (self.cpu, self.mem, self.bw)
 
 
-class VmStatus(enum.Enum):
-    ACTIVE = "active"
-    SUSPENDED = "suspended"
-    TERMINATED = "terminated"
-
-
-@dataclass(frozen=True)
-class GuaranteedThreshold:
-    """Minimum delivered throughput fraction and bandwidth a VM is promised."""
-
-    tp_min: float
-    bw_min: float
-
-
-@dataclass
-class Vm:
-    id: int
-    owner: int
-    demand: ResourceVector
-    status: VmStatus = VmStatus.ACTIVE
-    guaranteed: GuaranteedThreshold = GuaranteedThreshold(0.0, 0.0)
-
-
-@dataclass
-class User:
-    id: int
-    vm_ids: set[int] = field(default_factory=set)
-    # Ground truth used only by workload injection and evaluation, never by
-    # the link monitor.
-    is_malicious_truth: bool = False
-
-
 @dataclass
 class Server:
     id: int
@@ -90,20 +57,6 @@ class Server:
             raise ValueError("vulnerability score must lie in [0, 10]")
         if not self.pw_idle <= self.pw_min <= self.pw_max:
             raise ValueError("power figures must satisfy idle <= min <= max")
-
-
-@dataclass(frozen=True)
-class AdmissionDecision:
-    accepted: bool
-    reason: str = ""
-
-
-def admit_vm(vm: Vm, servers: dict[int, Server]) -> AdmissionDecision:
-    """Accept a VM iff at least one server could ever satisfy its demand."""
-    for server in servers.values():
-        if vm.demand.fits_within(server.capacity):
-            return AdmissionDecision(True)
-    return AdmissionDecision(False, "demand exceeds every server capacity")
 
 
 # Placement sums are kept in integer micro-units, so they are exact and do

@@ -21,7 +21,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -75,7 +74,6 @@ class Ivcl:
 
     def _set_rows(self, ids, indptr, pieces) -> None:
         self._ids, self._indptr = ids, indptr
-        self._row = dict(zip(ids.tolist(), range(ids.size)))
         # Row by VM id, -1 if unregistered, as ``Placement`` indexes hosts;
         # the last slot, past every id, stays -1.
         self._row_of = np.full(int(ids.max(initial=-1)) + 2, -1, np.intp)
@@ -88,8 +86,6 @@ class Ivcl:
         for a in (ids, indptr, keys):
             a.flags.writeable = False  # shared by copies
         self._keys = keys
-        # Views that index to Python ints, for the per-link bisect.
-        self._ptr, self._key_view = memoryview(indptr), memoryview(keys)
 
     def _row_starts(self, dtype):
         """``(lo, hi, starts)`` over about 16k keys at a time, so that no
@@ -105,7 +101,7 @@ class Ivcl:
     def register(self, vm_id: int) -> None:
         if vm_id < 0:
             raise ValueError("VM ids must be non-negative, got %d" % vm_id)
-        if vm_id not in self._row:
+        if self._row_index(vm_id) < 0:
             self._pending.setdefault(vm_id, set())
 
     def grant(self, src: int, dst: int) -> None:
@@ -128,14 +124,17 @@ class Ivcl:
         indices = np.fromiter(chain.from_iterable(dsts), np.int32, int(indptr[-1]))
         self._set_rows(np.array(ids, np.int64), indptr, [indices])
 
-    def _rows(self) -> dict[int, int]:
+    def _row_index(self, vm_id: int) -> int:
+        """The row of ``vm_id`` among the merged rows, -1 if it has none."""
+        return self._row_of.item(vm_id) if 0 <= vm_id < self._row_of.size else -1
+
+    def _sync(self) -> None:
         if self._pending:
             self._merge()
-        return self._row
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ids, indptr, indices)``, read-only; ``indices`` derived per call."""
-        self._rows()
+        self._sync()
         indices = np.empty(self._keys.size, np.int32)
         for lo, hi, starts in self._row_starts(self._keys.dtype):
             indices[lo:hi] = self._keys[lo:hi] - starts
@@ -144,40 +143,36 @@ class Ivcl:
 
     def row_keys(self) -> tuple[np.ndarray, np.ndarray, int]:
         """``(indptr, keys, span)``, read-only."""
-        self._rows()
+        self._sync()
         return self._indptr, self._keys, self._span
 
     def rows_of(self, vm_ids) -> np.ndarray:
         """The row of each of the registered ``vm_ids`` (an int array)."""
-        self._rows()
+        self._sync()
         return self._row_of[vm_ids]
 
     def is_registered(self, vm_id: int) -> bool:
-        return vm_id in self._row or vm_id in self._pending
+        return self._row_index(vm_id) >= 0 or vm_id in self._pending
 
     def authorized_dsts(self, src: int) -> frozenset[int]:
-        row = self._rows().get(src)
-        if row is None:
+        self._sync()
+        row = self._row_index(src)
+        if row < 0:
             raise UnregisteredVmError("unregistered VM %d" % src)
         keys = self._keys[self._indptr[row] : self._indptr[row + 1]]
         return frozenset((keys - row * self._span).tolist())
 
     def is_authorized(self, src: int, dst: int) -> bool:
-        rows = self._rows()
-        row = rows.get(src)
-        if row is None:
-            raise UnregisteredVmError("unregistered VM %d" % src)
-        if dst not in rows:
-            raise UnregisteredVmError("unregistered VM %d" % dst)
-        ptr, keys = self._ptr, self._key_view
-        key, hi = row * self._span + dst, ptr[row + 1]
-        at = bisect_left(keys, key, ptr[row], hi)
-        return bool(at < hi and keys[at] == key)
+        """``authorized`` of the one link ``src -> dst``."""
+        return bool(self.authorized([src], [dst])[0])
 
     def authorized(self, src, dst) -> np.ndarray:
-        """``is_authorized`` of each link ``src[i] -> dst[i]`` (VM id arrays
-        of one length), as a bool array from one search of the keys."""
-        self._rows()
+        """Whether ``dst[i]`` is in the log row of ``src[i]``, for each link
+        (VM id sequences or arrays of one length), as a bool array from one
+        search of the keys.  An unregistered or negative end raises
+        ``UnregisteredVmError``, naming the first of the sources, then of the
+        destinations."""
+        self._sync()
         ends = np.concatenate((src, dst)).astype(np.intp, copy=False)
         n, keys = len(src), self._keys
         rows = self._row_of.take(ends, mode="clip")
@@ -191,7 +186,8 @@ class Ivcl:
 
     @property
     def registered(self) -> frozenset[int]:
-        return frozenset(self._rows())
+        self._sync()
+        return frozenset(self._ids.tolist())
 
     def copy(self) -> "Ivcl":
         return Ivcl(*self.csr())

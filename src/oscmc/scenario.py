@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .model import MAX_RESOURCE
 
@@ -89,7 +89,7 @@ class Scenario:
     workers: int = 1
 
     def validate(self) -> None:
-        for name in sorted(_FLOAT_KEYS):
+        for name in sorted(k for k, kind in _SCALAR_KEYS.items() if kind == "float"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ScenarioError("%s must be finite" % name)
@@ -266,22 +266,18 @@ PRESETS = {
 
 # -- scenario file format -----------------------------------------------
 
-_INT_KEYS = {
-    "servers", "vms", "users", "intervals", "seed", "reserved_per",
-    "burst_period", "window", "hidden", "epochs", "retrain_every",
-    "train_sample", "clusters", "kmeans_restarts", "malicious_vm_threshold",
-    "workers",
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false", "1", "0"):
+        raise ValueError
+    return value.lower() in ("true", "1")
+
+
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str}
+# Each scalar knob's type, read from its annotation (a string here, such as
+# "int | None"); the dict and list knobs have none.
+_SCALAR_KEYS = {
+    f.name: kind for f in fields(Scenario) if (kind := f.type.split(" | ")[0]) in _PARSERS
 }
-_FLOAT_KEYS = {
-    "malicious_user_pct", "server_cpu", "server_mem", "server_bw",
-    "pw_idle", "pw_min", "pw_max", "vuln_score_fixed", "benign_link_rate",
-    "attack_colocated_rate", "attack_remote_rate", "cross_user_auth_rate",
-    "learning_rate", "congestion_threshold_frac", "hog_threshold",
-    "guaranteed_frac", "workload_sigma", "burst_enter", "burst_exit",
-    "burst_mult",
-}
-_BOOL_KEYS = {"per_vm_models", "trace_rescale", "pin_placement"}
-_STR_KEYS = {"name", "policy", "attack_mode", "power_mode", "trace_path"}
 
 
 def parse_scenario_text(text: str, name: str = "custom") -> Scenario:
@@ -305,16 +301,8 @@ def parse_scenario_text(text: str, name: str = "custom") -> Scenario:
                         raise ValueError
                     flavors.append(tuple(parts))
                 sc.vm_flavors = flavors
-            elif key in _INT_KEYS:
-                setattr(sc, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(sc, key, float(value))
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false", "1", "0"):
-                    raise ValueError
-                setattr(sc, key, value.lower() in ("true", "1"))
-            elif key in _STR_KEYS:
-                setattr(sc, key, value)
+            elif key in _SCALAR_KEYS:
+                setattr(sc, key, _PARSERS[_SCALAR_KEYS[key]](value))
             else:
                 raise ScenarioError("line %d: unknown key %r" % (lineno, key))
         except ScenarioError:

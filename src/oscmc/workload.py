@@ -18,7 +18,7 @@ class TraceFormatError(Exception):
 
 
 def synthetic_usage(
-    nominals: np.ndarray,
+    nominal_bw: np.ndarray,
     intervals: int,
     rng: np.random.Generator,
     sigma: float = 0.08,
@@ -28,28 +28,28 @@ def synthetic_usage(
     burst_exit: float = 0.15,
     burst_mult: float = 2.5,
 ) -> np.ndarray:
-    """Bounded random walk around nominal demand with bandwidth bursts.
+    """Bounded random walk around nominal bandwidth with bursts.
 
-    Each VM's cpu/mem/bw level drifts inside [walk_lo, walk_hi] times its
-    nominal demand; a two-state burst process multiplies the bandwidth
-    column while a VM is bursting.  Returns an (intervals, vms, 3) array.
-    The draw order is fixed up front, so the same seed always yields the
-    same workload regardless of scheduling policy.
+    Each VM's bandwidth level drifts inside [walk_lo, walk_hi] times its
+    nominal bandwidth; a two-state burst process multiplies it while a VM is
+    bursting.  Returns an (intervals, vms) array.  The draw order is fixed
+    up front, so the same seed always yields the same workload regardless
+    of scheduling policy.  Each interval draws a (vms, 3) block of steps and
+    uses only its last (bandwidth) column: the draws, and so every value,
+    stay those the recorded output digests were made with.
     """
-    nominals = np.asarray(nominals, dtype=float)
-    q = nominals.shape[0]
-    usage = np.empty((intervals, q, 3))
-    level = nominals.copy()
+    nominal_bw = np.asarray(nominal_bw, dtype=float)
+    q = nominal_bw.shape[0]
+    usage = np.empty((intervals, q))
+    level = nominal_bw.copy()
     in_burst = np.zeros(q, dtype=bool)
     for t in range(intervals):
-        step = rng.normal(0.0, sigma, size=(q, 3)) * nominals
-        level = np.clip(level + step, walk_lo * nominals, walk_hi * nominals)
+        step = rng.normal(0.0, sigma, size=(q, 3))[:, 2] * nominal_bw
+        level = np.clip(level + step, walk_lo * nominal_bw, walk_hi * nominal_bw)
         enter = rng.random(q) < burst_enter
         leave = rng.random(q) < burst_exit
         in_burst = (in_burst & ~leave) | (~in_burst & enter)
-        frame = level.copy()
-        frame[:, 2] = np.where(in_burst, level[:, 2] * burst_mult, level[:, 2])
-        usage[t] = frame
+        usage[t] = np.where(in_burst, level * burst_mult, level)
     return usage
 
 
@@ -189,31 +189,26 @@ def ingest_trace(path: str) -> TraceData:
 
 def fit_trace_to_vms(
     trace: TraceData,
-    nominals: np.ndarray,
+    nominal_bw: np.ndarray,
     intervals: int,
     rescale: bool = True,
 ) -> np.ndarray:
-    """Map trace series onto the VM population as an (intervals, vms, 3) array.
+    """Map the trace's bandwidth series onto the VM population as an
+    (intervals, vms) array.
 
     Trace VMs are assigned round-robin in sorted-name order; series shorter
-    than the horizon repeat cyclically.  With ``rescale`` each column is
-    scaled so its mean matches the VM's nominal demand, preserving shape
+    than the horizon repeat cyclically.  With ``rescale`` each series is
+    scaled so its mean matches the VM's nominal bandwidth, preserving shape
     while keeping magnitudes consistent with the configured flavors.
     """
-    nominals = np.asarray(nominals, dtype=float)
-    q = nominals.shape[0]
+    nominal_bw = np.asarray(nominal_bw, dtype=float)
     keys = sorted(trace.series)
-    usage = np.empty((intervals, q, 3))
-    for i in range(q):
+    usage = np.empty((intervals, nominal_bw.shape[0]))
+    for i, nominal in enumerate(nominal_bw):
         data = trace.series[keys[i % len(keys)]]
-        idx = np.arange(intervals) % data.shape[0]
-        cols = data[idx].copy()
+        col = data[np.arange(intervals) % data.shape[0], 2]
         if rescale:
-            for c in range(3):
-                mean = cols[:, c].mean()
-                if mean > 0:
-                    cols[:, c] *= nominals[i, c] / mean
-                else:
-                    cols[:, c] = nominals[i, c]
-        usage[:, i, :] = cols
+            mean = col.mean()
+            col = col * (nominal / mean) if mean > 0 else nominal
+        usage[:, i] = col
     return usage

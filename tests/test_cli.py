@@ -281,3 +281,22 @@ def test_run_out_on_a_file_exits_config_before_simulating(tmp_path, capsys, monk
     assert code == EXIT_CONFIG
     assert "cannot create output directory" in err and str(out) in err
     assert out.read_text() == ""
+
+
+def test_compare_unreadable_metrics_exits_config_naming_it(tmp_path, capsys):
+    (tmp_path / "metrics.csv").mkdir()
+    code = main(["compare", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error:") and str(tmp_path / "metrics.csv") in err
+    assert "Traceback" not in err
+
+
+def test_run_unwritable_result_file_exits_config_naming_it(tmp_path, capsys):
+    (tmp_path / "oscmc" / "metrics.csv").mkdir(parents=True)
+    code = main(["run", "--scenario", "illustration", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error:")
+    assert str(tmp_path / "oscmc" / "metrics.csv") in err
+    assert "Traceback" not in err

@@ -26,7 +26,7 @@ from oscmc.engine import (
 from oscmc.metrics import (
     METRICS_CSV_HEADER, EmptyDataCenterError, Fleet, _active, authorized_link_pct, snapshot,
 )
-from oscmc.model import CapacityError, GuaranteedThreshold, Placement, ResourceVector, Server
+from oscmc.model import CapacityError, Placement, ResourceVector, Server
 from oscmc.monitor import (
     QuarantineDirective,
     build_threat_report,
@@ -93,7 +93,7 @@ def test_simulation_builds_deterministic_population():
     b = Simulation(small_scenario())
     assert a.owners == b.owners
     assert a.malicious_vm_ids.tolist() == b.malicious_vm_ids.tolist()
-    assert a.benign_vm_ids.dtype == a.benign_alive.dtype == np.intp
+    assert a.benign_vm_ids.dtype == np.intp
     assert {s: a.servers[s].vulnerability_score for s in a.servers} == {
         s: b.servers[s].vulnerability_score for s in b.servers
     }
@@ -191,9 +191,9 @@ def test_rejection_names_the_lowest_id_vm_of_any_rejected_flavor():
 @pytest.mark.parametrize("policy", ["oscmc", "pssf", "wosc"])
 def test_initial_placement_admits_and_converts_once_per_flavor(monkeypatch, policy):
     """Set-up of a 2-flavor fleet makes no fit_mask scan, one placement copy,
-    one admission test per flavor and one unit conversion per flavor beside
-    the servers' capacities."""
-    calls = {"fit_mask": 0, "copy": 0, "admit_vm": 0, "to_units": 0}
+    one admission test (``fits_within``) per flavor and one unit conversion
+    per flavor beside the servers' capacities."""
+    calls = {"fit_mask": 0, "copy": 0, "fits_within": 0, "to_units": 0}
 
     def counting(name, original):
         def wrapper(*args):
@@ -203,7 +203,9 @@ def test_initial_placement_admits_and_converts_once_per_flavor(monkeypatch, poli
 
     for name in ("fit_mask", "copy"):
         monkeypatch.setattr(Placement, name, counting(name, getattr(Placement, name)))
-    monkeypatch.setattr(oscmc.engine, "admit_vm", counting("admit_vm", oscmc.engine.admit_vm))
+    monkeypatch.setattr(
+        ResourceVector, "fits_within", counting("fits_within", ResourceVector.fits_within)
+    )
     for module in (oscmc.model, oscmc.allocator):
         monkeypatch.setattr(module, "to_units", counting("to_units", module.to_units))
     sc = small_scenario(
@@ -212,7 +214,7 @@ def test_initial_placement_admits_and_converts_once_per_flavor(monkeypatch, poli
     )
     sim = Simulation(sc)
     assert sim.placement.capacity_ok() and len(sim.placement.placed()) == 60
-    assert calls == {"fit_mask": 0, "copy": 1, "admit_vm": 2, "to_units": 20 + 2}
+    assert calls == {"fit_mask": 0, "copy": 1, "fits_within": 2, "to_units": 20 + 2}
 
 
 @pytest.mark.parametrize("policy, derivations", [("wosc", 1), ("oscmc", 15)])
@@ -756,8 +758,6 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
             }
             assert all(0 <= born <= t for born in sim.unauthorised.values())
             assert not any(v in sim.suspended for link in live for v in link)
-            alive = [vm for vm in sim.benign_vm_ids.tolist() if vm not in sim.suspended]
-            assert sim.benign_alive.tolist() == alive
             _check_link_queries(sim, live)
             if sc.policy != "oscmc":
                 # oscmc's quarantine drops links after the snapshot.
@@ -842,7 +842,8 @@ def test_one_bandwidth_model_per_forecast_group():
 
 def test_suspended_benign_vm_leaves_the_kept_benign_list():
     """Only scripted links let a benign VM source an unauthorised link; its
-    suspension removes it from the list the attack generator reads."""
+    suspension removes it from the benign VMs the attack generator keeps as
+    victims, as if it were not benign at all."""
     sc = small_scenario(
         malicious_user_pct=0.0, cross_user_auth_rate=0.0, scripted_links={0: [(1, 12)]}
     )
@@ -850,13 +851,12 @@ def test_suspended_benign_vm_leaves_the_kept_benign_list():
     assert sim.owners[1] != sim.owners[12]
     sim.step(0)
     assert sim.suspended == {1}
-    assert sim.benign_alive.tolist() == list(range(2, 13))
     rngs = [np.random.default_rng(5) for _ in range(2)]
     links = [
-        inject_malicious_behavior(
-            1, sim.placement, [2, 5], sim.benign_vm_ids, sim.suspended, 1.0, 1.0, rng, **kept
+        inject_malicious_behavior(1, sim.placement, [2, 5], benign, off, 1.0, 1.0, rng)
+        for rng, benign, off in zip(
+            rngs, (sim.benign_vm_ids, list(range(2, 13))), (sim.suspended, set())
         )
-        for rng, kept in zip(rngs, ({}, {"kept": sim.benign_alive}))
     ]
     assert np.array_equal(links[0], links[1]) and links[0].size
 
@@ -878,8 +878,7 @@ def reference_perf_samples(sim, t, active):
         nominal = sim.sc.vm_flavors[(vm - 1) % len(sim.sc.vm_flavors)][2]
         frac = delivered / nominal if nominal > 0 else 1.0
         perf[vm] = (frac, delivered)
-        g = GuaranteedThreshold(sim.sc.guaranteed_frac, sim.sc.guaranteed_frac * nominal)
-        thresholds[vm] = (g.tp_min, g.bw_min)
+        thresholds[vm] = (sim.sc.guaranteed_frac, sim.sc.guaranteed_frac * nominal)
     return perf, thresholds
 
 
@@ -1030,7 +1029,7 @@ def test_array_link_insert_equals_per_link_dict_loop(data):
 @given(st.integers(1, 40).flatmap(lambda v: st.tuples(st.just(v), st.integers(1, v))))
 def test_population_follows_the_array_split_of_vm_ids(vms_users):
     """Users own consecutive chunks of VM ids as ``np.array_split`` cuts
-    them; each VM's nominal demand and guarantee are its flavor's, and the
+    them; each VM's nominal bandwidth and guarantee are its flavor's, and the
     hostile and benign id arrays follow the users drawn hostile from the
     set-up stream."""
     vms, users = vms_users
@@ -1054,33 +1053,25 @@ def test_population_follows_the_array_split_of_vm_ids(vms_users):
     frac = sc.guaranteed_frac
     for vm_id in range(1, vms + 1):
         flavor = sc.vm_flavors[(vm_id - 1) % len(sc.vm_flavors)]
-        g = GuaranteedThreshold(frac, frac * flavor[2])
         assert sim.owner[vm_id - 1] == owner[vm_id]
         assert sim.flavor[vm_id - 1] == (vm_id - 1) % len(sc.vm_flavors)
-        assert sim.nominals[vm_id - 1].tolist() == list(flavor)
-        assert sim.guarantees[vm_id - 1].tolist() == [g.tp_min, g.bw_min]
+        assert sim.nominal_bw[vm_id - 1] == flavor[2]
+        assert sim.guarantees[vm_id - 1].tolist() == [frac, frac * flavor[2]]
 
 
 @pytest.mark.parametrize("policy", ["oscmc", "pssf", "wosc"])
-def test_population_is_arrays_indexed_by_usage_column(monkeypatch, policy):
-    """Set-up builds one ``Vm`` per flavor, for admission, and no ``User``;
-    the simulation keeps no per-VM or per-user records and no server
-    mirrors, and ``usage`` is the bandwidth column alone, contiguous."""
-    built = {"Vm": 0, "User": 0}
-    for name in built:
-        cls = getattr(oscmc.model, name)
-
-        def counting(self, *args, _name=name, _init=cls.__init__, **kwargs):
-            built[_name] += 1
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting)
+def test_population_is_arrays_indexed_by_usage_column(policy):
+    """The model has no per-VM or per-user record types; the simulation
+    keeps no per-VM or per-user records, no server mirrors and no mirror of
+    the unsuspended benign VMs, and ``usage`` is the bandwidth column alone,
+    contiguous."""
+    for name in ("Vm", "User", "VmStatus", "GuaranteedThreshold", "admit_vm"):
+        assert not hasattr(oscmc.model, name), name
     sc = small_scenario(policy=policy, vm_flavors=[(500.0, 512.0, 1000.0)] * 3)
     sim = Simulation(sc)
-    assert built == {"Vm": 3, "User": 0}
-    for name in ("vms", "users", "ordinary_ids", "total_bw"):
+    for name in ("vms", "users", "ordinary_ids", "total_bw", "nominals", "benign_alive"):
         assert not hasattr(sim, name), name
-    assert sim.owner.shape == sim.flavor.shape == (sc.vms,)
+    assert sim.owner.shape == sim.flavor.shape == sim.nominal_bw.shape == (sc.vms,)
     assert sim.usage.shape == (sc.intervals, sc.vms)
     assert sim.usage.flags.c_contiguous
 
@@ -1168,5 +1159,5 @@ def _derived_reads(p, servers, fleet, hostile, kept, mode, seed):
     except EmptyDataCenterError:
         metrics = None
     rng = np.random.default_rng(seed)
-    links = inject_malicious_behavior(0, p, hostile, kept, set(), 1.0, 1.0, rng, kept=kept)
+    links = inject_malicious_behavior(0, p, hostile, kept, set(), 1.0, 1.0, rng)
     return metrics, links.tolist()

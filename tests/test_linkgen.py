@@ -137,20 +137,15 @@ def linkgen_instances(draw):
         ivcl=_log(vms, draw(st.sets(pairs, max_size=60))),
         rates=draw(st.tuples(rates, rates, rates)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        form=draw(st.sampled_from(["lists", "arrays", "arrays and kept"])),
+        form=draw(st.sampled_from(["lists", "arrays"])),
     )
 
 
-def _as_passed(form, malicious, benign, suspended):
-    """The VM lists as lists, or as the engine passes them: int arrays,
-    with the unsuspended benign VMs as ``kept``."""
+def _as_passed(form, malicious, benign):
+    """The VM lists as lists, or as the engine passes them: int arrays."""
     if form == "lists":
-        return malicious, benign, {}
-    ids = (np.array(vms, dtype=np.intp) for vms in (malicious, benign))
-    kept = {}
-    if form == "arrays and kept":
-        kept = {"kept": np.array([v for v in benign if v not in suspended], dtype=np.intp)}
-    return (*ids, kept)
+        return malicious, benign
+    return tuple(np.array(vms, dtype=np.intp) for vms in (malicious, benign))
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,14 +153,11 @@ def _as_passed(form, malicious, benign, suspended):
 def test_array_link_generation_equals_per_vm_loops(case):
     placement, ivcl, suspended = case["placement"], case["ivcl"], case["suspended"]
     benign_rate, colocated_rate, remote_rate = case["rates"]
-    malicious, benign, kept = _as_passed(
-        case["form"], case["malicious"], case["benign"], suspended
-    )
+    malicious, benign = _as_passed(case["form"], case["malicious"], case["benign"])
     rng, ref_rng = (np.random.default_rng(case["seed"]) for _ in range(2))
     for _ in range(2):  # the stream must stay aligned from one interval to the next
         attacks = inject_malicious_behavior(
-            0, placement, malicious, benign, suspended,
-            colocated_rate, remote_rate, rng, **kept,
+            0, placement, malicious, benign, suspended, colocated_rate, remote_rate, rng
         )
         assert _pairs(attacks) == reference_inject(
             placement, case["malicious"], case["benign"], suspended,
@@ -196,11 +188,11 @@ def test_link_generation_over_empty_populations(malicious, suspended):
     benign = [v for v in range(1, 7) if v not in malicious]
     ivcl = _log(range(1, 7), [(a, b) for a in range(1, 7) for b in range(1, 7) if a != b])
     rows = {vm: sorted(ivcl.authorized_dsts(vm)) for vm in benign}
-    for form in ("lists", "arrays", "arrays and kept"):
-        hostile, benign_ids, kept = _as_passed(form, malicious, benign, suspended)
+    for form in ("lists", "arrays"):
+        hostile, benign_ids = _as_passed(form, malicious, benign)
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         attacks = inject_malicious_behavior(
-            0, placement, hostile, benign_ids, suspended, 1.0, 1.0, rng, **kept
+            0, placement, hostile, benign_ids, suspended, 1.0, 1.0, rng
         )
         assert _pairs(attacks) == reference_inject(
             placement, malicious, benign, suspended, 1.0, 1.0, ref
@@ -365,10 +357,10 @@ def test_remote_scan_wraps_and_skips_an_attacker_with_no_remote_victim(start):
         placement = _placement(hosts, 2)
         # No co-located draw succeeds; the remote one always does.
         draws = [0.5, 0.5, 0.5, _start_draw(start, RING)]
-        for form in ("lists", "arrays", "arrays and kept"):
-            hostile, benign_ids, kept = _as_passed(form, [1], benign, set())
+        for form in ("lists", "arrays"):
+            hostile, benign_ids = _as_passed(form, [1], benign)
             links = inject_malicious_behavior(
-                0, placement, hostile, benign_ids, set(), 0.0, 1.0, _Uniforms(draws), **kept
+                0, placement, hostile, benign_ids, set(), 0.0, 1.0, _Uniforms(draws)
             )
             assert _pairs(links) == want
         ref = reference_inject(placement, [1], benign, set(), 0.0, 1.0, _Uniforms(draws))
@@ -398,13 +390,27 @@ def logs(draw):
     return ids, grants, later, links
 
 
-def _checked(ivcl, links):
-    """``is_authorized`` of each link, or the error of the first one that
-    raises."""
-    try:
-        return [ivcl.is_authorized(a, b) for a, b in links]
-    except UnregisteredVmError:
-        return UnregisteredVmError
+def _expected(registered, grants, links):
+    """Whether each link is one of the ``grants``, or, when an end is not
+    one of the ``registered`` ids, the first such end: of the sources, then
+    of the destinations."""
+    ends = [a for a, _ in links] + [b for _, b in links]
+    unknown = [v for v in ends if v not in registered]
+    if unknown:
+        return "unregistered VM %d" % unknown[0]
+    granted = set(grants)
+    return [link in granted for link in links]
+
+
+def _assert_check(want, run):
+    """``run()`` gives a bool array of the values ``want`` lists, or raises
+    the error ``want`` states."""
+    if isinstance(want, str):
+        with pytest.raises(UnregisteredVmError, match="^%s$" % want):
+            run()
+    else:
+        got = np.asarray(run())
+        assert got.dtype == bool and got.tolist() == want
 
 
 def _assert_round_trips(ivcl):
@@ -424,25 +430,23 @@ def _assert_round_trips(ivcl):
 @settings(max_examples=300, deadline=None)
 @given(logs())
 def test_batch_check_equals_per_link_check(case):
-    """``Ivcl.authorized`` equals ``is_authorized`` link by link, raises as it
-    does for an unregistered end, and holds after grants added once the log
-    was queried; ``csr`` gives the rows the grants state."""
+    """``Ivcl.authorized`` of a batch, and ``is_authorized`` of each link,
+    equal membership in the drawn grants, or raise naming the first end that
+    is none of the drawn ids or grant ends; this holds after grants added
+    once the log was queried.  ``csr`` gives the rows the grants state."""
     ids, grants, later, links = case
     ivcl = _log(ids, grants)
     for added in ([], later):
         for a, b in added:
             ivcl.grant(a, b)  # merged into the rows at the next query
         grants = grants + added
-        want = _checked(ivcl, links)
+        drawn = set(ids).union(*added)
         src, dst = (np.array([link[i] for link in links], dtype=np.intp) for i in (0, 1))
-        if want is UnregisteredVmError:
-            with pytest.raises(UnregisteredVmError):
-                ivcl.authorized(src, dst)
-        else:
-            got = ivcl.authorized(src, dst)
-            assert got.dtype == bool and got.tolist() == want
+        _assert_check(_expected(drawn, grants, links), lambda: ivcl.authorized(src, dst))
+        for link in links:
+            _assert_check(_expected(drawn, grants, [link]), lambda: [ivcl.is_authorized(*link)])
         registered = sorted(ivcl.registered)
-        assert registered == sorted(set(ids).union(*added))
+        assert registered == sorted(drawn)
         rows = {vm: sorted({b for a, b in grants if a == vm}) for vm in registered}
         assert _rows(ivcl) == rows
         _assert_round_trips(ivcl)

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oscmc.model import (
-    AdmissionDecision,
-    CapacityError,
-    GuaranteedThreshold,
-    Placement,
-    ResourceVector,
-    Server,
-    Vm,
-    admit_vm,
-)
+from oscmc.engine import Simulation, SimulationError
+from oscmc.model import CapacityError, Placement, ResourceVector, Server
+from oscmc.scenario import Scenario
 
 
 def make_servers(n, cpu=2000.0, mem=2048.0, bw=10000.0, reserved=()):
@@ -58,17 +51,29 @@ def test_server_validation():
         Server(1, ResourceVector(1, 1, 1), pw_idle=200.0, pw_min=100.0)
 
 
+def admission_scenario(flavor):
+    """A ``wosc`` fleet of 1000-cpu servers whose every VM takes ``flavor``."""
+    return Scenario(
+        name="admission", policy="wosc", servers=12, vms=12, users=4,
+        intervals=8, seed=13, reserved_per=6, server_cpu=1000.0,
+        vm_flavors=[flavor],
+    )
+
+
 def test_admit_vm_accepts_when_some_server_could_host():
-    servers = make_servers(2, cpu=1000.0)
-    vm = Vm(1, 1, ResourceVector(900.0, 100.0, 100.0))
-    assert admit_vm(vm, servers).accepted
+    """Set-up admits a flavor that fits within the server capacity, the
+    boundary included."""
+    for cpu in (900.0, 1000.0):
+        sim = Simulation(admission_scenario((cpu, 100.0, 100.0)))
+        assert len(sim.placement.placed()) == 12
 
 
 def test_admit_vm_rejects_oversized_demand():
-    servers = make_servers(2, cpu=1000.0)
-    vm = Vm(1, 1, ResourceVector(1100.0, 100.0, 100.0))
-    decision = admit_vm(vm, servers)
-    assert decision == AdmissionDecision(False, "demand exceeds every server capacity")
+    """Set-up rejects a flavor above the server capacity, naming the
+    flavor's lowest-id VM."""
+    with pytest.raises(SimulationError) as exc:
+        Simulation(admission_scenario((1100.0, 100.0, 100.0)))
+    assert str(exc.value) == "VM 1 rejected: demand exceeds every server capacity"
 
 
 def test_placement_assign_remove_move():
@@ -379,8 +384,3 @@ def test_placement_rejects_capacity_above_ceiling():
     Placement(make_servers(1, cpu=1e12))
     with pytest.raises(ValueError, match="must not exceed"):
         Placement(make_servers(1, cpu=1e13))
-
-
-def test_guaranteed_threshold_defaults():
-    vm = Vm(1, 1, ResourceVector(1.0, 1.0, 1.0))
-    assert vm.guaranteed == GuaranteedThreshold(0.0, 0.0)

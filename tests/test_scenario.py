@@ -1,5 +1,6 @@
 """Scenario configuration and file-format tests."""
 
+import dataclasses
 import re
 
 import pytest
@@ -79,6 +80,37 @@ def test_parse_bad_value_reports_line_and_key():
         parse_scenario_text("vm_flavors = 1:2\n")
     with pytest.raises(ScenarioError, match="bad value"):
         parse_scenario_text("per_vm_models = maybe\n")
+
+
+# The knobs whose default is None: the value a file line sets, or None for a
+# structure that no file line can state.
+_UNSET_KNOBS = {
+    "users": 4, "vuln_score_fixed": 5.5, "trace_path": "trace.csv", "fixed_placement": None,
+    "fixed_users": None, "fixed_malicious_users": None, "scripted_links": None,
+}
+
+
+def test_every_scalar_knob_parses_and_structures_are_unknown_keys():
+    """Each int, float, bool or str knob parses from a ``key = value`` line
+    to a value of its type (numbers and flags other than the default); the
+    dict and list knobs other than ``vm_flavors`` are unknown keys."""
+    default = Scenario()
+    for f in dataclasses.fields(Scenario):
+        value = getattr(default, f.name)
+        value = _UNSET_KNOBS[f.name] if value is None else value
+        if f.name == "vm_flavors":
+            continue
+        if value is None:
+            with pytest.raises(ScenarioError, match="line 1: unknown key '%s'" % f.name):
+                parse_scenario_text("%s = 1\n" % f.name)
+            continue
+        if isinstance(value, bool):
+            value = not value
+        elif isinstance(value, (int, float)):
+            value = value + 1 if isinstance(value, int) else value * 1.5
+        sc = parse_scenario_text("%s = %s\n" % (f.name, value))
+        got = getattr(sc, f.name)
+        assert (type(got), got) == (type(value), value), f.name
 
 
 def test_parse_missing_equals_reports_line():
