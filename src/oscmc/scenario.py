@@ -318,8 +318,12 @@ def load_scenario(ref: str) -> Scenario:
     if ref in PRESETS:
         return PRESETS[ref]()
     if os.path.exists(ref):
-        with open(ref) as fh:
-            text = fh.read()
+        try:
+            with open(ref) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ScenarioError("cannot read scenario %s: %s" % (ref, reason)) from None
         name = os.path.splitext(os.path.basename(ref))[0]
         return parse_scenario_text(text, name=name)
     raise ScenarioError("scenario not found: %s" % ref)

@@ -6,6 +6,7 @@ import csv
 import logging
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,21 +62,27 @@ class TraceData:
     dropped: int = 0
 
 
-_CANONICAL_COLUMNS = (
-    "timestamp",
-    "vm_id",
-    "cpu_usage_mips",
-    "mem_usage_mb",
-    "net_bw_used",
-)
-
-_RAW_REQUIRED = (
-    "Timestamp [ms]",
-    "CPU usage [MHZ]",
-    "Memory usage [KB]",
-    "Network received throughput [KB/s]",
-    "Network transmitted throughput [KB/s]",
-)
+# The two trace layouts, keyed by the delimiter that the header line shows:
+# the required columns, how a header name is matched against them, and a
+# row's (vm, timestamp, cpu, mem, bw) from its cells in the required
+# columns' order and the file's stem.
+_LAYOUTS = {
+    ",": (
+        ("timestamp", "vm_id", "cpu_usage_mips", "mem_usage_mb", "net_bw_used"),
+        lambda name: name,
+        lambda c, stem: (c[1].strip(), float(c[0]), float(c[2]), float(c[3]), float(c[4])),
+    ),
+    # Raw per-VM: one VM per file, named by its stem; header names may be
+    # padded, memory arrives in KB, and received plus transmitted throughput
+    # is the bandwidth.
+    ";": (
+        ("Timestamp [ms]", "CPU usage [MHZ]", "Memory usage [KB]",
+         "Network received throughput [KB/s]", "Network transmitted throughput [KB/s]"),
+        str.strip,
+        lambda c, stem: (stem, float(c[0]), float(c[1]), float(c[2]) / 1024.0,
+                         float(c[3]) + float(c[4])),
+    ),
+}
 
 
 def _usable(*values: float) -> bool:
@@ -84,107 +91,70 @@ def _usable(*values: float) -> bool:
     return all(math.isfinite(v) and v >= 0 for v in values)
 
 
-def _ingest_canonical(path: str) -> TraceData:
-    series: dict[str, list[tuple[float, float, float, float]]] = {}
-    dropped = 0
+def _rows(path: str) -> Iterator[tuple[str, float, float, float, float] | None]:
+    """Each data row of one trace file as (vm, timestamp, cpu, mem, bw), or
+    None where a cell is missing or not a number; blank lines are skipped."""
+    stem = os.path.splitext(os.path.basename(path))[0]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _CANONICAL_COLUMNS if c not in (reader.fieldnames or [])]
+        delimiter = ";" if ";" in fh.readline() else ","
+        fh.seek(0)
+        reader = csv.reader(fh, delimiter=delimiter)
+        columns, key, parse = _LAYOUTS[delimiter]
+        index = {key(name): i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in columns if c not in index]
         if missing:
             raise TraceFormatError("trace is missing column %r" % missing[0])
-        for row in reader:
-            try:
-                ts = float(row["timestamp"])
-                vm = row["vm_id"].strip()
-                cpu = float(row["cpu_usage_mips"])
-                mem = float(row["mem_usage_mb"])
-                bw = float(row["net_bw_used"])
-            except (TypeError, ValueError, AttributeError):
-                dropped += 1
-                continue
-            if not vm or not math.isfinite(ts) or not _usable(cpu, mem, bw):
-                dropped += 1
-                continue
-            series.setdefault(vm, []).append((ts, cpu, mem, bw))
-    out = {}
-    for vm, rows in series.items():
-        rows.sort(key=lambda r: r[0])
-        out[vm] = np.asarray([(c, m, b) for _, c, m, b in rows], dtype=float)
-    return TraceData(out, dropped)
-
-
-def _ingest_raw(path: str) -> TraceData:
-    """Raw per-VM layout: semicolon separated, network split into received
-    and transmitted throughput which are summed into one bandwidth figure;
-    memory arrives in KB and is converted to MB."""
-    vm = os.path.splitext(os.path.basename(path))[0]
-    rows: list[tuple[float, float, float, float]] = []
-    dropped = 0
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=";")
-        names = [n.strip() for n in (reader.fieldnames or [])]
-        missing = [c for c in _RAW_REQUIRED if c not in names]
-        if missing:
-            raise TraceFormatError("trace is missing column %r" % missing[0])
-        for row in reader:
-            row = {k.strip(): v for k, v in row.items() if k}
-            try:
-                ts = float(row["Timestamp [ms]"])
-                cpu = float(row["CPU usage [MHZ]"])
-                mem = float(row["Memory usage [KB]"]) / 1024.0
-                bw = float(row["Network received throughput [KB/s]"]) + float(
-                    row["Network transmitted throughput [KB/s]"]
-                )
-            except (TypeError, ValueError, KeyError):
-                dropped += 1
-                continue
-            if not math.isfinite(ts) or not _usable(cpu, mem, bw):
-                dropped += 1
-                continue
-            rows.append((ts, cpu, mem, bw))
-    rows.sort(key=lambda r: r[0])
-    data = np.asarray([(c, m, b) for _, c, m, b in rows], dtype=float)
-    return TraceData({vm: data}, dropped)
-
-
-def _sniff_and_ingest(path: str) -> TraceData:
-    with open(path) as fh:
-        header = fh.readline()
-    if ";" in header:
-        return _ingest_raw(path)
-    return _ingest_canonical(path)
+        at = [index[c] for c in columns]
+        for cells in reader:
+            if cells:
+                try:
+                    row = parse([cells[i] for i in at], stem)
+                except (IndexError, ValueError):
+                    row = None
+                yield row
 
 
 def ingest_trace(path: str) -> TraceData:
     """Load a trace file, or every *.csv in a trace directory.
 
-    Two layouts are accepted: the canonical comma-separated schema
-    (timestamp, vm_id, cpu_usage_mips, mem_usage_mb, net_bw_used) and the
-    raw per-VM semicolon layout whose received plus transmitted network
-    throughput becomes the bandwidth column.  Malformed rows (unparsable,
-    non-finite or negative values) are dropped and counted, never fatal.
+    Two layouts are accepted, told apart by the header line: the canonical
+    comma-separated schema (timestamp, vm_id, cpu_usage_mips, mem_usage_mb,
+    net_bw_used) and the raw per-VM semicolon layout whose received plus
+    transmitted network throughput becomes the bandwidth column.  Malformed
+    rows (unparsable, non-finite or negative values) are dropped and
+    counted, never fatal; a VM with no usable row has no series.  A VM's
+    series from a later file of a directory replaces an earlier one's.  A
+    trace that cannot be listed, read or decoded is a TraceFormatError.
     """
     if not os.path.exists(path):
         raise TraceFormatError("trace %s does not exist" % path)
-    if os.path.isdir(path):
-        merged: dict[str, np.ndarray] = {}
-        dropped = 0
-        names = sorted(n for n in os.listdir(path) if n.endswith(".csv"))
-        if not names:
-            raise TraceFormatError("trace directory %s holds no .csv files" % path)
-        for name in names:
-            part = _sniff_and_ingest(os.path.join(path, name))
-            dropped += part.dropped
-            for vm, data in part.series.items():
-                merged[vm] = data
-        data = TraceData(merged, dropped)
-    else:
-        data = _sniff_and_ingest(path)
-    if not any(arr.size for arr in data.series.values()):
+    series: dict[str, np.ndarray] = {}
+    dropped = 0
+    reading = path
+    try:
+        files = [path]
+        if os.path.isdir(path):
+            files = [os.path.join(path, n) for n in sorted(os.listdir(path)) if n.endswith(".csv")]
+            if not files:
+                raise TraceFormatError("trace directory %s holds no .csv files" % path)
+        for reading in files:
+            groups: dict[str, list[tuple[float, float, float, float]]] = {}
+            for row in _rows(reading):
+                if row is None or not row[0] or not math.isfinite(row[1]) or not _usable(*row[2:]):
+                    dropped += 1
+                else:
+                    groups.setdefault(row[0], []).append(row[1:])
+            for vm, rows in groups.items():
+                rows.sort(key=lambda r: r[0])
+                series[vm] = np.asarray([r[1:] for r in rows], dtype=float)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise TraceFormatError("cannot read trace %s: %s" % (reading, reason)) from None
+    if not series:
         raise TraceFormatError("trace %s contains no usable rows" % path)
-    if data.dropped:
-        log.warning("trace %s: dropped %d malformed rows", path, data.dropped)
-    return data
+    if dropped:
+        log.warning("trace %s: dropped %d malformed rows", path, dropped)
+    return TraceData(series, dropped)
 
 
 def fit_trace_to_vms(
@@ -208,7 +178,15 @@ def fit_trace_to_vms(
         data = trace.series[keys[i % len(keys)]]
         col = data[np.arange(intervals) % data.shape[0], 2]
         if rescale:
-            mean = col.mean()
-            col = col * (nominal / mean) if mean > 0 else nominal
+            with np.errstate(over="ignore"):  # a sum past the float maximum, or a tiny mean
+                mean = col.mean()
+                scale = nominal / mean if mean > 0 else nominal
+            if not mean > 0:
+                col = nominal
+            elif math.isfinite(mean) and math.isfinite(scale):
+                col = col * scale
+            else:  # over its maximum first, the series' sum and scale stay finite
+                col = col / col.max()
+                col = col * (nominal / col.mean())
         usage[:, i] = col
     return usage

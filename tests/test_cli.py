@@ -300,3 +300,76 @@ def test_run_unwritable_result_file_exits_config_naming_it(tmp_path, capsys):
     assert err.startswith("configuration error:")
     assert str(tmp_path / "oscmc" / "metrics.csv") in err
     assert "Traceback" not in err
+
+
+CANONICAL_HEADER = "timestamp,vm_id,cpu_usage_mips,mem_usage_mb,net_bw_used\n"
+
+
+def _run_trace(tmp_path, trace, out):
+    scn = tmp_path / "tiny.scn"
+    scn.write_text("servers = 3\nvms = 6\nintervals = 4\nseed = 2\n")
+    return main(["run", "--scenario", str(scn), "--trace", str(trace), "--out", str(out),
+                 "--policy", "oscmc", "--policy", "wosc"])
+
+
+def test_raw_trace_file_without_a_usable_row_is_left_out(tmp_path, capsys):
+    """A raw file none of whose rows is usable adds no series: the run
+    writes what it writes for the same directory without that file."""
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    (trace / "a.csv").write_text(
+        CANONICAL_HEADER + "".join("%d,v1,400,400,%d\n" % (t, 500 + 90 * t) for t in range(8))
+    )
+    (trace / "box7.csv").write_text(
+        "Timestamp [ms];CPU usage [MHZ];Memory usage [KB];"
+        "Network received throughput [KB/s];Network transmitted throughput [KB/s]\n"
+        "0;x;1024;1;2\n1000;5;1024;nan;2\n"
+    )
+    assert _run_trace(tmp_path, trace, tmp_path / "with") == EXIT_OK
+    (trace / "box7.csv").unlink()
+    assert _run_trace(tmp_path, trace, tmp_path / "without") == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    for policy in ("oscmc", "wosc"):
+        for name in ("metrics.csv", "events.csv", "summary.txt"):
+            with_raw = (tmp_path / "with" / policy / name).read_bytes()
+            assert with_raw == (tmp_path / "without" / policy / name).read_bytes()
+
+
+def _bad_trace(tmp_path, case):
+    """A trace that cannot be read, and the path its message must name."""
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    good = CANONICAL_HEADER + "0,v1,400,400,800\n"
+    if case == "directory entry":
+        (trace / "a.csv").write_text(good)
+        (trace / "sub.csv").mkdir()
+        return trace, trace / "sub.csv"
+    if case == "undecodable":
+        (trace / "t.csv").write_bytes(good.encode() + b"1,v1,4\xff0,400,800\n")
+    else:  # a field over the csv module's 131072-character limit
+        (trace / "t.csv").write_text(good + "1,v1,%s,400,800\n" % ("9" * 200000))
+    return trace / "t.csv", trace / "t.csv"
+
+
+@pytest.mark.parametrize("case", ["directory entry", "undecodable", "oversized field"])
+def test_unreadable_trace_exits_config_naming_it(tmp_path, capsys, case):
+    trace, named = _bad_trace(tmp_path, case)
+    code = _run_trace(tmp_path, trace, tmp_path / "o")
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: cannot read trace %s: " % named)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["directory", "undecodable"])
+def test_unreadable_scenario_file_exits_config_naming_it(tmp_path, capsys, case):
+    scn = tmp_path / "bad.scn"
+    if case == "directory":
+        scn.mkdir()
+    else:
+        scn.write_bytes(b"servers = 3\n\xff\n")
+    code = main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: cannot read scenario %s: " % scn)
+    assert "Traceback" not in err

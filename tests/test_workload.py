@@ -1,5 +1,10 @@
 """Synthetic workload and trace-ingestion tests."""
 
+import csv
+import logging
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -147,12 +152,48 @@ def test_fitted_trace_bandwidth_is_the_three_resource_fits_column(trace, nominal
                                                                    rescale):
     """Mapping a trace onto nominal bandwidth alone gives, bit for bit, the
     bandwidth column of the three-resource fit, rescaled or not.  A tiny
-    mean can overflow the scale factor; both sides must then agree too."""
+    mean overflows the reference's scale factor to an infinite or nan
+    column; there the fit must stay finite instead (see
+    test_rescaled_bandwidth_keeps_the_nominal_mean)."""
     nominals = np.array(nominals)
+    usage = fit_trace_to_vms(trace, nominals[:, 2], intervals, rescale)
     with np.errstate(over="ignore", invalid="ignore"):
-        usage = fit_trace_to_vms(trace, nominals[:, 2], intervals, rescale)
         want = reference_fit_trace_to_vms(trace, nominals, intervals, rescale)[..., 2]
-    assert usage.shape == want.shape and usage.tobytes() == want.tobytes()
+    finite = np.isfinite(want).all(axis=0)
+    assert usage.shape == want.shape and np.isfinite(usage).all()
+    assert usage[:, finite].tobytes() == want[:, finite].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.just(0.0) | st.floats(0.0, 1e-300) | st.floats(0.0, 1e6)
+        | st.floats(1e307, np.finfo(float).max) | st.floats(0.0, np.finfo(float).max),
+        min_size=1, max_size=12,
+    ).filter(any),
+    st.just(0.0) | st.sampled_from([1.0, 1000.0]) | st.floats(1e-3, 1e12),
+)
+def test_rescaled_bandwidth_keeps_the_nominal_mean(bw, nominal):
+    """Any finite non-negative series that is not all zero, subnormal or near
+    the float maximum, rescales to a finite column whose mean is the nominal
+    bandwidth, with no RuntimeWarning (the suite turns one into an error).
+    Where the mean and the plain ``col * (nominal / mean)`` are finite, the
+    column is that bit for bit, as before (a mean that rounds to 0 gives the
+    nominal bandwidth throughout, as a zero series does); a tiny mean
+    used to overflow that scale to inf, and a sum overflowing to inf used to
+    scale the column to zeros.  Nominals below 1e-3 are not drawn: a series
+    whose mean is near the float maximum then has a subnormal scale, whose
+    few bits cannot carry the mean to 1e-9."""
+    col = np.array(bw)
+    trace = TraceData({"vm": np.column_stack([np.zeros_like(col), np.zeros_like(col), col])})
+    usage = fit_trace_to_vms(trace, np.array([nominal]), col.size)[:, 0]
+    assert np.isfinite(usage).all()
+    assert math.isclose(usage.mean(), nominal, rel_tol=1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = col.mean()
+        before = col * (nominal / mean) if mean > 0 else np.full_like(col, nominal)
+    if math.isfinite(mean) and np.isfinite(before).all():
+        assert usage.tobytes() == before.tobytes()
 
 
 def test_synthetic_usage_shape_and_determinism():
@@ -299,3 +340,217 @@ def test_fit_trace_rescale_matches_nominal_mean(tmp_path):
     assert usage[:, 0].mean() == pytest.approx(1000.0)
     # Shape is preserved: second sample stays three times the first.
     assert usage[1, 0] == pytest.approx(3.0 * usage[0, 0])
+
+
+# The two readers and the directory merge that the one reader replaced,
+# kept as written: the reference for every series and every message.
+
+log = logging.getLogger("oscmc.workload")
+
+_CANONICAL_COLUMNS = (
+    "timestamp",
+    "vm_id",
+    "cpu_usage_mips",
+    "mem_usage_mb",
+    "net_bw_used",
+)
+
+_RAW_REQUIRED = (
+    "Timestamp [ms]",
+    "CPU usage [MHZ]",
+    "Memory usage [KB]",
+    "Network received throughput [KB/s]",
+    "Network transmitted throughput [KB/s]",
+)
+
+
+def _usable(*values: float) -> bool:
+    """Every value finite and none negative.  ``nan < 0`` is False, so a
+    sign test alone would let ``nan`` through."""
+    return all(math.isfinite(v) and v >= 0 for v in values)
+
+
+def reference_ingest_canonical(path: str) -> TraceData:
+    series: dict[str, list[tuple[float, float, float, float]]] = {}
+    dropped = 0
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in _CANONICAL_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise TraceFormatError("trace is missing column %r" % missing[0])
+        for row in reader:
+            try:
+                ts = float(row["timestamp"])
+                vm = row["vm_id"].strip()
+                cpu = float(row["cpu_usage_mips"])
+                mem = float(row["mem_usage_mb"])
+                bw = float(row["net_bw_used"])
+            except (TypeError, ValueError, AttributeError):
+                dropped += 1
+                continue
+            if not vm or not math.isfinite(ts) or not _usable(cpu, mem, bw):
+                dropped += 1
+                continue
+            series.setdefault(vm, []).append((ts, cpu, mem, bw))
+    out = {}
+    for vm, rows in series.items():
+        rows.sort(key=lambda r: r[0])
+        out[vm] = np.asarray([(c, m, b) for _, c, m, b in rows], dtype=float)
+    return TraceData(out, dropped)
+
+
+def reference_ingest_raw(path: str) -> TraceData:
+    """Raw per-VM layout: semicolon separated, network split into received
+    and transmitted throughput which are summed into one bandwidth figure;
+    memory arrives in KB and is converted to MB."""
+    vm = os.path.splitext(os.path.basename(path))[0]
+    rows: list[tuple[float, float, float, float]] = []
+    dropped = 0
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, delimiter=";")
+        names = [n.strip() for n in (reader.fieldnames or [])]
+        missing = [c for c in _RAW_REQUIRED if c not in names]
+        if missing:
+            raise TraceFormatError("trace is missing column %r" % missing[0])
+        for row in reader:
+            row = {k.strip(): v for k, v in row.items() if k}
+            try:
+                ts = float(row["Timestamp [ms]"])
+                cpu = float(row["CPU usage [MHZ]"])
+                mem = float(row["Memory usage [KB]"]) / 1024.0
+                bw = float(row["Network received throughput [KB/s]"]) + float(
+                    row["Network transmitted throughput [KB/s]"]
+                )
+            except (TypeError, ValueError, KeyError):
+                dropped += 1
+                continue
+            if not math.isfinite(ts) or not _usable(cpu, mem, bw):
+                dropped += 1
+                continue
+            rows.append((ts, cpu, mem, bw))
+    rows.sort(key=lambda r: r[0])
+    data = np.asarray([(c, m, b) for _, c, m, b in rows], dtype=float)
+    return TraceData({vm: data}, dropped)
+
+
+def reference_sniff_and_ingest(path: str) -> TraceData:
+    with open(path) as fh:
+        header = fh.readline()
+    if ";" in header:
+        return reference_ingest_raw(path)
+    return reference_ingest_canonical(path)
+
+
+def reference_part(path: str) -> TraceData:
+    """One file as the old readers read it, less the one difference the new
+    reader makes: a raw file with no usable row gives no series, where it
+    gave a (0,) array that replaced any earlier file's series of that VM
+    and crashed the fit."""
+    part = reference_sniff_and_ingest(path)
+    return TraceData({vm: a for vm, a in part.series.items() if a.size}, part.dropped)
+
+
+def reference_ingest_trace(path: str) -> TraceData:
+    if not os.path.exists(path):
+        raise TraceFormatError("trace %s does not exist" % path)
+    if os.path.isdir(path):
+        merged: dict[str, np.ndarray] = {}
+        dropped = 0
+        names = sorted(n for n in os.listdir(path) if n.endswith(".csv"))
+        if not names:
+            raise TraceFormatError("trace directory %s holds no .csv files" % path)
+        for name in names:
+            part = reference_part(os.path.join(path, name))
+            dropped += part.dropped
+            for vm, data in part.series.items():
+                merged[vm] = data
+        data = TraceData(merged, dropped)
+    else:
+        data = reference_part(path)
+    if not any(arr.size for arr in data.series.values()):
+        raise TraceFormatError("trace %s contains no usable rows" % path)
+    if data.dropped:
+        log.warning("trace %s: dropped %d malformed rows", path, data.dropped)
+    return data
+
+
+valid_cells = st.integers(0, 1000).map(str) | st.floats(0.0, 1e6).map(repr)
+bad_cells = (
+    st.sampled_from(["", "x", "nan", "inf", "-inf", "-1", "-0.5", "1e400", " 7 ", "1_0", "+3"])
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+)
+
+
+@st.composite
+def trace_files(draw, stem):
+    """The text of one trace file in either layout.  The header may put the
+    columns in any order, add columns, pad names and, rarely, lack a
+    required column.  Rows may carry bad values, an empty or padded vm_id,
+    unsorted or repeated timestamps, too few or too many cells, and blank
+    lines; a raw file may have no usable row at all."""
+    raw = draw(st.booleans())
+    columns = list(draw(st.permutations(_RAW_REQUIRED if raw else _CANONICAL_COLUMNS)))
+    if draw(st.integers(0, 19)) == 0:
+        columns.pop(draw(st.integers(0, len(columns) - 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        columns.insert(draw(st.integers(0, len(columns))), draw(st.sampled_from(["extra", "note"])))
+    hopeless = raw and draw(st.integers(0, 3)) == 0
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        row = []
+        for name in columns:
+            if name == "vm_id":
+                row.append(draw(st.sampled_from(["a", "b", " b ", "box", "", "  "])))
+            elif hopeless and name == "Timestamp [ms]":
+                row.append("x")
+            else:
+                row.append(draw(bad_cells if draw(st.integers(0, 9)) == 0 else valid_cells))
+        cut = draw(st.integers(-4, 3))
+        if cut == 0:
+            row = row[: draw(st.integers(0, len(row) - 1))]
+        elif cut == 1:
+            row += [draw(valid_cells)]
+        lines.append(row)
+    if raw or draw(st.integers(0, 9)) == 0:  # a padded canonical name is missing
+        columns = [draw(st.sampled_from(["", " ", "  "])) + c + draw(st.sampled_from(["", " "]))
+                   for c in columns]
+    delimiter = ";" if raw else ","
+    text = [delimiter.join(columns)] + [r if r == "" else delimiter.join(r) for r in lines]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(text) + "\n"
+
+
+@st.composite
+def trace_dirs(draw):
+    stems = draw(st.lists(st.sampled_from(["a", "b", "box", "m", "z"]), min_size=1, max_size=4,
+                          unique=True))
+    return {stem + ".csv": draw(trace_files(stem)) for stem in stems}
+
+
+def _outcome(read, path):
+    try:
+        trace = read(path)
+    except TraceFormatError as exc:
+        return str(exc)
+    return trace.dropped, {vm: (a.dtype, a.shape, a.tobytes()) for vm, a in trace.series.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_dirs(), st.booleans(), st.booleans())
+def test_one_reader_equals_the_two_it_replaced(files, whole_dir, stray):
+    """The one reader gives what the canonical and raw readers and their
+    directory merge gave, file by file and for a directory: the same
+    dropped count, the same VMs with bit-equal series, or the same
+    TraceFormatError message; a raw file with no usable row gives no
+    series."""
+    with tempfile.TemporaryDirectory() as root:
+        for name, text in files.items():
+            with open(os.path.join(root, name), "w", newline="") as fh:
+                fh.write(text)
+        if stray:
+            with open(os.path.join(root, "notes.txt"), "w") as fh:
+                fh.write("not;a,trace\n")
+        path = root if whole_dir else os.path.join(root, sorted(files)[0])
+        assert _outcome(ingest_trace, path) == _outcome(reference_ingest_trace, path)
