@@ -10,7 +10,7 @@ import sys
 from .allocator import PlacementInfeasibleError
 from .engine import SimulationError, run
 from .scenario import POLICIES, PRESETS, ScenarioError, load_scenario, with_policy
-from .workload import TraceFormatError
+from .workload import TraceFormatError, ingest_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,6 +92,7 @@ def cmd_run(args) -> int:
             sc.workers = args.workers
         sc.validate()
         policies = args.policy or [sc.policy]
+        trace = ingest_trace(sc.trace_path) if sc.trace_path else None  # once for every policy
     except (ScenarioError, TraceFormatError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
@@ -104,10 +105,7 @@ def cmd_run(args) -> int:
 
     for policy in policies:
         try:
-            result = run(with_policy(sc, policy))
-        except (ScenarioError, TraceFormatError) as exc:
-            print("configuration error: %s" % exc, file=sys.stderr)
-            return EXIT_CONFIG
+            result = run(with_policy(sc, policy), trace=trace)
         except (SimulationError, PlacementInfeasibleError) as exc:
             print("simulation failed: %s" % exc, file=sys.stderr)
             return EXIT_RUNTIME

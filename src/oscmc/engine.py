@@ -23,13 +23,14 @@ the worker count accepted by ``Simulation`` and ``run`` never changes any
 output byte.
 
 Live links are one sorted array of keys ``src * span + dst`` (``span =
-V + 1``) that each interval's new links join in one array pass.  The fresh
-attack and scripted links among them are classified as one batch, with one
-search of the authorised-link log's row keys; the log never changes after
-set-up, so a link's class is fixed at birth.  The observed-link matrices
-hold only the links that can change the threat report: each unauthorised
-live link and the live outgoing links of its receiver, a potential cascade
-relay, which are the relay's key range.
+V + 1``) that each interval's new links join in one array pass, and beside
+it a birth column: -1 for a link the authorised-link log authorises, else
+the interval the unauthorised link went live.  The fresh attack and
+scripted links are classified as one batch, with one search of the log's
+row keys; the log never changes after set-up, so a link's class is fixed
+at birth.  The observed-link matrices hold only the links that can change
+the threat report: each unauthorised live link and the live outgoing links
+of its receiver, a potential cascade relay, which are the relay's key range.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .monitor import (
 )
 from .predictor import PredictorModel, detect_congestion, train_on_windows
 from .scenario import Scenario
-from .workload import fit_trace_to_vms, ingest_trace, synthetic_usage
+from .workload import TraceData, fit_trace_to_vms, ingest_trace, synthetic_usage
 
 log = logging.getLogger("oscmc.engine")
 
@@ -361,10 +362,11 @@ class Simulation:
     injection reads the ground truth, the hostile and benign VM ids.
 
     ``workers`` is accepted for callers that pass it and ignored: a single
-    simulation always runs serially.
+    simulation always runs serially.  ``trace``, when given, is the
+    ingested ``sc.trace_path``, so that several runs read it once.
     """
 
-    def __init__(self, sc: Scenario, workers: int | None = None):
+    def __init__(self, sc: Scenario, workers: int | None = None, trace: TraceData | None = None):
         sc.validate()
         self.sc = sc
         root = np.random.SeedSequence(sc.seed)
@@ -376,19 +378,18 @@ class Simulation:
         self._build_fleet()
         hostile_users = self._build_population()
         self._build_ivcl()
-        self._build_usage(np.random.default_rng(s_workload))
+        self._build_usage(np.random.default_rng(s_workload), trace)
         self._build_models(s_models, s_train)
         self._initial_placement()
         # In placement row order: every later placement is this one or a copy.
         self.fleet = Fleet(self.servers, self.placement)
 
         # Live links as sorted keys src * span + dst; VM ids run from 1 to V.
+        # Beside each key its birth: -1 if the log authorises the link, else
+        # the interval it went live (a link is classified once, at birth).
         self.span = sc.vms + 1
         self.link_keys = np.empty(0, dtype=np.int64)
-        # The live links the log does not authorise, (src, dst) -> interval
-        # established.  The log never changes after set-up, so a link is
-        # classified once, when it goes live.
-        self.unauthorised: dict[tuple[int, int], int] = {}
+        self.link_born = np.empty(0, dtype=np.int64)
         self.suspended: set[int] = set()
         self.detected_cum: set[int] = set()
         # Bandwidth forecast per VM, indexed like ``usage``; nominal until
@@ -477,10 +478,10 @@ class Simulation:
             intra, self.owner, self.sc.cross_user_auth_rate, self.setup_rng
         )
 
-    def _build_usage(self, rng: np.random.Generator) -> None:
+    def _build_usage(self, rng: np.random.Generator, trace: TraceData | None) -> None:
         sc = self.sc
         if sc.trace_path:
-            trace = ingest_trace(sc.trace_path)
+            trace = trace or ingest_trace(sc.trace_path)
             self.usage = fit_trace_to_vms(trace, self.nominal_bw, sc.intervals, sc.trace_rescale)
         else:
             self.usage = synthetic_usage(
@@ -666,20 +667,21 @@ class Simulation:
 
     def _add_links(self, checked: np.ndarray, authorised: np.ndarray, t: int) -> None:
         """Merge the links not yet live into the keys, each at its first
-        occurrence, and classify the fresh ``checked`` ones in one batch, in
-        birth order."""
+        occurrence, born ``t`` or, where the log authorises it, -1; only the
+        fresh ``checked`` links are classified, in one batch."""
         ends = np.concatenate((checked, authorised))
         new, first = np.unique(self._keys(ends), return_index=True)
         keys = self.link_keys
         at = np.searchsorted(keys, new)
         # Clipped, a key past the end meets the last live key, a smaller one.
         fresh = keys.take(at, mode="clip") != new if keys.size else np.ones(new.size, bool)
-        self.link_keys = np.insert(keys, at[fresh], new[fresh])
-        born = np.sort(first[fresh])
-        links = ends[born[born < len(checked)]]
-        bad = links[~self.ivcl.authorized(links[:, 0], links[:, 1])]
-        self.unauthorised.update(dict.fromkeys(map(tuple, bad.tolist()), t))
-        self.log.malicious_links_created += len(bad)
+        new, first, at = new[fresh], first[fresh], at[fresh]
+        ok = first >= len(checked)
+        links = ends[first[~ok]]
+        ok[~ok] = self.ivcl.authorized(links[:, 0], links[:, 1])
+        self.link_keys = np.insert(keys, at, new)
+        self.link_born = np.insert(self.link_born, at, np.where(ok, -1, t))
+        self.log.malicious_links_created += int(np.count_nonzero(~ok))
 
     def _keys(self, links) -> np.ndarray:
         """The key of each (src, dst) of ``links``, a sequence or array."""
@@ -689,7 +691,7 @@ class Simulation:
     def _links_from(self, vms) -> np.ndarray:
         """The live keys sourced by the distinct ``vms``: each one's key range."""
         keys = self.link_keys
-        start = np.fromiter(vms, np.int64, len(vms)) * self.span
+        start = np.asarray(vms, dtype=np.int64) * self.span
         lo = np.searchsorted(keys, start)
         n = np.searchsorted(keys, start + self.span) - lo
         return keys[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
@@ -699,21 +701,19 @@ class Simulation:
         src, dst = np.divmod(self.link_keys if keys is None else keys, self.span)
         return list(zip(src.tolist(), dst.tolist()))
 
-    def _drop_links(self, links, t: int, vms=()) -> None:
-        """Drop the live ``links`` and every live link of ``vms``; an
-        unauthorised link live since an earlier interval is a breach."""
-        drop = self._keys(list(links))
-        at = np.searchsorted(self.link_keys, drop)
-        gone = np.zeros(self.link_keys.size, dtype=bool)
-        gone[at[np.searchsorted(self.link_keys, drop, side="right") > at]] = True
+    def _drop_links(self, drop: np.ndarray, t: int, vms=()) -> None:
+        """Drop the live links of the keys ``drop`` and every live link of ``vms``;
+        an unauthorised link live since an earlier interval is a breach."""
+        keys, born = self.link_keys, self.link_born
+        at = np.searchsorted(keys, drop)
+        gone = np.zeros(keys.size, dtype=bool)
+        gone[at[np.searchsorted(keys, drop, side="right") > at]] = True
         if vms:
-            src, dst = np.divmod(self.link_keys, self.span)
+            src, dst = np.divmod(keys, self.span)
             gone |= _member(src, vms) | _member(dst, vms)
-        for link in self.live_links(self.link_keys[gone]):
-            born = self.unauthorised.pop(link, None)
-            if born is not None and t - born >= 1:
-                self.log.realized_breaches += 1
-        self.link_keys = self.link_keys[~gone]
+        dropped = born[gone]
+        self.log.realized_breaches += int(np.count_nonzero((dropped >= 0) & (t - dropped >= 1)))
+        self.link_keys, self.link_born = keys[~gone], born[~gone]
 
     def _apply_quarantine(self, directive: QuarantineDirective, t: int) -> None:
         newly = []
@@ -725,7 +725,7 @@ class Simulation:
             newly.append(vm_id)
             if self.placement.server_of(vm_id) is not None:
                 self.placement.remove(vm_id)
-        self._drop_links(directive.terminate_links, t, newly)
+        self._drop_links(self._keys(list(directive.terminate_links)), t, newly)
 
     def _detect(self, t: int, vlams, active: np.ndarray) -> ThreatReport:
         perf, thresholds = self._perf_samples(t, active)
@@ -794,8 +794,8 @@ class Simulation:
             # Only unauthorised links and their receivers' (the potential
             # relays') outgoing links can raise an event; every other live
             # link is authorised, so this report equals one over all of them.
-            relays = {relay for _, relay in self.unauthorised}
-            watched = set(self.unauthorised)
+            watched = set(self.live_links(self.link_keys[self.link_born >= 0]))
+            relays = sorted({relay for _, relay in watched})
             watched.update(self.live_links(self._links_from(relays)))
             # Only the servers hosting a watched endpoint: an empty matrix
             # adds no event and no observed link.
@@ -816,7 +816,7 @@ class Simulation:
                 observed,
                 predicted,
                 self.link_keys.size,
-                len(self.unauthorised),
+                int(np.count_nonzero(self.link_born >= 0)),
                 hog_threshold=sc.hog_threshold,
                 power_mode=sc.power_mode,
                 fleet=self.fleet,
@@ -840,13 +840,13 @@ class Simulation:
     def finish(self) -> RunLog:
         """Drop the unauthorised links still live after the last interval,
         counting breaches by the same rule as a quarantine drop."""
-        self._drop_links(self.unauthorised, self.sc.intervals - 1)
+        self._drop_links(self.link_keys[self.link_born >= 0], self.sc.intervals - 1)
         return self.log
 
 
-def run(sc: Scenario, workers: int | None = None) -> RunLog:
+def run(sc: Scenario, workers: int | None = None, trace: TraceData | None = None) -> RunLog:
     """Simulate a scenario under its configured policy."""
-    sim = Simulation(sc, workers=workers)
+    sim = Simulation(sc, workers=workers, trace=trace)
     log.info(
         "run start: scenario=%s policy=%s seed=%d vms=%d servers=%d",
         sc.name,

@@ -359,6 +359,32 @@ def test_unreadable_trace_exits_config_naming_it(tmp_path, capsys, case):
     assert code == EXIT_CONFIG
     assert err.startswith("configuration error: cannot read trace %s: " % named)
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()  # read before any output directory is made
+
+
+def test_three_policy_run_reads_the_trace_once(tmp_path, caplog):
+    """One run of three policies parses the trace once, so its malformed-row
+    warning appears once, and writes what three one-policy runs write."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        CANONICAL_HEADER
+        + "".join("%d,v%d,400,400,%d\n" % (t, t % 2, 500 + 90 * t) for t in range(8))
+        + "bogus,v1,1,2,3\n"
+    )
+    scn = tmp_path / "tiny.scn"
+    scn.write_text("servers = 3\nvms = 6\nintervals = 4\nseed = 2\n")
+    argv = ["run", "--scenario", str(scn), "--trace", str(trace)]
+    policies = ("oscmc", "pssf", "wosc")
+    together = [arg for p in policies for arg in ("--policy", p)]
+    with caplog.at_level("WARNING", logger="oscmc.workload"):
+        assert main(argv + together + ["--out", str(tmp_path / "all")]) == EXIT_OK
+    warned = [r.getMessage() for r in caplog.records if "malformed" in r.getMessage()]
+    assert warned == ["trace %s: dropped 1 malformed rows" % trace]
+    for p in policies:
+        assert main(argv + ["--policy", p, "--out", str(tmp_path / p)]) == EXIT_OK
+        for name in ("metrics.csv", "events.csv", "summary.txt"):
+            alone = (tmp_path / p / p / name).read_bytes()
+            assert (tmp_path / "all" / p / name).read_bytes() == alone
 
 
 @pytest.mark.parametrize("case", ["directory", "undecodable"])

@@ -317,14 +317,25 @@ def test_detector_never_reads_ground_truth():
         assert ra.colocation == rb.colocation
 
 
+def _births(sim):
+    """The unauthorised live links of ``sim``, (src, dst) -> interval born,
+    decoded from the birth column beside the keys."""
+    bad = sim.link_born >= 0
+    return dict(zip(sim.live_links(sim.link_keys[bad]), sim.link_born[bad].tolist()))
+
+
 def test_live_links_are_one_sorted_key_array():
     """The live links are held as one strictly increasing int64 key array,
     one key per link, whose size the snapshot reads; the keys decode to
-    registered VMs.  Generated links arrive as ``(n, 2)`` intp arrays."""
+    registered VMs.  Beside the keys, an int64 birth column holds -1 exactly
+    where the log authorises the link and otherwise the interval it went
+    live; no other record of links is kept.  Generated links arrive as
+    ``(n, 2)`` intp arrays."""
     sim = Simulation(with_policy(small_scenario(servers=200, vms=400, users=40), "wosc"))
+    assert not hasattr(sim, "unauthorised")
     for t in range(3):
         sim.step(t)
-        keys = sim.link_keys
+        keys, born = sim.link_keys, sim.link_born
         assert keys.dtype == np.int64 and keys.ndim == 1 and keys.size > 0
         assert (np.diff(keys) > 0).all()
         assert sim.span == 401
@@ -332,8 +343,12 @@ def test_live_links_are_one_sorted_key_array():
         assert len(links) == keys.size
         assert all(1 <= v <= 400 for link in links for v in link)
         assert [s * sim.span + d for s, d in links] == keys.tolist()
+        assert born.dtype == np.int64 and born.shape == keys.shape
+        authorised = np.array([not classify_link(link, sim.ivcl) for link in links])
+        assert ((born == -1) == authorised).all()
+        assert ((born >= 0) & (born <= t))[~authorised].all() and not authorised.all()
         m = sim.log.metrics[-1]
-        good = keys.size - len(sim.unauthorised)
+        good = keys.size - len(_births(sim))
         assert m.authorized_link_pct == 100.0 * good / keys.size
     for links in sim._new_links(3):
         assert links.dtype == np.intp and links.ndim == 2 and links.shape[1] == 2
@@ -690,24 +705,31 @@ def _check_detection_against_all_live_links(sim):
     return checked
 
 
-def _check_link_queries(sim, live):
+def _check_link_queries(sim, live, t):
     """Each VM's outgoing key range, the relay query of detection, and the
-    links a quarantine of that VM would drop, against brute force over the
-    live links; no query changes the store."""
-    keys = sim.link_keys.copy()
+    links, births and breaches a quarantine at ``t`` would drop when it
+    terminates every other live link and the VM's self-link (rarely live)
+    and suspends the VM, against brute force over the live links; no query
+    changes the store."""
+    keys, born, births = sim.link_keys.copy(), sim.link_born.copy(), _births(sim)
     assert len(set(live)) == len(live) == keys.size
     for vm in range(1, sim.span):
         outs = {link for link in live if link[0] == vm}
         assert set(sim.live_links(sim._links_from([vm]))) == outs
+        terminate = set(live[vm % 2 :: 2]) | {(vm, vm)}
         probe = copy.copy(sim)
-        probe.unauthorised = {}  # so no breach reaches sim's log
-        probe._drop_links((), 0, [vm])
-        assert set(live) - set(probe.live_links()) == {link for link in live if vm in link}
-    relays = {relay for _, relay in sim.unauthorised}
+        probe.log = copy.copy(sim.log)  # so no breach reaches sim's log
+        probe._drop_links(sim._keys(list(terminate)), t, [vm])
+        gone = {link for link in live if vm in link or link in terminate}
+        assert set(live) - set(probe.live_links()) == gone
+        assert _births(probe) == {link: b for link, b in births.items() if link not in gone}
+        breaches = sum(link in births and births[link] < t for link in gone)
+        assert probe.log.realized_breaches == sim.log.realized_breaches + breaches
+    relays = sorted({relay for _, relay in births})
     assert set(sim.live_links(sim._links_from(relays))) == {
         link for link in live if link[0] in relays
     }
-    assert np.array_equal(sim.link_keys, keys)
+    assert np.array_equal(sim.link_keys, keys) and np.array_equal(sim.link_born, born)
 
 
 @settings(max_examples=100, deadline=None)
@@ -753,12 +775,12 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
             assert m.active_server_count == len(powered)
             assert active == powered
             live = sim.live_links()
-            assert sim.unauthorised.keys() == {
+            assert _births(sim).keys() == {
                 link for link in live if classify_link(link, sim.ivcl)
             }
-            assert all(0 <= born <= t for born in sim.unauthorised.values())
+            assert all(0 <= born <= t for born in _births(sim).values())
             assert not any(v in sim.suspended for link in live for v in link)
-            _check_link_queries(sim, live)
+            _check_link_queries(sim, live, t)
             if sc.policy != "oscmc":
                 # oscmc's quarantine drops links after the snapshot.
                 assert sim.log.metrics[-1].authorized_link_pct == authorized_link_pct(
@@ -767,7 +789,7 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
     except (SimulationError, PlacementInfeasibleError):
         return
     result = sim.finish()
-    assert not sim.unauthorised
+    assert not _births(sim)
     assert len(result.metrics) == sc.intervals
     assert len(checked) == (sc.intervals if sc.policy == "oscmc" else 0)
 
@@ -969,7 +991,7 @@ class _DictLinks:
 
 def _assert_same_links(sim, ref):
     assert sorted(sim.live_links()) == sorted(ref.live)
-    assert sim.unauthorised == {link: ref.live[link] for link in ref.unauthorised}
+    assert _births(sim) == {link: ref.live[link] for link in ref.unauthorised}
     assert sim.log.malicious_links_created == ref.created
     assert sim.log.realized_breaches == ref.breaches
 
