@@ -23,14 +23,17 @@ the worker count accepted by ``Simulation`` and ``run`` never changes any
 output byte.
 
 Live links are one sorted array of keys ``src * span + dst`` (``span =
-V + 1``) that each interval's new links join in one array pass, and beside
-it a birth column: -1 for a link the authorised-link log authorises, else
-the interval the unauthorised link went live.  The fresh attack and
-scripted links are classified as one batch, with one search of the log's
-row keys; the log never changes after set-up, so a link's class is fixed
-at birth.  The observed-link matrices hold only the links that can change
-the threat report: each unauthorised live link and the live outgoing links
-of its receiver, a potential cascade relay, which are the relay's key range.
+V + 1``) and, in an array of its own, a birth column: -1 for a link the
+authorised-link log authorises, else the interval the unauthorised link
+went live.  Each interval's fresh links join both in one merge through one
+mask of the old slots.  The fresh attack and scripted links are classified
+as one batch, with one search of the log's row keys; the log never changes
+after set-up, so a link's class is fixed at birth.  Link generation keeps
+each attacker's co-located run per placement state and each benign VM's
+log row per log state.  The observed-link matrices hold only the links
+that can change the threat report: each unauthorised live link and the
+live outgoing links of its receiver, a potential cascade relay, which are
+the relay's key range.
 """
 
 from __future__ import annotations
@@ -105,7 +108,6 @@ def pssf_place(
 
 
 def inject_malicious_behavior(
-    interval: int,
     placement: Placement,
     malicious_vms,
     benign_vms,
@@ -135,7 +137,7 @@ def inject_malicious_behavior(
     alive = np.asarray(benign_vms, dtype=np.intp)
     if suspended:
         alive = alive[~_member(alive, suspended)]
-    host, alive_rows, span, keys, in_run = placement.derived(
+    host, alive_rows, by_row, lo, at, n = placement.derived(
         "colocation", (hostile.tobytes(), alive.tobytes()),
         lambda: _colocation_index(placement, hostile, alive))
     acts = host >= 0
@@ -146,16 +148,10 @@ def inject_malicious_behavior(
     if not (col.size or rem.size):
         return np.empty((0, 2), dtype=np.intp)
 
-    # Co-located: a binary search of the attacker's row's run.
-    row_key = host[col] * span
-    lo = np.searchsorted(keys, row_key)
-    at = np.searchsorted(keys, row_key + hostile[col])
-    own = in_run[col]
-    n = np.searchsorted(keys, row_key + span) - lo - own
-    has = n > 0
-    col, lo, at, own, n = col[has], lo[has], at[has], own[has], n[has]
-    pick = lo + (draws[col, 1] * n).astype(np.int64) % n
-    col_dst = keys[pick + (own & (pick >= at))] - row_key[has]
+    # Co-located: the drawn one of the attacker's row's run, skipping its own slot.
+    col = col[n[col] > 0]
+    pick = lo[col] + (draws[col, 1] * n[col]).astype(np.int64) % n[col]
+    col_dst = by_row[pick + (pick >= at[col])]
 
     # Remote: the drawn start when it sits on another row (so it is not the
     # attacker), else a scan on from it.
@@ -174,13 +170,17 @@ def inject_malicious_behavior(
 
 
 def _colocation_index(placement: Placement, hostile: np.ndarray, alive: np.ndarray):
-    """Host rows of ``hostile`` and ``alive``, the key span, the placed ``alive``
-    VMs as sorted keys ``row * span + id``, and which hostile VMs are in ``alive``."""
+    """Host rows of ``hostile`` and ``alive``, the placed ``alive`` VMs by (row, id),
+    and per hostile VM its row's run there: start, own slot (the run's end if
+    it is not in it) and length less itself."""
     host, alive_rows = placement.host_rows(hostile), placement.host_rows(alive)
     on = alive_rows >= 0
     span = int(max(alive.max(initial=0), hostile.max(initial=0))) + 1
     keys = np.sort(alive_rows[on] * span + alive[on])
-    return host, alive_rows, span, keys, _member(hostile, alive)
+    lo, hi = (np.searchsorted(keys, host * span + d) for d in (0, span))
+    own = _member(hostile, alive)
+    at = np.where(own, np.searchsorted(keys, host * span + hostile), hi)
+    return host, alive_rows, keys % span, lo, at, hi - lo - own
 
 
 def _first_on_ring(start, size, ok) -> np.ndarray:
@@ -221,15 +221,13 @@ def benign_links(
     """
     benign = np.asarray(benign_vms, dtype=np.intp)
     draws = rng.random((benign.size, 2))
-    indptr, keys, span = ivcl.row_keys()
-    rows = ivcl.rows_of(benign)
-    lo = indptr[rows]
-    size = indptr[rows + 1] - lo
+    keys = ivcl.row_keys()[1]
+    lo, size, row_key = ivcl.row_spans(benign)
     opens = (draws[:, 0] < rate) & (size > 0)
     if suspended:
         opens &= ~_member(benign, suspended)
     which = np.flatnonzero(opens)
-    lo, size, row_key = lo[which], size[which], rows[which] * span
+    lo, size, row_key = lo[which], size[which], row_key[which]
     start = (draws[which, 1] * size).astype(np.int64) % size
 
     def usable(vms: np.ndarray) -> np.ndarray:
@@ -646,7 +644,6 @@ class Simulation:
         col_rate = sc.attack_colocated_rate if in_burst_window else 0.0
         rem_rate = sc.attack_remote_rate if in_burst_window else 0.0
         attacks = inject_malicious_behavior(
-            t,
             self.placement,
             self.malicious_vm_ids,
             self.benign_vm_ids,
@@ -679,8 +676,15 @@ class Simulation:
         ok = first >= len(checked)
         links = ends[first[~ok]]
         ok[~ok] = self.ivcl.authorized(links[:, 0], links[:, 1])
-        self.link_keys = np.insert(keys, at, new)
-        self.link_born = np.insert(self.link_born, at, np.where(ok, -1, t))
+        # Fresh key i goes to slot at[i] + i, the old keys and births to the rest.
+        n = keys.size + new.size
+        merged, born = np.empty(n, np.int64), np.empty(n, np.int64)
+        slots = at + np.arange(new.size)
+        old = np.ones(n, dtype=bool)
+        old[slots] = False
+        merged[slots], merged[old] = new, keys
+        born[slots], born[old] = np.where(ok, -1, t), self.link_born
+        self.link_keys, self.link_born = merged, born
         self.log.malicious_links_created += int(np.count_nonzero(~ok))
 
     def _keys(self, links) -> np.ndarray:

@@ -86,6 +86,7 @@ class Ivcl:
         for a in (ids, indptr, keys):
             a.flags.writeable = False  # shared by copies
         self._keys = keys
+        self._spans = (None,)  # ``row_spans``' ids and answer, for these rows only
 
     def _row_starts(self, dtype):
         """``(lo, hi, starts)`` over about 16k keys at a time, so that no
@@ -150,6 +151,16 @@ class Ivcl:
         """The row of each of the registered ``vm_ids`` (an int array)."""
         self._sync()
         return self._row_of[vm_ids]
+
+    def row_spans(self, vm_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row start in ``row_keys``' keys, row size and ``row * span`` of each registered
+        ``vm_ids`` (intp), kept while the ids' values and the rows hold: do not change them."""
+        self._sync()
+        if self._spans[0] != vm_ids.tobytes():
+            rows = self._row_of[vm_ids]
+            lo = self._indptr[rows]
+            self._spans = (vm_ids.tobytes(), lo, self._indptr[rows + 1] - lo, rows * self._span)
+        return self._spans[1:]
 
     def is_registered(self, vm_id: int) -> bool:
         return self._row_index(vm_id) >= 0 or vm_id in self._pending

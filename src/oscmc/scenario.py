@@ -139,6 +139,11 @@ class Scenario:
             raise ScenarioError("power figures must satisfy pw_idle <= pw_min <= pw_max")
         if self.vuln_score_fixed is not None and not 0.0 <= self.vuln_score_fixed <= 10.0:
             raise ScenarioError("vuln_score_fixed must lie in [0, 10]")
+        # Per interval a run keeps ~1.6 KB of log, and a float64 of usage per VM.
+        if self.intervals > 2**18:
+            raise ScenarioError("intervals must be <= 2**18")
+        if self.intervals * self.vms > 2**27:
+            raise ScenarioError("intervals * vms must be <= 2**27 usage values")
         if self.window * self.hidden > 2**20:
             raise ScenarioError("window * hidden must be <= 2**20 weights per network")
         # Training holds (groups, rows, hidden) work arrays: a group is a flavor, or

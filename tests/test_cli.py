@@ -106,6 +106,8 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
         "window = 1000000000000",
         "hidden = 500000",
         "per_vm_models = true\nhidden = 500000",
+        "intervals = 1000000000",
+        "vms = 100000000\nservers = 1",
     ],
 )
 def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):

@@ -875,7 +875,7 @@ def test_suspended_benign_vm_leaves_the_kept_benign_list():
     assert sim.suspended == {1}
     rngs = [np.random.default_rng(5) for _ in range(2)]
     links = [
-        inject_malicious_behavior(1, sim.placement, [2, 5], benign, off, 1.0, 1.0, rng)
+        inject_malicious_behavior(sim.placement, [2, 5], benign, off, 1.0, 1.0, rng)
         for rng, benign, off in zip(
             rngs, (sim.benign_vm_ids, list(range(2, 13))), (sim.suspended, set())
         )
@@ -1047,6 +1047,48 @@ def test_array_link_insert_equals_per_link_dict_loop(data):
     _assert_same_links(sim, ref)
 
 
+def test_link_merge_edges():
+    """Batches into an empty store, with fresh keys all below, all above or
+    between the live ones, and with nothing fresh: after each, the keys are
+    strictly increasing int64, the births sit beside their keys as the
+    per-link loop gives them, and the two columns share no memory."""
+    sim = Simulation(small_scenario(policy="wosc", cross_user_auth_rate=0.2))
+    ref = _DictLinks(sim.ivcl)
+    from_6, from_12 = ((v, min(sim.ivcl.authorized_dsts(v))) for v in (6, 12))
+    batches = [
+        ("nothing fresh", [], []),
+        ("empty store", [(6, 7), (7, 6), (6, 7)], [from_6]),
+        ("below", [(2, 3), (1, 4), (2, 3)], []),
+        ("above", [(11, 12), (12, 1)], [from_12]),
+        ("between", [(3, 9), (6, 8), (9, 1), (6, 7)], []),
+        ("nothing fresh", [(6, 8), (1, 4)], [from_12, from_6]),
+    ]
+    for t, (edge, checked, authorised) in enumerate(batches):
+        before = sim.link_keys
+        batch = (np.array(links, np.intp).reshape(-1, 2) for links in (checked, authorised))
+        sim._add_links(*batch, t)
+        ref.add(checked, authorised, t)
+        keys, born = sim.link_keys, sim.link_born
+        assert keys.dtype == born.dtype == np.int64 and born.shape == keys.shape
+        assert (np.diff(keys) > 0).all() and not np.shares_memory(keys, born)
+        assert dict(zip(sim.live_links(), born.tolist())) == {
+            link: at if link in ref.unauthorised else -1 for link, at in ref.live.items()
+        }
+        fresh = np.setdiff1d(keys, before)
+        assert fresh.size == keys.size - before.size
+        if edge == "nothing fresh":
+            assert fresh.size == 0
+        elif edge == "empty store":
+            assert before.size == 0 and fresh.size == 3
+        elif edge == "below":
+            assert fresh.max() < before.min()
+        elif edge == "above":
+            assert fresh.min() > before.max()
+        else:  # each between two live keys, no two in one gap
+            gaps = np.searchsorted(before, fresh)
+            assert 0 < gaps.min() and gaps.max() < before.size and np.unique(gaps).size == 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40).flatmap(lambda v: st.tuples(st.just(v), st.integers(1, v))))
 def test_population_follows_the_array_split_of_vm_ids(vms_users):
@@ -1181,5 +1223,5 @@ def _derived_reads(p, servers, fleet, hostile, kept, mode, seed):
     except EmptyDataCenterError:
         metrics = None
     rng = np.random.default_rng(seed)
-    links = inject_malicious_behavior(0, p, hostile, kept, set(), 1.0, 1.0, rng)
+    links = inject_malicious_behavior(p, hostile, kept, set(), 1.0, 1.0, rng)
     return metrics, links.tolist()

@@ -151,24 +151,93 @@ def _as_passed(form, malicious, benign):
 @settings(max_examples=300, deadline=None)
 @given(linkgen_instances())
 def test_array_link_generation_equals_per_vm_loops(case):
-    placement, ivcl, suspended = case["placement"], case["ivcl"], case["suspended"]
-    benign_rate, colocated_rate, remote_rate = case["rates"]
-    malicious, benign = _as_passed(case["form"], case["malicious"], case["benign"])
-    rng, ref_rng = (np.random.default_rng(case["seed"]) for _ in range(2))
+    rngs = [np.random.default_rng(case["seed"]) for _ in range(2)]
     for _ in range(2):  # the stream must stay aligned from one interval to the next
-        attacks = inject_malicious_behavior(
-            0, placement, malicious, benign, suspended, colocated_rate, remote_rate, rng
-        )
-        assert _pairs(attacks) == reference_inject(
-            placement, case["malicious"], case["benign"], suspended,
-            colocated_rate, remote_rate, ref_rng,
-        )
-        links = benign_links(placement, benign, suspended, ivcl, benign_rate, rng)
-        rows = {vm: sorted(ivcl.authorized_dsts(vm)) for vm in case["benign"]}
-        assert _pairs(links) == reference_benign(
-            placement, case["benign"], suspended, rows, benign_rate, ref_rng
-        )
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        _assert_generators_equal_loops(case, case["suspended"], case["form"], *rngs)
+
+
+def _assert_generators_equal_loops(case, suspended, form, rng, ref_rng):
+    """One interval of both generators, with the VM lists passed in ``form``,
+    equals the per-VM loops and leaves the two streams in one state."""
+    placement, ivcl = case["placement"], case["ivcl"]
+    benign_rate, colocated_rate, remote_rate = case["rates"]
+    malicious, benign = _as_passed(form, case["malicious"], case["benign"])
+    attacks = inject_malicious_behavior(
+        placement, malicious, benign, suspended, colocated_rate, remote_rate, rng
+    )
+    assert _pairs(attacks) == reference_inject(
+        placement, case["malicious"], case["benign"], suspended,
+        colocated_rate, remote_rate, ref_rng,
+    )
+    links = benign_links(placement, benign, suspended, ivcl, benign_rate, rng)
+    rows = {vm: sorted(ivcl.authorized_dsts(vm)) for vm in case["benign"]}
+    assert _pairs(links) == reference_benign(
+        placement, case["benign"], suspended, rows, benign_rate, ref_rng
+    )
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def state_walks(draw):
+    """A placement and a log over VMs 1 to n, attackers of which one is also
+    listed as benign, and a sequence of changes to the placement, the
+    suspended set and the log."""
+    n = draw(st.integers(2, 12))
+    vms = list(range(1, n + 1))
+    servers = draw(st.integers(1, 4))
+    hosts = dict(
+        zip(vms, draw(st.lists(st.none() | st.integers(1, servers), min_size=n, max_size=n)))
+    )
+    malicious = sorted(draw(st.sets(st.sampled_from(vms), min_size=1)))
+    benign = sorted({v for v in vms if v not in malicious} | {malicious[0]})
+    pairs = st.tuples(st.sampled_from(vms), st.sampled_from(vms)).filter(
+        lambda p: p[0] != p[1]
+    )
+    vm, sid = st.sampled_from(vms), st.integers(1, servers)
+    changes = st.lists(
+        st.tuples(st.just("assign"), vm, sid)
+        | st.tuples(st.just("move"), vm, sid)
+        | st.tuples(st.just("remove"), vm)
+        | st.tuples(st.just("suspend"), st.sets(st.sampled_from(vms)))
+        | st.tuples(st.just("grant"), pairs),
+        min_size=1,
+        max_size=10,
+    )
+    return dict(
+        placement=_placement(hosts, servers),
+        malicious=malicious,
+        benign=benign,
+        ivcl=_log(vms, draw(st.sets(pairs, max_size=30))),
+        rates=draw(st.tuples(rates, rates, rates)),
+        changes=draw(changes),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_walks())
+def test_link_generation_follows_placement_suspension_and_log_changes(case):
+    """What link generation keeps between calls, per placement state,
+    attacker and unsuspended benign VMs, and per log state, is never served
+    stale: after each change (a VM assigned, moved or removed, another
+    suspended set, a grant after a query) both generators equal the per-VM
+    loops, with the random stream aligned."""
+    placement, ivcl = case["placement"], case["ivcl"]
+    rngs = [np.random.default_rng(case["seed"]) for _ in range(2)]
+    suspended: set[int] = set()
+    for kind, *args in [("query",)] + case["changes"]:
+        if kind in ("assign", "move", "remove"):
+            placed = placement.server_of(args[0]) is not None
+            if kind == "assign" and not placed:
+                placement.assign(args[0], DEMAND, args[1])
+            elif kind != "assign" and placed:
+                getattr(placement, kind)(*args)
+        elif kind == "suspend":
+            suspended = args[0]
+        elif kind == "grant":
+            ivcl.grant(*args[0])  # merged into the rows at the next query
+        # Id arrays of the same values at every call, as the engine passes them.
+        _assert_generators_equal_loops(case, suspended, "arrays", *rngs)
 
 
 @pytest.mark.parametrize(
@@ -192,7 +261,7 @@ def test_link_generation_over_empty_populations(malicious, suspended):
         hostile, benign_ids = _as_passed(form, malicious, benign)
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         attacks = inject_malicious_behavior(
-            0, placement, hostile, benign_ids, suspended, 1.0, 1.0, rng
+            placement, hostile, benign_ids, suspended, 1.0, 1.0, rng
         )
         assert _pairs(attacks) == reference_inject(
             placement, malicious, benign, suspended, 1.0, 1.0, ref
@@ -360,7 +429,7 @@ def test_remote_scan_wraps_and_skips_an_attacker_with_no_remote_victim(start):
         for form in ("lists", "arrays"):
             hostile, benign_ids = _as_passed(form, [1], benign)
             links = inject_malicious_behavior(
-                0, placement, hostile, benign_ids, set(), 0.0, 1.0, _Uniforms(draws)
+                placement, hostile, benign_ids, set(), 0.0, 1.0, _Uniforms(draws)
             )
             assert _pairs(links) == want
         ref = reference_inject(placement, [1], benign, set(), 0.0, 1.0, _Uniforms(draws))

@@ -191,6 +191,27 @@ def test_validate_bounds_the_training_arrays(knobs, named):
         Scenario(**knobs).validate()
 
 
+@pytest.mark.parametrize(
+    "knobs, named",
+    [
+        (dict(intervals=10**9), "intervals must be <= 2**18"),
+        (dict(intervals=2**18 + 1, vms=1), "intervals must be <= 2**18"),
+        (dict(intervals=2**13, vms=2**14 + 1), "intervals * vms"),
+        (dict(intervals=1, vms=2**27 + 1), "intervals * vms"),
+    ],
+)
+def test_validate_bounds_the_horizon_and_the_usage_array(knobs, named):
+    """Validation alone: nothing sized by the horizon is allocated."""
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        Scenario(**knobs).validate()
+
+
+def test_horizon_and_usage_array_at_the_ceiling_validate():
+    Scenario(intervals=2**18, vms=2**9).validate()
+    Scenario(intervals=2**13, vms=2**14, users=1).validate()
+    assert 2**18 * 2**9 == 2**13 * 2**14 == 2**27
+
+
 def test_training_arrays_at_the_ceiling_validate():
     Scenario(window=1, hidden=2**15).validate()  # 2 flavors * 256 rows * 2**15
     Scenario(vms=2**15, window=64, hidden=8, per_vm_models=True).validate()
