@@ -70,7 +70,9 @@ def kmeans(
     if n_clusters < 1 or n_clusters > vals.size:
         raise ClusterCountError("more clusters than points")
 
-    unique = np.unique(vals)
+    # np.unique(vals), one NaN kept, without the numpy.ma import it makes.
+    ordered = np.sort(vals)
+    unique = ordered[np.append(True, (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1]))]
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])

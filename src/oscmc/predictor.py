@@ -14,7 +14,9 @@ makes the same BLAS call per group and a network trained in a stack ends
 bit for bit where it would alone.  A single network is a stack of one.
 A network's parameters are one row of P = W*H + 2H + 1 values and a
 stack's one (G, P) buffer, so a descent step is one multiply and one
-subtract; training writes every work array of an epoch in place.
+subtract.  One loop, ``_descend``, runs every epoch: it allocates its work
+arrays once, reads numpy's functions from local names and enters one
+``errstate`` for all its epochs, and writes every array in place.
 """
 
 from __future__ import annotations
@@ -28,14 +30,20 @@ class InsufficientHistoryError(Exception):
     """Training or prediction was asked for with too short a series."""
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _logistic(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)), computed in place in ``z``.  Below z = -709, exp
-    overflows to inf and the sigmoid saturates at 0, as it should."""
+    overflows to inf and the result saturates at 0, as it should; the caller
+    decides whether that overflow warns."""
     np.negative(z, out=z)
-    with np.errstate(over="ignore"):
-        np.exp(z, out=z)
+    np.exp(z, out=z)
     z += 1.0
     return np.divide(1.0, z, out=z)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """``_logistic`` with its overflow ignored."""
+    with np.errstate(over="ignore"):
+        return _logistic(z)
 
 
 def _views(theta: np.ndarray, window: int, hidden: int):
@@ -50,53 +58,48 @@ def _views(theta: np.ndarray, window: int, hidden: int):
     )
 
 
-def _forward(xn, w1, b1, w2, b2, h=None, out=None):
-    """Hidden activations (G, n, H) and outputs (G, n, 1) of G stacked networks
-    on normalised inputs ``xn`` (G, n, W), into ``h`` and ``out`` if given."""
-    h = np.matmul(xn, w1, out=h)
-    h += b1
-    _sigmoid(h)
-    out = np.matmul(h, w2, out=out)
-    out += b2
-    return h, out
-
-
-class _Stack:
-    """G networks of one shape on their normalised rows ``xn`` (G, n, W) and
-    ``yn`` (G, n): the parameters ``theta`` (G, P), the gradients ``grad``
-    in the same layout, and every work array of an epoch allocated once."""
-
-    def __init__(self, theta, window, hidden, xn, yn):
-        g, n = yn.shape
-        self.theta, self.grad, self.xn, self.yn, self.n = theta, np.empty_like(theta), xn, yn, n
-        self.params = _views(theta, window, hidden)
-        self.grads = _views(self.grad, window, hidden)
-        self.w2_row = self.params[2].transpose(0, 2, 1)
-        self.xn_t = xn.transpose(0, 2, 1)
-        self.h, self.dz, self.tmp = (np.empty((g, n, hidden)) for _ in range(3))
-        self.h_t = self.h.transpose(0, 2, 1)
-        self.out, self.dout, self.err = np.empty((g, n, 1)), np.empty((g, n, 1)), np.empty((g, n))
-
-    def forward(self) -> None:
-        _forward(self.xn, *self.params, self.h, self.out)
-        np.subtract(self.out[:, :, 0], self.yn, out=self.err)
-
-    def backward(self) -> None:
-        """Gradients of each mean loss 0.5*(out - y)^2 at the last forward, into ``grad``."""
-        dw1, db1, dw2, db2 = self.grads
-        h, dout, dz = self.h, self.dout, self.dz
-        np.divide(self.err[:, :, None], self.n, out=dout)
-        np.matmul(self.h_t, dout, out=dw2)
-        np.add.reduce(dout, axis=1, keepdims=True, out=db2)
-        np.multiply(dout, self.w2_row, out=dz)
-        dz *= h
-        dz *= np.subtract(1.0, h, out=self.tmp)
-        np.matmul(self.xn_t, dz, out=dw1)
-        np.add.reduce(dz, axis=1, keepdims=True, out=db1)
-
-    def loss(self) -> np.ndarray:
-        """Each network's loss at the last forward pass."""
-        return 0.5 * np.mean(self.err**2, axis=1)
+def _descend(theta, window, hidden, xn, yn, epochs=0, lr=0.0):
+    """``epochs`` full-batch descent steps of rate ``lr`` for the G networks
+    whose parameters are the rows of ``theta`` (G, P), in place, on their
+    normalised rows ``xn`` (G, n, W) and ``yn`` (G, n).  Each step follows a
+    forward pass and a backward pass for the gradients of each mean loss
+    0.5*(out - y)^2; ``epochs = 0`` makes one pass of each and no step.
+    Returns the gradients (G, P) and each network's loss at the last pass."""
+    g, n = yn.shape
+    w1, b1, w2, b2 = _views(theta, window, hidden)
+    grad, step = np.empty_like(theta), np.empty_like(theta)
+    dw1, db1, dw2, db2 = _views(grad, window, hidden)
+    w2_row, xn_t = w2.transpose(0, 2, 1), xn.transpose(0, 2, 1)
+    h, dz, tmp = (np.empty((g, n, hidden)) for _ in range(3))
+    out, dout, err = np.empty((g, n, 1)), np.empty((g, n, 1)), np.empty((g, n))
+    h_t, out_col, err_col, db1_row = h.transpose(0, 2, 1), out[:, :, 0], err[:, :, None], db1[:, 0]
+    matmul, multiply, subtract, divide = np.matmul, np.multiply, np.subtract, np.divide
+    add_reduce, einsum, logistic = np.add.reduce, np.einsum, _logistic
+    with np.errstate(over="ignore"):
+        for _ in range(max(epochs, 1)):
+            matmul(xn, w1, out=h)
+            h += b1
+            logistic(h)
+            matmul(h, w2, out=out)
+            out += b2
+            subtract(out_col, yn, out=err)
+            divide(err_col, n, out=dout)
+            matmul(h_t, dout, out=dw2)
+            add_reduce(dout, axis=1, keepdims=True, out=db2)
+            multiply(dout, w2_row, out=dz)
+            dz *= h
+            dz *= subtract(1.0, h, out=tmp)
+            matmul(xn_t, dz, out=dw1)
+            # einsum sums each column along n in the reduce's order, except
+            # at H = 1, where the column is contiguous and the reduce pairwise.
+            if hidden > 1:
+                einsum("gnh->gh", dz, out=db1_row)
+            else:
+                add_reduce(dz, axis=1, keepdims=True, out=db1)
+            if epochs > 0:
+                multiply(lr, grad, out=step)
+                theta -= step
+    return grad, 0.5 * np.mean(err**2, axis=1)
 
 
 class PredictorModel:
@@ -163,7 +166,12 @@ class PredictorModel:
 
     def _outputs(self, xn: np.ndarray) -> np.ndarray:
         """Outputs (n,) for normalised inputs (n, W)."""
-        return _forward(xn[None], *self._views())[1][0, :, 0]
+        w1, b1, w2, b2 = self._views()
+        h = np.matmul(xn[None], w1)
+        h += b1
+        out = np.matmul(_sigmoid(h), w2)
+        out += b2
+        return out[0, :, 0]
 
     def predict(self, window_values) -> float:
         """Forecast the next sample from the last ``window`` raw samples."""
@@ -210,6 +218,8 @@ def train_on_windows(
     (at the given weights for ``epochs = 0``), or one per model for a list.
     """
     group = [models] if isinstance(models, PredictorModel) else list(models)
+    if not group:
+        raise ValueError("need at least one model")
     first = group[0]
     spec = (first.window, first.hidden, first.learning_rate)
     if any((m.window, m.hidden, m.learning_rate) != spec for m in group):
@@ -217,25 +227,18 @@ def train_on_windows(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     g = len(group)
-    if x.ndim != 2 or x.shape[1] != first.window or len(x) % g or y.shape != (len(x),):
+    n, rest = divmod(len(x), g)
+    if x.ndim != 2 or x.shape[1] != first.window or y.shape != (len(x),) or rest or not n:
         raise ValueError(
-            "need x of shape (%d*n, %d) and y of shape (%d*n,)" % (g, first.window, g)
+            "need x of shape (%d*n, %d) and y of shape (%d*n,), n >= 1" % (g, first.window, g)
         )
     xn = np.stack([m._norm(rows) for m, rows in zip(group, x.reshape(g, -1, first.window))])
     yn = np.stack([m._norm(rows) for m, rows in zip(group, y.reshape(g, -1))])
     theta = np.stack([m.theta for m in group])
-    stack = _Stack(theta, first.window, first.hidden, xn, yn)
-    lr, step = first.learning_rate, np.empty_like(theta)
-    for _ in range(epochs):
-        stack.forward()
-        stack.backward()
-        np.multiply(lr, stack.grad, out=step)
-        theta -= step
-    if not epochs:
-        stack.forward()
+    loss = _descend(theta, first.window, first.hidden, xn, yn, epochs, first.learning_rate)[1]
     for m, row in zip(group, theta):
         m.theta = row
-    losses = stack.loss().tolist()
+    losses = loss.tolist()
     return losses[0] if isinstance(models, PredictorModel) else losses
 
 
@@ -259,11 +262,9 @@ def gradient_check(
     g, rows = 2 * p + 1, np.arange(2 * p)
     probes = np.repeat(model.theta[None], g, axis=0)
     probes[rows + 1, rows // 2] += np.tile([step, -step], p)
-    stack = _Stack(probes, model.window, model.hidden, xn.repeat(g, 0), yn.repeat(g, 0))
-    stack.forward()
-    stack.backward()
-    analytic = stack.grad[0]
-    up, down = stack.loss()[1:].reshape(p, 2).T
+    grad, loss = _descend(probes, model.window, model.hidden, xn.repeat(g, 0), yn.repeat(g, 0))
+    analytic = grad[0]
+    up, down = loss[1:].reshape(p, 2).T
     numeric = (up - down) / (2.0 * step)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

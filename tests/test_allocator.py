@@ -2,6 +2,10 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,9 +13,11 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import oscmc
 from oscmc.allocator import (
     ClusterCountError,
     PlacementInfeasibleError,
+    _lloyd,
     ffd_place,
     first_fit_place,
     kmeans,
@@ -97,6 +103,69 @@ def test_kmeans_is_deterministic_per_seed():
     a = kmeans(values, 3, seed=5)
     b = kmeans(values, 3, seed=5)
     assert a.labels == b.labels and a.centroids == b.centroids
+
+
+def _reference_kmeans(values, n_clusters, seed=0, restarts=10, max_iter=100):
+    """``kmeans`` as it was when it drew its seeds from ``np.unique``."""
+    vals = np.asarray(list(values), dtype=float)
+    unique = np.unique(vals)
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        if unique.size >= n_clusters:
+            init = rng.choice(unique, size=n_clusters, replace=False)
+        else:
+            extra = rng.choice(vals, size=n_clusters - unique.size, replace=True)
+            init = np.concatenate([unique, extra])
+        labels, cents, objective, trace = _lloyd(vals, init.astype(float), max_iter)
+        if best is None or objective < best[2]:
+            best = (labels, cents, objective, trace)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # Few distinct values, so draws repeat; both zeros and NaN sort and
+    # compare apart from the rest.
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0, 1e150, -3.0, float("nan")]),
+        min_size=1,
+        max_size=12,
+    )
+    | st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+)
+def test_kmeans_equals_the_np_unique_version(values, k, seed):
+    if k > len(values):
+        return
+    result = kmeans(values, k, seed=seed, restarts=3)
+    labels, cents, objective, trace = _reference_kmeans(values, k, seed, restarts=3)
+    assert result.labels == labels.tolist()
+    assert np.array(result.centroids).tobytes() == cents.tobytes()
+    assert np.array(result.objective_trace).tobytes() == np.array(trace).tobytes()
+
+
+def test_kmeans_leaves_numpy_ma_unimported():
+    """A plain ``np.unique`` imports ``numpy.ma`` (about 1 MB) on its first call."""
+    code = (
+        "import sys\n"
+        "from oscmc.allocator import kmeans\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "kmeans([3.0, 1.0, 1.0, 2.0, 9.0], 2)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(oscmc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.split() == ["False"]
 
 
 def test_ffd_sorts_by_bandwidth_then_id():

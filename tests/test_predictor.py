@@ -258,6 +258,31 @@ def test_buffered_training_equals_the_reference_loop(problem):
 
 
 @pytest.mark.parametrize(
+    "hidden, rows", [(8, 100), (8, 200), (8, 256), (1, 256)], ids=["n100", "n200", "n256", "h1"]
+)
+def test_workload_shaped_training_equals_the_reference_loop(hidden, rows):
+    """The shapes the workloads train: two groups of window 6 for 200 epochs,
+    each on the windows of a random walk of bandwidth.  At H = 1 the
+    hidden-bias gradient takes the reduce, not einsum; the two differ in the
+    last bits of some draws only, so each shape is trained on four."""
+    for trial in range(4):
+        rng = np.random.default_rng([rows, hidden, trial])
+        walks = [np.abs(500.0 + np.cumsum(rng.normal(0.0, 40.0, rows + 6))) for _ in range(2)]
+        x, y = (np.concatenate(parts) for parts in zip(*(make_windows(w, 6) for w in walks)))
+        models = [PredictorModel(6, hidden, 0.05, seed=seed) for seed in (11, 12)]
+        for i, model in enumerate(models):
+            block = slice(i * rows, (i + 1) * rows)
+            model.set_bounds(np.concatenate([x[block].ravel(), y[block]]))
+        w1, b1, w2, b2, trace = reference_train_on_windows(models, x, y, 200)
+        losses = train_on_windows(models, x, y, epochs=200)
+        assert losses == list(trace[-1])
+        assert np.stack([m.w1 for m in models]).tobytes() == w1.tobytes()
+        assert np.stack([m.b1 for m in models]).tobytes() == b1.tobytes()
+        assert np.stack([m.w2 for m in models]).tobytes() == w2.tobytes()
+        assert np.array([m.b2 for m in models]).tobytes() == b2.tobytes()
+
+
+@pytest.mark.parametrize(
     "other",
     [
         PredictorModel(window=5, hidden=3, seed=1),
@@ -277,6 +302,16 @@ def test_stacked_training_rejects_rows_that_do_not_split_evenly():
     models = [PredictorModel(window=4, seed=i) for i in range(2)]
     with pytest.raises(ValueError):
         train_on_windows(models, np.ones((3, 4)), np.ones(3), epochs=1)
+
+
+def test_training_rejects_zero_rows_and_an_empty_model_list():
+    models = [PredictorModel(window=4, seed=i) for i in range(2)]
+    with pytest.raises(ValueError):
+        train_on_windows(models, np.ones((0, 4)), np.ones(0), epochs=1)
+    with pytest.raises(ValueError):
+        train_on_windows(models[0], np.ones((0, 4)), np.ones(0), epochs=0)
+    with pytest.raises(ValueError):
+        train_on_windows([], np.ones((2, 4)), np.ones(2), epochs=1)
 
 
 def test_gradient_check_on_shipped_shape():
