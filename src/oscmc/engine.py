@@ -75,8 +75,11 @@ log = logging.getLogger("oscmc.engine")
 EVENTS_CSV_HEADER = "interval,kind,attacker,victim,servers"
 
 
-# Cross-user pairs drawn per set-up call: 4 MB of uniforms.
-_DRAW_BLOCK = 1 << 19
+# Cross-user pairs drawn per set-up call: 1 MB of uniforms.
+_DRAW_BLOCK = 1 << 17
+# Room in the log for this many standard deviations of the grant count
+# above its expected value, before the log has to grow.
+_GRANT_SLACK = 8
 
 
 class SimulationError(Exception):
@@ -255,29 +258,42 @@ def with_cross_user_grants(
     The pairs are drawn in blocks of source rows, each block in one call
     over its cross-user pairs in (a, b) id order.  Consecutive draws equal
     one long draw, so each pair gets the same number as in a pairwise
-    enumeration, and a block's uniforms stay a few MB.  No draw is made
-    when ``rate`` is 0.
+    enumeration, and a block's uniforms stay about 1 MB.  Each block's
+    grants are written as the log's keys into one array, sized for the
+    expected count and grown only if the draws exceed it, which the log
+    then keeps.  No draw is made when ``rate`` is 0.
     """
     if rate == 0:
         return base
     ids, base_ptr, base_dsts = base.csr()
     base_cols = base.rows_of(base_dsts)
-    counts = np.zeros(ids.size, dtype=np.int64)
-    blocks = []
-    step = max(1, _DRAW_BLOCK // max(ids.size, 1))
-    for r0 in range(0, ids.size, step):
-        r1 = min(r0 + step, ids.size)
+    span = base.row_keys()[2]
+    n = ids.size
+    counts = np.zeros(n, dtype=np.int64)
+    # The expected grant count or more: the base's grants and ``rate`` of every other pair.
+    expect = base_dsts.size + rate * (n * (n - 1) - base_dsts.size)
+    room = max(0, int(expect + _GRANT_SLACK * (np.sqrt(expect) + 8)))
+    keys = np.empty(room, Ivcl.key_dtype(span))
+    at = 0
+    step = max(1, _DRAW_BLOCK // max(n, 1))
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
         cross = owner[r0:r1, None] != owner
         granted = np.zeros(cross.shape, dtype=bool)
         granted[cross] = rng.random(np.count_nonzero(cross)) < rate
         lo, hi = base_ptr[r0], base_ptr[r1]
         base_rows = np.repeat(np.arange(r1 - r0), np.diff(base_ptr[r0 : r1 + 1]))
         granted[base_rows, base_cols[lo:hi]] = True
-        rows, cols = np.divmod(np.flatnonzero(granted), ids.size)
+        rows, cols = np.divmod(np.flatnonzero(granted), n)
         counts[r0:r1] = np.bincount(rows, minlength=r1 - r0)
-        blocks.append(ids[cols].astype(np.int32))
+        if at + rows.size > keys.size:  # more grants than the slack allows for
+            keys = np.concatenate((keys[:at], np.empty(max(rows.size, keys.size // 2), keys.dtype)))
+        rows += r0
+        rows *= span
+        np.add(rows, ids[cols], out=keys[at : at + rows.size], casting="unsafe")
+        at += rows.size
         del rows, cols  # freed before the next block's draws
-    return Ivcl(ids, np.concatenate(([0], np.cumsum(counts))), *blocks)
+    return Ivcl(ids, np.concatenate(([0], np.cumsum(counts))), keys[:at])
 
 
 @dataclass
@@ -375,10 +391,11 @@ class Simulation:
 
         self._build_fleet()
         hostile_users = self._build_population()
+        # Placement draws nothing: an infeasible fleet fails before the O(V**2) log.
+        self._initial_placement()
         self._build_ivcl()
         self._build_usage(np.random.default_rng(s_workload), trace)
         self._build_models(s_models, s_train)
-        self._initial_placement()
         # In placement row order: every later placement is this one or a copy.
         self.fleet = Fleet(self.servers, self.placement)
 

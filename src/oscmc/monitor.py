@@ -56,48 +56,40 @@ class Ivcl:
     search of them, and ``csr`` derives the destinations on demand.
     ``register`` and ``grant`` collect changes that the next query merges
     into the rows, so a log can still be stated grant by grant, or the rows
-    can be built in bulk and passed in.
+    can be built in bulk and passed in as keys.
 
     Every VM admitted to the data centre is registered here, possibly with an
     empty row.  The log is treated as immutable after set-up; the engine
     relies on it.
     """
 
-    def __init__(self, ids=(), indptr=(0,), *indices):
+    def __init__(self, ids=(), indptr=(0,), keys=()):
         """An empty log, or one over ``ids`` (ascending) whose rows are
-        already built: their destinations ``indices``, in one array or in
-        consecutive pieces.  ``ids`` and ``indptr`` are kept, not copied, and
-        become read-only."""
-        self._set_rows(np.asarray(ids, np.int64), np.asarray(indptr, np.int64), indices)
+        already built as ``row_keys`` gives them: ``span`` is one past the
+        largest id, and each destination is one of ``ids``.  Arrays of the
+        log's dtypes (``int64`` ids and indptr, ``key_dtype(span)`` keys) are
+        kept, not copied, and become read-only."""
+        self._set_rows(np.asarray(ids, np.int64), np.asarray(indptr, np.int64), keys)
         # Registrations and grants not yet merged into the rows.
         self._pending: dict[int, set[int]] = {}
 
-    def _set_rows(self, ids, indptr, pieces) -> None:
+    @staticmethod
+    def key_dtype(span: int):
+        """``int32`` while every key ``row * span + dst`` fits, else ``int64``."""
+        return np.int32 if span**2 < 2**31 else np.int64
+
+    def _set_rows(self, ids, indptr, keys) -> None:
         self._ids, self._indptr = ids, indptr
         # Row by VM id, -1 if unregistered, as ``Placement`` indexes hosts;
         # the last slot, past every id, stays -1.
         self._row_of = np.full(int(ids.max(initial=-1)) + 2, -1, np.intp)
         self._row_of[ids] = np.arange(ids.size)
-        self._span = 1 + int(max([ids.max(initial=0)] + [np.max(p, initial=0) for p in pieces]))
-        dtype = np.int32 if self._span**2 < 2**31 else np.int64
-        keys = np.concatenate([np.empty(0, dtype)] + [np.asarray(p, dtype) for p in pieces])
-        for lo, hi, starts in self._row_starts(dtype):
-            keys[lo:hi] += starts
+        self._span = 1 + int(ids.max(initial=0))
+        keys = np.asarray(keys, self.key_dtype(self._span))
         for a in (ids, indptr, keys):
             a.flags.writeable = False  # shared by copies
         self._keys = keys
         self._spans = (None,)  # ``row_spans``' ids and answer, for these rows only
-
-    def _row_starts(self, dtype):
-        """``(lo, hi, starts)`` over about 16k keys at a time, so that no
-        temporary spans the log: ``i * span`` for each key ``keys[lo:hi]`` of
-        row ``i``."""
-        ptr, n = self._indptr, self._ids.size
-        step = max(1, (n << 14) // max(int(ptr[-1]), 1))
-        for r0 in range(0, n, step):
-            r1 = min(r0 + step, n)
-            starts = np.arange(r0, r1, dtype=dtype) * self._span
-            yield ptr[r0], ptr[r1], np.repeat(starts, np.diff(ptr[r0 : r1 + 1]))
 
     def register(self, vm_id: int) -> None:
         if vm_id < 0:
@@ -120,10 +112,11 @@ class Ivcl:
         for row, vm in enumerate(ids.tolist()):
             rows.setdefault(vm, set()).update(old[ptr[row] : ptr[row + 1]].tolist())
         ids = sorted(rows)
-        dsts = [sorted(rows[vm]) for vm in ids]
-        indptr = np.cumsum([0] + [len(d) for d in dsts], dtype=np.int64)
-        indices = np.fromiter(chain.from_iterable(dsts), np.int32, int(indptr[-1]))
-        self._set_rows(np.array(ids, np.int64), indptr, [indices])
+        span = 1 + ids[-1] if ids else 1
+        keys = [[row * span + dst for dst in sorted(rows[vm])] for row, vm in enumerate(ids)]
+        indptr = np.cumsum([0] + [len(k) for k in keys], dtype=np.int64)
+        keys = np.fromiter(chain.from_iterable(keys), self.key_dtype(span), int(indptr[-1]))
+        self._set_rows(np.array(ids, np.int64), indptr, keys)
 
     def _row_index(self, vm_id: int) -> int:
         """The row of ``vm_id`` among the merged rows, -1 if it has none."""
@@ -137,8 +130,7 @@ class Ivcl:
         """``(ids, indptr, indices)``, read-only; ``indices`` derived per call."""
         self._sync()
         indices = np.empty(self._keys.size, np.int32)
-        for lo, hi, starts in self._row_starts(self._keys.dtype):
-            indices[lo:hi] = self._keys[lo:hi] - starts
+        np.remainder(self._keys, self._span, out=indices, casting="unsafe")
         indices.flags.writeable = False
         return self._ids, self._indptr, indices
 
@@ -201,7 +193,8 @@ class Ivcl:
         return frozenset(self._ids.tolist())
 
     def copy(self) -> "Ivcl":
-        return Ivcl(*self.csr())
+        self._sync()
+        return Ivcl(self._ids, self._indptr, self._keys)
 
 
 def classify_link(link: LinkEnds, ivcl: Ivcl) -> int:

@@ -155,6 +155,10 @@ class Scenario:
             raise ScenarioError("train_sample * hidden times the %s must be <= 2**24" % what)
         if self.per_vm_models and self.vms * self.window * self.hidden > 2**24:
             raise ScenarioError("vms * window * hidden must be <= 2**24 under per_vm_models")
+        # The authorised-link log holds an int32 key per grant below 46341 VMs, and
+        # set-up draws a uniform per cross-user pair: 2**25 is 128 MiB, about 5 s.
+        if self.cross_user_auth_rate * self.vms**2 > 2**25:
+            raise ScenarioError("cross_user_auth_rate * vms**2 must be <= 2**25 expected grants")
         if not self.learning_rate > 0:
             raise ScenarioError("learning_rate must be > 0")
         if self.power_mode not in ("mean", "cpu"):

@@ -169,7 +169,8 @@ def fit_trace_to_vms(
     Trace VMs are assigned round-robin in sorted-name order; series shorter
     than the horizon repeat cyclically.  With ``rescale`` each series is
     scaled so its mean matches the VM's nominal bandwidth, preserving shape
-    while keeping magnitudes consistent with the configured flavors.
+    while keeping magnitudes consistent with the configured flavors; an
+    all-zero series takes the nominal bandwidth throughout.
     """
     nominal_bw = np.asarray(nominal_bw, dtype=float)
     keys = sorted(trace.series)
@@ -180,8 +181,8 @@ def fit_trace_to_vms(
         if rescale:
             with np.errstate(over="ignore"):  # a sum past the float maximum, or a tiny mean
                 mean = col.mean()
-                scale = nominal / mean if mean > 0 else nominal
-            if not mean > 0:
+                scale = nominal / mean if mean > 0 else math.inf
+            if not col.any():
                 col = nominal
             elif math.isfinite(mean) and math.isfinite(scale):
                 col = col * scale

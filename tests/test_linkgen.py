@@ -330,7 +330,21 @@ def test_log_build_equals_pairwise_reference(sc, block):
     intra-user pair and the cross-user pairs of one draw per pair in (a, b)
     id order, and leaves the set-up stream where that draw does."""
     with mock.patch.object(engine, "_DRAW_BLOCK", block):
-        sim = Simulation(sc)
+        _assert_pairwise_log(sc, Simulation(sc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(populations(), st.integers(1, 40))
+def test_log_that_outgrows_its_room_equals_pairwise_reference(sc, block):
+    """With no room reserved, every block that grants anything grows the
+    log's key array, and the log is still the pairwise reference's."""
+    with mock.patch.object(engine, "_DRAW_BLOCK", block), \
+            mock.patch.object(engine, "_GRANT_SLACK", -(2**40)):
+        _assert_pairwise_log(sc, Simulation(sc))
+
+
+def _assert_pairwise_log(sc, sim):
+    """``sim``'s log and set-up stream are those of a pairwise draw for ``sc``."""
     ids = range(1, sc.vms + 1)
     if sc.fixed_users:
         owners = {vm: uid for uid, vms in sc.fixed_users.items() for vm in vms}
@@ -484,16 +498,18 @@ def _assert_check(want, run):
 
 def _assert_round_trips(ivcl):
     """``csr`` gives read-only ``(ids, indptr, int32 indices)``, and a log
-    built from those rows, whole or in pieces, gives them back."""
+    built from the rows as ``row_keys`` gives them, or as a copy, keeps the
+    keys without copying them and gives the same rows back."""
     ids, indptr, indices = ivcl.csr()
     assert (ids.dtype, indptr.dtype, indices.dtype) == (np.int64, np.int64, np.int32)
     assert not any(a.flags.writeable for a in (ids, indptr, indices))
-    cut = len(indices) // 3
-    for pieces in ([indices], [indices[:cut], indices[cut:]], []):
-        if not pieces and len(indices):
-            continue
-        again = Ivcl(ids, indptr, *pieces).csr()
-        assert [a.tolist() for a in again] == [ids.tolist(), indptr.tolist(), indices.tolist()]
+    _indptr, keys, span = ivcl.row_keys()
+    rows = np.repeat(np.arange(ids.size), np.diff(indptr))
+    assert (keys == rows * span + indices).all()
+    for again in (Ivcl(ids, indptr, keys), ivcl.copy()):
+        assert again.row_keys()[1] is keys
+        got = again.csr()
+        assert [a.tolist() for a in got] == [ids.tolist(), indptr.tolist(), indices.tolist()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -530,7 +546,7 @@ def test_batch_check_over_empty_logs_and_rows():
     for src, dst in ([0], [0]), ([-1], [-1]), ([1], [2]):
         with pytest.raises(UnregisteredVmError):
             empty.authorized(np.array(src), np.array(dst))
-    assert Ivcl([1, 2], [0, 0, 0], []).authorized([1, 2], [2, 1]).tolist() == [False] * 2
+    assert Ivcl([1, 2], [0, 0, 0]).authorized([1, 2], [2, 1]).tolist() == [False] * 2
     ivcl = _log([3, 7, 900], [])  # registered, every row empty
     assert ivcl.authorized(np.array([3, 7, 900]), np.array([7, 900, 3])).tolist() == [False] * 3
     for src, dst in ([3], [-1]), ([-1], [3]), ([3], [4]), ([901], [3]), ([3, 7], [7, 8]):

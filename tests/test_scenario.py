@@ -214,8 +214,22 @@ def test_horizon_and_usage_array_at_the_ceiling_validate():
 
 def test_training_arrays_at_the_ceiling_validate():
     Scenario(window=1, hidden=2**15).validate()  # 2 flavors * 256 rows * 2**15
-    Scenario(vms=2**15, window=64, hidden=8, per_vm_models=True).validate()
+    # At the default rate, 2**15 VMs expect more authorised links than validate allows.
+    Scenario(vms=2**15, window=64, hidden=8, per_vm_models=True, cross_user_auth_rate=0).validate()
     assert 2 * 256 * 2**15 == 2**15 * 64 * 8 == 2**24
+
+
+def test_validate_bounds_the_expected_log():
+    """Validation alone: no log is drawn, so nothing large is allocated."""
+    with pytest.raises(ScenarioError, match=re.escape("cross_user_auth_rate * vms**2")):
+        Scenario(vms=2**13 + 1, intervals=1, cross_user_auth_rate=0.5).validate()
+    with pytest.raises(ScenarioError, match=re.escape("cross_user_auth_rate * vms**2")):
+        Scenario(vms=10**6, intervals=1).validate()
+    Scenario(vms=2**13, intervals=1, cross_user_auth_rate=0.5).validate()  # 2**25 exactly
+    Scenario(vms=10**6, intervals=1, cross_user_auth_rate=0).validate()
+    for build in PRESETS.values():
+        sc = build()
+        assert 256 * sc.cross_user_auth_rate * sc.vms**2 <= 2**25  # far inside
 
 
 # Each defect of a fixed structure, by the knob the error names.

@@ -153,15 +153,18 @@ def test_fitted_trace_bandwidth_is_the_three_resource_fits_column(trace, nominal
     """Mapping a trace onto nominal bandwidth alone gives, bit for bit, the
     bandwidth column of the three-resource fit, rescaled or not.  A tiny
     mean overflows the reference's scale factor to an infinite or nan
-    column; there the fit must stay finite instead (see
-    test_rescaled_bandwidth_keeps_the_nominal_mean)."""
+    column, and one that rounds to 0 flattens a series that is not all zero
+    to the nominal bandwidth; there the fit keeps a finite column of the
+    series' shape instead (see test_rescaled_bandwidth_keeps_the_nominal_mean)."""
     nominals = np.array(nominals)
     usage = fit_trace_to_vms(trace, nominals[:, 2], intervals, rescale)
     with np.errstate(over="ignore", invalid="ignore"):
         want = reference_fit_trace_to_vms(trace, nominals, intervals, rescale)[..., 2]
-    finite = np.isfinite(want).all(axis=0)
+        raw = reference_fit_trace_to_vms(trace, nominals, intervals, rescale=False)[..., 2]
+        flattened = rescale & raw.any(axis=0) & (raw.mean(axis=0) == 0)
+    kept = np.isfinite(want).all(axis=0) & ~flattened
     assert usage.shape == want.shape and np.isfinite(usage).all()
-    assert usage[:, finite].tobytes() == want[:, finite].tobytes()
+    assert usage[:, kept].tobytes() == want[:, kept].tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -177,13 +180,14 @@ def test_rescaled_bandwidth_keeps_the_nominal_mean(bw, nominal):
     """Any finite non-negative series that is not all zero, subnormal or near
     the float maximum, rescales to a finite column whose mean is the nominal
     bandwidth, with no RuntimeWarning (the suite turns one into an error).
-    Where the mean and the plain ``col * (nominal / mean)`` are finite, the
-    column is that bit for bit, as before (a mean that rounds to 0 gives the
-    nominal bandwidth throughout, as a zero series does); a tiny mean
-    used to overflow that scale to inf, and a sum overflowing to inf used to
-    scale the column to zeros.  Nominals below 1e-3 are not drawn: a series
-    whose mean is near the float maximum then has a subnormal scale, whose
-    few bits cannot carry the mean to 1e-9."""
+    Where the mean is positive and it and the plain ``col * (nominal / mean)``
+    are finite, the column is that bit for bit, as before; a tiny mean used
+    to overflow that scale to inf, a sum overflowing to inf used to scale
+    the column to zeros, and a mean that rounds to 0 used to give the
+    nominal bandwidth throughout, as only a zero series does.  Nominals
+    below 1e-3 are not drawn: a series whose mean is near the float maximum
+    then has a subnormal scale, whose few bits cannot carry the mean to
+    1e-9."""
     col = np.array(bw)
     trace = TraceData({"vm": np.column_stack([np.zeros_like(col), np.zeros_like(col), col])})
     usage = fit_trace_to_vms(trace, np.array([nominal]), col.size)[:, 0]
@@ -191,9 +195,22 @@ def test_rescaled_bandwidth_keeps_the_nominal_mean(bw, nominal):
     assert math.isclose(usage.mean(), nominal, rel_tol=1e-9)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = col.mean()
-        before = col * (nominal / mean) if mean > 0 else np.full_like(col, nominal)
-    if math.isfinite(mean) and np.isfinite(before).all():
+        before = col * (nominal / mean) if 0 < mean < math.inf else None
+    if before is not None and np.isfinite(before).all():
         assert usage.tobytes() == before.tobytes()
+
+
+def test_a_series_whose_mean_rounds_to_zero_keeps_its_shape():
+    """``[0, 5e-324]`` has a mean that rounds to 0, but it is not all zero:
+    scaled over its maximum, it keeps its shape at the nominal mean, where it
+    used to be flattened to the nominal bandwidth.  An all-zero series still
+    takes the nominal bandwidth throughout."""
+    bw = {"tiny": [0.0, 5e-324], "zero": [0.0, 0.0]}
+    trace = TraceData({
+        name: np.column_stack([np.zeros(2), np.zeros(2), col]) for name, col in bw.items()
+    })
+    usage = fit_trace_to_vms(trace, np.array([1000.0, 1000.0]), 2)
+    assert usage.T.tolist() == [[0.0, 2000.0], [1000.0, 1000.0]]
 
 
 def test_synthetic_usage_shape_and_determinism():
