@@ -114,7 +114,7 @@ def inject_malicious_behavior(
     placement: Placement,
     malicious_vms,
     benign_vms,
-    suspended: set[int],
+    suspended,
     colocated_rate: float,
     remote_rate: float,
     rng: np.random.Generator,
@@ -124,9 +124,9 @@ def inject_malicious_behavior(
 
     Exactly four draws are consumed per hostile VM whether or not a link
     results, keeping the random stream aligned across policies; intents of
-    suspended VMs are discarded after drawing.  All are drawn in one call,
-    which equals one call of four per VM.  VM ids are distinct and
-    non-negative, given as sequences or int arrays.
+    ``suspended`` VMs are discarded after drawing.  All are drawn in one
+    call, which equals one call of four per VM.  VM ids are distinct and
+    non-negative, given as sequences, sets or int arrays.
 
     Returns an ``(n, 2)`` intp array of (attacker, victim) rows.  The
     co-located victim is the drawn one of the unsuspended benign VMs on
@@ -209,7 +209,7 @@ def _first_on_ring(start, size, ok) -> np.ndarray:
 def benign_links(
     placement: Placement,
     benign_vms,
-    suspended: set[int],
+    suspended,
     ivcl: Ivcl,
     rate: float,
     rng: np.random.Generator,
@@ -219,7 +219,8 @@ def benign_links(
     first placed, unsuspended one from there on, wrapping around.
 
     Two draws per VM always, all in one call, which equals one call of two
-    per VM.  ``benign_vms`` is a sequence or an int array of registered VMs.
+    per VM.  ``benign_vms`` is a sequence or an int array of registered VMs,
+    and ``suspended`` a sequence or set of ids.
     Returns an ``(n, 2)`` intp array of (source, destination) rows.
     """
     benign = np.asarray(benign_vms, dtype=np.intp)
@@ -307,7 +308,7 @@ class RunLog:
     malicious_users: int
     metrics: list[IntervalMetrics] = field(default_factory=list)
     reports: list[ThreatReport] = field(default_factory=list)
-    directives: list[QuarantineDirective] = field(default_factory=list)
+    # The suspended VMs in suspension order: the one record of them.
     suspended: list[int] = field(default_factory=list)
     realized_breaches: int = 0
     malicious_links_created: int = 0
@@ -405,8 +406,6 @@ class Simulation:
         self.span = sc.vms + 1
         self.link_keys = np.empty(0, dtype=np.int64)
         self.link_born = np.empty(0, dtype=np.int64)
-        self.suspended: set[int] = set()
-        self.detected_cum: set[int] = set()
         # Bandwidth forecast per VM, indexed like ``usage``; nominal until
         # the forecaster has trained.
         self.predicted = self.nominal_bw.copy()
@@ -465,8 +464,6 @@ class Simulation:
             perm = self.setup_rng.permutation(user_ids)
             hostile = set(int(u) for u in perm[:k])
 
-        # The mapping the threat report reads.
-        self.owners = dict(enumerate(self.owner.tolist(), 1))
         self.flavor = np.arange(sc.vms) % len(sc.vm_flavors)
         flavor_bw = np.array(sc.vm_flavors, dtype=float).reshape(-1, 3)[:, 2]
         frac = sc.guaranteed_frac
@@ -655,7 +652,7 @@ class Simulation:
         sc = self.sc
         if sc.scripted_links is not None:
             links = np.array(sc.scripted_links.get(t, []), dtype=np.intp).reshape(-1, 2)
-            links = links[~_member(links, self.suspended).any(axis=1)]
+            links = links[~_member(links, self.log.suspended).any(axis=1)]
             return links, links[:0]
         in_burst_window = sc.attack_mode == "steady" or t % sc.burst_period == 0
         col_rate = sc.attack_colocated_rate if in_burst_window else 0.0
@@ -664,7 +661,7 @@ class Simulation:
             self.placement,
             self.malicious_vm_ids,
             self.benign_vm_ids,
-            self.suspended,
+            self.log.suspended,
             col_rate,
             rem_rate,
             self.inject_rng,
@@ -672,7 +669,7 @@ class Simulation:
         benign = benign_links(
             self.placement,
             self.benign_vm_ids,
-            self.suspended,
+            self.log.suspended,
             self.ivcl,
             sc.benign_link_rate,
             self.inject_rng,
@@ -737,13 +734,12 @@ class Simulation:
         self.link_keys, self.link_born = keys[~gone], born[~gone]
 
     def _apply_quarantine(self, directive: QuarantineDirective, t: int) -> None:
-        newly = []
-        for vm_id in sorted(directive.suspend_vms):
-            if vm_id in self.suspended:
-                continue
-            self.suspended.add(vm_id)
-            self.log.suspended.append(vm_id)
-            newly.append(vm_id)
+        """Suspend the directive's VMs and drop their links and the terminated
+        ones.  A suspended VM loses its links and makes no new one, so no
+        later report names it again."""
+        newly = sorted(directive.suspend_vms)
+        self.log.suspended.extend(newly)
+        for vm_id in newly:
             if self.placement.server_of(vm_id) is not None:
                 self.placement.remove(vm_id)
         self._drop_links(self._keys(list(directive.terminate_links)), t, newly)
@@ -756,7 +752,7 @@ class Simulation:
             self.placement,
             vlams,
             self.ivcl,
-            self.owners,
+            self.owner,
             vms=active,
             perf=perf,
             thresholds=thresholds,
@@ -827,7 +823,6 @@ class Simulation:
         else:
             report = ThreatReport(interval=t)
         self.log.reports.append(report)
-        self.detected_cum |= report.malicious_vms
 
         try:
             m = snapshot(
@@ -848,15 +843,14 @@ class Simulation:
         m.theta_col = len(report.colocation)
         m.theta_cas = len(report.cascading)
         m.theta_vul = len(report.vulnerability)
-        m.malicious_vms_cum = len(self.detected_cum)
+        # This report's VMs are not yet suspended, and no earlier one is named again.
+        m.malicious_vms_cum = len(self.log.suspended) + len(report.malicious_vms)
         self.log.metrics.append(m)
 
         if sc.policy == "oscmc" and (
             report.malicious_vms or report.malicious_link_set
         ):
-            directive = quarantine(report, self.placement, vlams)
-            self.log.directives.append(directive)
-            self._apply_quarantine(directive, t)
+            self._apply_quarantine(quarantine(report, self.placement), t)
 
     def finish(self) -> RunLog:
         """Drop the unauthorised links still live after the last interval,

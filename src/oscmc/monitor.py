@@ -154,9 +154,6 @@ class Ivcl:
             self._spans = (vm_ids.tobytes(), lo, self._indptr[rows + 1] - lo, rows * self._span)
         return self._spans[1:]
 
-    def is_registered(self, vm_id: int) -> bool:
-        return self._row_index(vm_id) >= 0 or vm_id in self._pending
-
     def authorized_dsts(self, src: int) -> frozenset[int]:
         self._sync()
         row = self._row_index(src)
@@ -351,24 +348,16 @@ def aggregate_breaches(
     colocation: list[ColocationEvent],
     cascading: list[CascadingEvent],
     vulnerability: list[VulnerabilityEvent],
-    owners: dict[int, int],
+    owners,
 ) -> dict[int, int]:
-    """Per-user breach totals, keyed by the victim VM's owner.
+    """Per-user breach totals, keyed by the victim VM's owner; ``owners`` is
+    an int array with the owner of VM ``v`` at ``v - 1``.
 
     The victim of a co-location or cascading event is the receiving VM; the
     victim of a vulnerability event is the starved VM itself.
     """
-    totals: dict[int, int] = {}
-    for ev in colocation:
-        victim = owners[ev.dst]
-        totals[victim] = totals.get(victim, 0) + 1
-    for ev in cascading:
-        victim = owners[ev.dst]
-        totals[victim] = totals.get(victim, 0) + 1
-    for ev in vulnerability:
-        victim = owners[ev.vm]
-        totals[victim] = totals.get(victim, 0) + 1
-    return totals
+    victims = [ev.dst for ev in chain(colocation, cascading)] + [ev.vm for ev in vulnerability]
+    return dict(Counter(np.asarray(owners)[np.array(victims, np.intp) - 1].tolist()))
 
 
 # -- malicious link and VM identification -------------------------------
@@ -376,8 +365,6 @@ def aggregate_breaches(
 
 def malicious_links(vm_id: int, vlams: dict[int, Vlam], ivcl: Ivcl) -> set[LinkEnds]:
     """Observed flows sourced by a VM that the log does not authorise."""
-    if not ivcl.is_registered(vm_id):
-        raise UnregisteredVmError("unregistered VM %d" % vm_id)
     allowed = ivcl.authorized_dsts(vm_id)
     return {
         (src, dst)
@@ -433,7 +420,7 @@ def build_threat_report(
     placement: Placement,
     vlams: dict[int, Vlam],
     ivcl: Ivcl,
-    owners: dict[int, int],
+    owners,
     vms=None,
     perf: np.ndarray | None = None,
     thresholds: np.ndarray | None = None,
@@ -441,7 +428,8 @@ def build_threat_report(
     min_links: int = 1,
     colocation: list[ColocationEvent] | None = None,
 ) -> ThreatReport:
-    """Run the full detection pass for one interval.
+    """Run the full detection pass for one interval; ``owners`` is an int
+    array with the owner of VM ``v`` at ``v - 1``.
 
     Vulnerability events are raised from ``vms``, ``perf`` and
     ``thresholds`` as ``detect_vulnerability`` takes them, when all three
@@ -464,15 +452,16 @@ def build_threat_report(
     for links in grouped.values():
         bad_links |= links
 
-    per_owner: dict[int, set[LinkEnds]] = {}
-    for src, links in grouped.items():
-        owner = owners.get(src)
-        if owner is not None:
-            per_owner.setdefault(owner, set()).update(links)
+    owners = np.asarray(owners)
     coverage = {}
-    if per_owner:  # VM counts of the owners with a malicious link only
-        counts = Counter(owner for owner in owners.values() if owner in per_owner)
-        coverage = {owner: len(links) / counts[owner] for owner, links in per_owner.items()}
+    if grouped:  # the links and VMs of each owner with a malicious link
+        sources = np.fromiter(grouped, np.intp, len(grouped))
+        who, at = np.unique(owners[sources - 1], return_inverse=True)
+        sizes = np.fromiter(map(len, grouped.values()), np.int64, len(grouped))
+        n_links = np.bincount(at, sizes, who.size).astype(np.int64)
+        slot = np.searchsorted(who, owners)  # one pass over every VM
+        n_vms = np.bincount(slot[who.take(slot, mode="clip") == owners], minlength=who.size)
+        coverage = {u: n / m for u, n, m in zip(who.tolist(), n_links.tolist(), n_vms.tolist())}
 
     return ThreatReport(
         interval=interval,
@@ -486,11 +475,10 @@ def build_threat_report(
     )
 
 
-def attack_coverage(
-    attacker: int, owners: dict[int, int], reports: list[ThreatReport]
-) -> float:
-    """Malicious links per attacker VM across a window of reports."""
-    attacker_vms = {vm for vm, owner in owners.items() if owner == attacker}
+def attack_coverage(attacker: int, owners, reports: list[ThreatReport]) -> float:
+    """Malicious links per attacker VM across a window of reports; ``owners``
+    is an int array with the owner of VM ``v`` at ``v - 1``."""
+    attacker_vms = set((np.flatnonzero(np.asarray(owners) == attacker) + 1).tolist())
     if not attacker_vms:
         raise UndefinedCoverageError("undefined coverage: user %d owns no VMs" % attacker)
     links: set[LinkEnds] = set()
@@ -509,9 +497,7 @@ class QuarantineDirective:
     notify_servers: set[int] = field(default_factory=set)
 
 
-def quarantine(
-    report: ThreatReport, placement: Placement, vlams: dict[int, Vlam]
-) -> QuarantineDirective:
+def quarantine(report: ThreatReport, placement: Placement) -> QuarantineDirective:
     """Directive terminating every malicious link and suspending every
     detected malicious VM; neighbouring servers hosting any endpoint are
     listed for notification."""
@@ -545,13 +531,15 @@ def colocation_server_fraction(
 
 
 def cascading_victim_fraction(
-    events: list[CascadingEvent], owners: dict[int, int], candidate_users
+    events: list[CascadingEvent], owners, candidate_users
 ) -> float:
-    """Fraction of candidate users reachable through some cascading event."""
+    """Fraction of candidate users reachable through some cascading event;
+    ``owners`` is an int array with the owner of VM ``v`` at ``v - 1``."""
     candidates = set(candidate_users)
     if not candidates:
         raise ValueError("no candidate users")
-    reached = {owners[ev.dst] for ev in events if owners.get(ev.dst) in candidates}
+    victims = np.array([ev.dst for ev in events], np.intp)
+    reached = set(np.asarray(owners)[victims - 1].tolist()) & candidates
     return len(reached) / len(candidates)
 
 

@@ -77,9 +77,8 @@ def test_criterion_01_golden_walkthrough():
             (8, 5, 7), (8, 6, 7),
             (10, 13, 12), (10, 13, 14), (10, 15, 14),
         }
-        owners = {vm: u for u, vms in {
-            1: [1, 2, 3, 4], 2: [5, 6, 7], 3: [8, 9, 10, 11], 4: [12, 13, 14, 15],
-        }.items() for vm in vms}
+        # Users 1 to 4 own VMs 1-4, 5-7, 8-11 and 12-15; VM v's owner at v - 1.
+        owners = np.repeat([1, 2, 3, 4], [4, 3, 4, 4])
         assert cascading_victim_fraction(report.cascading, owners, [1, 2, 4]) == 1.0
 
         assert report.malicious_vms == {8, 9, 10, 11}
@@ -261,9 +260,9 @@ def test_criterion_05_quarantine_idempotence():
         for _ in range(300):
             placement, ivcl, links = _random_monitor_instance(rng)
             vlams = build_vlams(placement, links, placement.server_ids)
-            owners = {vm: vm for vm in placement.vm_ids}
+            owners = np.arange(1, len(placement.vm_ids) + 1)  # VM v of user v
             report = build_threat_report(0, placement, vlams, ivcl, owners)
-            directive = quarantine(report, placement, vlams)
+            directive = quarantine(report, placement)
 
             after, remaining = _apply_directive(placement, links, directive)
             vlams_after = build_vlams(after, remaining, after.server_ids)
@@ -271,7 +270,7 @@ def test_criterion_05_quarantine_idempotence():
             assert report_after.is_clean()
 
             # A second pass must change nothing.
-            directive_2 = quarantine(report_after, after, vlams_after)
+            directive_2 = quarantine(report_after, after)
             assert directive_2.terminate_links == set()
             assert directive_2.suspend_vms == set()
             after_2, remaining_2 = _apply_directive(after, remaining, directive_2)

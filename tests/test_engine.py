@@ -91,7 +91,7 @@ def test_pssf_place_falls_back_when_prior_full():
 def test_simulation_builds_deterministic_population():
     a = Simulation(small_scenario())
     b = Simulation(small_scenario())
-    assert a.owners == b.owners
+    assert np.array_equal(a.owner, b.owner)
     assert a.malicious_vm_ids.tolist() == b.malicious_vm_ids.tolist()
     assert a.benign_vm_ids.dtype == np.intp
     assert {s: a.servers[s].vulnerability_score for s in a.servers} == {
@@ -116,7 +116,7 @@ def test_ivcl_grants_cover_intra_user_pairs():
     # Four users of three consecutive VM ids each.
     users = np.arange(1, 13).reshape(4, 3).tolist()
     owners = {vm: uid for uid, vms in enumerate(users, 1) for vm in vms}
-    assert sim.owners == owners
+    assert sim.owner.tolist() == [owners[vm] for vm in range(1, 13)]
     for vms in users:
         for a in vms:
             for b in vms:
@@ -269,8 +269,8 @@ def test_run_preserves_vm_conservation_and_capacity():
     all_vms = set(range(1, sc.vms + 1))
     for t in range(sc.intervals):
         sim.step(t)
-        assert set(sim.placement.vm_ids) | sim.suspended == all_vms
-        assert not (set(sim.placement.vm_ids) & sim.suspended)
+        assert set(sim.placement.vm_ids) | set(sim.log.suspended) == all_vms
+        assert not (set(sim.placement.vm_ids) & set(sim.log.suspended))
         assert sim.placement.capacity_ok()
 
 
@@ -279,14 +279,13 @@ def test_suspended_vms_never_relink():
     sim = Simulation(sc)
     seen_after_suspension = []
     for t in range(sc.intervals):
-        suspended_before = set(sim.suspended)
+        suspended_before = set(sim.log.suspended)
         sim.step(t)
         for src, dst in sim.live_links():
             if src in suspended_before or dst in suspended_before:
                 seen_after_suspension.append((t, src, dst))
     assert seen_after_suspension == []
-    # The log records suspensions in quarantine order; contents must agree.
-    assert sim.suspended == set(sim.log.suspended)
+    # The log records suspensions in quarantine order, each VM once.
     assert len(sim.log.suspended) == len(set(sim.log.suspended))
 
 
@@ -398,17 +397,23 @@ def test_summary_text_fields():
         assert needle in text
 
 
-def test_run_log_counts_match_reports():
-    result = run(small_scenario(intervals=6))
-    assert len(result.metrics) == 6
-    assert len(result.reports) == 6
+def _assert_counts_match_reports(log):
+    """Each interval's threat counts are its report's, and its count of
+    malicious VMs that of the union of the reports' so far."""
+    assert len(log.metrics) == len(log.reports)
     cum = set()
-    for m, r in zip(result.metrics, result.reports):
+    for m, r in zip(log.metrics, log.reports):
         cum |= r.malicious_vms
         assert m.malicious_vms_cum == len(cum)
         assert m.theta_col == len(r.colocation)
         assert m.theta_cas == len(r.cascading)
         assert m.theta_vul == len(r.vulnerability)
+
+
+def test_run_log_counts_match_reports():
+    result = run(small_scenario(intervals=6))
+    assert len(result.metrics) == 6
+    _assert_counts_match_reports(result)
 
 
 def test_scripted_links_skip_suspended_sources():
@@ -422,10 +427,10 @@ def test_scripted_links_skip_suspended_sources():
     )
     sim = Simulation(sc)
     # VM 1 and 4 belong to different users, so (1, 4) is unauthorised.
-    assert sim.owners[1] != sim.owners[4]
+    assert sim.owner[0] != sim.owner[3]
     for t in range(3):
         sim.step(t)
-    assert 1 in sim.suspended
+    assert 1 in sim.log.suspended
     # After suspension the scripted link is ignored, so later intervals are clean.
     assert sim.log.reports[1].is_clean()
     assert sim.log.reports[2].is_clean()
@@ -689,7 +694,7 @@ def _check_detection_against_all_live_links(sim):
             sim.placement,
             build_vlams(sim.placement, sim.live_links(), sim.servers.keys()),
             sim.ivcl,
-            sim.owners,
+            sim.owner,
             vms=active,
             perf=perf,
             thresholds=thresholds,
@@ -754,8 +759,9 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
     runs to completion; while it runs, the unauthorised links classified at
     birth match a fresh classification of the live links, each VM's key
     range and the quarantine's decoding pass find exactly its live links,
-    and every ``oscmc`` threat report equals the one computed over every
-    live link."""
+    every ``oscmc`` threat report equals the one computed over every live
+    link, the logged counts match the reports and no quarantine names a VM
+    already suspended."""
     try:
         sc.validate()
     except ScenarioError:
@@ -764,8 +770,16 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
         sim = Simulation(sc)
         checked = _check_detection_against_all_live_links(sim)
         before_quarantine = _record_powered_before_quarantine(sim)
+        apply = sim._apply_quarantine
+
+        def fresh_only(directive, t):
+            assert not directive.suspend_vms & set(sim.log.suspended), t
+            apply(directive, t)
+
+        sim._apply_quarantine = fresh_only
         for t in range(sc.intervals):
             sim.step(t)
+            _assert_counts_match_reports(sim.log)
             m = sim.log.metrics[-1]
             # Quarantine runs after the snapshot and may empty a server.
             if t in before_quarantine:
@@ -779,7 +793,7 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
                 link for link in live if classify_link(link, sim.ivcl)
             }
             assert all(0 <= born <= t for born in _births(sim).values())
-            assert not any(v in sim.suspended for link in live for v in link)
+            assert not any(v in sim.log.suspended for link in live for v in link)
             _check_link_queries(sim, live, t)
             if sc.policy != "oscmc":
                 # oscmc's quarantine drops links after the snapshot.
@@ -870,14 +884,14 @@ def test_suspended_benign_vm_leaves_the_kept_benign_list():
         malicious_user_pct=0.0, cross_user_auth_rate=0.0, scripted_links={0: [(1, 12)]}
     )
     sim = Simulation(sc)
-    assert sim.owners[1] != sim.owners[12]
+    assert sim.owner[0] != sim.owner[11]
     sim.step(0)
-    assert sim.suspended == {1}
+    assert sim.log.suspended == [1]
     rngs = [np.random.default_rng(5) for _ in range(2)]
     links = [
         inject_malicious_behavior(sim.placement, [2, 5], benign, off, 1.0, 1.0, rng)
         for rng, benign, off in zip(
-            rngs, (sim.benign_vm_ids, list(range(2, 13))), (sim.suspended, set())
+            rngs, (sim.benign_vm_ids, list(range(2, 13))), (sim.log.suspended, set())
         )
     ]
     assert np.array_equal(links[0], links[1]) and links[0].size
@@ -1020,7 +1034,7 @@ def test_array_link_insert_equals_per_link_dict_loop(data):
             (a, b)
             for a in range(1, sc.vms + 1)
             for b in sorted(sim.ivcl.authorized_dsts(a))
-            if a not in sim.suspended and b not in sim.suspended
+            if a not in sim.log.suspended and b not in sim.log.suspended
         ]
         authorised = data.draw(st.lists(st.sampled_from(grants), max_size=12)) if grants else []
         sim.sc = dataclasses.replace(sc, scripted_links={t: batch})
@@ -1028,7 +1042,7 @@ def test_array_link_insert_equals_per_link_dict_loop(data):
         assert none.shape == (0, 2)
         sim._add_links(checked, np.array(authorised, dtype=np.intp).reshape(-1, 2), t)
         ref.add(
-            [(s, d) for s, d in batch if s not in sim.suspended and d not in sim.suspended],
+            [(s, d) for s, d in batch if s not in sim.log.suspended and d not in sim.log.suspended],
             authorised,
             t,
         )
@@ -1036,7 +1050,7 @@ def test_array_link_insert_equals_per_link_dict_loop(data):
         if data.draw(st.booleans()):
             # Quarantine terminates live links; a link not live is passed over.
             terminate = data.draw(st.sets(pick, max_size=6))
-            unsuspended = [v for v in range(1, sc.vms + 1) if v not in sim.suspended]
+            unsuspended = [v for v in range(1, sc.vms + 1) if v not in sim.log.suspended]
             suspend = data.draw(st.sets(st.sampled_from(unsuspended), max_size=2))
             sim._apply_quarantine(QuarantineDirective(terminate, suspend), t)
             ref.quarantine(terminate, suspend, t)
@@ -1101,7 +1115,7 @@ def test_population_follows_the_array_split_of_vm_ids(vms_users):
     sim = Simulation(sc)
     chunks = np.array_split(np.arange(1, vms + 1), users)
     owner = {vm: uid for uid, chunk in enumerate(chunks, 1) for vm in chunk.tolist()}
-    assert sim.owners == owner
+    assert sim.owner.tolist() == [owner[vm] for vm in range(1, vms + 1)]
     assert {uid: set((np.flatnonzero(sim.owner == uid) + 1).tolist()) for uid in owner.values()} == {
         uid: set(chunk.tolist()) for uid, chunk in enumerate(chunks, 1)
     }

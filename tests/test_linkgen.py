@@ -351,7 +351,7 @@ def _assert_pairwise_log(sc, sim):
     else:
         chunks = np.array_split(np.arange(1, sc.vms + 1), sc.user_count())
         owners = {vm: uid for uid, chunk in enumerate(chunks, 1) for vm in chunk.tolist()}
-    assert sim.owners == owners
+    assert sim.owner.tolist() == [owners[vm] for vm in ids]
     rng = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(6)[0])
     want = {vm: set() for vm in ids}
     for a in ids:

@@ -220,7 +220,7 @@ def test_detect_vulnerability_incomplete_telemetry():
 
 
 def test_aggregate_breaches_attributes_victim_owner():
-    owners = {1: 10, 2: 20, 3: 30}
+    owners = [10, 20, 30]  # the owner of VM v at v - 1
     col = [ColocationEvent(1, 1, 2)]
     cas = [CascadingEvent(1, 2, 3, 1, 2)]
     from oscmc.monitor import VulnerabilityEvent
@@ -231,7 +231,7 @@ def test_aggregate_breaches_attributes_victim_owner():
 
 
 def test_attack_coverage_unions_links_over_reports():
-    owners = {1: 5, 2: 5, 3: 6}
+    owners = [5, 5, 6]
     r1 = ThreatReport(interval=0, malicious_link_set={(1, 3), (2, 3)})
     r2 = ThreatReport(interval=1, malicious_link_set={(1, 3), (3, 1)})
     assert attack_coverage(5, owners, [r1, r2]) == pytest.approx(1.0)
@@ -246,7 +246,7 @@ def test_build_threat_report_collects_everything():
     for vm in (1, 2, 3):
         ivcl.register(vm)
     ivcl.grant(2, 3)
-    owners = {1: 7, 2: 8, 3: 8}
+    owners = [7, 8, 8]
     links = [(1, 2), (2, 3)]
     vlams = build_vlams(placement, links, [1, 2])
     report = build_threat_report(4, placement, vlams, ivcl, owners)
@@ -268,8 +268,8 @@ def test_build_threat_report_accepts_precomputed_colocation():
     ivcl.register(2)
     vlams = build_vlams(placement, [(1, 2)], [1])
     pre = detect_colocation(placement, vlams, ivcl)
-    a = build_threat_report(0, placement, vlams, ivcl, {1: 1, 2: 2})
-    b = build_threat_report(0, placement, vlams, ivcl, {1: 1, 2: 2}, colocation=pre)
+    a = build_threat_report(0, placement, vlams, ivcl, [1, 2])
+    b = build_threat_report(0, placement, vlams, ivcl, [1, 2], colocation=pre)
     assert a == b
 
 
@@ -280,8 +280,8 @@ def test_quarantine_directive_contents():
         ivcl.register(vm)
     links = [(1, 2), (1, 3)]
     vlams = build_vlams(placement, links, [1, 2, 3])
-    report = build_threat_report(0, placement, vlams, ivcl, {v: v for v in (1, 2, 3, 4)})
-    directive = quarantine(report, placement, vlams)
+    report = build_threat_report(0, placement, vlams, ivcl, [1, 2, 3, 4])
+    directive = quarantine(report, placement)
     assert directive.terminate_links == {(1, 2), (1, 3)}
     assert directive.suspend_vms == {1}
     assert directive.notify_servers == {1, 2}  # hosts of 1, 2 and 3
@@ -293,7 +293,7 @@ def test_clean_traffic_yields_clean_report():
         placement, ivcl, links, _ = random_instance(rng)
         allowed = {l for l in links if ivcl.is_authorized(*l)}
         vlams = build_vlams(placement, allowed, placement.server_ids)
-        report = build_threat_report(0, placement, vlams, ivcl, {})
+        report = build_threat_report(0, placement, vlams, ivcl, [])
         assert report.is_clean()
 
 
@@ -306,7 +306,7 @@ def test_colocation_server_fraction():
 
 
 def test_cascading_victim_fraction():
-    owners = {3: 1, 4: 2, 5: 3}
+    owners = [0, 0, 1, 2, 3]  # VMs 1 and 2 of user 0, no candidate
     events = [CascadingEvent(9, 8, 3, 1, 2), CascadingEvent(9, 8, 4, 1, 3)]
     assert cascading_victim_fraction(events, owners, [1, 2, 3]) == pytest.approx(2 / 3)
     with pytest.raises(ValueError):

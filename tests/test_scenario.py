@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -208,7 +209,7 @@ def test_validate_bounds_the_horizon_and_the_usage_array(knobs, named):
 
 def test_horizon_and_usage_array_at_the_ceiling_validate():
     Scenario(intervals=2**18, vms=2**9).validate()
-    Scenario(intervals=2**13, vms=2**14, users=1).validate()
+    Scenario(intervals=2**13, vms=2**14).validate()
     assert 2**18 * 2**9 == 2**13 * 2**14 == 2**27
 
 
@@ -230,6 +231,61 @@ def test_validate_bounds_the_expected_log():
     for build in PRESETS.values():
         sc = build()
         assert 256 * sc.cross_user_auth_rate * sc.vms**2 <= 2**25  # far inside
+
+
+def _validate_traced(sc: Scenario) -> int:
+    """The traced peak of ``sc.validate()`` in bytes, whether or not it raises."""
+    tracemalloc.start()
+    try:
+        sc.validate()
+    except ScenarioError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_validate_bounds_the_same_owner_pairs():
+    """Set-up grants each same-owner ordered pair with one call, so their
+    count, n * (n - 1) summed over users, is bounded by 2**23: one user of
+    2896 VMs validates and of 2897 does not, by the array_split sizes or by
+    fixed users.  Validation alone: 10**6 users allocate nothing per user."""
+    named = "same-owner VM pairs must be <= 2**23: raise users"
+    assert 2896 * 2895 <= 2**23 < 2897 * 2896
+    Scenario(vms=2896, users=1).validate()
+    Scenario(vms=2897, fixed_users={7: list(range(1, 2897)), 8: [2897]}).validate()
+    for sc in (
+        Scenario(vms=2897, users=1),
+        Scenario(vms=2897, fixed_users={7: list(range(1, 2898))}),
+        Scenario(vms=10_000, servers=4500, users=1),
+        Scenario(vms=10**6, users=2, intervals=1, cross_user_auth_rate=0),
+    ):
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            sc.validate()
+    # Sizes 9 and 8: 7,999,936 pairs, the million-VM memory test's users.
+    sc = Scenario(vms=10**6, users=111_112, intervals=1, cross_user_auth_rate=0)
+    sc.validate()
+    assert _validate_traced(dataclasses.replace(sc, users=10**6)) < 2**16
+
+
+def test_validate_bounds_the_cross_user_draw():
+    """With a positive rate set-up draws a uniform per cross-user pair, however
+    few grants it expects, so those pairs are bounded by 2**30.  Validation
+    alone: nothing is drawn or allocated."""
+    named = "cross-user VM pairs must be <= 2**30 when cross_user_auth_rate > 0"
+    sc = Scenario(vms=180_000, servers=81_000, cross_user_auth_rate=0.001)
+    assert sc.cross_user_auth_rate * sc.vms**2 <= 2**25  # inside the expected-log bound
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        sc.validate()
+    assert _validate_traced(sc) < 2**16
+    dataclasses.replace(sc, cross_user_auth_rate=0).validate()  # nothing drawn
+    # One VM per user: 2**15 VMs have 2**15 * (2**15 - 1) cross-user pairs.
+    Scenario(vms=2**15, users=2**15, cross_user_auth_rate=0.001).validate()
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        Scenario(vms=2**15 + 1, users=2**15 + 1, cross_user_auth_rate=0.001).validate()
+    Scenario(vms=25_000, servers=11_250).validate()  # the default rate's measured case
+    Scenario(vms=30_000, servers=13_500, cross_user_auth_rate=0.001).validate()
 
 
 # Each defect of a fixed structure, by the knob the error names.
@@ -307,9 +363,11 @@ def test_fixed_structures_validate_or_build(drawn):
         return
     sim = Simulation(sc)
     if sc.fixed_users:
-        assert sim.owners == {vm: uid for uid, vms in sc.fixed_users.items() for vm in vms}
+        owner = {vm: uid for uid, vms in sc.fixed_users.items() for vm in vms}
+        assert sim.owner.tolist() == [owner[vm] for vm in range(1, sc.vms + 1)]
     for sid, vms in (sc.fixed_placement or {}).items():
         assert all(sim.placement.server_of(vm) == sid for vm in vms)
-    hostile = [vm for vm, uid in sorted(sim.owners.items()) if uid in sc.fixed_malicious_users]
+    owners = enumerate(sim.owner.tolist(), 1)
+    hostile = [vm for vm, uid in owners if uid in sc.fixed_malicious_users]
     assert sim.malicious_vm_ids.tolist() == hostile
     assert sim.log.malicious_users == len(sc.fixed_malicious_users)
