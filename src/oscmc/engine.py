@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -131,9 +132,9 @@ def inject_malicious_behavior(
     Returns an ``(n, 2)`` intp array of (attacker, victim) rows.  The
     co-located victim is the drawn one of the unsuspended benign VMs on
     the attacker's server, by id, the attacker excluded.  The remote victim
-    is the unsuspended benign VM at the drawn start when it sits on another
-    server, else the first one after it that does, wrapping around.  Links
-    come in attacker order, each attacker's co-located link first.
+    is the unsuspended benign VM at the drawn start when it is placed on
+    another server, else the first one after it that is, wrapping around.
+    Links come in attacker order, each attacker's co-located link first.
     """
     hostile = np.asarray(malicious_vms, dtype=np.intp)
     draws = rng.random((hostile.size, 4))
@@ -156,14 +157,17 @@ def inject_malicious_behavior(
     pick = lo[col] + (draws[col, 1] * n[col]).astype(np.int64) % n[col]
     col_dst = by_row[pick + (pick >= at[col])]
 
-    # Remote: the drawn start when it sits on another row (so it is not the
-    # attacker), else a scan on from it.
+    # Remote: the drawn start when it is placed on another row (so it is not
+    # the attacker), else a scan on from it.
+    def remote(i, row):
+        return (alive_rows[i] >= 0) & (alive_rows[i] != row)
+
     start = (draws[rem, 3] * alive.size).astype(np.int64) % max(alive.size, 1)
     rem_dst = alive[start]
-    missed = np.flatnonzero(alive_rows[start] == host[rem])
+    missed = np.flatnonzero(~remote(start, host[rem]))
     if missed.size:
         row = host[rem[missed]]
-        at = _first_on_ring(start[missed], alive.size, lambda i, j: alive_rows[i] != row[j])
+        at = _first_on_ring(start[missed], alive.size, lambda i, j: remote(i, row[j]))
         rem_dst[missed] = np.where(at >= 0, alive[at], -1)
     found = rem_dst >= 0
     src = np.concatenate([col, rem[found]])
@@ -481,11 +485,8 @@ class Simulation:
         by_owner = np.argsort(self.owner, kind="stable")
         cuts = np.flatnonzero(np.diff(self.owner[by_owner])) + 1
         for cols in np.split(by_owner, cuts):
-            members = (cols + 1).tolist()
-            for a in members:
-                for b in members:
-                    if a != b:
-                        intra.grant(a, b)
+            for a, b in permutations((cols + 1).tolist(), 2):
+                intra.grant(a, b)
         self.ivcl = with_cross_user_grants(
             intra, self.owner, self.sc.cross_user_auth_rate, self.setup_rng
         )

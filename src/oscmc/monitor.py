@@ -54,9 +54,10 @@ class Ivcl:
     above every id.  The keys (``int32`` while every key fits) are the log's
     only per-grant array: ``authorized`` checks a batch of links with one
     search of them, and ``csr`` derives the destinations on demand.
-    ``register`` and ``grant`` collect changes that the next query merges
-    into the rows, so a log can still be stated grant by grant, or the rows
-    can be built in bulk and passed in as keys.
+    ``register`` and ``grant`` append to three flat pending id lists
+    (registrations, grant sources, grant destinations), which the next
+    query merges into the rows with one sort, so a log can still be stated
+    grant by grant, or the rows can be built in bulk and passed in as keys.
 
     Every VM admitted to the data centre is registered here, possibly with an
     empty row.  The log is treated as immutable after set-up; the engine
@@ -70,8 +71,8 @@ class Ivcl:
         log's dtypes (``int64`` ids and indptr, ``key_dtype(span)`` keys) are
         kept, not copied, and become read-only."""
         self._set_rows(np.asarray(ids, np.int64), np.asarray(indptr, np.int64), keys)
-        # Registrations and grants not yet merged into the rows.
-        self._pending: dict[int, set[int]] = {}
+        # Registrations, grant sources and grant destinations not yet merged.
+        self._pending: tuple[list[int], list[int], list[int]] = ([], [], [])
 
     @staticmethod
     def key_dtype(span: int):
@@ -95,35 +96,52 @@ class Ivcl:
         if vm_id < 0:
             raise ValueError("VM ids must be non-negative, got %d" % vm_id)
         if self._row_index(vm_id) < 0:
-            self._pending.setdefault(vm_id, set())
+            self._pending[0].append(vm_id)
 
     def grant(self, src: int, dst: int) -> None:
         if src == dst:
             raise ValueError("cannot authorise a self-link")
-        self.register(src)
-        self.register(dst)
-        self._pending.setdefault(src, set()).add(dst)
+        if src < 0 or dst < 0:  # registers a valid source, then raises
+            self.register(src)
+            self.register(dst)
+        self._pending[1].append(src)
+        self._pending[2].append(dst)
 
     def _merge(self) -> None:
-        """Rebuild the rows with the pending registrations and grants, in one
-        pass over the whole log; a large log is passed in as rows."""
-        rows, self._pending = self._pending, {}
-        ids, ptr, old = self.csr()
-        for row, vm in enumerate(ids.tolist()):
-            rows.setdefault(vm, set()).update(old[ptr[row] : ptr[row + 1]].tolist())
-        ids = sorted(rows)
-        span = 1 + ids[-1] if ids else 1
-        keys = [[row * span + dst for dst in sorted(rows[vm])] for row, vm in enumerate(ids)]
-        indptr = np.cumsum([0] + [len(k) for k in keys], dtype=np.int64)
-        keys = np.fromiter(chain.from_iterable(keys), self.key_dtype(span), int(indptr[-1]))
-        self._set_rows(np.array(ids, np.int64), indptr, keys)
+        """Rebuild the rows with the pending registrations and grants: the old
+        and new pairs as ``src * span + dst``, sorted once, each kept where it
+        differs from the one before it (``np.unique`` would import ``numpy.ma``);
+        a large log is passed in as rows."""
+        regs, srcs, dsts = self._pending
+        self._pending = ([], [], [])
+        old_ids, ptr, old_dsts = self.csr()
+        regs = np.fromiter(regs, np.int64, len(regs))
+        srcs = np.fromiter(srcs, np.int64, len(srcs))  # each list freed as its array replaces it
+        dsts = np.fromiter(dsts, np.int64, len(dsts))
+        span = 1 + max(int(a.max(initial=0)) for a in (old_ids, regs, srcs, dsts))
+        present = np.zeros(span, bool)
+        present[old_ids] = present[regs] = present[srcs] = present[dsts] = True
+        ids = np.flatnonzero(present).astype(np.int64)
+        srcs *= span
+        srcs += dsts
+        del dsts
+        pairs = np.concatenate((np.repeat(old_ids * span, np.diff(ptr)) + old_dsts, srcs))
+        del srcs
+        pairs.sort()
+        keep = np.ones(pairs.size, bool)
+        keep[1:] = pairs[1:] != pairs[:-1]
+        pairs = pairs[keep]
+        # Shift each pair from its source's id to its row: ``row * span + dst``.
+        counts = np.bincount(pairs // span, minlength=span)[ids]
+        pairs += np.repeat((np.arange(ids.size) - ids) * span, counts)
+        self._set_rows(ids, np.concatenate(([0], np.cumsum(counts))), pairs)
 
     def _row_index(self, vm_id: int) -> int:
         """The row of ``vm_id`` among the merged rows, -1 if it has none."""
         return self._row_of.item(vm_id) if 0 <= vm_id < self._row_of.size else -1
 
     def _sync(self) -> None:
-        if self._pending:
+        if self._pending[0] or self._pending[1]:
             self._merge()
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -439,18 +457,13 @@ def build_threat_report(
     if colocation is None:
         colocation = detect_colocation(placement, vlams, ivcl)
     cascading = cascades_from_colocation(colocation, vlams, placement)
+    vulnerability = []
     if vms is not None and perf is not None and thresholds is not None:
-        vulnerability = detect_vulnerability(
-            vms, perf, thresholds, placement, vuln_scores or {}
-        )
-    else:
-        vulnerability = []
+        vulnerability = detect_vulnerability(vms, perf, thresholds, placement, vuln_scores or {})
 
     grouped = all_malicious_links(vlams, ivcl)
     bad_vms = {src for src, links in grouped.items() if len(links) >= min_links}
-    bad_links: set[LinkEnds] = set()
-    for links in grouped.values():
-        bad_links |= links
+    bad_links: set[LinkEnds] = set().union(*grouped.values())
 
     owners = np.asarray(owners)
     coverage = {}
@@ -501,16 +514,8 @@ def quarantine(report: ThreatReport, placement: Placement) -> QuarantineDirectiv
     """Directive terminating every malicious link and suspending every
     detected malicious VM; neighbouring servers hosting any endpoint are
     listed for notification."""
-    notify: set[int] = set()
-    for src, dst in report.malicious_link_set:
-        for vm in (src, dst):
-            sid = placement.server_of(vm)
-            if sid is not None:
-                notify.add(sid)
-    for vm in report.malicious_vms:
-        sid = placement.server_of(vm)
-        if sid is not None:
-            notify.add(sid)
+    vms = set(chain.from_iterable(report.malicious_link_set)) | report.malicious_vms
+    notify = {placement.server_of(vm) for vm in vms} - {None}
     return QuarantineDirective(
         terminate_links=set(report.malicious_link_set),
         suspend_vms=set(report.malicious_vms),
@@ -549,15 +554,8 @@ def events_csv_rows(report: ThreatReport) -> list[list]:
     for ev in report.colocation:
         rows.append([report.interval, "col", ev.src, ev.dst, str(ev.server)])
     for ev in report.cascading:
-        rows.append(
-            [
-                report.interval,
-                "cas",
-                ev.src,
-                ev.dst,
-                "%d>%d" % (ev.src_server, ev.dst_server),
-            ]
-        )
+        servers = "%d>%d" % (ev.src_server, ev.dst_server)
+        rows.append([report.interval, "cas", ev.src, ev.dst, servers])
     for ev in report.vulnerability:
         rows.append([report.interval, "vul", "", ev.vm, str(ev.server)])
     return rows

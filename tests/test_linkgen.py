@@ -51,7 +51,7 @@ def reference_inject(
             start = int(u4 * len(benign_alive)) % len(benign_alive)
             for off in range(len(benign_alive)):
                 cand = benign_alive[(start + off) % len(benign_alive)]
-                if cand != vm and placement.server_of(cand) != host:
+                if cand != vm and placement.server_of(cand) not in (None, host):
                     links.append((vm, cand))
                     break
     return links
@@ -448,6 +448,29 @@ def test_remote_scan_wraps_and_skips_an_attacker_with_no_remote_victim(start):
             assert _pairs(links) == want
         ref = reference_inject(placement, [1], benign, set(), 0.0, 1.0, _Uniforms(draws))
         assert ref == want
+
+
+@pytest.mark.parametrize("policy", ["wosc", "oscmc"])
+def test_remote_victim_is_placed(policy):
+    """Hostile VMs 1 and 2 sit on server 1, benign VMs 3 and 4 on server 2,
+    and benign VMs 5 to 8 on no server.  Every remote probe lands on VM 3
+    or 4: under ``wosc`` no live link ends at an unplaced VM, and under
+    ``oscmc`` no link to one is reported as malicious."""
+    sc = Scenario(
+        servers=2, vms=8, intervals=3, fixed_placement={1: [1, 2], 2: [3, 4]},
+        fixed_users={1: [1, 2], 2: [3, 4, 5, 6, 7, 8]}, fixed_malicious_users=[1],
+        attack_remote_rate=1.0, seed=3, policy=policy,
+    )
+    sim = Simulation(sc)
+    remote = set()
+    for t in range(sc.intervals):
+        sim.step(t)
+        links = set(sim.live_links())
+        if sim.log.reports:
+            links |= sim.log.reports[-1].malicious_link_set
+        assert {dst for _, dst in links} <= {1, 2, 3, 4}
+        remote |= {(a, b) for a, b in links if a in (1, 2) and b in (3, 4)}
+    assert remote, "no remote link was made"
 
 
 # Ids past 46340 make (id + 1) ** 2 reach 2 ** 31, so the log keys become int64.

@@ -1,8 +1,16 @@
 """Link-surveillance tests with brute-force oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oscmc
 from oscmc.model import Placement, ResourceVector, Server
 from oscmc.monitor import (
     CascadingEvent,
@@ -90,6 +98,122 @@ def test_ivcl_copy_is_independent():
     clone.grant(1, 3)
     assert clone.is_authorized(1, 3)
     assert not ivcl.is_authorized(1, 3)
+
+
+# Small ids, ids whose keys need int64 (past 46340), and negative ids.
+_ids = st.integers(0, 12) | st.sampled_from([46339, 46341, 10**6]) | st.integers(-2, -1)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), _ids),
+        st.tuples(st.just("grant"), _ids, _ids),
+        st.tuples(st.just("grant"), _ids, _ids),
+        st.tuples(st.just("csr")),
+        st.tuples(st.just("authorized"), st.lists(st.tuples(_ids, _ids), max_size=6)),
+        st.tuples(st.just("row_spans"), st.lists(_ids, max_size=6)),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=40,
+)
+
+
+def _check_against_pairs(ivcl, registered, pairs):
+    """``ivcl``'s rows, key dtype and row spans equal the reference sets."""
+    ids, indptr, indices = ivcl.csr()
+    assert ids.dtype == indptr.dtype == np.int64
+    assert ids.tolist() == sorted(registered)
+    rows = [sorted(d for s, d in pairs if s == vm) for vm in ids.tolist()]
+    assert np.diff(indptr).tolist() == [len(r) for r in rows]
+    assert indices.tolist() == [d for r in rows for d in r]
+    span = 1 + max(registered, default=0)
+    assert ivcl.row_keys()[1].dtype == Ivcl.key_dtype(span)
+    assert ivcl.row_keys()[2] == span
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ops)
+def test_grant_by_grant_log_equals_a_set_of_pairs(ops):
+    """Registrations, grants (duplicates, self-links, negative ids, rows
+    already merged, ids past the span) and queries interleaved: every answer
+    equals that of a set of registered ids and a set of (src, dst) pairs, and
+    a copy is unchanged by what its original is granted later."""
+    ivcl, registered, pairs, copies = Ivcl(), set(), set(), []
+    for op, *args in ops:
+        if op == "register":
+            (vm,) = args
+            if vm < 0:
+                with pytest.raises(ValueError, match="VM ids must be non-negative, got %d" % vm):
+                    ivcl.register(vm)
+            else:
+                ivcl.register(vm)
+                registered.add(vm)
+        elif op == "grant":
+            src, dst = args
+            if src == dst:
+                with pytest.raises(ValueError, match="cannot authorise a self-link"):
+                    ivcl.grant(src, dst)
+            elif min(src, dst) < 0:
+                with pytest.raises(ValueError, match="got %d" % (src if src < 0 else dst)):
+                    ivcl.grant(src, dst)
+                if src >= 0:
+                    registered.add(src)
+            else:
+                ivcl.grant(src, dst)
+                registered |= {src, dst}
+                pairs.add((src, dst))
+        elif op == "csr":
+            _check_against_pairs(ivcl, registered, pairs)
+        elif op == "authorized":
+            links = [(a, b) for a, b in args[0] if a in registered and b in registered]
+            src, dst = [a for a, _ in links], [b for _, b in links]
+            assert ivcl.authorized(src, dst).tolist() == [l in pairs for l in links]
+            unknown = [(a, b) for a, b in args[0] if {a, b} - registered]
+            for a, b in unknown:
+                with pytest.raises(UnregisteredVmError):
+                    ivcl.authorized([a], [b])
+        elif op == "row_spans":
+            vms = np.array([vm for vm in args[0] if vm in registered], np.intp)
+            lo, size, row_key = ivcl.row_spans(vms)
+            keys = ivcl.row_keys()[1]
+            for vm, a, n, k in zip(vms.tolist(), lo, size, row_key):
+                assert (keys[a : a + n] - k).tolist() == sorted(d for s, d in pairs if s == vm)
+        else:
+            copies.append((ivcl, set(registered), set(pairs)))
+            ivcl = ivcl.copy()
+    _check_against_pairs(ivcl, registered, pairs)
+    for log, were_registered, were_pairs in copies:
+        _check_against_pairs(log, were_registered, were_pairs)
+
+
+def test_log_build_and_runs_leave_numpy_ma_unimported():
+    """A plain ``np.unique`` or ``np.union1d`` imports ``numpy.ma`` (about
+    1 MB) on its first call; neither the log's merge nor a few intervals of
+    any policy make one."""
+    code = (
+        "import dataclasses, sys\n"
+        "from oscmc.engine import Simulation\n"
+        "from oscmc.monitor import Ivcl\n"
+        "from oscmc.scenario import load_scenario\n"
+        "log = Ivcl()\n"
+        "log.grant(3, 1); log.grant(1, 3); log.grant(3, 1)\n"
+        "log.csr()\n"
+        "for policy in ('oscmc', 'pssf', 'wosc'):\n"
+        "    sc = dataclasses.replace(load_scenario('xi200'), policy=policy, intervals=3)\n"
+        "    sim = Simulation(sc)\n"
+        "    for t in range(sc.intervals):\n"
+        "        sim.step(t)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(oscmc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert out.stdout.split() == ["False"]
 
 
 def test_classify_link_values():
