@@ -17,10 +17,11 @@ share a seed see the same workload and attack stream regardless of policy.
 Clustering draws only in the overloaded intervals whose rebalance reads the
 clusters, each from its own per-interval seed, so skipping it in the other
 intervals shifts no stream.
-One simulation runs serially: each step does its layers in a fixed order
-and builds observed-link matrices only for the policy that reads them, so
-the worker count accepted by ``Simulation`` and ``run`` never changes any
-output byte.
+A large set-up builds the usage on a helper thread beside the authorised-link
+log, with which it shares no state or substream.  Steps run serially, each
+doing its layers in a fixed order and building observed-link matrices only
+for the policy that reads them.  No output byte depends on scheduling or on
+the worker count that ``Simulation`` and ``run`` accept.
 
 Live links are one sorted array of keys ``src * span + dst`` (``span =
 V + 1``) and, in an array of its own, a birth column: -1 for a link the
@@ -39,6 +40,7 @@ the relay's key range.
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -78,6 +80,9 @@ EVENTS_CSV_HEADER = "interval,kind,attacker,victim,servers"
 
 # Cross-user pairs drawn per set-up call: 1 MB of uniforms.
 _DRAW_BLOCK = 1 << 17
+# Below either size the helper thread's start and its hand-offs of the
+# interpreter lock cost set-up more than building the usage beside the log saves.
+_OVERLAP_VMS, _OVERLAP_USAGE = 400, 1 << 14
 # Room in the log for this many standard deviations of the grant count
 # above its expected value, before the log has to grow.
 _GRANT_SLACK = 8
@@ -398,8 +403,16 @@ class Simulation:
         hostile_users = self._build_population()
         # Placement draws nothing: an infeasible fleet fails before the O(V**2) log.
         self._initial_placement()
-        self._build_ivcl()
-        self._build_usage(np.random.default_rng(s_workload), trace)
+        # The usage and the log share no state or substream: a large set-up overlaps them.
+        usage_rng = np.random.default_rng(s_workload)
+        if sc.vms >= _OVERLAP_VMS and sc.vms * sc.intervals >= _OVERLAP_USAGE:
+            with ThreadPoolExecutor(1, thread_name_prefix="oscmc-setup") as pool:
+                usage = pool.submit(self._build_usage, usage_rng, trace)
+                self._build_ivcl()
+                usage.result()
+        else:
+            self._build_ivcl()
+            self._build_usage(usage_rng, trace)
         self._build_models(s_models, s_train)
         # In placement row order: every later placement is this one or a copy.
         self.fleet = Fleet(self.servers, self.placement)

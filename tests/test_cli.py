@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import os
+import threading
 
 import pytest
 
@@ -108,6 +109,7 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
         "per_vm_models = true\nhidden = 500000",
         "intervals = 1000000000",
         "vms = 100000000\nservers = 1",
+        "servers = 1000000000",
     ],
 )
 def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):
@@ -246,6 +248,26 @@ def test_missing_trace_exits_config_without_traceback(tmp_path, capsys, route):
     assert code == EXIT_CONFIG
     assert "does not exist" in err
     assert "Traceback" not in err
+
+
+def test_trace_run_at_an_overlapped_set_up(tmp_path, capsys):
+    """400 VMs over 41 intervals (16,400 usage values) build the usage beside
+    the log.  A trace-driven run exits 0, a missing trace still exits 2 with
+    the same message, and no thread outlives either."""
+    before = threading.active_count()
+    trace = tmp_path / "trace.csv"
+    trace.write_text(CANONICAL_HEADER + "".join("%d,v1,400,400,%d\n" % (t, 500 + 90 * t)
+                                                for t in range(8)))
+    scn = tmp_path / "wide.scn"
+    scn.write_text("servers = 200\nvms = 400\nintervals = 41\npolicy = wosc\n")
+    argv = ["run", "--scenario", str(scn), "--out", str(tmp_path / "o"), "--trace"]
+    assert main(argv + [str(trace)]) == EXIT_OK
+    assert threading.active_count() == before
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "absent.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "configuration error: trace %s does not exist\n" % (tmp_path / "absent.csv")
+    assert threading.active_count() == before
 
 
 def test_missing_subcommand_exits_config(capsys):

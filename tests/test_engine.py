@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from oscmc.monitor import (
     classify_link,
 )
 from oscmc.scenario import Scenario, ScenarioError, load_scenario, with_policy
+from oscmc.workload import TraceFormatError, fit_trace_to_vms, ingest_trace, synthetic_usage
 
 
 def small_scenario(**overrides):
@@ -1239,3 +1241,128 @@ def _derived_reads(p, servers, fleet, hostile, kept, mode, seed):
     rng = np.random.default_rng(seed)
     links = inject_malicious_behavior(p, hostile, kept, set(), 1.0, 1.0, rng)
     return metrics, links.tolist()
+
+
+# -- set-up's usage built beside the log ---------------------------------
+
+
+def _recording_usage_threads(mp: pytest.MonkeyPatch) -> list[str]:
+    """The name of the thread each call to the engine's usage builders ran
+    on, recorded as the call returns."""
+    names = []
+    for name in ("synthetic_usage", "fit_trace_to_vms"):
+        build = getattr(oscmc.engine, name)
+
+        def recorded(*args, _build=build, **kwargs):
+            usage = _build(*args, **kwargs)
+            names.append(threading.current_thread().name)
+            return usage
+
+        mp.setattr(oscmc.engine, name, recorded)
+    return names
+
+
+def _overlapped(mp: pytest.MonkeyPatch) -> list[str]:
+    """Set-up builds the usage on its helper thread at every size."""
+    mp.setattr(oscmc.engine, "_OVERLAP_VMS", 0)
+    mp.setattr(oscmc.engine, "_OVERLAP_USAGE", 0)
+    return _recording_usage_threads(mp)
+
+
+def test_usage_is_built_beside_the_log_only_on_a_large_set_up(monkeypatch):
+    """xi1100 (1100 VMs, 88,000 usage values) overlaps the two; the 12-VM
+    scenario and a 400-VM one of 40 intervals, below 2**14 usage values,
+    build them one after the other on the calling thread."""
+    names = _recording_usage_threads(monkeypatch)
+    Simulation(dataclasses.replace(load_scenario("xi1100"), intervals=80))
+    Simulation(small_scenario())
+    Simulation(small_scenario(servers=200, vms=400, users=100, intervals=40))
+    main = threading.current_thread().name
+    assert names[0].startswith("oscmc-setup") and names[1:] == [main, main]
+
+
+def test_setup_helper_failures_propagate_and_leave_no_thread(monkeypatch, tmp_path):
+    """A usage error (a missing trace, read by the helper) surfaces from
+    ``Simulation`` as it does from a serial build; a log error propagates
+    once the helper has built the usage; neither, nor a set-up under any
+    policy, leaves a thread behind."""
+    before = threading.active_count()
+    sc = small_scenario(trace_path=str(tmp_path / "absent.csv"))
+    with pytest.raises(TraceFormatError) as serial:
+        Simulation(sc)
+    names = _overlapped(monkeypatch)
+    for policy in ("oscmc", "pssf", "wosc"):
+        Simulation(small_scenario(policy=policy))
+        assert threading.active_count() == before
+    with pytest.raises(TraceFormatError) as overlapped:
+        Simulation(sc)
+    assert str(overlapped.value) == str(serial.value)
+    assert threading.active_count() == before
+
+    def failing_log(self):
+        raise RuntimeError("log failed")
+
+    names.clear()
+    monkeypatch.setattr(Simulation, "_build_ivcl", failing_log)
+    with pytest.raises(RuntimeError, match="log failed"):
+        Simulation(small_scenario())
+    assert len(names) == 1 and names[0].startswith("oscmc-setup")
+    assert threading.active_count() == before
+
+
+@pytest.fixture(scope="module")
+def canonical_trace(tmp_path_factory):
+    return _canonical_trace(tmp_path_factory.mktemp("trace") / "trace.csv")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    small_scenarios(),
+    st.booleans(),
+    st.none() | st.lists(st.integers(1, 4), min_size=14, max_size=14),
+)
+def test_overlapped_setup_equals_a_serial_build(canonical_trace, sc, traced, owners):
+    """Under every policy, the usage built on the helper thread and the log
+    built beside it are byte-equal to a serial build of each from its own
+    substream, with synthetic or trace-driven usage and drawn or fixed users."""
+    if traced:
+        sc = dataclasses.replace(sc, trace_path=canonical_trace)
+    if owners:
+        fixed = {}
+        for vm, user in zip(range(1, sc.vms + 1), owners):
+            fixed.setdefault(user, []).append(vm)
+        sc = dataclasses.replace(sc, fixed_users=fixed)
+    try:
+        sc.validate()
+    except ScenarioError:
+        return
+    s_setup, s_workload = np.random.SeedSequence(sc.seed).spawn(6)[:2]
+    serial = object.__new__(Simulation)
+    serial.sc, serial.setup_rng = sc, np.random.default_rng(s_setup)
+    serial._build_fleet()
+    serial._build_population()
+    serial._build_ivcl()
+    if traced:
+        usage = fit_trace_to_vms(
+            ingest_trace(sc.trace_path), serial.nominal_bw, sc.intervals, sc.trace_rescale
+        )
+    else:
+        usage = synthetic_usage(
+            serial.nominal_bw, sc.intervals, np.random.default_rng(s_workload),
+            sigma=sc.workload_sigma, burst_enter=sc.burst_enter, burst_exit=sc.burst_exit,
+            burst_mult=sc.burst_mult,
+        )
+    indptr, keys, span = serial.ivcl.row_keys()
+    with pytest.MonkeyPatch.context() as mp:
+        names = _overlapped(mp)
+        for policy in ("oscmc", "pssf", "wosc"):
+            try:
+                sim = Simulation(with_policy(sc, policy))
+            except (SimulationError, PlacementInfeasibleError):
+                continue
+            assert sim.usage.dtype == usage.dtype and sim.usage.shape == usage.shape
+            assert sim.usage.tobytes() == usage.tobytes()
+            got = sim.ivcl.row_keys()
+            assert got[2] == span and got[1].dtype == keys.dtype
+            assert got[0].tobytes() == indptr.tobytes() and got[1].tobytes() == keys.tobytes()
+    assert all(name.startswith("oscmc-setup") for name in names)

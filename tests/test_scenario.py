@@ -269,6 +269,20 @@ def test_validate_bounds_the_same_owner_pairs():
     assert _validate_traced(dataclasses.replace(sc, users=10**6)) < 2**16
 
 
+def test_validate_bounds_the_server_count():
+    """Set-up keeps about 730 B per server, so ``servers`` is bounded by 2**18:
+    2**18 validates and 2**18 + 1 does not, nor does 10**9, which used to end
+    in a MemoryError from the fleet's score draw.  Validation alone: nothing
+    per server is allocated at or past the ceiling."""
+    named = "servers must be <= 2**18"
+    Scenario(servers=2**18).validate()
+    assert _validate_traced(Scenario(servers=2**18)) < 2**16
+    for servers in (2**18 + 1, 10**9):
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            Scenario(servers=servers).validate()
+        assert _validate_traced(Scenario(servers=servers)) < 2**16
+
+
 def test_validate_bounds_the_cross_user_draw():
     """With a positive rate set-up draws a uniform per cross-user pair, however
     few grants it expects, so those pairs are bounded by 2**30.  Validation
