@@ -1,12 +1,13 @@
 """Interval-driven simulation engine.
 
 Ties placement, forecasting, clustering, link monitoring and quarantine
-together under three scheduling policies:
+together under three scheduling policies, each one entry of ``POLICY_TABLE``:
+a placement routine and the step layers that each interval runs in order.
 
-  * ``oscmc``  - forecast-driven placement with congestion rebalancing,
-    link surveillance and quarantine;
-  * ``pssf``   - prior-server-first placement, no surveillance;
-  * ``wosc``   - plain first-fit on nominal demand, no surveillance, so
+  * ``oscmc``  - first-fit decreasing on the unreserved servers; forecast,
+    rebalance, links, detect, snapshot and quarantine;
+  * ``pssf``   - prior-server-first placement; links and snapshot;
+  * ``wosc``   - plain first-fit on nominal demand; links and snapshot, so
     malicious links persist.
 
 Determinism: every random draw flows from one seed through named
@@ -18,10 +19,8 @@ Clustering draws only in the overloaded intervals whose rebalance reads the
 clusters, each from its own per-interval seed, so skipping it in the other
 intervals shifts no stream.
 A large set-up builds the usage on a helper thread beside the authorised-link
-log, with which it shares no state or substream.  Steps run serially, each
-doing its layers in a fixed order and building observed-link matrices only
-for the policy that reads them.  No output byte depends on scheduling or on
-the worker count that ``Simulation`` and ``run`` accept.
+log, with which it shares no state or substream.  No output byte depends on
+scheduling or on the worker count that ``Simulation`` and ``run`` accept.
 
 Live links are one sorted array of keys ``src * span + dst`` (``span =
 V + 1``) and, in an array of its own, a birth column: -1 for a link the
@@ -41,35 +40,26 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
 from .allocator import (
-    PlacementInfeasibleError,
-    ffd_place,
-    first_fit_pass,
-    first_fit_place,
-    kmeans,
-    rebalance,
+    PlacementInfeasibleError, RebalanceResult, ffd_place, first_fit_pass, first_fit_place,
+    kmeans, rebalance,
 )
 from .metrics import (
     METRICS_CSV_HEADER, EmptyDataCenterError, Fleet, IntervalMetrics, exact_sum, snapshot,
 )
 from .model import Placement, ResourceVector, Server
 from .monitor import (
-    Ivcl,
-    QuarantineDirective,
-    ThreatReport,
-    build_threat_report,
-    build_vlams,
+    Ivcl, QuarantineDirective, ThreatReport, build_threat_report, build_vlams,
     classify_link,  # noqa: F401  not called here: the trace hook on this name must resolve
-    detect_colocation,
-    events_csv_rows,
-    quarantine,
+    detect_colocation, events_csv_rows, quarantine,
 )
-from .predictor import PredictorModel, detect_congestion, train_on_windows
+from .predictor import CongestionState, PredictorModel, detect_congestion, train_on_windows
 from .scenario import Scenario
 from .workload import TraceData, fit_trace_to_vms, ingest_trace, synthetic_usage
 
@@ -335,22 +325,17 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
     def summary_text(self) -> str:
-        mean_ru = (
-            sum(m.ru_dc for m in self.metrics) / len(self.metrics)
-            if self.metrics
-            else 0.0
-        )
-        mean_hogs = (
-            sum(m.hog_count for m in self.metrics) / len(self.metrics)
-            if self.metrics
-            else 0.0
-        )
+        n = max(len(self.metrics), 1)  # an empty run's means read 0.0
+        mean_ru = sum(m.ru_dc for m in self.metrics) / n
+        mean_hogs = sum(m.hog_count for m in self.metrics) / n
         # Five-minute intervals: watts -> kWh.
         kwh = sum(m.pw_dc for m in self.metrics) * (5.0 / 60.0) / 1000.0
         final_al = self.metrics[-1].authorized_link_pct if self.metrics else 100.0
         col = sum(len(r.colocation) for r in self.reports)
         cas = sum(len(r.cascading) for r in self.reports)
         vul = sum(len(r.vulnerability) for r in self.reports)
+        listed = 0 < len(self.suspended) <= 20
+        shown = " [%s]" % ", ".join(str(v) for v in self.suspended) if listed else ""
         lines = [
             "scenario: %s" % self.scenario_name,
             "policy: %s" % self.policy,
@@ -362,20 +347,42 @@ class RunLog:
             "mean ru_dc_pct: %.6f" % (100.0 * mean_ru),
             "total power_kwh: %.6f" % kwh,
             "mean hogs per interval: %.6f" % mean_hogs,
-            "suspended vms: %d%s"
-            % (
-                len(self.suspended),
-                (
-                    " [%s]" % ", ".join(str(v) for v in self.suspended)
-                    if 0 < len(self.suspended) <= 20
-                    else ""
-                ),
-            ),
+            "suspended vms: %d%s" % (len(self.suspended), shown),
             "malicious links observed: %d" % self.malicious_links_created,
             "threat events col/cas/vul: %d/%d/%d" % (col, cas, vul),
             "realized breaches: %d" % self.realized_breaches,
         ]
         return "\n".join(lines) + "\n"
+
+
+class Policy(NamedTuple):
+    """A scheduling policy: the ``Simulation`` method that places the VMs at
+    set-up, and the step layers in order, each run as ``layer_<name>``."""
+
+    place: str
+    layers: tuple[str, ...]
+
+
+# The engine's one reading of a policy name.  Set-up reserves servers for hogs
+# only under a policy that rebalances, and builds models only for one that forecasts.
+POLICY_TABLE = {
+    "oscmc": Policy(
+        "_place_ffd", ("forecast", "rebalance", "links", "detect", "snapshot", "quarantine")
+    ),
+    "pssf": Policy("_place_pssf", ("links", "snapshot")),
+    "wosc": Policy("_place_first_fit", ("links", "snapshot")),
+}
+
+
+class Interval(NamedTuple):
+    """The inputs an interval's layers share, read before the first: the placed
+    VMs, their ``usage`` columns, observed bandwidth and pre-training forecasts."""
+
+    t: int
+    active: np.ndarray
+    cols: np.ndarray
+    observed: np.ndarray
+    predicted: np.ndarray
 
 
 class Simulation:
@@ -393,6 +400,9 @@ class Simulation:
     def __init__(self, sc: Scenario, workers: int | None = None, trace: TraceData | None = None):
         sc.validate()
         self.sc = sc
+        # A pinned placement drops the rebalance layer, as a fixed one replaces placement.
+        layers = POLICY_TABLE[sc.policy].layers
+        self.layers = tuple(n for n in layers if n != "rebalance" or not sc.pin_placement)
         root = np.random.SeedSequence(sc.seed)
         s_setup, s_workload, s_inject, s_models, s_train, s_kmeans = root.spawn(6)
         self.setup_rng = np.random.default_rng(s_setup)
@@ -416,6 +426,8 @@ class Simulation:
         self._build_models(s_models, s_train)
         # In placement row order: every later placement is this one or a copy.
         self.fleet = Fleet(self.servers, self.placement)
+        # The congestion threshold, a share of the fleet's bandwidth, which never changes.
+        self.dev_threshold = sc.congestion_threshold_frac * exact_sum(self.fleet.cap[:, 2])
 
         # Live links as sorted keys src * span + dst; VM ids run from 1 to V.
         # Beside each key its birth: -1 if the log authorises the link, else
@@ -427,13 +439,8 @@ class Simulation:
         # the forecaster has trained.
         self.predicted = self.nominal_bw.copy()
         self.log = RunLog(
-            scenario_name=sc.name,
-            policy=sc.policy,
-            seed=sc.seed,
-            servers=len(self.servers),
-            vms=sc.vms,
-            users=sc.user_count(),
-            malicious_users=hostile_users,
+            scenario_name=sc.name, policy=sc.policy, seed=sc.seed, servers=len(self.servers),
+            vms=sc.vms, users=sc.user_count(), malicious_users=hostile_users,
         )
 
     # -- construction ----------------------------------------------------
@@ -445,7 +452,8 @@ class Simulation:
             scores = np.full(sc.servers, float(sc.vuln_score_fixed))
         else:
             scores = self.setup_rng.uniform(0.0, 10.0, sc.servers)
-        n_reserved = sc.servers // sc.reserved_per if sc.reserved_per and sc.policy == "oscmc" else 0
+        rebalances = "rebalance" in POLICY_TABLE[sc.policy].layers
+        n_reserved = sc.servers // sc.reserved_per if sc.reserved_per and rebalances else 0
         self.servers = {
             sid: Server(sid, cap, pw_max=sc.pw_max, pw_min=sc.pw_min, pw_idle=sc.pw_idle,
                         vulnerability_score=float(scores[sid - 1]),
@@ -511,13 +519,8 @@ class Simulation:
             self.usage = fit_trace_to_vms(trace, self.nominal_bw, sc.intervals, sc.trace_rescale)
         else:
             self.usage = synthetic_usage(
-                self.nominal_bw,
-                sc.intervals,
-                rng,
-                sigma=sc.workload_sigma,
-                burst_enter=sc.burst_enter,
-                burst_exit=sc.burst_exit,
-                burst_mult=sc.burst_mult,
+                self.nominal_bw, sc.intervals, rng, sigma=sc.workload_sigma,
+                burst_enter=sc.burst_enter, burst_exit=sc.burst_exit, burst_mult=sc.burst_mult,
             )
 
     def _build_models(self, s_models, s_train) -> None:
@@ -525,7 +528,7 @@ class Simulation:
         # One record per forecast group (a flavor, or a VM), in key order:
         # its VMs' ``usage`` columns, its network and its training RNG.
         self.models: dict[tuple, tuple[np.ndarray, PredictorModel, np.random.Generator]] = {}
-        if sc.policy != "oscmc":
+        if "forecast" not in POLICY_TABLE[sc.policy].layers:
             return
         cols = np.arange(sc.vms)  # as ``_cols`` gives them
         if sc.per_vm_models:
@@ -561,15 +564,19 @@ class Simulation:
                 for vm_id in vm_list:
                     base.assign(vm_id, demand[vm_id - 1], sid)
             self.placement = base
-        elif sc.policy == "oscmc":
-            items = [(vm_id, d, d.bw) for vm_id, d in zip(vms, demand)]
-            ordinary = [sid for sid, s in self.servers.items() if not s.reserved_for_hogs]
-            self.placement = ffd_place(items, self.servers, base, eligible=ordinary)
-        elif sc.policy == "pssf":
-            items = list(zip(vms, self.owner.tolist(), demand))
-            self.placement = pssf_place(items, self.servers, base)
         else:
-            self.placement = first_fit_place(list(zip(vms, demand)), self.servers, base)
+            self.placement = getattr(self, POLICY_TABLE[sc.policy].place)(base, vms, demand)
+
+    def _place_ffd(self, base: Placement, vms, demand) -> Placement:
+        items = [(vm_id, d, d.bw) for vm_id, d in zip(vms, demand)]
+        ordinary = [sid for sid, s in self.servers.items() if not s.reserved_for_hogs]
+        return ffd_place(items, self.servers, base, eligible=ordinary)
+
+    def _place_pssf(self, base: Placement, vms, demand) -> Placement:
+        return pssf_place(list(zip(vms, self.owner.tolist(), demand)), self.servers, base)
+
+    def _place_first_fit(self, base: Placement, vms, demand) -> Placement:
+        return first_fit_place(list(zip(vms, demand)), self.servers, base)
 
     # -- per-interval helpers --------------------------------------------
 
@@ -591,26 +598,27 @@ class Simulation:
         rows = starts[:, None] + np.arange(self.sc.window)
         return self.usage[rows, cols[:, None]]
 
-    def _train_and_predict(self, t: int, placed: np.ndarray) -> None:
+    def _train_and_predict(self, t: int, placed: np.ndarray) -> dict:
         """Fit each group's model on sampled bandwidth history windows, then
         write the bandwidth forecast for t+1 of each VM in the ``placed``
         columns into ``self.predicted``.  Each model has its own weights and
         its own training RNG; groups with the same sample count train as one
         stack.  Placement reads bandwidth alone, so cpu and memory are not
-        forecast."""
+        forecast.  Returns each trained group's final loss by group key."""
         sc = self.sc
+        losses: dict[tuple, float] = {}
         # Until the first training pass the model is random noise; the
         # nominal forecast stands instead.
         if t < sc.window:
-            return
+            return losses
         if (t - sc.window) % sc.retrain_every == 0:
             # Window ending at index start+window-1 predicts start+window,
             # which must already be observed: start <= t - window.
             starts = t - sc.window + 1
             # Padding a group to a common sample count would change its
             # means, so only groups of equal count share a stack.
-            buckets: dict[int, tuple[list, list, list]] = {}
-            for members, model, rng in self.models.values():
+            buckets: dict[int, list[tuple]] = {}
+            for key, (members, model, rng) in self.models.items():
                 total = members.size * starts
                 n = min(sc.train_sample, total)
                 picks = np.sort(rng.choice(total, size=n, replace=False))
@@ -619,12 +627,11 @@ class Simulation:
                 x = self._windows(cols, offsets)
                 y = self.usage[offsets + sc.window, cols]
                 model.set_bounds(np.concatenate([x.ravel(), y]))
-                models, xs, ys = buckets.setdefault(n, ([], [], []))
-                models.append(model)
-                xs.append(x)
-                ys.append(y)
-            for models, xs, ys in buckets.values():
-                train_on_windows(models, np.concatenate(xs), np.concatenate(ys), epochs=sc.epochs)
+                buckets.setdefault(n, []).append((key, model, x, y))
+            for bucket in buckets.values():
+                keys, models, xs, ys = zip(*bucket)
+                x, y = np.concatenate(xs), np.concatenate(ys)
+                losses.update(zip(keys, train_on_windows(models, x, y, epochs=sc.epochs)))
         mask = np.zeros(self.predicted.size, dtype=bool)
         mask[placed] = True
         for members, model, _ in self.models.values():
@@ -632,6 +639,7 @@ class Simulation:
             if live.size:
                 windows = self._windows(live, np.full(live.size, t - sc.window + 1))
                 self.predicted[live] = model.predict_batch(windows)
+        return losses
 
     def _perf_samples(self, t: int, active) -> tuple[np.ndarray, np.ndarray]:
         """Delivered bandwidth share of each VM of ``active`` after
@@ -672,21 +680,12 @@ class Simulation:
         col_rate = sc.attack_colocated_rate if in_burst_window else 0.0
         rem_rate = sc.attack_remote_rate if in_burst_window else 0.0
         attacks = inject_malicious_behavior(
-            self.placement,
-            self.malicious_vm_ids,
-            self.benign_vm_ids,
-            self.log.suspended,
-            col_rate,
-            rem_rate,
-            self.inject_rng,
+            self.placement, self.malicious_vm_ids, self.benign_vm_ids, self.log.suspended,
+            col_rate, rem_rate, self.inject_rng,
         )
         benign = benign_links(
-            self.placement,
-            self.benign_vm_ids,
-            self.log.suspended,
-            self.ivcl,
-            sc.benign_link_rate,
-            self.inject_rng,
+            self.placement, self.benign_vm_ids, self.log.suspended, self.ivcl,
+            sc.benign_link_rate, self.inject_rng,
         )
         return attacks, benign
 
@@ -760,111 +759,115 @@ class Simulation:
 
     def _detect(self, t: int, vlams, active: np.ndarray) -> ThreatReport:
         perf, thresholds = self._perf_samples(t, active)
-        colocation = detect_colocation(self.placement, vlams, self.ivcl)
         return build_threat_report(
-            t,
-            self.placement,
-            vlams,
-            self.ivcl,
-            self.owner,
-            vms=active,
-            perf=perf,
-            thresholds=thresholds,
-            vuln_scores=self.vuln_scores,
+            t, self.placement, vlams, self.ivcl, self.owner, vms=active, perf=perf,
+            thresholds=thresholds, vuln_scores=self.vuln_scores,
             min_links=self.sc.malicious_vm_threshold,
-            colocation=colocation,
+            colocation=detect_colocation(self.placement, vlams, self.ivcl),
         )
 
-    # -- main loop -------------------------------------------------------
+    # -- the step and its layers -----------------------------------------
 
-    def step(self, t: int) -> None:
-        sc = self.sc
-        # Rebalance moves VMs but never adds or removes one, so these ids
-        # hold until quarantine.
+    def step(self, t: int) -> dict[str, object]:
+        """Run interval ``t``: the policy's layers in order (``oscmc``: forecast,
+        rebalance unless the placement is pinned, links, detect, snapshot,
+        quarantine; ``pssf`` and ``wosc``: links, snapshot), each on the shared
+        inputs and the earlier layers' records.  Returns the records by layer."""
+        # Rebalance moves VMs but never adds or removes one: these ids hold until quarantine.
         active, cols = self.placement.derived("placed", None, self._placed_cols)
-        observed = self.usage[t, cols]
-        # A copy: training overwrites ``self.predicted``, and the snapshot
-        # reads the forecasts made before it.
-        predicted = self.predicted[cols]
+        now = Interval(t, active, cols, self.usage[t, cols], self.predicted[cols])
+        records: dict[str, object] = {}
+        for name in self.layers:
+            records[name] = getattr(self, "layer_" + name)(now, records)
+        return records
 
-        if sc.policy == "oscmc":
-            congestion = detect_congestion(
-                exact_sum(observed),
-                exact_sum(predicted),
-                delta_t=1.0,
-                dev_threshold=sc.congestion_threshold_frac * exact_sum(self.fleet.cap[:, 2]),
-                time_threshold=1.0,
-            )
-            self._train_and_predict(t, cols)
-            hog_vms: list[tuple[int, float]] = []
-            # Only an overload's rebalance reads the clusters.
-            if congestion.value == 1 and not sc.pin_placement and active.size:
-                values = self.predicted[cols].tolist()
-                n_clusters = min(sc.clusters, len(values))
-                assignment = kmeans(
-                    values,
-                    n_clusters,
-                    seed=int(self.kmeans_seeds[t]),
-                    restarts=sc.kmeans_restarts,
-                )
-                top = assignment.top_cluster()
-                hog_vms = [
-                    (vm, value)
-                    for vm, value, label in zip(active.tolist(), values, assignment.labels)
-                    if label == top
-                ]
-            if not sc.pin_placement:
-                result = rebalance(
-                    congestion.value, self.placement, self.servers, hog_vms
-                )
-                self.placement = result.placement
+    def layer_forecast(self, now: Interval, records: dict) -> CongestionState:
+        """Judge congestion on the shared bandwidths, train and write
+        ``predicted`` (``_train_and_predict``), and on an overload that a
+        rebalance reads, take the top ``kmeans`` cluster of the new forecasts
+        as hogs.  Returns the verdict with the hogs and the training losses."""
+        sc = self.sc
+        congestion = detect_congestion(
+            exact_sum(now.observed), exact_sum(now.predicted),
+            delta_t=1.0, dev_threshold=self.dev_threshold, time_threshold=1.0,
+        )
+        losses = self._train_and_predict(now.t, now.cols)
+        hogs = ()
+        # Only an overload's rebalance reads the clusters.
+        if congestion.value == 1 and "rebalance" in self.layers and now.active.size:
+            values = self.predicted[now.cols].tolist()
+            n_clusters = min(sc.clusters, len(values))
+            seed = int(self.kmeans_seeds[now.t])
+            assignment = kmeans(values, n_clusters, seed=seed, restarts=sc.kmeans_restarts)
+            top = assignment.top_cluster()
+            ranked = zip(now.active.tolist(), values, assignment.labels)
+            hogs = tuple((vm, value) for vm, value, label in ranked if label == top)
+        return replace(congestion, hogs=hogs, losses=losses)
 
-        self._add_links(*self._new_links(t), t)
+    def layer_rebalance(self, now: Interval, records: dict) -> RebalanceResult:
+        """Migrate the forecast record's hogs on an overload, or consolidate
+        on an underload (``rebalance``); writes ``placement``."""
+        congestion = records["forecast"]
+        result = rebalance(congestion.value, self.placement, self.servers, congestion.hogs)
+        self.placement = result.placement
+        return result
 
-        if sc.policy == "oscmc":
-            # Only unauthorised links and their receivers' (the potential
-            # relays') outgoing links can raise an event; every other live
-            # link is authorised, so this report equals one over all of them.
-            watched = set(self.live_links(self.link_keys[self.link_born >= 0]))
-            relays = sorted({relay for _, relay in watched})
-            watched.update(self.live_links(self._links_from(relays)))
-            # Only the servers hosting a watched endpoint: an empty matrix
-            # adds no event and no observed link.
-            hosts = {self.placement.server_of(vm) for link in watched for vm in link}
-            hosts.discard(None)
-            vlams = build_vlams(self.placement, watched, hosts)
-            report = self._detect(t, vlams, active)
-        else:
-            report = ThreatReport(interval=t)
+    def layer_links(self, now: Interval, records: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Draw links from the placement and unsuspended VMs (``_new_links``) and merge
+        them into the live links and the log's count (``_add_links``); returns them."""
+        links = self._new_links(now.t)
+        self._add_links(*links, now.t)
+        return links
+
+    def layer_detect(self, now: Interval, records: dict) -> ThreatReport:
+        """Build the observed-link matrices of the watched links and judge
+        them (``_detect``).  Reads the live links and the placement."""
+        # Only unauthorised links and their receivers' (the potential
+        # relays') outgoing links can raise an event; every other live
+        # link is authorised, so this report equals one over all of them.
+        watched = set(self.live_links(self.link_keys[self.link_born >= 0]))
+        relays = sorted({relay for _, relay in watched})
+        watched.update(self.live_links(self._links_from(relays)))
+        # Only the servers hosting a watched endpoint: an empty matrix
+        # adds no event and no observed link.
+        hosts = {self.placement.server_of(vm) for link in watched for vm in link}
+        hosts.discard(None)
+        return self._detect(now.t, build_vlams(self.placement, watched, hosts), now.active)
+
+    def layer_snapshot(self, now: Interval, records: dict) -> IntervalMetrics:
+        """Append to the log the detect record (an empty report under a policy
+        that does not detect) and the metrics row of the placement, the live
+        links and the shared bandwidths.  Returns the metrics row."""
+        report = records["detect"] if "detect" in records else ThreatReport(interval=now.t)
         self.log.reports.append(report)
-
         try:
             m = snapshot(
-                t,
-                self.servers,
-                self.placement,
-                observed,
-                predicted,
-                self.link_keys.size,
-                int(np.count_nonzero(self.link_born >= 0)),
-                hog_threshold=sc.hog_threshold,
-                power_mode=sc.power_mode,
+                now.t, self.servers, self.placement, now.observed, now.predicted,
+                self.link_keys.size, int(np.count_nonzero(self.link_born >= 0)),
+                hog_threshold=self.sc.hog_threshold, power_mode=self.sc.power_mode,
                 fleet=self.fleet,
             )
         except EmptyDataCenterError:
             msg = "interval %d: every VM is suspended and no server is powered"
-            raise SimulationError(msg % t) from None
+            raise SimulationError(msg % now.t) from None
         m.theta_col = len(report.colocation)
         m.theta_cas = len(report.cascading)
         m.theta_vul = len(report.vulnerability)
         # This report's VMs are not yet suspended, and no earlier one is named again.
         m.malicious_vms_cum = len(self.log.suspended) + len(report.malicious_vms)
         self.log.metrics.append(m)
+        return m
 
-        if sc.policy == "oscmc" and (
-            report.malicious_vms or report.malicious_link_set
-        ):
-            self._apply_quarantine(quarantine(report, self.placement), t)
+    def layer_quarantine(self, now: Interval, records: dict) -> QuarantineDirective | None:
+        """When the detect record names a malicious VM or link, suspend and cut
+        what ``quarantine`` directs (``_apply_quarantine``, which writes the
+        placement, the live links and the log); else return None."""
+        report = records["detect"]
+        if not (report.malicious_vms or report.malicious_link_set):
+            return None
+        directive = quarantine(report, self.placement)
+        self._apply_quarantine(directive, now.t)
+        return directive
 
     def finish(self) -> RunLog:
         """Drop the unauthorised links still live after the last interval,
@@ -878,19 +881,13 @@ def run(sc: Scenario, workers: int | None = None, trace: TraceData | None = None
     sim = Simulation(sc, workers=workers, trace=trace)
     log.info(
         "run start: scenario=%s policy=%s seed=%d vms=%d servers=%d",
-        sc.name,
-        sc.policy,
-        sc.seed,
-        sc.vms,
-        sc.servers,
+        sc.name, sc.policy, sc.seed, sc.vms, sc.servers,
     )
     for t in range(sc.intervals):
         sim.step(t)
     result = sim.finish()
     log.info(
         "run done: policy=%s suspended=%d breaches=%d",
-        sc.policy,
-        len(result.suspended),
-        result.realized_breaches,
+        sc.policy, len(result.suspended), result.realized_breaches,
     )
     return result

@@ -21,7 +21,7 @@ arrays once, reads numpy's functions from local names and enters one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -275,12 +275,15 @@ def gradient_check(
 
 @dataclass(frozen=True)
 class CongestionState:
-    """Data-centre congestion verdict: 1 overload, -1 underload, 0 steady."""
+    """Data-centre congestion verdict: 1 overload, -1 underload, 0 steady; the
+    engine adds its (VM, forecast) hogs and each trained group's loss."""
 
     value: int
     deviation: float
     dev_threshold: float
     time_threshold: float
+    hogs: tuple[tuple[int, float], ...] = ()
+    losses: dict = field(default_factory=dict)
 
 
 def detect_congestion(

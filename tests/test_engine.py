@@ -16,6 +16,7 @@ import oscmc.metrics
 import oscmc.model
 from oscmc.allocator import PlacementInfeasibleError
 from oscmc.engine import (
+    POLICY_TABLE,
     RunLog,
     Simulation,
     SimulationError,
@@ -30,11 +31,13 @@ from oscmc.metrics import (
 from oscmc.model import CapacityError, Placement, ResourceVector, Server
 from oscmc.monitor import (
     QuarantineDirective,
+    ThreatReport,
     build_threat_report,
     build_vlams,
     classify_link,
 )
-from oscmc.scenario import Scenario, ScenarioError, load_scenario, with_policy
+from oscmc.predictor import CongestionState
+from oscmc.scenario import POLICIES, Scenario, ScenarioError, load_scenario, with_policy
 from oscmc.workload import TraceFormatError, fit_trace_to_vms, ingest_trace, synthetic_usage
 
 
@@ -808,6 +811,96 @@ def test_small_scenarios_keep_link_classes_fixed_at_birth(sc):
     assert not _births(sim)
     assert len(result.metrics) == sc.intervals
     assert len(checked) == (sc.intervals if sc.policy == "oscmc" else 0)
+
+
+# Each policy's step layers, in the order a step runs them.
+LAYERS = {
+    "oscmc": ["forecast", "rebalance", "links", "detect", "snapshot", "quarantine"],
+    "pssf": ["links", "snapshot"],
+    "wosc": ["links", "snapshot"],
+}
+
+
+def test_policy_table_names_exactly_the_scenario_policies():
+    """The engine's table has one entry per policy a scenario accepts, and
+    each names a placement method and the layer methods it runs."""
+    assert sorted(POLICY_TABLE) == sorted(POLICIES)
+    for name, policy in POLICY_TABLE.items():
+        assert list(policy.layers) == LAYERS[name]
+        assert callable(getattr(Simulation, policy.place))
+        assert all(callable(getattr(Simulation, "layer_" + layer)) for layer in policy.layers)
+
+
+def _hosts(sim):
+    """Each placed VM's server, by VM id."""
+    placed = sim.placement.placed().tolist()
+    return dict(zip(placed, (sim.placement.server_of(vm) for vm in placed)))
+
+
+def _check_step_records(sim, t):
+    """Step ``sim`` through interval ``t`` and reconcile its records with
+    the run log and the placement."""
+    hosts = _hosts(sim)
+    suspended = len(sim.log.suspended)
+    malicious_links = sim.log.malicious_links_created
+    records = sim.step(t)
+    expected = [n for n in LAYERS[sim.sc.policy] if n != "rebalance" or not sim.sc.pin_placement]
+    assert list(records) == expected
+    assert len(sim.log.reports) == len(sim.log.metrics) == t + 1
+    assert records["snapshot"] is sim.log.metrics[-1]
+    if "detect" in records:
+        assert records["detect"] is sim.log.reports[-1]
+    else:
+        assert sim.log.reports[-1] == ThreatReport(interval=t)
+    directive = records.get("quarantine")
+    newly = sorted(directive.suspend_vms) if directive else []
+    assert sim.log.suspended[suspended:] == newly
+    if "quarantine" in records:
+        report = records["detect"]
+        assert (directive is None) == (not (report.malicious_vms or report.malicious_link_set))
+    # Replaying the rebalance moves on the hosts before the step gives the
+    # hosts after it, for every VM the quarantine left placed.
+    for vm, origin, target in records["rebalance"].moved if "rebalance" in records else ():
+        assert hosts[vm] == origin and origin != target
+        hosts[vm] = target
+    assert _hosts(sim) == {vm: sid for vm, sid in hosts.items() if vm not in newly}
+    checked, authorised = records["links"]
+    assert 0 <= sim.log.malicious_links_created - malicious_links <= len(checked)
+    terminated = directive.terminate_links if directive else set()
+    live = set(sim.live_links())
+    for link in map(tuple, np.concatenate((checked, authorised)).tolist()):
+        assert link in live or link in terminated or set(link) & set(newly)
+    if "forecast" in records:
+        congestion = records["forecast"]
+        assert isinstance(congestion, CongestionState)
+        assert set(congestion.losses) <= set(sim.models)
+        assert {vm for vm, _ in congestion.hogs} <= set(hosts)
+        if congestion.hogs:
+            assert congestion.value == 1 and "rebalance" in records
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_scenarios())
+@example(load_scenario("illustration"))
+def test_step_returns_each_layers_record_in_policy_order(sc):
+    """Under each policy, ``step`` returns one record per layer of the
+    policy, in order (a pinned placement runs no rebalance).  The detect and
+    snapshot records are the report and metrics row the log gained, the
+    rebalance moves are the VMs whose host changed, the directive's VMs are
+    what the log's suspended list gained, and each new link is live unless
+    the quarantine cut it."""
+    try:
+        sc.validate()
+    except ScenarioError:
+        return
+    for policy in POLICIES:
+        try:
+            sim = Simulation(with_policy(sc, policy))
+            for t in range(sc.intervals):
+                _check_step_records(sim, t)
+        except (SimulationError, PlacementInfeasibleError):
+            continue
 
 
 @pytest.mark.parametrize(
