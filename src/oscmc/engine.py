@@ -27,13 +27,13 @@ V + 1``) and, in an array of its own, a birth column: -1 for a link the
 authorised-link log authorises, else the interval the unauthorised link
 went live.  Each interval's fresh links join both in one merge through one
 mask of the old slots.  The fresh attack and scripted links are classified
-as one batch, with one search of the log's row keys; the log never changes
-after set-up, so a link's class is fixed at birth.  Link generation keeps
-each attacker's co-located run per placement state and each benign VM's
-log row per log state.  The observed-link matrices hold only the links
-that can change the threat report: each unauthorised live link and the
-live outgoing links of its receiver, a potential cascade relay, which are
-the relay's key range.
+as one batch, with one search of the log's keys, which encode a link as
+the live keys do; the log never changes after set-up, so a link's class is
+fixed at birth.  Link generation keeps each attacker's co-located run per
+placement state and reads each benign VM's log row by its id.  The
+observed-link matrices hold only the links that can change the threat
+report: each unauthorised live link and the live outgoing links of its
+receiver, a potential cascade relay, which are the relay's key range.
 """
 
 from __future__ import annotations
@@ -224,13 +224,14 @@ def benign_links(
     """
     benign = np.asarray(benign_vms, dtype=np.intp)
     draws = rng.random((benign.size, 2))
-    keys = ivcl.row_keys()[1]
-    lo, size, row_key = ivcl.row_spans(benign)
+    indptr, keys, span = ivcl.row_keys()
+    lo = indptr[benign]
+    size = indptr[benign + 1] - lo
     opens = (draws[:, 0] < rate) & (size > 0)
     if suspended:
         opens &= ~_member(benign, suspended)
     which = np.flatnonzero(opens)
-    lo, size, row_key = lo[which], size[which], row_key[which]
+    lo, size, row_key = lo[which], size[which], benign[which] * span
     start = (draws[which, 1] * size).astype(np.int64) % size
 
     def usable(vms: np.ndarray) -> np.ndarray:
@@ -253,7 +254,7 @@ def with_cross_user_grants(
     base: Ivcl, owner: np.ndarray, rate: float, rng: np.random.Generator
 ) -> Ivcl:
     """``base`` plus a grant of each pair of VMs with different owners with
-    probability ``rate``; ``owner`` holds the owner of each row of ``base``.
+    probability ``rate``; ``owner`` holds the owner of each VM of ``base``, in id order.
 
     The pairs are drawn in blocks of source rows, each block in one call
     over its cross-user pairs in (a, b) id order.  Consecutive draws equal
@@ -266,10 +267,9 @@ def with_cross_user_grants(
     if rate == 0:
         return base
     ids, base_ptr, base_dsts = base.csr()
-    base_cols = base.rows_of(base_dsts)
+    base_cols = np.searchsorted(ids, base_dsts)
     span = base.row_keys()[2]
     n = ids.size
-    counts = np.zeros(n, dtype=np.int64)
     # The expected grant count or more: the base's grants and ``rate`` of every other pair.
     expect = base_dsts.size + rate * (n * (n - 1) - base_dsts.size)
     room = max(0, int(expect + _GRANT_SLACK * (np.sqrt(expect) + 8)))
@@ -285,15 +285,12 @@ def with_cross_user_grants(
         base_rows = np.repeat(np.arange(r1 - r0), np.diff(base_ptr[r0 : r1 + 1]))
         granted[base_rows, base_cols[lo:hi]] = True
         rows, cols = np.divmod(np.flatnonzero(granted), n)
-        counts[r0:r1] = np.bincount(rows, minlength=r1 - r0)
         if at + rows.size > keys.size:  # more grants than the slack allows for
             keys = np.concatenate((keys[:at], np.empty(max(rows.size, keys.size // 2), keys.dtype)))
-        rows += r0
-        rows *= span
-        np.add(rows, ids[cols], out=keys[at : at + rows.size], casting="unsafe")
+        np.add(ids[rows + r0] * span, ids[cols], out=keys[at : at + rows.size], casting="unsafe")
         at += rows.size
         del rows, cols  # freed before the next block's draws
-    return Ivcl(ids, np.concatenate(([0], np.cumsum(counts))), keys[:at])
+    return Ivcl(ids, keys[:at])
 
 
 @dataclass
@@ -502,7 +499,7 @@ class Simulation:
 
     def _build_ivcl(self) -> None:
         """Every ordered same-owner pair, user by user, and cross-user grants."""
-        intra = Ivcl(np.arange(1, self.sc.vms + 1), np.zeros(self.sc.vms + 1, np.int64))
+        intra = Ivcl(np.arange(1, self.sc.vms + 1))
         by_owner = np.argsort(self.owner, kind="stable")
         cuts = np.flatnonzero(np.diff(self.owner[by_owner])) + 1
         for cols in np.split(by_owner, cuts):

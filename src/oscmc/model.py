@@ -28,9 +28,6 @@ class ResourceVector:
     def zero(cls) -> "ResourceVector":
         return cls(0.0, 0.0, 0.0)
 
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.cpu + other.cpu, self.mem + other.mem, self.bw + other.bw)
-
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.cpu - other.cpu, self.mem - other.mem, self.bw - other.bw)
 

@@ -46,56 +46,60 @@ LinkEnds = tuple[int, int]
 
 
 class Ivcl:
-    """Authorised-link log as sorted row keys.
+    """Authorised-link log as sorted link keys.
 
-    Row ``i`` belongs to ``ids[i]``, the registered VMs in ascending id order,
-    and holds that VM's permitted destinations ``d`` in ascending order as the
-    keys ``i * span + d`` of ``keys[indptr[i]:indptr[i + 1]]``, with ``span``
-    above every id.  The keys (``int32`` while every key fits) are the log's
-    only per-grant array: ``authorized`` checks a batch of links with one
-    search of them, and ``csr`` derives the destinations on demand.
-    ``register`` and ``grant`` append to three flat pending id lists
-    (registrations, grant sources, grant destinations), which the next
-    query merges into the rows with one sort, so a log can still be stated
-    grant by grant, or the rows can be built in bulk and passed in as keys.
+    A grant ``src -> dst`` is the key ``src * span + dst``, as the engine
+    keys its live links, with ``span`` one past the largest registered id.
+    The keys are sorted, so VM ``v``'s permitted destinations, in ascending
+    order, are ``keys[indptr[v]:indptr[v + 1]] - v * span``, where
+    ``indptr`` has ``span + 1`` slots and an unregistered id's row is empty.
+    The keys (``int32`` while every key fits) are the log's only per-grant
+    array: ``authorized`` checks a batch of links with one search of them,
+    and ``csr`` derives the destinations on demand.  ``register`` and
+    ``grant`` append to three flat pending id lists (registrations, grant
+    sources, grant destinations), which the next query merges into the keys
+    with one sort, so a log can still be stated grant by grant, or the keys
+    can be built in bulk and passed in.
 
     Every VM admitted to the data centre is registered here, possibly with an
     empty row.  The log is treated as immutable after set-up; the engine
     relies on it.
     """
 
-    def __init__(self, ids=(), indptr=(0,), keys=()):
-        """An empty log, or one over ``ids`` (ascending) whose rows are
-        already built as ``row_keys`` gives them: ``span`` is one past the
-        largest id, and each destination is one of ``ids``.  Arrays of the
-        log's dtypes (``int64`` ids and indptr, ``key_dtype(span)`` keys) are
+    def __init__(self, ids=(), keys=()):
+        """An empty log, or one over the registered ``ids`` whose grants are
+        already built as ``row_keys`` gives them: sorted keys whose sources
+        and destinations are all in ``ids``.  Keys of ``key_dtype(span)`` are
         kept, not copied, and become read-only."""
-        self._set_rows(np.asarray(ids, np.int64), np.asarray(indptr, np.int64), keys)
+        self._set_keys(np.asarray(ids, np.int64), keys)
         # Registrations, grant sources and grant destinations not yet merged.
         self._pending: tuple[list[int], list[int], list[int]] = ([], [], [])
 
     @staticmethod
     def key_dtype(span: int):
-        """``int32`` while every key ``row * span + dst`` fits, else ``int64``."""
+        """``int32`` while every key ``src * span + dst`` fits, else ``int64``."""
         return np.int32 if span**2 < 2**31 else np.int64
 
-    def _set_rows(self, ids, indptr, keys) -> None:
-        self._ids, self._indptr = ids, indptr
-        # Row by VM id, -1 if unregistered, as ``Placement`` indexes hosts;
-        # the last slot, past every id, stays -1.
-        self._row_of = np.full(int(ids.max(initial=-1)) + 2, -1, np.intp)
-        self._row_of[ids] = np.arange(ids.size)
-        self._span = 1 + int(ids.max(initial=0))
-        keys = np.asarray(keys, self.key_dtype(self._span))
-        for a in (ids, indptr, keys):
-            a.flags.writeable = False  # shared by copies
+    def _set_keys(self, ids, keys) -> None:
+        self._span = span = 1 + int(ids.max(initial=0))
+        # Registration by VM id; the last slot, past every id, stays False.
+        self._known = np.zeros(span + 1, bool)
+        self._known[ids] = True
+        keys = np.asarray(keys, self.key_dtype(span))
+        # Each id's first key, searched in the keys' dtype: wider needles would copy the keys.
+        self._indptr = np.searchsorted(keys, np.arange(span + 1, dtype=keys.dtype) * span)
+        for a in (self._indptr, keys):
+            a.flags.writeable = False  # keys shared by copies
         self._keys = keys
-        self._spans = (None,)  # ``row_spans``' ids and answer, for these rows only
+
+    def _has(self, vm_id: int) -> bool:
+        """Whether ``vm_id`` is registered in the merged keys."""
+        return 0 <= vm_id < self._span and bool(self._known[vm_id])
 
     def register(self, vm_id: int) -> None:
         if vm_id < 0:
             raise ValueError("VM ids must be non-negative, got %d" % vm_id)
-        if self._row_index(vm_id) < 0:
+        if not self._has(vm_id):
             self._pending[0].append(vm_id)
 
     def grant(self, src: int, dst: int) -> None:
@@ -108,77 +112,59 @@ class Ivcl:
         self._pending[2].append(dst)
 
     def _merge(self) -> None:
-        """Rebuild the rows with the pending registrations and grants: the old
-        and new pairs as ``src * span + dst``, sorted once, each kept where it
-        differs from the one before it (``np.unique`` would import ``numpy.ma``);
-        a large log is passed in as rows."""
+        """Rebuild the keys with the pending registrations and grants: the old
+        and new pairs as ``src * span + dst`` at the new span, sorted once,
+        each kept where it differs from the one before it (``np.unique`` would
+        import ``numpy.ma``); a large log is passed in as keys."""
         regs, srcs, dsts = self._pending
         self._pending = ([], [], [])
-        old_ids, ptr, old_dsts = self.csr()
         regs = np.fromiter(regs, np.int64, len(regs))
         srcs = np.fromiter(srcs, np.int64, len(srcs))  # each list freed as its array replaces it
         dsts = np.fromiter(dsts, np.int64, len(dsts))
-        span = 1 + max(int(a.max(initial=0)) for a in (old_ids, regs, srcs, dsts))
+        old = self._span
+        span = 1 + max(int(a.max(initial=old - 1)) for a in (regs, srcs, dsts))
         present = np.zeros(span, bool)
-        present[old_ids] = present[regs] = present[srcs] = present[dsts] = True
-        ids = np.flatnonzero(present).astype(np.int64)
+        present[:old] = self._known[:old]
+        present[regs] = present[srcs] = present[dsts] = True
         srcs *= span
         srcs += dsts
         del dsts
-        pairs = np.concatenate((np.repeat(old_ids * span, np.diff(ptr)) + old_dsts, srcs))
-        del srcs
+        # An old key moves by ``src * (span - old)`` to the new span.
+        moved = np.repeat(np.arange(old) * (span - old), np.diff(self._indptr)) + self._keys
+        pairs = np.concatenate((moved, srcs))
+        del moved, srcs
         pairs.sort()
         keep = np.ones(pairs.size, bool)
         keep[1:] = pairs[1:] != pairs[:-1]
-        pairs = pairs[keep]
-        # Shift each pair from its source's id to its row: ``row * span + dst``.
-        counts = np.bincount(pairs // span, minlength=span)[ids]
-        pairs += np.repeat((np.arange(ids.size) - ids) * span, counts)
-        self._set_rows(ids, np.concatenate(([0], np.cumsum(counts))), pairs)
-
-    def _row_index(self, vm_id: int) -> int:
-        """The row of ``vm_id`` among the merged rows, -1 if it has none."""
-        return self._row_of.item(vm_id) if 0 <= vm_id < self._row_of.size else -1
+        self._set_keys(np.flatnonzero(present), pairs[keep])
 
     def _sync(self) -> None:
         if self._pending[0] or self._pending[1]:
             self._merge()
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ids, indptr, indices)``, read-only; ``indices`` derived per call."""
+        """``(ids, indptr, indices)`` over the registered ids' rows, read-only,
+        derived per call."""
         self._sync()
+        ids = np.flatnonzero(self._known)
+        indptr = self._indptr[np.append(ids, self._span)]
         indices = np.empty(self._keys.size, np.int32)
         np.remainder(self._keys, self._span, out=indices, casting="unsafe")
-        indices.flags.writeable = False
-        return self._ids, self._indptr, indices
+        for a in (ids, indptr, indices):
+            a.flags.writeable = False
+        return ids, indptr, indices
 
     def row_keys(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(indptr, keys, span)``, read-only."""
+        """``(indptr, keys, span)``, read-only, ``indptr`` indexed by VM id."""
         self._sync()
         return self._indptr, self._keys, self._span
 
-    def rows_of(self, vm_ids) -> np.ndarray:
-        """The row of each of the registered ``vm_ids`` (an int array)."""
-        self._sync()
-        return self._row_of[vm_ids]
-
-    def row_spans(self, vm_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row start in ``row_keys``' keys, row size and ``row * span`` of each registered
-        ``vm_ids`` (intp), kept while the ids' values and the rows hold: do not change them."""
-        self._sync()
-        if self._spans[0] != vm_ids.tobytes():
-            rows = self._row_of[vm_ids]
-            lo = self._indptr[rows]
-            self._spans = (vm_ids.tobytes(), lo, self._indptr[rows + 1] - lo, rows * self._span)
-        return self._spans[1:]
-
     def authorized_dsts(self, src: int) -> frozenset[int]:
         self._sync()
-        row = self._row_index(src)
-        if row < 0:
+        if not self._has(src):
             raise UnregisteredVmError("unregistered VM %d" % src)
-        keys = self._keys[self._indptr[row] : self._indptr[row + 1]]
-        return frozenset((keys - row * self._span).tolist())
+        keys = self._keys[self._indptr[src] : self._indptr[src + 1]]
+        return frozenset((keys - src * self._span).tolist())
 
     def is_authorized(self, src: int, dst: int) -> bool:
         """``authorized`` of the one link ``src -> dst``."""
@@ -186,18 +172,20 @@ class Ivcl:
 
     def authorized(self, src, dst) -> np.ndarray:
         """Whether ``dst[i]`` is in the log row of ``src[i]``, for each link
-        (VM id sequences or arrays of one length), as a bool array from one
-        search of the keys.  An unregistered or negative end raises
-        ``UnregisteredVmError``, naming the first of the sources, then of the
-        destinations."""
+        (VM id sequences or arrays of one length, else ``ValueError``), as a
+        bool array from one search of the keys.  An unregistered or negative
+        end raises ``UnregisteredVmError``, naming the first of the sources,
+        then of the destinations."""
+        if len(src) != len(dst):
+            raise ValueError("%d link sources for %d destinations" % (len(src), len(dst)))
         self._sync()
         ends = np.concatenate((src, dst)).astype(np.intp, copy=False)
         n, keys = len(src), self._keys
-        rows = self._row_of.take(ends, mode="clip")
-        unknown = (rows | ends) < 0  # row -1, or a negative id clipped to row 0
+        # Clipped, an id past the span reads the last slot, and a negative one slot 0.
+        unknown = ~self._known.take(ends, mode="clip") | (ends < 0)
         if unknown.any():
             raise UnregisteredVmError("unregistered VM %d" % ends[unknown][0])
-        key = (rows[:n] * self._span + ends[n:]).astype(keys.dtype)
+        key = (ends[:n] * self._span + ends[n:]).astype(keys.dtype)
         # Clipped, a key past the end meets the last key, a smaller one.
         at = np.searchsorted(keys, key)
         return keys.take(at, mode="clip") == key if keys.size else np.zeros(n, bool)
@@ -205,11 +193,11 @@ class Ivcl:
     @property
     def registered(self) -> frozenset[int]:
         self._sync()
-        return frozenset(self._ids.tolist())
+        return frozenset(np.flatnonzero(self._known).tolist())
 
     def copy(self) -> "Ivcl":
         self._sync()
-        return Ivcl(self._ids, self._indptr, self._keys)
+        return Ivcl(np.flatnonzero(self._known), self._keys)
 
 
 def classify_link(link: LinkEnds, ivcl: Ivcl) -> int:

@@ -903,6 +903,30 @@ def test_step_returns_each_layers_record_in_policy_order(sc):
             continue
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_scenarios())
+@example(load_scenario("illustration"))
+def test_live_links_and_the_log_share_one_key(sc):
+    """Under each policy, the log keys a link as the live links do: after
+    every interval, each live key born authorised (-1) is one of the log's
+    keys and no key born unauthorised is."""
+    try:
+        sc.validate()
+    except ScenarioError:
+        return
+    for policy in POLICIES:
+        try:
+            sim = Simulation(with_policy(sc, policy))
+            _indptr, keys, span = sim.ivcl.row_keys()
+            assert span == sim.span
+            for t in range(sc.intervals):
+                sim.step(t)
+                in_log = np.isin(sim.link_keys, keys)
+                assert (in_log == (sim.link_born == -1)).all()
+        except (SimulationError, PlacementInfeasibleError):
+            continue
+
+
 @pytest.mark.parametrize(
     "threshold, pinned, calls",
     [(0.10, False, 0), (0.01, False, 8), (0.01, True, 0)],

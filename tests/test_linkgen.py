@@ -520,16 +520,17 @@ def _assert_check(want, run):
 
 
 def _assert_round_trips(ivcl):
-    """``csr`` gives read-only ``(ids, indptr, int32 indices)``, and a log
-    built from the rows as ``row_keys`` gives them, or as a copy, keeps the
-    keys without copying them and gives the same rows back."""
+    """``csr`` gives read-only ``(ids, indptr, int32 indices)``, each key is
+    ``src * span + dst``, and a log built from the ids and the keys as
+    ``row_keys`` gives them, or as a copy, keeps the keys without copying
+    them and gives the same rows back."""
     ids, indptr, indices = ivcl.csr()
     assert (ids.dtype, indptr.dtype, indices.dtype) == (np.int64, np.int64, np.int32)
     assert not any(a.flags.writeable for a in (ids, indptr, indices))
     _indptr, keys, span = ivcl.row_keys()
-    rows = np.repeat(np.arange(ids.size), np.diff(indptr))
-    assert (keys == rows * span + indices).all()
-    for again in (Ivcl(ids, indptr, keys), ivcl.copy()):
+    srcs = np.repeat(ids, np.diff(indptr))
+    assert (keys == srcs * span + indices).all()
+    for again in (Ivcl(ids, keys), ivcl.copy()):
         assert again.row_keys()[1] is keys
         got = again.csr()
         assert [a.tolist() for a in got] == [ids.tolist(), indptr.tolist(), indices.tolist()]
@@ -569,9 +570,14 @@ def test_batch_check_over_empty_logs_and_rows():
     for src, dst in ([0], [0]), ([-1], [-1]), ([1], [2]):
         with pytest.raises(UnregisteredVmError):
             empty.authorized(np.array(src), np.array(dst))
-    assert Ivcl([1, 2], [0, 0, 0]).authorized([1, 2], [2, 1]).tolist() == [False] * 2
+    assert Ivcl([1, 2]).authorized([1, 2], [2, 1]).tolist() == [False] * 2
     ivcl = _log([3, 7, 900], [])  # registered, every row empty
     assert ivcl.authorized(np.array([3, 7, 900]), np.array([7, 900, 3])).tolist() == [False] * 3
     for src, dst in ([3], [-1]), ([-1], [3]), ([3], [4]), ([901], [3]), ([3, 7], [7, 8]):
         with pytest.raises(UnregisteredVmError):
             ivcl.authorized(np.array(src), np.array(dst))
+    # Sources and destinations of different lengths pair no link.
+    ivcl = _log([1, 2, 3, 4], [(1, 3), (2, 3), (1, 4)])
+    for src, dst in ([1, 2], [3]), ([1], [3, 4]):
+        with pytest.raises(ValueError, match="link sources for"):
+            ivcl.authorized(src, dst)

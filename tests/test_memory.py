@@ -94,8 +94,8 @@ def test_log_build_holds_the_log_once_beside_one_draw_block():
     uniforms at a time, does not fit."""
     vms = 4000
     owner = np.arange(vms) // 3
-    base = Ivcl(np.arange(1, vms + 1), np.zeros(vms + 1, np.int64))
-    small = Ivcl(np.arange(1, 31), np.zeros(31, np.int64))
+    base = Ivcl(np.arange(1, vms + 1))
+    small = Ivcl(np.arange(1, 31))
     with_cross_user_grants(small, owner[:30], 0.05, np.random.default_rng(1))  # first-call caches
     tracemalloc.start()
     try:

@@ -87,7 +87,8 @@ def test_ivcl_register_grant_and_errors():
     with pytest.raises(ValueError):
         ivcl.register(-1)  # rows are indexed by VM id
     ivcl.register(7)
-    assert ivcl.rows_of(np.array([7, 1, 2])).tolist() == [2, 0, 1]
+    indptr, keys, span = ivcl.row_keys()  # the grant 1 -> 2 keyed 1 * span + 2, by id
+    assert (indptr.tolist(), keys.tolist(), span) == ([0, 0, 1, 1, 1, 1, 1, 1, 1], [10], 8)
 
 
 def test_ivcl_copy_is_independent():
@@ -109,7 +110,7 @@ _ops = st.lists(
         st.tuples(st.just("grant"), _ids, _ids),
         st.tuples(st.just("csr")),
         st.tuples(st.just("authorized"), st.lists(st.tuples(_ids, _ids), max_size=6)),
-        st.tuples(st.just("row_spans"), st.lists(_ids, max_size=6)),
+        st.tuples(st.just("row_keys")),
         st.tuples(st.just("copy")),
     ),
     max_size=40,
@@ -170,12 +171,14 @@ def test_grant_by_grant_log_equals_a_set_of_pairs(ops):
             for a, b in unknown:
                 with pytest.raises(UnregisteredVmError):
                     ivcl.authorized([a], [b])
-        elif op == "row_spans":
-            vms = np.array([vm for vm in args[0] if vm in registered], np.intp)
-            lo, size, row_key = ivcl.row_spans(vms)
-            keys = ivcl.row_keys()[1]
-            for vm, a, n, k in zip(vms.tolist(), lo, size, row_key):
-                assert (keys[a : a + n] - k).tolist() == sorted(d for s, d in pairs if s == vm)
+        elif op == "row_keys":
+            # keys[indptr[v]:indptr[v + 1]] - v * span are v's destinations for
+            # every id v below span, an empty slot for an unregistered id.
+            indptr, keys, span = ivcl.row_keys()
+            assert indptr.size == span + 1 and indptr[0] == 0 and indptr[-1] == keys.size
+            src = np.repeat(np.arange(span), np.diff(indptr))  # id of each key's slot
+            assert src.tolist() == [s for s, _ in sorted(pairs)]
+            assert (keys - src * span).tolist() == [d for _, d in sorted(pairs)]
         else:
             copies.append((ivcl, set(registered), set(pairs)))
             ivcl = ivcl.copy()
