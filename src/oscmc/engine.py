@@ -19,8 +19,11 @@ Clustering draws only in the overloaded intervals whose rebalance reads the
 clusters, each from its own per-interval seed, so skipping it in the other
 intervals shifts no stream.
 A large set-up builds the usage on a helper thread beside the authorised-link
-log, with which it shares no state or substream.  No output byte depends on
-scheduling or on the worker count that ``Simulation`` and ``run`` accept.
+log, with which it shares no state or substream.  The helper then draws the
+log's tail blocks from copies of the set-up stream jumped ahead to each block,
+and the stream ends where one thread's draw leaves it.  No output byte
+depends on which thread drew which block, on scheduling or on the worker
+count that ``Simulation`` and ``run`` accept.
 
 Live links are one sorted array of keys ``src * span + dst`` (``span =
 V + 1``) and, in an array of its own, a birth column: -1 for a link the
@@ -38,8 +41,10 @@ receiver, a potential cascade relay, which are the relay's key range.
 
 from __future__ import annotations
 
+import copy
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import NamedTuple
@@ -74,8 +79,10 @@ _DRAW_BLOCK = 1 << 17
 # interpreter lock cost set-up more than building the usage beside the log saves.
 _OVERLAP_VMS, _OVERLAP_USAGE = 400, 1 << 14
 # Room in the log for this many standard deviations of the grant count
-# above its expected value, before the log has to grow.
+# above its expected value, before blocks are written apart.
 _GRANT_SLACK = 8
+# Generators whose ``advance`` counts 64-bit outputs, one per ``random`` uniform.
+_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 class SimulationError(Exception):
@@ -251,7 +258,7 @@ def benign_links(
 
 
 def with_cross_user_grants(
-    base: Ivcl, owner: np.ndarray, rate: float, rng: np.random.Generator
+    base: Ivcl, owner: np.ndarray, rate: float, rng: np.random.Generator, helper=None
 ) -> Ivcl:
     """``base`` plus a grant of each pair of VMs with different owners with
     probability ``rate``; ``owner`` holds the owner of each VM of ``base``, in id order.
@@ -261,8 +268,20 @@ def with_cross_user_grants(
     one long draw, so each pair gets the same number as in a pairwise
     enumeration, and a block's uniforms stay about 1 MB.  Each block's
     grants are written as the log's keys into one array, sized for the
-    expected count and grown only if the draws exceed it, which the log
-    then keeps.  No draw is made when ``rate`` is 0.
+    expected count, which the log then keeps; a block that finds no room
+    left is written apart, and the pieces are joined in block order.  No
+    draw is made when ``rate`` is 0.
+
+    ``helper``, an executor, may share the draw once it is free: the calling
+    thread draws blocks from the front with ``rng``, the helper half blocks
+    from the back, each from a copy of ``rng``'s starting state jumped ahead
+    by the cross-user pairs before it (``random`` takes one 64-bit output
+    a uniform), writing from the array's end.  The helper's keys are moved
+    down behind the calling thread's, and ``rng``'s state is advanced to
+    where one thread's draw leaves it, its buffered 32-bit half kept, so the
+    keys and the stream are the same whichever thread drew which block.
+    Only a PCG64 or PCG64DXSM generator, whose ``advance`` counts 64-bit
+    outputs, is shared; ``Simulation``'s is always PCG64.
     """
     if rate == 0:
         return base
@@ -274,23 +293,87 @@ def with_cross_user_grants(
     expect = base_dsts.size + rate * (n * (n - 1) - base_dsts.size)
     room = max(0, int(expect + _GRANT_SLACK * (np.sqrt(expect) + 8)))
     keys = np.empty(room, Ivcl.key_dtype(span))
-    at = 0
+    # Dense owner ranks in int32, as an owner id may not fit: half the cost of an intp mask.
+    by_owner = np.argsort(owner, kind="stable")
+    grouped = owner[by_owner]
+    rank = np.empty(n, np.int32)
+    rank[by_owner] = np.cumsum(np.concatenate(([False], grouped[1:] != grouped[:-1])))
+    # The cross-user pairs of the rows before each row, and of all of them.
+    before = np.zeros(n + 1, np.int64)
+    np.cumsum(n - np.bincount(rank)[rank], out=before[1:])
     step = max(1, _DRAW_BLOCK // max(n, 1))
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        cross = owner[r0:r1, None] != owner
-        granted = np.zeros(cross.shape, dtype=bool)
-        granted[cross] = rng.random(np.count_nonzero(cross)) < rate
-        lo, hi = base_ptr[r0], base_ptr[r1]
-        base_rows = np.repeat(np.arange(r1 - r0), np.diff(base_ptr[r0 : r1 + 1]))
-        granted[base_rows, base_cols[lo:hi]] = True
-        rows, cols = np.divmod(np.flatnonzero(granted), n)
-        if at + rows.size > keys.size:  # more grants than the slack allows for
-            keys = np.concatenate((keys[:at], np.empty(max(rows.size, keys.size // 2), keys.dtype)))
-        np.add(ids[rows + r0] * span, ids[cols], out=keys[at : at + rows.size], casting="unsafe")
-        at += rows.size
-        del rows, cols  # freed before the next block's draws
-    return Ivcl(ids, keys[:at])
+    lock = threading.Lock()
+    # Rows todo[0] to todo[1] - 1 are unclaimed, and keys free[0] to free[1] - 1 unwritten.
+    todo, free, pieces, spilled = [0, n], [0, room], {}, []
+
+    def draw(front: bool, gen) -> None:
+        end = 0 if front else 1
+        while True:
+            with lock:
+                lo, hi = todo
+                if lo == hi:
+                    return
+                # The helper's blocks are halves: about 0.7 MB less peak RSS at 2200 VMs.
+                size = step if front else max(1, step // 2)
+                r0, r1 = (lo, min(lo + size, hi)) if front else (max(lo, hi - size), hi)
+                todo[end] = r1 if front else r0
+            if not front:  # the starting state, jumped over the pairs before row r0
+                gen.bit_generator.state = start
+                gen.bit_generator.advance(int(before[r0]))
+            rows, cols = _granted(r0, r1, rank, before, base_ptr, base_cols, rate, gen)
+            with lock:  # in place while the two ends have not met, else apart
+                if free[0] + rows.size <= free[1]:
+                    free[end] += rows.size if front else -rows.size
+                    at = free[0] - rows.size if front else free[1]
+                    pieces[r0] = keys[at : at + rows.size]
+                else:
+                    spilled.append(r0)
+                    pieces[r0] = np.empty(rows.size, keys.dtype)
+            np.add(ids[rows] * span, ids[cols], out=pieces[r0], casting="unsafe")
+            del rows, cols  # freed before the next block's draws
+
+    shared = None
+    if helper is not None and n > step and type(rng.bit_generator) in _JUMPABLE:
+        start = rng.bit_generator.state
+        jumped = np.random.Generator(copy.deepcopy(rng.bit_generator))
+        shared = helper.submit(draw, False, jumped)
+    try:
+        draw(True, rng)
+    finally:
+        with lock:
+            todo[1] = todo[0]  # no row left for the helper, also after a failure here
+        if shared is not None and not shared.cancel():
+            wait([shared])
+    if shared is not None and not shared.cancelled():
+        shared.result()  # the helper's failure
+        if todo[1] < n:  # the helper drew the tail: end where one thread's draw does
+            jumped.bit_generator.state = start
+            jumped.bit_generator.advance(int(before[n]))
+            state = rng.bit_generator.state
+            state["state"]["state"] = jumped.bit_generator.state["state"]["state"]
+            rng.bit_generator.state = state
+    if spilled:
+        return Ivcl(ids, np.concatenate([pieces[r0] for r0 in sorted(pieces)]))
+    # The helper's blocks, written back from the end, follow the calling thread's.
+    front, back = free
+    keys[front : front + room - back] = keys[back:]
+    return Ivcl(ids, keys[: front + room - back])
+
+
+def _granted(r0, r1, rank, before, base_ptr, base_cols, rate, rng):
+    """The (row, column) of each grant of source rows ``r0`` to ``r1 - 1``, in
+    order: the base's and each cross-user pair drawn below ``rate``."""
+    n = rank.size
+    cross = rank[r0:r1, None] != rank
+    granted = np.zeros(cross.shape, dtype=bool)
+    granted[cross] = rng.random(int(before[r1] - before[r0])) < rate
+    del cross
+    lo, hi = base_ptr[r0], base_ptr[r1]
+    base_rows = np.repeat(np.arange(r1 - r0), np.diff(base_ptr[r0 : r1 + 1]))
+    granted[base_rows, base_cols[lo:hi]] = True
+    rows, cols = np.divmod(np.flatnonzero(granted), n)
+    rows += r0
+    return rows, cols
 
 
 @dataclass
@@ -415,7 +498,7 @@ class Simulation:
         if sc.vms >= _OVERLAP_VMS and sc.vms * sc.intervals >= _OVERLAP_USAGE:
             with ThreadPoolExecutor(1, thread_name_prefix="oscmc-setup") as pool:
                 usage = pool.submit(self._build_usage, usage_rng, trace)
-                self._build_ivcl()
+                self._build_ivcl(pool)  # the helper shares the log's draw once the usage is built
                 usage.result()
         else:
             self._build_ivcl()
@@ -497,8 +580,9 @@ class Simulation:
         self.benign_vm_ids = ids[~is_hostile]
         return len(hostile)
 
-    def _build_ivcl(self) -> None:
-        """Every ordered same-owner pair, user by user, and cross-user grants."""
+    def _build_ivcl(self, helper=None) -> None:
+        """Every ordered same-owner pair, user by user, and cross-user grants,
+        drawn with ``helper``'s share (``with_cross_user_grants``)."""
         intra = Ivcl(np.arange(1, self.sc.vms + 1))
         by_owner = np.argsort(self.owner, kind="stable")
         cuts = np.flatnonzero(np.diff(self.owner[by_owner])) + 1
@@ -506,7 +590,7 @@ class Simulation:
             for a, b in permutations((cols + 1).tolist(), 2):
                 intra.grant(a, b)
         self.ivcl = with_cross_user_grants(
-            intra, self.owner, self.sc.cross_user_auth_rate, self.setup_rng
+            intra, self.owner, self.sc.cross_user_auth_rate, self.setup_rng, helper
         )
 
     def _build_usage(self, rng: np.random.Generator, trace: TraceData | None) -> None:

@@ -86,8 +86,17 @@ class Ivcl:
         self._known = np.zeros(span + 1, bool)
         self._known[ids] = True
         keys = np.asarray(keys, self.key_dtype(span))
-        # Each id's first key, searched in the keys' dtype: wider needles would copy the keys.
-        self._indptr = np.searchsorted(keys, np.arange(span + 1, dtype=keys.dtype) * span)
+        # The first key of each registered id and of ``span``, searched in the
+        # keys' dtype (wider needles would copy the keys).  Every key's source
+        # is registered, so an unregistered id's empty row starts where the
+        # next registered one's does: one search per row, not per id.
+        edges = np.concatenate((np.flatnonzero(self._known), [span]))
+        firsts = np.searchsorted(keys, edges.astype(keys.dtype) * span)
+        # Each start fills the slots after the edge before it, up to its own.
+        slots = edges.copy()
+        slots[1:] -= edges[:-1]
+        slots[0] += 1
+        self._indptr = firsts.repeat(slots)
         for a in (self._indptr, keys):
             a.flags.writeable = False  # keys shared by copies
         self._keys = keys

@@ -1400,9 +1400,10 @@ def test_usage_is_built_beside_the_log_only_on_a_large_set_up(monkeypatch):
 
 def test_setup_helper_failures_propagate_and_leave_no_thread(monkeypatch, tmp_path):
     """A usage error (a missing trace, read by the helper) surfaces from
-    ``Simulation`` as it does from a serial build; a log error propagates
-    once the helper has built the usage; neither, nor a set-up under any
-    policy, leaves a thread behind."""
+    ``Simulation`` as it does from a serial build; an error in the helper's
+    share of the log's draw propagates once the calling thread has drawn the
+    rest; a log error propagates once the helper has built the usage; none
+    of them, nor a set-up under any policy, leaves a thread behind."""
     before = threading.active_count()
     sc = small_scenario(trace_path=str(tmp_path / "absent.csv"))
     with pytest.raises(TraceFormatError) as serial:
@@ -1416,7 +1417,25 @@ def test_setup_helper_failures_propagate_and_leave_no_thread(monkeypatch, tmp_pa
     assert str(overlapped.value) == str(serial.value)
     assert threading.active_count() == before
 
-    def failing_log(self):
+    # One source row a block; the calling thread draws its first block only
+    # once the helper has failed on the last one.
+    helper_failed = threading.Event()
+
+    def failing_share(*args, _granted=oscmc.engine._granted):
+        if threading.current_thread().name.startswith("oscmc-setup"):
+            helper_failed.set()
+            raise RuntimeError("helper's share failed")
+        assert helper_failed.wait(60)
+        return _granted(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oscmc.engine, "_granted", failing_share)
+        mp.setattr(oscmc.engine, "_DRAW_BLOCK", 1)
+        with pytest.raises(RuntimeError, match="helper's share failed"):
+            Simulation(small_scenario())
+    assert threading.active_count() == before
+
+    def failing_log(self, helper=None):
         raise RuntimeError("log failed")
 
     names.clear()

@@ -7,9 +7,15 @@ source rows and checks a batch of links with one search of the log.  The
 references below are the plain loops those replaced: one draw call per VM,
 one draw per cross-user pair and one check per link.  The array versions
 must return the same links in the same order and leave the random stream in
-the same state.
+the same state.  The log drawn with a helper thread taking blocks from the
+back, each from a jumped-ahead copy of the stream, must equal the log drawn
+on the calling thread alone.
 """
 
+import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from unittest import mock
 
 import numpy as np
@@ -18,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscmc import engine
-from oscmc.engine import Simulation, benign_links, inject_malicious_behavior
+from oscmc.engine import (
+    Simulation, benign_links, inject_malicious_behavior, with_cross_user_grants,
+)
 from oscmc.model import Placement, ResourceVector, Server
 from oscmc.monitor import Ivcl, UnregisteredVmError
 from oscmc.scenario import Scenario
@@ -341,6 +349,125 @@ def test_log_that_outgrows_its_room_equals_pairwise_reference(sc, block):
     with mock.patch.object(engine, "_DRAW_BLOCK", block), \
             mock.patch.object(engine, "_GRANT_SLACK", -(2**40)):
         _assert_pairwise_log(sc, Simulation(sc))
+
+
+class _Helper(ThreadPoolExecutor):
+    """One worker thread, which starts the log's shared draw only once
+    ``start`` is set; ``shared`` is that draw's future."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.start, self.shared = threading.Event(), None
+
+    def submit(self, fn, *args):
+        super().submit(self.start.wait, 60)
+        self.shared = super().submit(fn, *args)
+        return self.shared
+
+
+class _PacedRng:
+    """Draws with ``rng``, running ``before(k)`` ahead of its ``k``-th
+    ``random`` call, which is its thread's ``k``-th block."""
+
+    def __init__(self, rng, before):
+        self.bit_generator, self._rng, self._before, self.calls = rng.bit_generator, rng, before, 0
+
+    def random(self, size):
+        self.calls += 1
+        self._before(self.calls)
+        return self._rng.random(size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    populations(), st.integers(1, 40), st.sampled_from([0.05, 0.5, 1.0]),
+    st.sampled_from(["idle", "first", "never"]) | st.integers(2, 6), st.booleans(),
+)
+def test_log_drawn_on_two_threads_equals_the_one_thread_draw(sc, block, rate, joins, roomless):
+    """Whenever the helper joins, at once (``idle``), after the calling
+    thread has drawn 1 to 5 blocks, never, or with the calling thread
+    waiting for it to draw every block but the first, the log's keys, their
+    dtype and the whole state of the set-up stream, a buffered 32-bit half
+    included, are those of the draw on the calling thread alone, also when
+    no room is reserved and every block is written apart."""
+    sim = Simulation(dataclasses.replace(sc, cross_user_auth_rate=0))
+    base, owner = sim.ivcl, sim.owner
+
+    def stream():
+        rng = np.random.default_rng(sc.seed)
+        rng.integers(2**32, dtype=np.uint32)  # buffers the upper half of a 64-bit output
+        return rng
+
+    slack = -(2**40) if roomless else engine._GRANT_SLACK
+    with mock.patch.object(engine, "_DRAW_BLOCK", block), \
+            mock.patch.object(engine, "_GRANT_SLACK", slack):
+        alone = stream()
+        want = with_cross_user_grants(base, owner, rate, alone).row_keys()
+        helper = _Helper()
+        if joins in ("idle", "first"):
+            helper.start.set()
+
+        def before(k):
+            if joins == "first" and k == 1 and helper.shared is not None:
+                assert wait([helper.shared], 60).done
+            elif k == joins:
+                helper.start.set()
+
+        rng = _PacedRng(stream(), before)
+        try:
+            got = with_cross_user_grants(base, owner, rate, rng, helper).row_keys()
+        finally:
+            helper.start.set()
+            helper.shutdown()
+    assert rng.bit_generator.state == alone.bit_generator.state
+    assert rng.bit_generator.state["has_uint32"] == 1
+    assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+    assert got[0].tobytes() == want[0].tobytes() and got[2] == want[2]
+    rows_a_block = max(1, block // sc.vms)
+    if joins == "first" and sc.vms > rows_a_block:
+        assert rng.calls == 1  # the helper drew every other block
+    elif joins == "never":
+        assert rng.calls == -(-sc.vms // rows_a_block)
+
+
+def test_two_thread_draws_under_thread_stress_equal_the_one_thread_draw():
+    """Four draws at once, each with a helper of its own (eight threads on
+    the host's cores), in three-row blocks with the interpreter switching
+    threads every microsecond: each log and stream is its one-thread draw."""
+    owner = np.repeat(np.arange(1, 41), 5)  # 200 VMs of 40 users
+    vms = range(1, 201)
+    base = _log(vms, [(a, b) for a in vms for b in vms if a != b and owner[a - 1] == owner[b - 1]])
+    base.csr()  # merged once here, then only read by the threads
+    seeds = range(4)
+    results = {}
+
+    def draw(seed, helper):
+        rng = np.random.default_rng(seed)
+        results[seed, helper is None] = (
+            with_cross_user_grants(base, owner, 0.5, rng, helper).row_keys()[1].tobytes(),
+            rng.bit_generator.state,
+        )
+
+    def shared(seed):
+        with ThreadPoolExecutor(1) as helper:
+            draw(seed, helper)
+
+    switch = sys.getswitchinterval()
+    with mock.patch.object(engine, "_DRAW_BLOCK", 600):
+        for seed in seeds:
+            draw(seed, None)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=shared, args=(seed,)) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in seeds:
+        assert results[seed, False] == results[seed, True]
 
 
 def _assert_pairwise_log(sc, sim):

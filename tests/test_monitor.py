@@ -190,7 +190,9 @@ def test_grant_by_grant_log_equals_a_set_of_pairs(ops):
 def test_log_build_and_runs_leave_numpy_ma_unimported():
     """A plain ``np.unique`` or ``np.union1d`` imports ``numpy.ma`` (about
     1 MB) on its first call; neither the log's merge nor a few intervals of
-    any policy make one."""
+    any policy make one, nor a set-up past the overlap gate (1100 VMs by 15
+    intervals, 16,500 usage values), whose helper thread builds the usage
+    and then shares the log's draw."""
     code = (
         "import dataclasses, sys\n"
         "from oscmc.engine import Simulation\n"
@@ -204,6 +206,7 @@ def test_log_build_and_runs_leave_numpy_ma_unimported():
         "    sim = Simulation(sc)\n"
         "    for t in range(sc.intervals):\n"
         "        sim.step(t)\n"
+        "Simulation(dataclasses.replace(load_scenario('xi1100'), intervals=15)).step(0)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(oscmc.__file__).resolve().parents[1])
