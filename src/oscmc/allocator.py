@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -94,39 +96,51 @@ def kmeans(
     )
 
 
-def first_fit_pass(items, placement: Placement, scan, prior=None) -> Placement:
-    """First-fit each ``(vm_id, demand, owner)`` of ``items``, in order, onto
-    a copy of ``placement``, servers scanned in ``scan`` order; with ``prior``
-    (owner -> server id, updated) a VM first tries its owner's last server.
-    Free units only fall during the pass, so each demand keeps a pointer to
-    the first scan position that may still fit it.  Items are checked as
-    ``Placement.assign`` checks them, in order, and written by one
-    ``assign_rows``.  Raises PlacementInfeasibleError naming the first VM
-    that fits nowhere; the input placement is left untouched."""
+def first_fit_pass(items, placement: Placement, scan, demand_at=1, owner_at=None, prior=None):
+    """First-fit each of ``items``, tuples of a VM id and its demand at
+    ``demand_at``, in order, onto a copy of ``placement``, servers scanned in
+    ``scan`` order; with ``prior`` (owner -> server id, updated) a VM first
+    tries its owner's (at ``owner_at``) last server.  Each demand kind keeps a
+    pointer to the first scan position that may still fit it (free units only
+    fall).  The first id before the first VM that fits nowhere that
+    ``Placement.check_new_id`` refuses, found in one array pass, raises what it
+    raises, else PlacementInfeasibleError names that VM, as a per-VM loop would."""
     rows = placement.rows(scan)
-    free = placement.free_units_array(rows).tolist()
-    n, at = len(free), {sid: i for i, sid in enumerate(scan)}
-    units_of, start, picks = {}, {}, {}  # picks: vm id -> (units, scan position)
-    for vm_id, demand, owner in items:
-        units = units_of.get(demand) or units_of.setdefault(demand, to_units(demand))
-        c, m, b = units
-        i = at[prior[owner]] if prior is not None and owner in prior else n
-        if i == n or not (c <= free[i][0] and m <= free[i][1] and b <= free[i][2]):
-            i = start.get(units, 0)
-            while i < n and not (c <= free[i][0] and m <= free[i][1] and b <= free[i][2]):
+    fc, fm, fb = placement.free_units_array(rows).T.tolist()
+    n, at = len(fc), dict(zip(scan, range(len(fc))))
+    # Per demand object: its value's kind, [cpu, mem, bw units, pointer, index].
+    kinds, by_units, chosen = {}, {}, []
+    owners = repeat(None) if prior is None else map(itemgetter(owner_at), items)
+    for demand, owner in zip(map(itemgetter(demand_at), items), owners):
+        kind = kinds.get(id(demand)) or kinds.setdefault(
+            id(demand), by_units.setdefault(u := to_units(demand), [*u, 0, len(by_units)]))
+        c, m, b, i, _ = kind
+        j = at[prior[owner]] if prior is not None and owner in prior else n
+        if j < n and c <= fc[j] and m <= fm[j] and b <= fb[j]:
+            i = j
+        else:
+            while i < n and not (c <= fc[i] and m <= fm[i] and b <= fb[i]):
                 i += 1
-            start[units] = i
+            kind[3] = i
         if i == n:
-            raise PlacementInfeasibleError("placement infeasible: no server fits VM %d" % vm_id)
-        placement.check_new_id(vm_id, picks)
-        picks[vm_id] = units, i
-        f = free[i]
-        f[0], f[1], f[2] = f[0] - c, f[1] - m, f[2] - b
+            break
+        chosen.append(i)
+        fc[i], fm[i], fb[i] = fc[i] - c, fm[i] - m, fb[i] - b
         if prior is not None:
             prior[owner] = scan[i]
+    fit = len(chosen)
+    ids = np.fromiter(map(itemgetter(0), items), np.int64, fit)
+    refused = np.append((ids < 0) | (placement.host_rows(np.maximum(ids, 0)) >= 0), True)
+    order = np.argsort(ids, kind="stable")  # an id's later copies follow its first
+    refused[order[1:][np.diff(ids[order]) == 0]] = True
+    if (stop := int(refused.argmax())) < fit:
+        placement.check_new_id(items[stop][0], ids[:stop].tolist())
+    if fit < len(items):
+        raise PlacementInfeasibleError("placement infeasible: no server fits VM %d" % items[fit][0])
+    kind_of = map(itemgetter(4), map(kinds.__getitem__, map(id, map(itemgetter(demand_at), items))))
+    units = np.array([kind[:3] for kind in by_units.values()], dtype=np.int64).reshape(-1, 3)
     result = placement.copy()
-    chosen = list(picks.values())
-    result.assign_rows(list(picks), [u for u, _ in chosen], rows[[i for _, i in chosen]])
+    result.assign_rows(ids, units[np.fromiter(kind_of, np.intp, fit)], rows[chosen])
     return result
 
 
@@ -139,7 +153,7 @@ def first_fit_place(
     """``first_fit_pass`` of ``items``, which hold (vm_id, demand), over the
     servers (or ``eligible``) in ascending id order."""
     scan = sorted(eligible) if eligible is not None else sorted(servers)
-    return first_fit_pass(((vm_id, d, None) for vm_id, d in items), placement, scan)
+    return first_fit_pass(items, placement, scan)
 
 
 def ffd_place(
@@ -151,8 +165,22 @@ def ffd_place(
     """First-fit decreasing: ``first_fit_place`` of ``items``, which hold
     (vm_id, demand, predicted_bw), by descending predicted bandwidth, ties
     by ascending VM id."""
-    order = sorted(items, key=lambda it: (-it[2], it[0]))
-    return first_fit_place([it[:2] for it in order], servers, placement, eligible)
+    ids = np.fromiter(map(itemgetter(0), items), np.int64, len(items))
+    order = np.lexsort((ids, -np.fromiter(map(itemgetter(2), items), float, len(items))))
+    return first_fit_place(np.fromiter(items, object, len(items))[order].tolist(), servers,
+                           placement, eligible)
+
+
+def pssf_place(
+    items: list[tuple[int, int, ResourceVector]],
+    servers: dict[int, Server],
+    placement: Placement,
+    history: dict[int, int] | None = None,
+) -> Placement:
+    """Prior-server-first: each VM of ``items``, (vm_id, owner, demand) in
+    arrival order, goes to its owner's most recently used server when it
+    fits, otherwise (and for a user's first VM) first-fit."""
+    return first_fit_pass(items, placement, sorted(servers), 2, 1, dict(history or {}))
 
 
 @dataclass

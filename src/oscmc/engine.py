@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .allocator import (
-    PlacementInfeasibleError, RebalanceResult, ffd_place, first_fit_pass, first_fit_place,
-    kmeans, rebalance,
+    PlacementInfeasibleError, RebalanceResult, ffd_place, first_fit_place, kmeans, pssf_place,
+    rebalance,
 )
 from .metrics import (
     METRICS_CSV_HEADER, EmptyDataCenterError, Fleet, IntervalMetrics, exact_sum, snapshot,
@@ -96,21 +96,6 @@ def _member(ids: np.ndarray, vms) -> np.ndarray:
     mask = np.zeros(int(vms.max(initial=-1)) + 2, dtype=bool)  # the last slot stays False
     mask[vms] = True
     return mask[np.minimum(ids, mask.size - 1)]
-
-
-def pssf_place(
-    items: list[tuple[int, int, ResourceVector]],
-    servers: dict[int, Server],
-    placement: Placement,
-    history: dict[int, int] | None = None,
-) -> Placement:
-    """Prior-server-first: each VM goes to its owner's most recently used
-    server when it fits, otherwise (and for a user's first VM) first-fit.
-
-    ``items`` holds (vm_id, owner, demand) in arrival order.
-    """
-    items = ((vm_id, demand, owner) for vm_id, owner, demand in items)
-    return first_fit_pass(items, placement, sorted(servers), dict(history or {}))
 
 
 def inject_malicious_behavior(
@@ -638,7 +623,7 @@ class Simulation:
                 msg = "VM %d rejected: demand exceeds every server capacity"
                 raise SimulationError(msg % (f + 1))
         base = Placement(self.servers)
-        demand = [flavors[f] for f in self.flavor.tolist()]
+        demand = list(map(flavors.__getitem__, self.flavor.tolist()))
         vms = range(1, sc.vms + 1)
         if sc.fixed_placement:
             for sid, vm_list in sorted(sc.fixed_placement.items()):
@@ -649,7 +634,7 @@ class Simulation:
             self.placement = getattr(self, POLICY_TABLE[sc.policy].place)(base, vms, demand)
 
     def _place_ffd(self, base: Placement, vms, demand) -> Placement:
-        items = [(vm_id, d, d.bw) for vm_id, d in zip(vms, demand)]
+        items = list(zip(vms, demand, self.nominal_bw.tolist()))  # the flavors' bandwidths
         ordinary = [sid for sid, s in self.servers.items() if not s.reserved_for_hogs]
         return ffd_place(items, self.servers, base, eligible=ordinary)
 

@@ -102,12 +102,13 @@ class Placement:
     VMs are the ids whose host row is its row."""
 
     def __init__(self, servers: dict[int, Server]):
-        cap = [to_units(s.capacity) for s in servers.values()]
-        if any(u > _MAX_UNITS for units in cap for u in units):
+        cap = [s.capacity for s in servers.values()]
+        units = {id(c): to_units(c) for c in dict(zip(map(id, cap), cap)).values()}  # per object
+        if any(u > _MAX_UNITS for each in units.values() for u in each):
             raise ValueError("server capacities must not exceed %g" % MAX_RESOURCE)
-        self._row = {sid: row for row, sid in enumerate(servers)}
+        self._row = dict(zip(servers, range(len(servers))))
         self._sid = tuple(servers)  # server id by row
-        self._cap = np.array(cap, dtype=np.int64).reshape(-1, 3)
+        self._cap = np.array(list(map(units.__getitem__, map(id, cap))), np.int64).reshape(-1, 3)
         self._cap.flags.writeable = False
         self._free = self._cap.copy()
         self._host = np.full(0, -1, dtype=np.intp)
@@ -233,11 +234,12 @@ class Placement:
         units = [min(u, _MAX_UNITS + 1) for u in to_units(demand)]
         self.assign_rows([vm_id], [units], self.rows([server_id]))
 
-    def assign_rows(self, vm_ids: list[int], units: list, rows: np.ndarray) -> None:
+    def assign_rows(self, vm_ids, units, rows: np.ndarray) -> None:
         """Place VMs whose ids passed ``check_new_id`` in one write: VM
         ``vm_ids[i]`` with demand ``units[i]`` on row ``rows[i]``.  The
         capacity check covers every row at once; on a fault it names the
         first VM that ``assign`` would have refused, and nothing is written."""
+        vm_ids = np.asarray(vm_ids, dtype=np.intp)
         units = np.array(units, dtype=np.int64).reshape(-1, 3)
         free = self._free.copy()
         np.subtract.at(free, rows, units)
@@ -248,8 +250,8 @@ class Placement:
                 if (left[row] < 0).any():
                     raise CapacityError("placing VM %d on server %d would exceed capacity"
                                         % (vm_id, self._sid[row]))
-        if vm_ids and max(vm_ids) >= self._host.size:  # at least double, once
-            grow = max(max(vm_ids) + 1 - self._host.size, self._host.size)
+        if vm_ids.size and vm_ids.max() >= self._host.size:  # at least double, once
+            grow = max(int(vm_ids.max()) + 1 - self._host.size, self._host.size)
             self._host = np.concatenate([self._host, np.full(grow, -1, np.intp)])
             self._units = np.concatenate([self._units, np.zeros((grow, 3), np.int64)])
         self._host[vm_ids] = rows

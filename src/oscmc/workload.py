@@ -35,22 +35,22 @@ def synthetic_usage(
     nominal bandwidth; a two-state burst process multiplies it while a VM is
     bursting.  Returns an (intervals, vms) array.  The draw order is fixed
     up front, so the same seed always yields the same workload regardless
-    of scheduling policy.  Each interval draws a (vms, 3) block of steps and
-    uses only its last (bandwidth) column: the draws, and so every value,
-    stay those the recorded output digests were made with.
+    of scheduling policy.  Each interval draws a (vms, 3) block of steps, of
+    which it uses the bandwidth column, then the burst entries' and exits'
+    uniforms in one call: the draws, and so every value, stay those the
+    recorded output digests were made with.  Each level is clipped in its
+    usage row; the bursts are multiplied in at the end through a bool mask.
     """
     nominal_bw = np.asarray(nominal_bw, dtype=float)
-    q = nominal_bw.shape[0]
-    usage = np.empty((intervals, q))
-    level = nominal_bw.copy()
-    in_burst = np.zeros(q, dtype=bool)
-    for t in range(intervals):
-        step = rng.normal(0.0, sigma, size=(q, 3))[:, 2] * nominal_bw
-        level = np.clip(level + step, walk_lo * nominal_bw, walk_hi * nominal_bw)
-        enter = rng.random(q) < burst_enter
-        leave = rng.random(q) < burst_exit
-        in_burst = (in_burst & ~leave) | (~in_burst & enter)
-        usage[t] = np.where(in_burst, level * burst_mult, level)
+    q, lo, hi = nominal_bw.shape[0], walk_lo * nominal_bw, walk_hi * nominal_bw
+    usage, bursting = np.empty((intervals, q)), np.empty((intervals, q), dtype=bool)
+    level, in_burst, u = nominal_bw, np.zeros(q, dtype=bool), np.empty(2 * q)
+    for t, row in enumerate(usage):
+        np.multiply(rng.normal(0.0, sigma, size=(q, 3))[:, 2], nominal_bw, out=row)
+        level = np.minimum(np.maximum(np.add(row, level, out=row), lo, out=row), hi, out=row)
+        rng.random(out=u)
+        in_burst = bursting[t] = np.where(in_burst, ~(u[q:] < burst_exit), u[:q] < burst_enter)
+    np.multiply(usage, burst_mult, out=usage, where=bursting)
     return usage
 
 

@@ -729,29 +729,60 @@ _ABOVE_CEILING = ResourceVector(1e20, 0.1, 0.1)
     repeat=st.none() | st.tuples(st.integers(0, 11), st.integers(0, 12)),
     eligible=st.none() | st.lists(st.integers(0, 5), unique=True),
     history=st.dictionaries(st.integers(1, 3), st.integers(0, 5), max_size=3),
+    # Positions of items whose demand is an equal object of its own.
+    fresh=st.sets(st.integers(0, 12), max_size=6),
 )
 @example(  # an id the base placement holds already
     sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.3, 0.3, 0.3)],
     base_ops=[(24, 0, 0)], items=[(24, 2, 1, 0.0)], repeat=None, eligible=None, history={},
+    fresh=set(),
 )
 @example(  # an id given twice, and a later VM that fits nowhere
     sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.3, 0.3, 0.3)], base_ops=[],
     items=[(5, 2, 1, 0.0), (6, 2, 1, 0.0), (9, 0, 1, 0.0)], repeat=(0, 2),
-    eligible=None, history={},
+    eligible=None, history={}, fresh=set(),
+)
+@example(  # a VM that fits nowhere, then an id given twice
+    sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.3, 0.3, 0.3)], base_ops=[],
+    items=[(5, 2, 1, 0.0), (6, 2, 1, 0.0), (9, 0, 1, 0.0)], repeat=(0, 3),
+    eligible=None, history={}, fresh=set(),
+)
+@example(  # an id the base holds, ahead of a VM that fits nowhere in every order
+    sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.3, 0.3, 0.3)],
+    base_ops=[(24, 0, 0)], items=[(24, 2, 1, 2.5), (9, 0, 1, 0.0)], repeat=None,
+    eligible=None, history={}, fresh=set(),
+)
+@example(  # a VM that fits nowhere, ahead of an id the base holds in every order
+    sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.3, 0.3, 0.3)],
+    base_ops=[(24, 0, 0)], items=[(9, 0, 1, 0.0), (24, 2, 1, 0.0)], repeat=None,
+    eligible=None, history={}, fresh=set(),
+)
+@example(  # a negative id, then a demand above the ceiling
+    sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.3, 0.3, 0.3)], base_ops=[],
+    items=[(-1, 2, 1, 0.0), (9, 1, 1, 0.0)], repeat=None, eligible=None, history={},
+    fresh=set(),
+)
+@example(  # equal demands as three objects, tied bandwidths: one server holds two
+    sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.45, 0.3, 0.3), (0.45, 0.3, 0.3)],
+    base_ops=[], items=[(4, 2, 1, 1.0), (2, 3, 2, 1.0), (3, 2, 1, 1.0), (1, 3, 1, 1.0)],
+    repeat=None, eligible=None, history={}, fresh={2},
 )
 @example(  # owner 1's last server is the second, though the first fits its next VM
     sids=[7, 3], caps=[(1.0, 1.0, 1.0)] * 6, flavors=[(0.3, 0.3, 0.3), (0.9, 0.3, 0.3)],
     base_ops=[], items=[(1, 2, 2, 0.0), (2, 3, 1, 0.0), (3, 2, 1, 0.0)], repeat=None,
-    eligible=None, history={},
+    eligible=None, history={}, fresh=set(),
 )
 def test_first_fit_pass_equals_per_vm_reference(
-    sids, caps, flavors, base_ops, items, repeat, eligible, history
+    sids, caps, flavors, base_ops, items, repeat, eligible, history, fresh
 ):
     """first_fit_place, ffd_place (with ``eligible``) and pssf_place (with
     ``history``) give what the per-VM scan-and-assign loop gives, array for
     array, or raise what it raises with the same message, on sparse
     unsorted server ids over a pre-populated placement; the input placement
-    and history stay unchanged."""
+    and history stay unchanged.  Equal demands under distinct objects, tied
+    predicted bandwidths, and a repeated, negative or already placed id on
+    either side of a VM that fits nowhere are drawn, so the pass's demand
+    kinds and the order of its errors are pinned."""
     servers = {sid: Server(sid, ResourceVector(*cap)) for sid, cap in zip(sids, caps)}
     demands = [ResourceVector(*f) for f in flavors]
     base = Placement(servers)
@@ -764,6 +795,8 @@ def test_first_fit_pass_equals_per_vm_reference(
         items.insert(repeat[1], items[repeat[0] % len(items)])
     code = lambda c: (_NOWHERE, _ABOVE_CEILING)[c] if c < 2 else demands[c % len(demands)]
     drawn = [(vm, code(c), owner, bw) for vm, c, owner, bw in items]
+    drawn = [(vm, ResourceVector(*d.as_tuple()) if k in fresh else d, owner, bw)
+             for k, (vm, d, owner, bw) in enumerate(drawn)]
     scan = sorted(servers)
     subset = None if eligible is None else sorted({sids[i % len(sids)] for i in eligible})
     prior = {owner: sids[i % len(sids)] for owner, i in history.items()}

@@ -197,7 +197,7 @@ def test_rejection_names_the_lowest_id_vm_of_any_rejected_flavor():
 def test_initial_placement_admits_and_converts_once_per_flavor(monkeypatch, policy):
     """Set-up of a 2-flavor fleet makes no fit_mask scan, one placement copy,
     one admission test (``fits_within``) per flavor and one unit conversion
-    per flavor beside the servers' capacities."""
+    per flavor beside one for the capacity object that every server shares."""
     calls = {"fit_mask": 0, "copy": 0, "fits_within": 0, "to_units": 0}
 
     def counting(name, original):
@@ -219,7 +219,7 @@ def test_initial_placement_admits_and_converts_once_per_flavor(monkeypatch, poli
     )
     sim = Simulation(sc)
     assert sim.placement.capacity_ok() and len(sim.placement.placed()) == 60
-    assert calls == {"fit_mask": 0, "copy": 1, "fits_within": 2, "to_units": 20 + 2}
+    assert calls == {"fit_mask": 0, "copy": 1, "fits_within": 2, "to_units": 1 + 2}
 
 
 @pytest.mark.parametrize("policy, derivations", [("wosc", 1), ("oscmc", 15)])

@@ -5,12 +5,14 @@ import logging
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscmc.scenario import load_scenario
 from oscmc.workload import (
     TraceData,
     TraceFormatError,
@@ -122,6 +124,50 @@ def test_synthetic_bandwidth_is_the_three_resource_walks_column(nominals, interv
     want = reference_synthetic_usage(nominals, intervals, ref_rng, **knobs)[..., 2]
     assert usage.shape == want.shape and usage.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _xi1100_walk_inputs():
+    """xi1100's per-VM (cpu, mem, bw) nominals, VMs taking its flavors in
+    turn, and its walk knobs."""
+    sc = load_scenario("xi1100")
+    nominals = np.array(sc.vm_flavors)[np.arange(sc.vms) % len(sc.vm_flavors)]
+    knobs = {"sigma": sc.workload_sigma, "burst_enter": sc.burst_enter,
+             "burst_exit": sc.burst_exit, "burst_mult": sc.burst_mult}
+    return nominals, knobs
+
+
+def test_synthetic_bandwidth_is_the_three_resource_walks_column_at_xi1100s_shape():
+    """At xi1100's shape (1100 VMs, 100 intervals, its nominal bandwidths and
+    knobs, seed 7), the size at which set-up builds the usage on its helper
+    thread, the walk, each level held in its own usage row, gives the
+    reference's bandwidth column bit for bit and leaves the generator where
+    the reference leaves it."""
+    nominals, knobs = _xi1100_walk_inputs()
+    assert nominals.shape == (1100, 3)
+    rng, ref_rng = (np.random.default_rng(7) for _ in range(2))
+    usage = synthetic_usage(nominals[:, 2], 100, rng, **knobs)
+    want = reference_synthetic_usage(nominals, 100, ref_rng, **knobs)[..., 2]
+    assert (want > 1.3 * nominals[:, 2]).any()  # some VM bursts
+    assert usage.shape == want.shape == (100, 1100) and usage.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_synthetic_usage_peaks_at_the_usage_and_a_burst_mask():
+    """Traced, the walk at xi1100's shape peaks at its (intervals, vms) usage
+    array, one (intervals, vms) bool mask of the bursting VMs and buffers of
+    O(vms), about 60 bytes a VM (a draw, the walk's bounds and the
+    uniforms); an (intervals, vms) float temporary does not fit."""
+    nominals, knobs = _xi1100_walk_inputs()
+    vms, intervals = nominals.shape[0], 100
+    synthetic_usage(nominals[:3, 2], 2, np.random.default_rng(0), **knobs)  # first-call caches
+    tracemalloc.start()
+    try:
+        usage = synthetic_usage(nominals[:, 2], intervals, np.random.default_rng(7), **knobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = usage.nbytes + intervals * vms + 96 * vms + 2**13
+    assert peak <= bound, "peak %d bytes over a %d-byte usage array" % (peak, usage.nbytes)
 
 
 samples = st.just(0.0) | st.floats(0.0, 1e6)
