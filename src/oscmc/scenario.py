@@ -19,26 +19,32 @@ POLICIES = ("oscmc", "pssf", "wosc")
 DEFAULT_FLAVORS = [(500.0, 512.0, 1000.0), (1000.0, 1024.0, 1000.0)]
 
 
+def knob(default, lo=None, hi=None, above=None, among=None):
+    """A scalar knob's field and the domain validate checks: ``value >= lo``,
+    ``lo <= value <= hi``, ``value > above`` or ``value in among``."""
+    return field(default=default, metadata={"domain": (lo, hi, above, among)})
+
+
 @dataclass
 class Scenario:
     name: str = "custom"
-    servers: int = 10
-    vms: int = 21
+    servers: int = knob(10, 1)
+    vms: int = knob(21, 1)
     users: int | None = None  # defaults to one third of the VM count
-    malicious_user_pct: float = 20.0
-    intervals: int = 30
-    seed: int = 1
-    policy: str = "oscmc"
+    malicious_user_pct: float = knob(20.0, 0, 100)
+    intervals: int = knob(30, 1)
+    seed: int = knob(1, 0)
+    policy: str = knob("oscmc", among=POLICIES)
 
     # server fleet
     server_cpu: float = 2000.0
     server_mem: float = 2048.0
     server_bw: float = 10000.0
-    pw_idle: float = 70.0
+    pw_idle: float = knob(70.0, 0)
     pw_min: float = 105.0
     pw_max: float = 250.0
-    reserved_per: int = 10  # one hog-reserved server per this many servers
-    vuln_score_fixed: float | None = None  # None draws uniform [0, 10]
+    reserved_per: int = knob(10, 0)  # one hog-reserved server per this many servers
+    vuln_score_fixed: float | None = knob(None, 0, 10)  # None draws uniform [0, 10]
 
     # VM flavors, cycled over VM ids
     vm_flavors: list[tuple[float, float, float]] = field(
@@ -46,36 +52,36 @@ class Scenario:
     )
 
     # link generation
-    benign_link_rate: float = 0.4
-    attack_colocated_rate: float = 0.3
-    attack_remote_rate: float = 0.3
-    attack_mode: str = "steady"  # steady | burst
+    benign_link_rate: float = knob(0.4, 0, 1)
+    attack_colocated_rate: float = knob(0.3, 0, 1)
+    attack_remote_rate: float = knob(0.3, 0, 1)
+    attack_mode: str = knob("steady", among=("steady", "burst"))
     burst_period: int = 5
-    cross_user_auth_rate: float = 0.05
+    cross_user_auth_rate: float = knob(0.05, 0, 1)
 
     # forecasting
-    window: int = 6
-    hidden: int = 8
-    learning_rate: float = 0.05
-    epochs: int = 200
-    retrain_every: int = 1
-    train_sample: int = 256
+    window: int = knob(6, 1)
+    hidden: int = knob(8, 1)
+    learning_rate: float = knob(0.05, above=0)
+    epochs: int = knob(200, 1)
+    retrain_every: int = knob(1, 1)
+    train_sample: int = knob(256, 1)
     per_vm_models: bool = False
 
     # clustering, congestion, hogs, detection
-    clusters: int = 3
-    kmeans_restarts: int = 10
-    congestion_threshold_frac: float = 0.10
-    hog_threshold: float = 0.5
-    malicious_vm_threshold: int = 1
-    guaranteed_frac: float = 0.10
-    power_mode: str = "mean"  # mean | cpu
+    clusters: int = knob(3, 1)
+    kmeans_restarts: int = knob(10, 1)
+    congestion_threshold_frac: float = knob(0.10, 0)
+    hog_threshold: float = knob(0.5, 0, 1e6)  # count_hogs overflowed at 1e308
+    malicious_vm_threshold: int = knob(1, 1)
+    guaranteed_frac: float = knob(0.10, 0, 1)
+    power_mode: str = knob("mean", among=("mean", "cpu"))
 
-    # workload
-    workload_sigma: float = 0.08
-    burst_enter: float = 0.06
-    burst_exit: float = 0.15
-    burst_mult: float = 2.5
+    # workload (usage <= 1.3 * MAX_RESOURCE * burst_mult: at 1e6 its squares stay finite)
+    workload_sigma: float = knob(0.08, 0, 1e6)  # synthetic_usage overflowed at 1e308
+    burst_enter: float = knob(0.06, 0, 1)
+    burst_exit: float = knob(0.15, 0, 1)
+    burst_mult: float = knob(2.5, 0, 1e6)  # k-means overflowed its square at 1e160
     trace_path: str | None = None
     trace_rescale: bool = True
 
@@ -86,45 +92,25 @@ class Scenario:
     fixed_malicious_users: list[int] | None = None
     scripted_links: dict[int, list[tuple[int, int]]] | None = None
 
-    workers: int = 1
+    workers: int = knob(1, 1)
 
     def validate(self) -> None:
-        for name in sorted(k for k, kind in _SCALAR_KEYS.items() if kind == "float"):
+        for name, is_float, nullable, lo, hi, above, among in _KNOBS:
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and nullable:
+                continue
+            if is_float and not math.isfinite(value):
                 raise ScenarioError("%s must be finite" % name)
-        for name in (
-            "servers", "vms", "intervals", "clusters", "window", "hidden",
-            "retrain_every", "train_sample", "kmeans_restarts",
-            "malicious_vm_threshold", "workers", "epochs",
-        ):
-            if getattr(self, name) < 1:
-                raise ScenarioError("%s must be >= 1" % name)
-        for name in (
-            "hog_threshold", "workload_sigma", "congestion_threshold_frac",
-            "burst_mult", "seed", "reserved_per", "pw_idle",
-        ):
-            if getattr(self, name) < 0:
-                raise ScenarioError("%s must be >= 0" % name)
-        for name in (
-            "benign_link_rate",
-            "attack_colocated_rate",
-            "attack_remote_rate",
-            "cross_user_auth_rate",
-            "burst_enter",
-            "burst_exit",
-            "guaranteed_frac",
-        ):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ScenarioError("%s must lie in [0, 1]" % name)
-        if self.policy not in POLICIES:
-            raise ScenarioError("unknown policy %r" % self.policy)
-        if not 0.0 <= self.malicious_user_pct <= 100.0:
-            raise ScenarioError("malicious_user_pct must lie in [0, 100]")
+            if among is not None and value not in among:
+                raise ScenarioError("%s must be %s" % (name, " or ".join(among)))
+            if hi is not None and not lo <= value <= hi:
+                raise ScenarioError("%s must lie in [%g, %g]" % (name, lo, hi))
+            if hi is None and lo is not None and not value >= lo:
+                raise ScenarioError("%s must be >= %g" % (name, lo))
+            if above is not None and not value > above:
+                raise ScenarioError("%s must be > %g" % (name, above))
         if self.users is not None and not 1 <= self.users <= self.vms:
             raise ScenarioError("users must lie in [1, vms]")
-        if self.attack_mode not in ("steady", "burst"):
-            raise ScenarioError("attack_mode must be steady or burst")
         if self.attack_mode == "burst" and self.burst_period < 1:
             raise ScenarioError("burst_period must be >= 1")
         if not self.vm_flavors:
@@ -137,8 +123,6 @@ class Scenario:
             )
         if not self.pw_idle <= self.pw_min <= self.pw_max:
             raise ScenarioError("power figures must satisfy pw_idle <= pw_min <= pw_max")
-        if self.vuln_score_fixed is not None and not 0.0 <= self.vuln_score_fixed <= 10.0:
-            raise ScenarioError("vuln_score_fixed must lie in [0, 10]")
         # Per interval a run keeps ~1.6 KB of log, and a float64 of usage per VM;
         # per server ~730 B, so 2**18 servers set up in about 1.3 s at a 230 MB peak.
         for name in ("intervals", "servers"):
@@ -161,10 +145,6 @@ class Scenario:
         # set-up draws a uniform per cross-user pair: 2**25 is 128 MiB, about 5 s.
         if self.cross_user_auth_rate * self.vms**2 > 2**25:
             raise ScenarioError("cross_user_auth_rate * vms**2 must be <= 2**25 expected grants")
-        if not self.learning_rate > 0:
-            raise ScenarioError("learning_rate must be > 0")
-        if self.power_mode not in ("mean", "cpu"):
-            raise ScenarioError("power_mode must be mean or cpu")
         ends = [v for links in (self.scripted_links or {}).values() for link in links for v in link]
         if not _ids_in(ends, self.vms):
             raise ScenarioError("scripted_links must join VMs 1 to vms")
@@ -303,6 +283,12 @@ _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str}
 _SCALAR_KEYS = {
     f.name: kind for f in fields(Scenario) if (kind := f.type.split(" | ")[0]) in _PARSERS
 }
+# validate's scalar knobs, in field order: is float (must be finite), may be None, domain.
+_KNOBS = [
+    (f.name, kind == "float", f.default is None, *f.metadata.get("domain", (None,) * 4))
+    for f in fields(Scenario)
+    if (kind := _SCALAR_KEYS.get(f.name)) == "float" or "domain" in f.metadata
+]
 
 
 def parse_scenario_text(text: str, name: str = "custom") -> Scenario:
@@ -330,8 +316,6 @@ def parse_scenario_text(text: str, name: str = "custom") -> Scenario:
                 setattr(sc, key, _PARSERS[_SCALAR_KEYS[key]](value))
             else:
                 raise ScenarioError("line %d: unknown key %r" % (lineno, key))
-        except ScenarioError:
-            raise
         except ValueError:
             raise ScenarioError("line %d: bad value %r for %s" % (lineno, value, key))
     sc.validate()
@@ -355,6 +339,7 @@ def load_scenario(ref: str) -> Scenario:
 
 
 def with_policy(sc: Scenario, policy: str) -> Scenario:
-    if policy not in POLICIES:
-        raise ScenarioError("unknown policy %r" % policy)
-    return replace(sc, policy=policy)
+    """A validated copy of ``sc`` under ``policy``."""
+    other = replace(sc, policy=policy)
+    other.validate()
+    return other

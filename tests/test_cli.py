@@ -1,11 +1,13 @@
 """Command-line interface tests."""
 
+import math
 import os
 import threading
 
 import pytest
 
 from oscmc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from oscmc.scenario import _KNOBS
 
 
 def test_run_writes_result_files(tmp_path):
@@ -110,6 +112,11 @@ def test_run_bad_scenario_file_exits_config(tmp_path, capsys):
         "intervals = 1000000000",
         "vms = 100000000\nservers = 1",
         "servers = 1000000000",
+        # Finite, yet each overflowed mid-run: the k-means square, the usage
+        # walk's step and count_hogs' product.
+        "burst_mult = 1e160",
+        "workload_sigma = 1e308",
+        "hog_threshold = 1e308",
     ],
 )
 def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):
@@ -120,6 +127,58 @@ def test_run_bad_knob_exits_config_without_traceback(tmp_path, capsys, bad):
     assert code == EXIT_CONFIG
     assert "configuration error" in err
     assert "Traceback" not in err
+
+
+def test_run_at_the_float_ceilings_is_clean(tmp_path):
+    """At the 1e6 ceilings of burst_mult, workload_sigma and hog_threshold
+    together, with flavors and servers at MAX_RESOURCE and every interval
+    judged congested, the three policies run without an overflow, which
+    the suite's RuntimeWarning filter would turn into an error."""
+    f = tmp_path / "ceilings.scn"
+    f.write_text(
+        "servers = 20\nvms = 14\nintervals = 12\nwindow = 2\nburst_mult = 1e6\n"
+        "workload_sigma = 1e6\nhog_threshold = 1e6\nvm_flavors = 5e11:5e11:1e12\n"
+        "server_cpu = 1e12\nserver_mem = 1e12\nserver_bw = 1e12\ncongestion_threshold_frac = 0\n"
+    )
+    argv = ["run", "--scenario", str(f), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--policy", "oscmc", "--policy", "pssf", "--policy", "wosc"]) == EXIT_OK
+
+
+def _declared_edges():
+    """(knob, value, inside) for each declared scalar knob: each bound, the
+    nearest value beyond it, each choice and a non-choice, and nan and inf
+    for a float.  A knob declared later is covered without a list to edit."""
+    for name, is_float, _, lo, hi, above, among in _KNOBS:
+        def beyond(bound, way):
+            return math.nextafter(bound, way * math.inf) if is_float else bound + way
+
+        cases = [("nan", False), ("inf", False)] if is_float else []
+        if among:
+            cases += [(c, True) for c in among] + [("magic", False)]
+        if lo is not None:
+            cases += [(lo, True), (beyond(lo, -1), False)]
+        if hi is not None:
+            cases += [(hi, True), (beyond(hi, 1), False)]
+        if above is not None:
+            cases += [(above, False), (beyond(above, 1), True)]
+        for value, inside in cases:
+            yield name, repr(value) if isinstance(value, float) else value, inside
+
+
+@pytest.mark.parametrize("name, value, inside", list(_declared_edges()))
+def test_run_at_each_declared_edge(tmp_path, capsys, name, value, inside):
+    """On a small fleet a value outside its knob's domain exits 2 naming the
+    knob, a value inside runs (or finds the fleet infeasible), and no run
+    prints a traceback."""
+    f = tmp_path / "edge.scn"
+    f.write_text("servers = 3\nvms = 6\nintervals = 4\nwindow = 2\n%s = %s\n" % (name, value))
+    code = main(["run", "--scenario", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if inside:
+        assert code in (EXIT_OK, EXIT_RUNTIME), err
+    else:
+        assert code == EXIT_CONFIG and "configuration error: %s must" % name in err
 
 
 def test_run_negative_seed_flag_exits_config_without_traceback(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Scenario configuration and file-format tests."""
 
 import dataclasses
+import math
+import os
 import re
 import tracemalloc
 
@@ -9,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscmc.engine import Simulation
+from oscmc.model import MAX_RESOURCE
 from oscmc.scenario import (
+    _KNOBS,
+    _SCALAR_KEYS,
     PRESETS,
     Scenario,
     ScenarioError,
@@ -17,6 +22,8 @@ from oscmc.scenario import (
     parse_scenario_text,
     with_policy,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_presets_all_validate():
@@ -155,7 +162,7 @@ def test_with_policy_replaces_only_policy():
     assert other.policy == "pssf"
     assert sc.policy == "oscmc"
     assert other.seed == sc.seed
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="^policy must be oscmc or pssf or wosc$"):
         with_policy(sc, "magic")
 
 
@@ -385,3 +392,259 @@ def test_fixed_structures_validate_or_build(drawn):
     hostile = [vm for vm, uid in owners if uid in sc.fixed_malicious_users]
     assert sim.malicious_vm_ids.tolist() == hostile
     assert sim.log.malicious_users == len(sc.fixed_malicious_users)
+
+
+# -- validate against the rules it replaced ------------------------------
+
+# The float knobs whose finiteness the reference checks, frozen.
+_REFERENCE_FLOATS = (
+    "attack_colocated_rate", "attack_remote_rate", "benign_link_rate", "burst_enter",
+    "burst_exit", "burst_mult", "congestion_threshold_frac", "cross_user_auth_rate",
+    "guaranteed_frac", "hog_threshold", "learning_rate", "malicious_user_pct", "pw_idle",
+    "pw_max", "pw_min", "server_bw", "server_cpu", "server_mem", "vuln_score_fixed",
+    "workload_sigma",
+)
+
+
+def _reference_ids_in(values, count, distinct=False):
+    ok = all(1 <= v <= count and v == int(v) for v in values)
+    return ok and not (distinct and len(set(values)) < len(values))
+
+
+def _reference_validate(sc):
+    """``Scenario.validate`` as it was with a name tuple per rule, frozen."""
+    for name in _REFERENCE_FLOATS:
+        value = getattr(sc, name)
+        if value is not None and not math.isfinite(value):
+            raise ScenarioError("%s must be finite" % name)
+    for name in (
+        "servers", "vms", "intervals", "clusters", "window", "hidden",
+        "retrain_every", "train_sample", "kmeans_restarts",
+        "malicious_vm_threshold", "workers", "epochs",
+    ):
+        if getattr(sc, name) < 1:
+            raise ScenarioError("%s must be >= 1" % name)
+    for name in (
+        "hog_threshold", "workload_sigma", "congestion_threshold_frac",
+        "burst_mult", "seed", "reserved_per", "pw_idle",
+    ):
+        if getattr(sc, name) < 0:
+            raise ScenarioError("%s must be >= 0" % name)
+    for name in (
+        "benign_link_rate",
+        "attack_colocated_rate",
+        "attack_remote_rate",
+        "cross_user_auth_rate",
+        "burst_enter",
+        "burst_exit",
+        "guaranteed_frac",
+    ):
+        if not 0.0 <= getattr(sc, name) <= 1.0:
+            raise ScenarioError("%s must lie in [0, 1]" % name)
+    if sc.policy not in ("oscmc", "pssf", "wosc"):
+        raise ScenarioError("unknown policy %r" % sc.policy)
+    if not 0.0 <= sc.malicious_user_pct <= 100.0:
+        raise ScenarioError("malicious_user_pct must lie in [0, 100]")
+    if sc.users is not None and not 1 <= sc.users <= sc.vms:
+        raise ScenarioError("users must lie in [1, vms]")
+    if sc.attack_mode not in ("steady", "burst"):
+        raise ScenarioError("attack_mode must be steady or burst")
+    if sc.attack_mode == "burst" and sc.burst_period < 1:
+        raise ScenarioError("burst_period must be >= 1")
+    if not sc.vm_flavors:
+        raise ScenarioError("at least one VM flavor is required")
+    resources = [sc.server_cpu, sc.server_mem, sc.server_bw]
+    resources += [x for flavor in sc.vm_flavors for x in flavor]
+    if not all(0 <= x <= MAX_RESOURCE for x in resources):
+        raise ScenarioError(
+            "vm_flavors and server_cpu/mem/bw must lie in [0, %g]" % MAX_RESOURCE
+        )
+    if not sc.pw_idle <= sc.pw_min <= sc.pw_max:
+        raise ScenarioError("power figures must satisfy pw_idle <= pw_min <= pw_max")
+    if sc.vuln_score_fixed is not None and not 0.0 <= sc.vuln_score_fixed <= 10.0:
+        raise ScenarioError("vuln_score_fixed must lie in [0, 10]")
+    # Per interval a run keeps ~1.6 KB of log, and a float64 of usage per VM;
+    # per server ~730 B, so 2**18 servers set up in about 1.3 s at a 230 MB peak.
+    for name in ("intervals", "servers"):
+        if getattr(sc, name) > 2**18:
+            raise ScenarioError("%s must be <= 2**18" % name)
+    if sc.intervals * sc.vms > 2**27:
+        raise ScenarioError("intervals * vms must be <= 2**27 usage values")
+    if sc.window * sc.hidden > 2**20:
+        raise ScenarioError("window * hidden must be <= 2**20 weights per network")
+    # Training holds (groups, rows, hidden) work arrays: a group is a flavor, or
+    # a VM under per_vm_models, with a row per window of its VMs, up to train_sample.
+    groups = sc.vms if sc.per_vm_models else min(len(sc.vm_flavors), sc.vms)
+    rows = min(sc.train_sample, -(-sc.vms // groups) * sc.intervals)
+    if groups * rows * sc.hidden > 2**24:
+        what = "VMs under per_vm_models" if sc.per_vm_models else "flavors"
+        raise ScenarioError("train_sample * hidden times the %s must be <= 2**24" % what)
+    if sc.per_vm_models and sc.vms * sc.window * sc.hidden > 2**24:
+        raise ScenarioError("vms * window * hidden must be <= 2**24 under per_vm_models")
+    # The authorised-link log holds an int32 key per grant below 46341 VMs, and
+    # set-up draws a uniform per cross-user pair: 2**25 is 128 MiB, about 5 s.
+    if sc.cross_user_auth_rate * sc.vms**2 > 2**25:
+        raise ScenarioError("cross_user_auth_rate * vms**2 must be <= 2**25 expected grants")
+    if not sc.learning_rate > 0:
+        raise ScenarioError("learning_rate must be > 0")
+    if sc.power_mode not in ("mean", "cpu"):
+        raise ScenarioError("power_mode must be mean or cpu")
+    ends = [v for links in (sc.scripted_links or {}).values() for link in links for v in link]
+    if not _reference_ids_in(ends, sc.vms):
+        raise ScenarioError("scripted_links must join VMs 1 to vms")
+    users = sc.fixed_users or range(1, sc.user_count() + 1)
+    owned = [v for vms in (sc.fixed_users or {}).values() for v in vms]
+    if sc.fixed_users and not (len(owned) == sc.vms and _reference_ids_in(owned, sc.vms, True)):
+        raise ScenarioError("fixed_users must give each of VMs 1 to vms one owner")
+    if not all(u == int(u) for u in users):
+        raise ScenarioError("fixed_users must have whole-number user ids")
+    placed = [v for vms in (sc.fixed_placement or {}).values() for v in vms]
+    if not _reference_ids_in(placed, sc.vms, True):
+        raise ScenarioError("fixed_placement must name each of VMs 1 to vms at most once")
+    if not _reference_ids_in(sc.fixed_placement or (), sc.servers):
+        raise ScenarioError("fixed_placement must name servers 1 to servers")
+    if not all(u in users for u in sc.fixed_malicious_users or ()):
+        raise ScenarioError("fixed_malicious_users must name users of the scenario")
+    # Set-up grants each same-owner ordered pair with one Python call (about
+    # 0.2 us and 24 B a pair), and draws a uniform per cross-user pair (about
+    # 4.3 ns) when the rate is positive: some 1.4 s and 4.6 s at the two bounds.
+    if sc.fixed_users:
+        same = sum(len(vms) * (len(vms) - 1) for vms in sc.fixed_users.values())
+    else:
+        m = sc.user_count()
+        q, r = divmod(sc.vms, m)  # np.array_split's sizes: r of q + 1, the rest q
+        same = r * (q + 1) * q + (m - r) * q * (q - 1)
+    if same > 2**23:
+        raise ScenarioError("same-owner VM pairs must be <= 2**23: raise users")
+    if sc.cross_user_auth_rate > 0 and sc.vms * (sc.vms - 1) - same > 2**30:
+        msg = "cross-user VM pairs must be <= 2**30 when cross_user_auth_rate > 0"
+        raise ScenarioError(msg)
+
+
+# The knobs whose 1e6 ceiling the reference lacks; below 0 their message
+# now names the whole domain.
+_NEW_CEILINGS = ("burst_mult", "hog_threshold", "workload_sigma")
+
+
+def _expected_message(reference_message):
+    """The message validate gives where the reference gives this one."""
+    if reference_message.startswith("unknown policy"):
+        return "policy must be oscmc or pssf or wosc"
+    name = reference_message.split()[0]
+    if name in _NEW_CEILINGS and reference_message == name + " must be >= 0":
+        return "%s must lie in [0, 1e+06]" % name
+    return reference_message
+
+
+def _pools():
+    """Values to draw for each knob type: each bound that a declaration or
+    the reference names, at, just inside and just outside it, and nan,
+    inf, None and every choice and a non-choice."""
+    bounds = {0, 1, 10, 100, 1e6, 2**18}
+    bounds |= {b for _, _, _, *domain, _ in _KNOBS for b in domain if b is not None}
+    near = (lambda b: math.nextafter(b, -math.inf), lambda b: math.nextafter(b, math.inf))
+    floats = bounds | {step(b) for b in bounds for step in near}
+    words = {c for *_, among in _KNOBS for c in among or ()} | {"magic"}
+    return {
+        "int": sorted({int(b) + d for b in bounds for d in (-1, 0, 1)}) + [None],
+        "float": sorted(floats | {math.inf, -math.inf}) + [math.nan, None],
+        "str": sorted(words) + [None],
+        "bool": [False, True, None],
+    }
+
+
+_POOLS = _pools()
+
+
+@st.composite
+def knob_edits(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_SCALAR_KEYS)), max_size=2, unique=True))
+    return {name: draw(st.sampled_from(_POOLS[_SCALAR_KEYS[name]])) for name in names}
+
+
+def _outcome(check, sc):
+    try:
+        check(sc)
+    except Exception as exc:  # the reference also fails with TypeError on None
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(knob_edits())
+def test_validate_agrees_with_the_reference(edits):
+    """Zero to two knobs at the edges of their domains: validate raises if
+    and only if the reference does, apart from the three new ceilings, and
+    where one rule is broken it raises as the reference does, with the
+    same message but the policy's and the new ceilings'."""
+    sc = Scenario(**edits)
+    reference, new = _outcome(_reference_validate, sc), _outcome(Scenario.validate, sc)
+    if any(isinstance(edits.get(n), float) and edits[n] > 1e6 for n in _NEW_CEILINGS):
+        assert new is not None
+        return
+    assert (reference is None) == (new is None), (reference, new)
+    # Two knobs each valid alone break only a rule across knobs.
+    one_rule = len(edits) == 1 or not any(
+        _outcome(_reference_validate, Scenario(**{k: v})) for k, v in edits.items()
+    )
+    if reference and one_rule:
+        assert new[0] is reference[0], (reference, new)
+        if reference[0] is ScenarioError:
+            assert new[1] == _expected_message(reference[1])
+
+
+# -- the README's knob table and the every-knob scenario ----------------
+
+
+def _g(x):
+    return ("%g" % x).replace("e+0", "e").replace("e+", "e")
+
+
+def _file_text(value):
+    """A default as the README's table writes it."""
+    if value is None:
+        return "unset"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _g(value) if isinstance(value, float) else str(value)
+
+
+def _readme_knobs():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \| ([^|]*) \|$", fh.read(), re.M)
+    return {key: (default.strip(), domain.strip()) for key, default, domain in rows}
+
+
+def test_readme_knob_table_matches_the_declarations():
+    """Every file key has a row with its declared default, and each
+    declared domain is written in its row as validate checks it."""
+    table = _readme_knobs()
+    assert set(table) == set(_SCALAR_KEYS) | {"vm_flavors"}
+    defaults = Scenario()
+    for key in _SCALAR_KEYS:
+        assert table[key][0] == _file_text(getattr(defaults, key)), key
+    for name, is_float, _, lo, hi, above, among in _KNOBS:
+        domain = table[name][1]
+        if is_float:
+            assert "finite" in domain, name
+        if among:
+            assert " or ".join(among) in domain, name
+        elif hi is not None:
+            assert "[%s, %s]" % (_g(lo), _g(hi)) in domain, name
+        elif lo is not None:
+            assert ">= %s" % _g(lo) in domain, name
+        elif above is not None:
+            assert "> %s" % _g(above) in domain, name
+
+
+def test_every_knob_scenario_sets_each_key_off_its_default():
+    """The scenario the CI runs against the base commit sets every file key
+    but ``trace_path`` to a valid value other than its default, so a change
+    to how any key is parsed or validated shows in its output."""
+    path = os.path.join(ROOT, "tests", "every-knob.scn")
+    with open(path) as fh:
+        text = fh.read()
+    keys = [line.split("=")[0].strip() for line in text.splitlines() if "=" in line.split("#")[0]]
+    assert sorted(keys) == sorted((set(_SCALAR_KEYS) - {"trace_path"}) | {"vm_flavors"})
+    sc, default = load_scenario(path), Scenario()
+    assert all(getattr(sc, key) != getattr(default, key) for key in keys)
