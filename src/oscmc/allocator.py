@@ -10,6 +10,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .metrics import exact_sum
 from .model import Placement, ResourceVector, Server, to_units
 
 
@@ -27,9 +28,6 @@ class ClusterAssignment:
     labels: list[int]
     objective: float
     objective_trace: list[float]
-
-    def members(self, label: int, ids) -> list:
-        return [i for i, l in zip(ids, self.labels) if l == label]
 
     def top_cluster(self) -> int:
         """Index of the cluster with the highest centroid."""
@@ -244,9 +242,10 @@ def rebalance(
     rows = p.rows(ordinary)
     used, cap = p.used_array(rows), p.capacity_array(rows)
     fractions = np.divide(used, cap, out=np.zeros_like(used), where=cap > 0)
-    # Mean utilisation with Python's sum per server: from Python 3.12 it
-    # compensates and numpy's does not, so numpy could reorder candidates.
-    load = [total / 3.0 for total in map(sum, fractions.tolist())]
+    # Mean utilisation with the running interpreter's sum per server: from
+    # Python 3.12 it compensates and numpy's does not, so numpy's could
+    # reorder candidates.
+    load = (exact_sum(fractions) / 3.0).tolist()
     listed, hosts = _listing(p)
     fitting = {}  # demand units -> the ordinary servers that fit them, by id
     for _load, sid, row in sorted(zip(load, ordinary, rows.tolist())):

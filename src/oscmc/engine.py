@@ -61,8 +61,8 @@ from .metrics import (
 from .model import Placement, ResourceVector, Server
 from .monitor import (
     Ivcl, QuarantineDirective, ThreatReport, build_threat_report, build_vlams,
-    classify_link,  # noqa: F401  not called here: the trace hook on this name must resolve
-    detect_colocation, events_csv_rows, quarantine,
+    events_csv_rows, quarantine,
+    classify_link, detect_colocation,  # noqa: F401  not called: trace hooks resolve these names
 )
 from .predictor import CongestionState, PredictorModel, detect_congestion, train_on_windows
 from .scenario import Scenario
@@ -670,7 +670,9 @@ class Simulation:
         columns into ``self.predicted``.  Each model has its own weights and
         its own training RNG; groups with the same sample count train as one
         stack.  Placement reads bandwidth alone, so cpu and memory are not
-        forecast.  Returns each trained group's final loss by group key."""
+        forecast.  Returns each trained group's final loss by group key; a
+        loss or forecast that is not finite (the training diverged) raises
+        ``SimulationError``."""
         sc = self.sc
         losses: dict[tuple, float] = {}
         # Until the first training pass the model is random noise; the
@@ -704,7 +706,12 @@ class Simulation:
             live = members[mask[members]]
             if live.size:
                 windows = self._windows(live, np.full(live.size, t - sc.window + 1))
-                self.predicted[live] = model.predict_batch(windows)
+                with np.errstate(over="ignore", invalid="ignore"):  # judged below
+                    self.predicted[live] = model.predict_batch(windows)
+        trained = np.fromiter(losses.values(), float, len(losses))
+        if not (np.isfinite(trained).all() and np.isfinite(self.predicted[placed]).all()):
+            raise SimulationError("interval %d: training diverged at learning_rate %r "
+                                  "(a non-finite loss or forecast)" % (t, sc.learning_rate))
         return losses
 
     def _perf_samples(self, t: int, active) -> tuple[np.ndarray, np.ndarray]:
@@ -829,7 +836,6 @@ class Simulation:
             t, self.placement, vlams, self.ivcl, self.owner, vms=active, perf=perf,
             thresholds=thresholds, vuln_scores=self.vuln_scores,
             min_links=self.sc.malicious_vm_threshold,
-            colocation=detect_colocation(self.placement, vlams, self.ivcl),
         )
 
     # -- the step and its layers -----------------------------------------
@@ -894,11 +900,7 @@ class Simulation:
         watched = set(self.live_links(self.link_keys[self.link_born >= 0]))
         relays = sorted({relay for _, relay in watched})
         watched.update(self.live_links(self._links_from(relays)))
-        # Only the servers hosting a watched endpoint: an empty matrix
-        # adds no event and no observed link.
-        hosts = {self.placement.server_of(vm) for link in watched for vm in link}
-        hosts.discard(None)
-        return self._detect(now.t, build_vlams(self.placement, watched, hosts), now.active)
+        return self._detect(now.t, build_vlams(self.placement, watched), now.active)
 
     def layer_snapshot(self, now: Interval, records: dict) -> IntervalMetrics:
         """Append to the log the detect record (an empty report under a policy

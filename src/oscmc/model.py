@@ -24,13 +24,6 @@ class ResourceVector:
         if self.cpu < 0 or self.mem < 0 or self.bw < 0:
             raise ValueError("resource components must be non-negative, got %r" % (self,))
 
-    @classmethod
-    def zero(cls) -> "ResourceVector":
-        return cls(0.0, 0.0, 0.0)
-
-    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.cpu - other.cpu, self.mem - other.mem, self.bw - other.bw)
-
     def fits_within(self, cap: "ResourceVector") -> bool:
         """Componentwise <= against a capacity bundle."""
         return self.cpu <= cap.cpu and self.mem <= cap.mem and self.bw <= cap.bw
@@ -199,10 +192,6 @@ class Placement:
     @property
     def server_ids(self) -> frozenset[int]:
         return frozenset(self._row)
-
-    def co_located(self, a: int, b: int) -> bool:
-        row = self._host_row(a)
-        return row >= 0 and row == self._host_row(b)
 
     def derived(self, name: str, witness, build):
         """``build()`` of this state, kept under ``name`` while ``witness`` (all else

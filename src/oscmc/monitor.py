@@ -2,7 +2,9 @@
 
 Maintains the authorised-link log (IVCL), builds per-server observed-link
 matrices (VLAM), classifies observed flows against the log and raises
-co-location, cascading and vulnerability threat events.  The monitor never
+co-location, cascading and vulnerability threat events.  Every detection
+reads one pass over the observed flows (the union of the VLAMs), which
+classifies each flow once.  The monitor never
 sees user records, so ground-truth maliciousness cannot leak into any
 detection result; it only works from placement, observed links, the log,
 performance samples and server vulnerability scores.
@@ -224,34 +226,44 @@ class Vlam:
     links: set[LinkEnds] = field(default_factory=set)
 
 
-def build_vlams(placement: Placement, links, server_ids=None) -> dict[int, Vlam]:
-    """Distribute observed links onto the VLAM of each hosting server.
+def build_vlams(placement: Placement, links, server_ids=()) -> dict[int, Vlam]:
+    """Distribute observed links onto the VLAM of each hosting server, in
+    server id order.
 
     A link is recorded on the server of its source and, when different, on
     the server of its destination, so every VLAM entry has at least one
-    local endpoint.
+    local endpoint.  The servers hosting an endpoint get a VLAM, and so does
+    each of ``server_ids``, empty or not.
     """
-    if server_ids is None:
-        server_ids = placement.server_ids
-    vlams = {sid: Vlam(sid) for sid in sorted(server_ids)}
+    hosted: dict[int, set[LinkEnds]] = {sid: set() for sid in server_ids}
     for src, dst in links:
-        for sid in {placement.server_of(src), placement.server_of(dst)}:
-            if sid is not None:
-                vlams[sid].links.add((src, dst))
-    return vlams
+        for sid in {placement.server_of(src), placement.server_of(dst)} - {None}:
+            hosted.setdefault(sid, set()).add((src, dst))
+    return {sid: Vlam(sid, hosted[sid]) for sid in sorted(hosted)}
 
 
 def observed_links(vlams: dict[int, Vlam]) -> set[LinkEnds]:
-    merged: set[LinkEnds] = set()
-    for vlam in vlams.values():
-        merged |= vlam.links
-    return merged
+    return set().union(*(vlam.links for vlam in vlams.values()))
+
+
+def _observe(vlams: dict[int, Vlam], ivcl: Ivcl):
+    """The one pass that every detection below reads: each observed flow (the
+    union of the VLAMs) classified once.  Returns the unauthorised flows by
+    source (sources with none omitted) and each source's observed
+    destinations."""
+    unauthorised: dict[int, set[LinkEnds]] = {}
+    outgoing: dict[int, set[int]] = {}
+    for src, dst in observed_links(vlams):
+        outgoing.setdefault(src, set()).add(dst)
+        if classify_link((src, dst), ivcl) == 1:
+            unauthorised.setdefault(src, set()).add((src, dst))
+    return unauthorised, outgoing
 
 
 # -- threat events ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ColocationEvent:
     server: int
     src: int
@@ -274,41 +286,35 @@ class VulnerabilityEvent:
     high_risk: bool = False
 
 
-def detect_colocation(
-    placement: Placement, vlams: dict[int, Vlam], ivcl: Ivcl
-) -> list[ColocationEvent]:
-    """Unauthorised flows between VMs hosted on the same server."""
+def _colocation(placement: Placement, unauthorised) -> list[ColocationEvent]:
+    """The unauthorised flows whose ends share a server, in (server, src,
+    dst) order."""
     events = []
-    for sid in sorted(vlams):
-        for src, dst in sorted(vlams[sid].links):
-            if placement.server_of(src) != sid or placement.server_of(dst) != sid:
-                continue
-            if classify_link((src, dst), ivcl) == 1:
-                events.append(ColocationEvent(sid, src, dst))
-    return events
+    for links in unauthorised.values():
+        for src, dst in links:
+            server = placement.server_of(src)
+            if server is not None and server == placement.server_of(dst):
+                events.append(ColocationEvent(server, src, dst))
+    return sorted(events)
 
 
-def cascades_from_colocation(
-    colocation: list[ColocationEvent],
-    vlams: dict[int, Vlam],
-    placement: Placement,
-) -> list[CascadingEvent]:
+def _cascades(placement: Placement, colocation, outgoing) -> list[CascadingEvent]:
     """Join co-location events with the relays' observed outgoing flows."""
-    outgoing: dict[int, set[int]] = {}
-    for a, b in observed_links(vlams):
-        outgoing.setdefault(a, set()).add(b)
-
     events = []
     for coloc in colocation:
         relay = coloc.dst
         for dst in sorted(outgoing.get(relay, ())):
             dst_server = placement.server_of(dst)
-            if dst_server is None or dst_server == coloc.server:
-                continue
-            events.append(
-                CascadingEvent(coloc.src, relay, dst, coloc.server, dst_server)
-            )
+            if dst_server is not None and dst_server != coloc.server:
+                events.append(CascadingEvent(coloc.src, relay, dst, coloc.server, dst_server))
     return events
+
+
+def detect_colocation(
+    placement: Placement, vlams: dict[int, Vlam], ivcl: Ivcl
+) -> list[ColocationEvent]:
+    """Unauthorised flows between VMs hosted on the same server."""
+    return _colocation(placement, _observe(vlams, ivcl)[0])
 
 
 def detect_cascading(
@@ -320,9 +326,8 @@ def detect_cascading(
     relay -> dst toward a VM on a different server forms a cascade
     (src, relay, dst), regardless of the relay flow's own authorisation.
     """
-    return cascades_from_colocation(
-        detect_colocation(placement, vlams, ivcl), vlams, placement
-    )
+    unauthorised, outgoing = _observe(vlams, ivcl)
+    return _cascades(placement, _colocation(placement, unauthorised), outgoing)
 
 
 def detect_vulnerability(
@@ -378,36 +383,29 @@ def aggregate_breaches(
 # -- malicious link and VM identification -------------------------------
 
 
+def _malicious_vms(unauthorised, min_links: int) -> set[int]:
+    """The sources of at least ``min_links`` unauthorised flows."""
+    if min_links < 1:
+        raise ValueError("min_links must be >= 1")
+    return {src for src, links in unauthorised.items() if len(links) >= min_links}
+
+
 def malicious_links(vm_id: int, vlams: dict[int, Vlam], ivcl: Ivcl) -> set[LinkEnds]:
     """Observed flows sourced by a VM that the log does not authorise."""
-    allowed = ivcl.authorized_dsts(vm_id)
-    return {
-        (src, dst)
-        for src, dst in observed_links(vlams)
-        if src == vm_id and dst not in allowed
-    }
+    ivcl.authorized_dsts(vm_id)  # an unregistered VM raises
+    return _observe(vlams, ivcl)[0].get(vm_id, set())
 
 
 def all_malicious_links(vlams: dict[int, Vlam], ivcl: Ivcl) -> dict[int, set[LinkEnds]]:
     """Unauthorised flows grouped by source VM (sources with none omitted)."""
-    grouped: dict[int, set[LinkEnds]] = {}
-    for src, dst in observed_links(vlams):
-        if classify_link((src, dst), ivcl) == 1:
-            grouped.setdefault(src, set()).add((src, dst))
-    return grouped
+    return _observe(vlams, ivcl)[0]
 
 
 def identify_malicious_vms(
     vlams: dict[int, Vlam], ivcl: Ivcl, min_links: int = 1
 ) -> set[int]:
     """VMs sourcing at least ``min_links`` unauthorised flows this interval."""
-    if min_links < 1:
-        raise ValueError("min_links must be >= 1")
-    return {
-        src
-        for src, links in all_malicious_links(vlams, ivcl).items()
-        if len(links) >= min_links
-    }
+    return _malicious_vms(_observe(vlams, ivcl)[0], min_links)
 
 
 @dataclass
@@ -441,25 +439,23 @@ def build_threat_report(
     thresholds: np.ndarray | None = None,
     vuln_scores: dict[int, float] | None = None,
     min_links: int = 1,
-    colocation: list[ColocationEvent] | None = None,
 ) -> ThreatReport:
-    """Run the full detection pass for one interval; ``owners`` is an int
-    array with the owner of VM ``v`` at ``v - 1``.
+    """Run the full detection pass for one interval, every event and list
+    read from one ``_observe``; ``owners`` is an int array with the owner of
+    VM ``v`` at ``v - 1``.
 
     Vulnerability events are raised from ``vms``, ``perf`` and
     ``thresholds`` as ``detect_vulnerability`` takes them, when all three
-    are given.  ``colocation`` may carry a precomputed ``detect_colocation``
-    result; cascades are always joined on the merged observed links.
+    are given.
     """
-    if colocation is None:
-        colocation = detect_colocation(placement, vlams, ivcl)
-    cascading = cascades_from_colocation(colocation, vlams, placement)
+    grouped, outgoing = _observe(vlams, ivcl)
+    colocation = _colocation(placement, grouped)
+    cascading = _cascades(placement, colocation, outgoing)
     vulnerability = []
     if vms is not None and perf is not None and thresholds is not None:
         vulnerability = detect_vulnerability(vms, perf, thresholds, placement, vuln_scores or {})
 
-    grouped = all_malicious_links(vlams, ivcl)
-    bad_vms = {src for src, links in grouped.items() if len(links) >= min_links}
+    bad_vms = _malicious_vms(grouped, min_links)
     bad_links: set[LinkEnds] = set().union(*grouped.values())
 
     owners = np.asarray(owners)

@@ -75,7 +75,9 @@ def _descend(theta, window, hidden, xn, yn, epochs=0, lr=0.0):
     h_t, out_col, err_col, db1_row = h.transpose(0, 2, 1), out[:, :, 0], err[:, :, None], db1[:, 0]
     matmul, multiply, subtract, divide = np.matmul, np.multiply, np.subtract, np.divide
     add_reduce, einsum, logistic = np.add.reduce, np.einsum, _logistic
-    with np.errstate(over="ignore"):
+    # A rate that makes the descent diverge overflows to inf and then NaN
+    # quietly; the caller judges the loss and the forecasts.
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max(epochs, 1)):
             matmul(xn, w1, out=h)
             h += b1
@@ -99,7 +101,7 @@ def _descend(theta, window, hidden, xn, yn, epochs=0, lr=0.0):
             if epochs > 0:
                 multiply(lr, grad, out=step)
                 theta -= step
-    return grad, 0.5 * np.mean(err**2, axis=1)
+        return grad, 0.5 * np.mean(err**2, axis=1)
 
 
 class PredictorModel:

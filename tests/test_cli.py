@@ -199,6 +199,20 @@ def test_run_infeasible_scenario_exits_runtime(tmp_path, capsys):
     assert "simulation failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", [5, 10])
+def test_run_diverging_training_exits_runtime_in_one_line(tmp_path, capsys, rate):
+    """A learning rate that makes the forecaster diverge fails the run with
+    one line naming the interval and the rate; the suite turns any
+    RuntimeWarning on the way into an error."""
+    f = tmp_path / "steep.scn"
+    f.write_text("servers = 20\nvms = 14\nintervals = 12\nwindow = 2\nlearning_rate = %d\n" % rate)
+    code = main(["run", "--scenario", str(f), "--seed", "1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.startswith("simulation failed: interval ") and err.count("\n") == 1
+    assert "training diverged" in err and "learning_rate %.1f" % rate in err
+
+
 def test_run_seed_and_interval_overrides(tmp_path):
     out = tmp_path / "res"
     code = main(

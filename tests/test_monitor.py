@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscmc
+import oscmc.monitor as monitor
 from oscmc.model import Placement, ResourceVector, Server
 from oscmc.monitor import (
     CascadingEvent,
@@ -391,16 +392,66 @@ def test_build_threat_report_collects_everything():
     assert not report.is_clean()
 
 
-def test_build_threat_report_accepts_precomputed_colocation():
-    placement = make_placement({1: 1, 2: 1}, 1)
+@st.composite
+def _monitor_instances(draw):
+    """Criterion 4's instances, drawn: 2-12 VMs on 1-4 servers, some left
+    unplaced, a log of some ordered pairs and up to 14 observed links."""
+    n_vms, n_servers = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    hosts = draw(st.lists(st.none() | st.integers(1, n_servers), min_size=n_vms, max_size=n_vms))
+    placement = make_placement({vm: sid for vm, sid in enumerate(hosts, 1) if sid}, n_servers)
+    ids = range(1, n_vms + 1)
+    pairs = st.sampled_from([(a, b) for a in ids for b in ids if a != b])
     ivcl = Ivcl()
-    ivcl.register(1)
-    ivcl.register(2)
-    vlams = build_vlams(placement, [(1, 2)], [1])
-    pre = detect_colocation(placement, vlams, ivcl)
-    a = build_threat_report(0, placement, vlams, ivcl, [1, 2])
-    b = build_threat_report(0, placement, vlams, ivcl, [1, 2], colocation=pre)
-    assert a == b
+    for vm in ids:
+        ivcl.register(vm)
+    for a, b in sorted(draw(st.sets(pairs))):
+        ivcl.grant(a, b)
+    return placement, ivcl, draw(st.sets(pairs, max_size=14))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monitor_instances(), st.integers(1, 3), st.booleans())
+def test_threat_report_equals_each_detection_alone(instance, min_links, every_server):
+    """The report's events, VMs and links equal the detections run one by
+    one, with a VLAM for every server or only for the endpoints' hosts."""
+    placement, ivcl, links = instance
+    vlams = build_vlams(placement, links, placement.server_ids if every_server else ())
+    owners = np.arange(12) % 3
+    report = build_threat_report(0, placement, vlams, ivcl, owners, min_links=min_links)
+    assert report.colocation == detect_colocation(placement, vlams, ivcl)
+    assert report.cascading == detect_cascading(placement, vlams, ivcl)
+    assert report.malicious_vms == identify_malicious_vms(vlams, ivcl, min_links)
+    assert report.malicious_link_set == set().union(*all_malicious_links(vlams, ivcl).values())
+
+
+def test_build_threat_report_classifies_each_observed_flow_once(monkeypatch):
+    calls, classify = [], monitor.classify_link
+
+    def counted(link, ivcl):
+        calls.append(link)
+        return classify(link, ivcl)
+
+    monkeypatch.setattr(monitor, "classify_link", counted)
+    rng = np.random.default_rng(206)
+    for _ in range(100):
+        placement, ivcl, links, vlams = random_instance(rng)
+        calls.clear()
+        build_threat_report(0, placement, vlams, ivcl, np.arange(1, 13))
+        assert sorted(calls) == sorted(links)
+
+
+def test_build_vlams_defaults_to_the_endpoint_servers():
+    """Without server ids only an endpoint's host gets a VLAM: the matrices
+    of every server, the empty ones dropped."""
+    rng = np.random.default_rng(207)
+    for _ in range(100):
+        placement, _ivcl, links, every = random_instance(rng)
+        vlams = build_vlams(placement, links)
+        assert list(vlams) == sorted({placement.server_of(vm) for link in links for vm in link})
+        assert vlams == {sid: vlam for sid, vlam in every.items() if vlam.links}
+    placement = make_placement({1: 1, 2: 2}, 3)  # VM 3 is not placed
+    vlams = build_vlams(placement, [(1, 2), (1, 3)])
+    assert {sid: vlam.links for sid, vlam in vlams.items()} == {1: {(1, 2), (1, 3)}, 2: {(1, 2)}}
 
 
 def test_quarantine_directive_contents():
